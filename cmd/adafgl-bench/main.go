@@ -25,18 +25,15 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (table1..table8, fig2..fig11, or 'all')")
-		list      = flag.Bool("list", false, "list available experiments")
-		paper     = flag.Bool("paper", false, "use the paper-scale protocol (slow)")
-		factor    = flag.Float64("factor", 0, "dataset scale factor override")
-		clients   = flag.Int("clients", 0, "client count override")
-		rounds    = flag.Int("rounds", 0, "federated rounds override")
-		epochs    = flag.Int("epochs", 0, "local epochs override")
-		runs      = flag.Int("runs", 0, "seeds per cell override")
-		seed      = flag.Int64("seed", 0, "base seed override")
-		workers   = flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS); results are identical for every value")
-		gemmTiles = flag.String("gemm-tiles", "", "blocked GEMM tile sizes \"MC,KC,NC\" (empty = engine defaults); affects speed only (outputs stay within 1e-12)")
-		spmmPanel = flag.Int("spmm-panel", 0, "blocked SpMM panel width in sparse columns (0 = engine default); affects speed only (results are bit-identical)")
+		exp     = flag.String("exp", "", "experiment id (table1..table8, fig2..fig11, or 'all')")
+		list    = flag.Bool("list", false, "list available experiments")
+		paper   = flag.Bool("paper", false, "use the paper-scale protocol (slow)")
+		factor  = flag.Float64("factor", 0, "dataset scale factor override")
+		clients = flag.Int("clients", 0, "client count override")
+		rounds  = flag.Int("rounds", 0, "federated rounds override")
+		epochs  = flag.Int("epochs", 0, "local epochs override")
+		runs    = flag.Int("runs", 0, "seeds per cell override")
+		seed    = flag.Int64("seed", 0, "base seed override")
 
 		async          = flag.Bool("async", false, "run Step-1 federated training on the asynchronous staleness-aware aggregation engine")
 		asyncK         = flag.Int("async-k", 0, "async commit threshold K: commit a round once K client updates are buffered (0 or >= participants = full synchronous barrier)")
@@ -52,15 +49,10 @@ func main() {
 		dpNoise   = flag.Float64("dp-noise", 0, "seeded Gaussian noise stddev added to the committed global each round (0 = off)")
 		noiseSeed = flag.Int64("dp-noise-seed", 0, "noise stream seed (0 = derived from the run seed)")
 	)
+	parallel.RegisterFlag(flag.CommandLine)
+	matrix.RegisterFlag(flag.CommandLine)
+	sparse.RegisterFlag(flag.CommandLine)
 	flag.Parse()
-	parallel.SetWorkers(*workers)
-	if err := matrix.SetTilingSpec(*gemmTiles); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *spmmPanel > 0 {
-		sparse.SetBlocking(sparse.Blocking{Panel: *spmmPanel})
-	}
 
 	if *list {
 		for _, id := range bench.IDs() {

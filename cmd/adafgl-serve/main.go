@@ -8,7 +8,7 @@
 // Usage:
 //
 //	adafgl-serve -ckpt model.ckpt -addr :8080
-//	adafgl-serve -model-dir zoo/ -default-model adafgl
+//	adafgl-serve -model-dir zoo/
 //	adafgl-serve -model-dir zoo/ -batch 128 -batch-wait 1ms -max-loaded 2
 //
 // -ckpt registers a single artifact (filename stem "name@3.ckpt" carries the
@@ -36,22 +36,8 @@
 // of every scalar runtime/metrics sample. Telemetry never alters results:
 // predictions are bit-identical with it enabled or disabled.
 //
-// Endpoints (see internal/registry for the full contract):
-//
-//	GET  /v1/models                      registered artifacts + metadata
-//	GET  /v1/models/{model}/predict      ?node=3 | ?nodes=1,2,3
-//	POST /v1/models/{model}/predict      {"nodes":[...]} or {"all":true}
-//	GET  /v1/models/{model}/predict/all
-//	GET  /v1/models/{model}/stats        per-version counters + live snapshot
-//	POST /v1/models/{model}/swap         {"version":2} zero-downtime swap
-//	POST /v1/ab                          {"control":...,"candidate":...,"fraction":0.5}
-//	GET  /v1/ab/report                   online accuracy/latency per arm
-//	GET  /v1/healthz                     fleet liveness (always 200) + readiness summary
-//	GET  /v1/readyz                      readiness probe (503 until something can serve)
-//	GET  /v1/metrics                     Prometheus text exposition
-//
-//	/predict, /predict/all, /healthz, /stats — deprecated aliases onto the
-//	default model (Deprecation + Link headers point at the v1 successors).
+// The HTTP surface is registry.Handler — the /v1 route table in README.md
+// and internal/registry/http.go — and nothing else.
 //
 // On SIGINT/SIGTERM the listener stops accepting, in-flight HTTP requests
 // get a grace period, and every model's batch queue is drained before exit —
@@ -138,15 +124,13 @@ func pprofMux() *http.ServeMux {
 
 func main() {
 	var (
-		ckptPath     = flag.String("ckpt", "", "single checkpoint file to register (stem \"name@3.ckpt\" sets name and version)")
-		modelDir     = flag.String("model-dir", "", "directory of *.ckpt artifacts to register")
-		defaultModel = flag.String("default-model", "", "model answering the legacy flat routes (default: the sole registered name)")
-		addr         = flag.String("addr", ":8080", "HTTP listen address")
-		batch        = flag.Int("batch", serve.DefaultMaxBatch, "max queried nodes coalesced per batch window (1 disables batching)")
-		batchWait    = flag.Duration("batch-wait", serve.DefaultMaxWait, "max time the first request of a window waits for company (0 = flush as soon as the queue drains)")
-		workers      = flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS); results are identical for every value")
-		maxLoaded    = flag.Int("max-loaded", registry.DefaultMaxLoaded, "max concurrently started model servers (LRU drains idle ones)")
-		grace        = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight HTTP requests")
+		ckptPath  = flag.String("ckpt", "", "single checkpoint file to register (stem \"name@3.ckpt\" sets name and version)")
+		modelDir  = flag.String("model-dir", "", "directory of *.ckpt artifacts to register")
+		addr      = flag.String("addr", ":8080", "HTTP listen address")
+		batch     = flag.Int("batch", serve.DefaultMaxBatch, "max queried nodes coalesced per batch window (1 disables batching)")
+		batchWait = flag.Duration("batch-wait", serve.DefaultMaxWait, "max time the first request of a window waits for company (0 = flush as soon as the queue drains)")
+		maxLoaded = flag.Int("max-loaded", registry.DefaultMaxLoaded, "max concurrently started model servers (LRU drains idle ones)")
+		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight HTTP requests")
 
 		maxPending  = flag.Int("max-pending", serve.DefaultMaxPending, "admission-control budget: max queued nodes per model before sheds (503); negative disables")
 		reqTimeout  = flag.Duration("request-timeout", 0, "server-side deadline per predict request (504 past it); 0 disables, explicit client deadlines still apply")
@@ -161,6 +145,7 @@ func main() {
 		logFormat = flag.String("log-format", "text", "log output format: text or json (one object per line)")
 		pprofAddr = flag.String("pprof-addr", "", "side listen address for net/http/pprof and /debug/runtime (empty disables)")
 	)
+	parallel.RegisterFlag(flag.CommandLine)
 	flag.Parse()
 	logger, err := newLogger(*logFormat)
 	if err != nil {
@@ -169,7 +154,6 @@ func main() {
 		os.Exit(2)
 	}
 	slog.SetDefault(logger)
-	parallel.SetWorkers(*workers)
 	telemetry.RegisterRuntimeGauges(telemetry.Default())
 	if *ckptPath == "" && *modelDir == "" {
 		fmt.Fprintln(os.Stderr, "missing -ckpt or -model-dir")
@@ -184,9 +168,8 @@ func main() {
 			MaxPending:     *maxPending,
 			RequestTimeout: *reqTimeout,
 		},
-		MaxLoaded:    *maxLoaded,
-		DefaultModel: *defaultModel,
-		LenientScan:  !*strictScan,
+		MaxLoaded:   *maxLoaded,
+		LenientScan: !*strictScan,
 		Breaker: registry.BreakerOptions{
 			Threshold:  *brkThresh,
 			Backoff:    *brkBackoff,

@@ -23,17 +23,10 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS); results are identical for every value")
-	gemmTiles := flag.String("gemm-tiles", "", "blocked GEMM tile sizes \"MC,KC,NC\" (empty = engine defaults); affects speed only (outputs stay within 1e-12)")
-	spmmPanel := flag.Int("spmm-panel", 0, "blocked SpMM panel width in sparse columns (0 = engine default); affects speed only (results are bit-identical)")
+	parallel.RegisterFlag(flag.CommandLine)
+	matrix.RegisterFlag(flag.CommandLine)
+	sparse.RegisterFlag(flag.CommandLine)
 	flag.Parse()
-	parallel.SetWorkers(*workers)
-	if err := matrix.SetTilingSpec(*gemmTiles); err != nil {
-		log.Fatal(err)
-	}
-	if *spmmPanel > 0 {
-		sparse.SetBlocking(sparse.Blocking{Panel: *spmmPanel})
-	}
 
 	cfg := models.DefaultConfig()
 	cfg.Hidden = 32

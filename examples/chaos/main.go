@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS); results are identical for every value")
+	parallel.RegisterFlag(flag.CommandLine)
 	spec := flag.String("scenario", "byz-scale:factor=10", "failure scenario spec (see the roster printed at startup)")
 	robust := flag.String("robust", "median", "robust aggregator for the mitigation arm: median or trim")
 	trimFrac := flag.Float64("trim-frac", 0.2, "trimmed-mean fraction dropped per side when -robust trim")
@@ -36,7 +36,6 @@ func main() {
 	factor := flag.Float64("factor", 0.3, "dataset scale factor")
 	seed := flag.Int64("seed", 1, "base seed")
 	flag.Parse()
-	parallel.SetWorkers(*workers)
 
 	agg, err := federated.ParseAggregator(*robust)
 	if err != nil {

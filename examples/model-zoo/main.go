@@ -42,9 +42,8 @@ import (
 const swapLoad = 32
 
 func main() {
-	workers := flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
+	parallel.RegisterFlag(flag.CommandLine)
 	flag.Parse()
-	parallel.SetWorkers(*workers)
 
 	// 1. One shared graph so every model answers the same nodes.
 	spec, err := datasets.ByName("Cora")
@@ -101,8 +100,7 @@ func main() {
 
 	// 3. Scan the artifact directory into a registry and expose the v1 API.
 	reg := registry.New(registry.Options{
-		Serve:        serve.Options{MaxBatch: 64, MaxWait: 500 * time.Microsecond},
-		DefaultModel: "baseline",
+		Serve: serve.Options{MaxBatch: 64, MaxWait: 500 * time.Microsecond},
 	})
 	defer reg.Close()
 	if _, err := reg.LoadDir(dir); err != nil {
@@ -132,18 +130,7 @@ func main() {
 	getJSON(base+"/v1/models/baseline/predict?nodes=0,1,2", &pr)
 	fmt.Printf("active baseline answers: %v\n", classes(pr))
 	getJSON(base+"/v1/models/baseline@2/predict?nodes=0,1,2", &pr)
-	fmt.Printf("pinned baseline@2 answers: %v\n", classes(pr))
-
-	// Legacy flat route still answers (deprecated, Link points at the v1
-	// successor).
-	resp, err := http.Get(base + "/predict?node=0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	fmt.Printf("legacy /predict: %d (Deprecation: %s, successor %s)\n\n",
-		resp.StatusCode, resp.Header.Get("Deprecation"), resp.Header.Get("Link"))
+	fmt.Printf("pinned baseline@2 answers: %v\n\n", classes(pr))
 
 	// 5. Hot-swap baseline 1 -> 2 under concurrent load: every in-flight
 	// answer must be a complete answer from exactly one version.

@@ -23,18 +23,11 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS); results are identical for every value")
+	parallel.RegisterFlag(flag.CommandLine)
+	matrix.RegisterFlag(flag.CommandLine)
+	sparse.RegisterFlag(flag.CommandLine)
 	save := flag.String("save", "", "write the trained AdaFGL Step-1 extractor as a servable checkpoint (feed to cmd/adafgl-serve)")
-	gemmTiles := flag.String("gemm-tiles", "", "blocked GEMM tile sizes \"MC,KC,NC\" (empty = engine defaults); affects speed only (outputs stay within 1e-12)")
-	spmmPanel := flag.Int("spmm-panel", 0, "blocked SpMM panel width in sparse columns (0 = engine default); affects speed only (results are bit-identical)")
 	flag.Parse()
-	parallel.SetWorkers(*workers)
-	if err := matrix.SetTilingSpec(*gemmTiles); err != nil {
-		log.Fatal(err)
-	}
-	if *spmmPanel > 0 {
-		sparse.SetBlocking(sparse.Blocking{Panel: *spmmPanel})
-	}
 
 	// 1. Synthesise the global graph (Cora statistics, scaled down).
 	spec, err := datasets.ByName("Cora")
@@ -88,7 +81,7 @@ func main() {
 	//
 	//	go run ./examples/quickstart -save model.ckpt
 	//	go run ./cmd/adafgl-serve -ckpt model.ckpt -addr :8080
-	//	curl 'localhost:8080/predict?nodes=0,1,2'
+	//	curl 'localhost:8080/v1/models/model/predict?nodes=0,1,2'
 	if *save != "" {
 		ck, err := checkpoint.FromResult(resAda, ada.Opt.ExtractorArch, cfg, g)
 		if err != nil {

@@ -1,10 +1,10 @@
 // Serve-demo is the end-to-end field check of the model lifecycle: train a
-// federated GCN at quickstart scale, persist it as a checkpoint, rebuild a
-// batched inference server from the file, expose it over HTTP on a loopback
+// federated GCN at quickstart scale, persist it as a checkpoint, register the
+// file in a one-model registry, expose the registry's v1 API on a loopback
 // port and fire 1000 concurrent node-classification queries at it — every
 // HTTP answer is cross-checked bit-for-bit against the in-process Go API.
-// The /metrics endpoint is then scraped and its Prometheus exposition
-// validated structurally, with the serving-layer families required present.
+// GET /v1/metrics is then scraped and its Prometheus exposition validated
+// structurally, with the serving-layer families required present.
 // `make serve-demo` runs exactly this.
 package main
 
@@ -28,6 +28,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -36,10 +37,9 @@ import (
 const queries = 1000
 
 func main() {
-	workers := flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
+	parallel.RegisterFlag(flag.CommandLine)
 	batch := flag.Int("batch", serve.DefaultMaxBatch, "serving batch-window node budget")
 	flag.Parse()
-	parallel.SetWorkers(*workers)
 
 	// 1. Train at quickstart scale.
 	spec, err := datasets.ByName("Cora")
@@ -61,7 +61,8 @@ func main() {
 	fmt.Printf("trained federated GCN over %d nodes in %v (test acc %.3f)\n",
 		g.N, time.Since(start).Round(time.Millisecond), res.TestAcc)
 
-	// 2. Persist and reload the checkpoint (the round trip is the point).
+	// 2. Persist the checkpoint; the registry below serves it from the file
+	// (the round trip is the point).
 	dir, err := os.MkdirTemp("", "adafgl-serve-demo")
 	if err != nil {
 		log.Fatal(err)
@@ -75,27 +76,33 @@ func main() {
 	if err := checkpoint.Save(path, ck); err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := checkpoint.Load(path)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fi, _ := os.Stat(path)
-	fmt.Printf("checkpoint: %s (%d bytes), round-tripped\n", path, fi.Size())
+	fmt.Printf("checkpoint: %s (%d bytes)\n", path, fi.Size())
 
-	// 3. Serve it over HTTP on a loopback port.
-	srv, err := serve.New(loaded, serve.Options{MaxBatch: *batch, MaxWait: 2 * time.Millisecond})
+	// 3. Serve it over HTTP on a loopback port: "model.ckpt" registers as
+	// model@1, and the held handle is the in-process API of that instance.
+	reg := registry.New(registry.Options{
+		Serve: serve.Options{MaxBatch: *batch, MaxWait: 2 * time.Millisecond},
+	})
+	defer reg.Close()
+	if _, err := reg.AddFile(path); err != nil {
+		log.Fatal(err)
+	}
+	h, err := reg.Acquire("model")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
+	defer h.Release()
+	srv := h.Server()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: reg.Handler()}
 	go hs.Serve(ln)
 	defer hs.Close()
-	fmt.Printf("serving on http://%s\n", ln.Addr())
+	base := fmt.Sprintf("http://%s/v1", ln.Addr())
+	fmt.Printf("serving on %s\n", base)
 
 	// Reference answers via the Go API, one full-graph window (bit-identical
 	// to every batched answer by the serving determinism contract).
@@ -118,7 +125,7 @@ func main() {
 		go func() {
 			defer wg.Done()
 			node := (q * 37) % g.N
-			resp, err := client.Get(fmt.Sprintf("http://%s/predict?node=%d", ln.Addr(), node))
+			resp, err := client.Get(fmt.Sprintf("%s/models/model/predict?node=%d", base, node))
 			if err != nil {
 				errCh <- err
 				return
@@ -160,10 +167,10 @@ func main() {
 		st.Requests, st.Batches, st.MeanBatch, st.P50.Round(time.Microsecond), st.P99.Round(time.Microsecond))
 	fmt.Println("all HTTP answers bit-identical to the in-process API: ok")
 
-	// 5. Scrape /metrics after the storm: the exposition must parse as
+	// 5. Scrape /v1/metrics after the storm: the exposition must parse as
 	// Prometheus text format and carry the serving-layer families the storm
 	// just exercised — a malformed scrape fails the demo.
-	resp, err := client.Get(fmt.Sprintf("http://%s/metrics", ln.Addr()))
+	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -173,10 +180,10 @@ func main() {
 		log.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("/metrics status %d", resp.StatusCode)
+		log.Fatalf("/v1/metrics status %d", resp.StatusCode)
 	}
 	if err := telemetry.CheckExposition(expo); err != nil {
-		log.Fatalf("/metrics exposition malformed: %v", err)
+		log.Fatalf("/v1/metrics exposition malformed: %v", err)
 	}
 	for _, fam := range []string{
 		"adafgl_serve_requests_total",
@@ -185,8 +192,8 @@ func main() {
 		"adafgl_parallel_pool_tasks_total",
 	} {
 		if !telemetry.HasFamily(expo, fam) {
-			log.Fatalf("/metrics missing family %s", fam)
+			log.Fatalf("/v1/metrics missing family %s", fam)
 		}
 	}
-	fmt.Printf("scraped /metrics: %d bytes, exposition valid, serving families present\n", len(expo))
+	fmt.Printf("scraped /v1/metrics: %d bytes, exposition valid, serving families present\n", len(expo))
 }

@@ -22,20 +22,13 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS); results are identical for every value")
-	gemmTiles := flag.String("gemm-tiles", "", "blocked GEMM tile sizes \"MC,KC,NC\" (empty = engine defaults); affects speed only (outputs stay within 1e-12)")
-	spmmPanel := flag.Int("spmm-panel", 0, "blocked SpMM panel width in sparse columns (0 = engine default); affects speed only (results are bit-identical)")
+	parallel.RegisterFlag(flag.CommandLine)
+	matrix.RegisterFlag(flag.CommandLine)
+	sparse.RegisterFlag(flag.CommandLine)
 	async := flag.Bool("async", false, "run federated training on the asynchronous staleness-aware aggregation engine")
 	asyncK := flag.Int("async-k", 0, "async commit threshold K (0 or >= participants = full synchronous barrier)")
 	asyncStaleness := flag.Float64("async-staleness", 0, "async staleness discount α: updates s rounds stale weigh α/(1+s) (0 = 1.0)")
 	flag.Parse()
-	parallel.SetWorkers(*workers)
-	if err := matrix.SetTilingSpec(*gemmTiles); err != nil {
-		log.Fatal(err)
-	}
-	if *spmmPanel > 0 {
-		sparse.SetBlocking(sparse.Blocking{Panel: *spmmPanel})
-	}
 
 	spec, err := datasets.ByName("Computer")
 	if err != nil {

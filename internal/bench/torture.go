@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/registry"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 )
 
@@ -87,63 +88,29 @@ func TortureNames() []string {
 	return out
 }
 
-// ParseTorture compiles a torture spec — "name" or "name:key=val,key=val" —
-// against the scenario registry, the same spec grammar the federation chaos
-// suite uses (internal/scenario). Unknown names and parameters error.
+// ParseTorture compiles a torture spec — "name" or "name:key=val,key=val",
+// the grammar of scenario.ParseSpec — against the scenario registry.
+// Unknown names and parameters, malformed pairs and non-finite values error.
 func ParseTorture(spec string) (*TortureScenario, error) {
-	name, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
-	var blueprint *tortureSpec
-	for i := range tortureRegistry {
-		if tortureRegistry[i].name == name {
-			blueprint = &tortureRegistry[i]
-			break
+	var title string
+	name, params, err := scenario.ParseSpec(spec, func(name string) (map[string]float64, error) {
+		for _, sp := range tortureRegistry {
+			if sp.name == name {
+				title = sp.title
+				return sp.defaults, nil
+			}
 		}
+		return nil, fmt.Errorf("unknown scenario %q (have %s)", name, strings.Join(TortureNames(), ", "))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bench: torture: %w", err)
 	}
-	if blueprint == nil {
-		return nil, fmt.Errorf("bench: torture: unknown scenario %q (have %s)",
-			name, strings.Join(TortureNames(), ", "))
-	}
-	sc := &TortureScenario{Name: name, Title: blueprint.title, Params: map[string]float64{}}
-	for k, v := range blueprint.defaults {
-		sc.Params[k] = v
-	}
-	if rest != "" {
-		for _, kv := range strings.Split(rest, ",") {
-			key, val, ok := strings.Cut(kv, "=")
-			key = strings.TrimSpace(key)
-			if !ok {
-				return nil, fmt.Errorf("bench: torture: %s: bad parameter %q (want key=val)", name, kv)
-			}
-			if _, known := blueprint.defaults[key]; !known {
-				return nil, fmt.Errorf("bench: torture: %s: unknown parameter %q", name, key)
-			}
-			f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bench: torture: %s: bad value for %q: %v", name, key, err)
-			}
-			sc.Params[key] = f
-		}
-	}
-	return sc, nil
+	return &TortureScenario{Name: name, Title: title, Params: params}, nil
 }
 
 // Spec renders the scenario back into its canonical textual spec
-// (parameters sorted), so Parse(sc.Spec()) round-trips.
-func (sc *TortureScenario) Spec() string {
-	if len(sc.Params) == 0 {
-		return sc.Name
-	}
-	keys := make([]string, 0, len(sc.Params))
-	for k := range sc.Params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%g", k, sc.Params[k])
-	}
-	return sc.Name + ":" + strings.Join(parts, ",")
-}
+// (parameters sorted), so ParseTorture(sc.Spec()) round-trips.
+func (sc *TortureScenario) Spec() string { return scenario.RenderSpec(sc.Name, sc.Params) }
 
 // param reads a resolved scenario parameter as int.
 func (sc *TortureScenario) param(key string) int { return int(sc.Params[key]) }
@@ -269,10 +236,9 @@ func tortureArtifacts(s Scale) (string, *checkpoint.Checkpoint, func(), error) {
 // the scenario's serve-layer fault regime.
 func tortureOptions(sc *TortureScenario, s Scale) registry.Options {
 	opt := registry.Options{
-		Serve:        serve.Options{MaxBatch: 32, MaxWait: 0, Seed: s.Seed},
-		DefaultModel: "m",
-		LenientScan:  true,
-		Breaker:      registry.BreakerOptions{Seed: s.Seed},
+		Serve:       serve.Options{MaxBatch: 32, MaxWait: 0, Seed: s.Seed},
+		LenientScan: true,
+		Breaker:     registry.BreakerOptions{Seed: s.Seed},
 	}
 	switch sc.Name {
 	case "overload":

@@ -6,7 +6,9 @@ import (
 )
 
 // TestTortureParse covers the spec grammar: defaults, overrides, round-trip,
-// and rejection of unknown scenarios, unknown keys and malformed pairs.
+// and rejection of unknown scenarios, unknown keys, malformed pairs and
+// non-finite values (a NaN pending budget becomes a negative MaxPending,
+// which disables admission control).
 func TestTortureParse(t *testing.T) {
 	sc, err := ParseTorture("overload")
 	if err != nil {
@@ -31,7 +33,10 @@ func TestTortureParse(t *testing.T) {
 			t.Fatalf("round-trip lost %s: %v vs %v", k, rt.Params[k], v)
 		}
 	}
-	for _, bad := range []string{"nope", "overload:bogus=1", "overload:pending", "overload:pending=x"} {
+	for _, bad := range []string{
+		"nope", "overload:bogus=1", "overload:pending", "overload:pending=x",
+		"overload:pending=NaN", "overload:conc=Inf", "overload:conc=-Inf", "overload:=4", "overload:pending=8,",
+	} {
 		if _, err := ParseTorture(bad); err == nil {
 			t.Errorf("ParseTorture(%q) accepted", bad)
 		}

@@ -19,6 +19,7 @@
 package matrix
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -107,8 +108,7 @@ func ParseTiling(s string) (Tiling, error) {
 }
 
 // SetTilingSpec parses and applies a "MC,KC,NC" spec; the empty string is a
-// no-op. One-line wiring for the -gemm-tiles flag, mirroring how
-// parallel.SetWorkers backs -workers.
+// no-op. It is the value parser of the -gemm-tiles flag (RegisterFlag).
 func SetTilingSpec(s string) error {
 	if s == "" {
 		return nil
@@ -119,6 +119,13 @@ func SetTilingSpec(s string) error {
 	}
 	SetTiling(t)
 	return nil
+}
+
+// RegisterFlag declares the -gemm-tiles flag on fs — its one declaration for
+// every binary and example. The flag applies itself: parsing it calls
+// SetTilingSpec, and a malformed spec is a flag parse error.
+func RegisterFlag(fs *flag.FlagSet) {
+	fs.Func("gemm-tiles", "blocked GEMM tile sizes \"MC,KC,NC\" (empty = engine defaults); affects speed only (outputs stay within 1e-12)", SetTilingSpec)
 }
 
 // Mul returns a*b (matrix product).

@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"flag"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -48,6 +50,17 @@ func TestSetTilingSpec(t *testing.T) {
 	}
 	if err := SetTilingSpec("nope"); err == nil {
 		t.Fatal("bad spec must error")
+	}
+
+	// The -gemm-tiles flag applies itself at parse through the same parser.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	RegisterFlag(fs)
+	if err := fs.Parse([]string{"-gemm-tiles", "8,64,8"}); err != nil || CurrentTiling() != (Tiling{MC: 8, KC: 64, NC: 8}) {
+		t.Fatalf("-gemm-tiles 8,64,8: err %v, tiling %+v", err, CurrentTiling())
+	}
+	if err := fs.Parse([]string{"-gemm-tiles", "nope"}); err == nil {
+		t.Fatal("-gemm-tiles nope must fail the parse")
 	}
 }
 

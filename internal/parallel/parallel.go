@@ -13,13 +13,15 @@
 //     first-error capture, used for per-client federated work.
 //
 // The process-wide worker count defaults to GOMAXPROCS and is configurable
-// via SetWorkers (wired to the -workers flag of cmd/adafgl-bench and the
-// examples). Workers() == 1 makes every primitive run serially on the
+// via SetWorkers (RegisterFlag declares the -workers flag every binary and
+// example takes). Workers() == 1 makes every primitive run serially on the
 // calling goroutine.
 package parallel
 
 import (
+	"flag"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -40,6 +42,20 @@ func SetWorkers(n int) int {
 
 // Workers returns the current process-wide worker count.
 func Workers() int { return int(workerCount.Load()) }
+
+// RegisterFlag declares the -workers flag on fs — its one declaration for
+// every binary and example. The flag applies itself: parsing "-workers N"
+// calls SetWorkers(N).
+func RegisterFlag(fs *flag.FlagSet) {
+	fs.Func("workers", "parallel worker count (0 = GOMAXPROCS); results are identical for every value", func(s string) error {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return err
+		}
+		SetWorkers(n)
+		return nil
+	})
+}
 
 // Pool is a bounded worker pool: a fixed set of goroutines draining a task
 // queue. Submission is non-blocking — TrySubmit refuses when the queue is

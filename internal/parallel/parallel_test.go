@@ -2,7 +2,9 @@ package parallel
 
 import (
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +24,17 @@ func TestSetWorkersRoundTrip(t *testing.T) {
 	SetWorkers(0) // reset to GOMAXPROCS
 	if w := Workers(); w < 1 {
 		t.Fatalf("Workers() = %d after SetWorkers(0), want >= 1", w)
+	}
+
+	// The -workers flag applies itself at parse and refuses non-integers.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	RegisterFlag(fs)
+	if err := fs.Parse([]string{"-workers", "2"}); err != nil || Workers() != 2 {
+		t.Fatalf("-workers 2: err %v, Workers() = %d", err, Workers())
+	}
+	if err := fs.Parse([]string{"-workers", "two"}); err == nil {
+		t.Fatal("-workers two must fail the parse")
 	}
 }
 

@@ -58,7 +58,7 @@ func (r *Registry) ConfigureAB(cfg ABConfig) error {
 			return fmt.Errorf("registry: ConfigureAB: %w", err)
 		}
 	}
-	r.ab = &abState{cfg: cfg}
+	r.ab = &abState{cfg: cfg, control: newModelStats(), candidate: newModelStats()}
 	return nil
 }
 
@@ -108,8 +108,8 @@ func (r *Registry) predictAB(ctx context.Context, cfg ABConfig, nodes []int) ([]
 			ctrlPos = append(ctrlPos, i)
 		}
 	}
-	telABNodes.With("control").Add(uint64(len(ctrlNodes)))
-	telABNodes.With("candidate").Add(uint64(len(candNodes)))
+	telABControl.Add(uint64(len(ctrlNodes)))
+	telABCandidate.Add(uint64(len(candNodes)))
 	out := make([]serve.Prediction, len(nodes))
 	run := func(name string, armNodes, pos []int, arm func(*abState) *modelStats) error {
 		if len(armNodes) == 0 {

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,56 +10,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// legacyRefKey carries the default-model reference into handlers reached
-// through a deprecated flat alias (no {model} path segment).
-type legacyRefKey struct{}
-
-// legacy wraps a v1 handler as a deprecated flat alias: the default model is
-// resolved, Deprecation and Link (successor-version) headers are stamped,
-// and the reference travels to the handler via the request context.
-func (r *Registry) legacy(successorSuffix string, next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		ref, err := r.DefaultRef()
-		if err != nil {
-			serve.WriteError(w, statusFor(err), "registry.default", err)
-			return
-		}
-		w.Header().Set("Deprecation", "true")
-		successor := "/v1/healthz"
-		if successorSuffix != "" {
-			successor = fmt.Sprintf("/v1/models/%s%s", ref, successorSuffix)
-		}
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		next(w, req.WithContext(context.WithValue(req.Context(), legacyRefKey{}, ref)))
-	}
-}
-
-// modelRef extracts the model reference of a request: the {model} path
-// segment on v1 routes, the default model on legacy aliases.
-func modelRef(req *http.Request) string {
-	if ref := req.PathValue("model"); ref != "" {
-		return ref
-	}
-	ref, _ := req.Context().Value(legacyRefKey{}).(string)
-	return ref
-}
-
-// statusFor maps registry and serving errors onto HTTP statuses.
+// statusFor maps registry errors onto HTTP statuses; everything the serving
+// layer can return goes through serve.PredictStatus.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, ErrInUse):
 		return http.StatusConflict
-	case errors.Is(err, ErrTripped), errors.Is(err, serve.ErrOverloaded),
-		errors.Is(err, ErrRegistryClosed), errors.Is(err, serve.ErrClosed):
+	case errors.Is(err, ErrTripped), errors.Is(err, ErrRegistryClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, serve.ErrDeadline):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, serve.ErrModelPanic):
-		return http.StatusInternalServerError
 	default:
-		return http.StatusBadRequest
+		return serve.PredictStatus(err)
 	}
 }
 
@@ -93,7 +54,7 @@ func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
 // handlePredict answers single-node and node-set queries on one model,
 // routing through the A/B splitter when the target is the control.
 func (r *Registry) handlePredict(w http.ResponseWriter, req *http.Request) {
-	ref := modelRef(req)
+	ref := req.PathValue("model")
 	var nodes []int
 	switch req.Method {
 	case http.MethodGet:
@@ -127,7 +88,7 @@ func (r *Registry) handlePredict(w http.ResponseWriter, req *http.Request) {
 
 // handlePredictAll answers the full-graph warm path on one model.
 func (r *Registry) handlePredictAll(w http.ResponseWriter, req *http.Request) {
-	ref := modelRef(req)
+	ref := req.PathValue("model")
 	h, err := r.Acquire(ref)
 	if err != nil {
 		serve.WriteError(w, statusFor(err), "registry.predict", err)
@@ -162,7 +123,7 @@ func (r *Registry) handleStats(w http.ResponseWriter, req *http.Request) {
 	if !requireMethod(w, req, "registry.stats", http.MethodGet) {
 		return
 	}
-	name, _, err := ParseRef(modelRef(req))
+	name, _, err := ParseRef(req.PathValue("model"))
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, "registry.stats", err)
 		return
@@ -173,19 +134,6 @@ func (r *Registry) handleStats(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, st)
-}
-
-// handleModelStatsSnapshot answers the legacy /stats alias with the default
-// model's live serve.Snapshot — byte-compatible with the old single-model
-// endpoint.
-func (r *Registry) handleModelStatsSnapshot(w http.ResponseWriter, req *http.Request) {
-	h, err := r.Acquire(modelRef(req))
-	if err != nil {
-		serve.WriteError(w, statusFor(err), "registry.stats", err)
-		return
-	}
-	defer h.Release()
-	serve.WriteJSON(w, http.StatusOK, h.Server().Stats())
 }
 
 // swapRequest is the JSON body of POST /v1/models/{model}/swap.
@@ -199,7 +147,7 @@ func (r *Registry) handleSwap(w http.ResponseWriter, req *http.Request) {
 	if !requireMethod(w, req, "registry.swap", http.MethodPost) {
 		return
 	}
-	name, _, err := ParseRef(modelRef(req))
+	name, _, err := ParseRef(req.PathValue("model"))
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, "registry.swap", err)
 		return
@@ -284,26 +232,4 @@ func (r *Registry) handleReadyz(w http.ResponseWriter, req *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	serve.WriteJSON(w, status, rd)
-}
-
-// handleHealthz answers the legacy /healthz alias with the old single-model
-// shape (status/arch/nodes/classes/decoupled) for the default model, plus
-// the resolved model reference.
-func (r *Registry) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	ref := modelRef(req)
-	h, err := r.Acquire(ref)
-	if err != nil {
-		serve.WriteError(w, statusFor(err), "registry.healthz", err)
-		return
-	}
-	defer h.Release()
-	s := h.Server()
-	serve.WriteJSON(w, http.StatusOK, map[string]any{
-		"status":    "ok",
-		"arch":      s.Arch(),
-		"nodes":     s.Nodes(),
-		"classes":   s.Classes(),
-		"decoupled": s.Decoupled(),
-		"model":     Ref(h.Name(), h.Version()),
-	})
 }

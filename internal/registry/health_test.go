@@ -226,7 +226,7 @@ func TestReadyzAndHealthzReadiness(t *testing.T) {
 	}
 
 	// A populated registry is ready, and healthz carries the summary.
-	_, ts := zooServer(t, Options{DefaultModel: "base"})
+	_, ts := zooServer(t, Options{})
 	status, _, body := get(t, ts.URL+"/v1/readyz")
 	if status != 200 || body["ready"] != true {
 		t.Fatalf("readyz = %d %v, want 200 ready", status, body)
@@ -239,5 +239,34 @@ func TestReadyzAndHealthzReadiness(t *testing.T) {
 		if _, ok := body[key]; !ok {
 			t.Errorf("healthz missing %q: %v", key, body)
 		}
+	}
+}
+
+// TestTrippedModelOverHTTP pins the breaker's HTTP contract on the v1 predict
+// route: the panicking predict that trips the model answers the 500 envelope,
+// every predict inside the trip window the 503 envelope with Retry-After,
+// and liveness stays unconditional.
+func TestTrippedModelOverHTTP(t *testing.T) {
+	_, ts := zooServer(t, Options{
+		Serve:   serve.Options{MaxBatch: 8, Seed: 1, Chaos: serve.ChaosOptions{PanicEvery: 1}},
+		Breaker: BreakerOptions{Threshold: 1, Backoff: time.Minute, Seed: 1},
+	})
+	status, _, body := get(t, ts.URL+"/v1/models/base/predict?node=0")
+	if status != 500 {
+		t.Fatalf("panicking predict status = %d, want 500: %v", status, body)
+	}
+	wantEnvelope(t, body, "internal")
+
+	status, hdr, body := get(t, ts.URL+"/v1/models/base/predict?node=0")
+	if status != 503 {
+		t.Fatalf("tripped predict status = %d, want 503: %v", status, body)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Error("tripped predict missing Retry-After")
+	}
+	wantEnvelope(t, body, "unavailable")
+
+	if status, _, _ := get(t, ts.URL+"/v1/healthz"); status != 200 {
+		t.Fatalf("/v1/healthz liveness = %d, want 200", status)
 	}
 }

@@ -7,56 +7,46 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Handler returns the multi-model HTTP surface of the registry — the
-// versioned v1 API plus deprecated aliases for the flat single-model routes:
+// Handler returns the HTTP surface of the registry, and with it of every
+// served model: the versioned v1 API of the routes table below, the only
+// routes this repository mounts.
 //
-//	GET  /v1/models                      list artifacts + metadata
-//	GET  /v1/models/{model}/predict      ?node=3 | ?nodes=1,2 ({model} is
-//	                                     "name" or "name@version")
-//	POST /v1/models/{model}/predict      {"nodes":[...]} or {"all":true}
-//	GET  /v1/models/{model}/predict/all  full-graph warm path
-//	GET  /v1/models/{model}/stats        per-version counters + live snapshot
-//	POST /v1/models/{model}/swap         {"version":N} zero-downtime swap
-//	POST /v1/ab                          configure the A/B splitter
-//	GET  /v1/ab/report                   online accuracy/latency per arm
-//	GET  /v1/healthz                     fleet liveness + readiness summary
-//	GET  /v1/readyz                      readiness probe: 200 serving, 503 not
-//	GET  /v1/metrics                     Prometheus text exposition
-//	                                     (process-wide telemetry registry)
-//
-//	/predict, /predict/all, /healthz, /stats   deprecated aliases onto the
-//	default model; they answer exactly like the old single-model API and
-//	carry Deprecation plus Link (successor-version) headers.
-//
-// Every error, on every route including the aliases, is the structured JSON
-// envelope {"error":{"op","code","msg"}} (serve.ErrorEnvelope), except
-// /v1/readyz whose not-ready 503 carries the Readiness body itself so probes
-// see why. Handlers validate before touching the engine; unknown models are
-// 404, a closed registry or server or a tripped/overloaded model 503 (with
+// Every error, on every route, is the structured JSON envelope
+// {"error":{"op","code","msg"}} (serve.ErrorEnvelope), except /v1/readyz
+// whose not-ready 503 carries the Readiness body itself so probes see why.
+// Handlers validate before touching the engine; unknown models are 404, a
+// closed registry or server or a tripped/overloaded model 503 (with
 // Retry-After), a missed deadline 504, conflicting mutations 409. The whole
 // mux is wrapped in serve.Recover, so even a handler panic answers the
 // structured 500 envelope instead of killing the connection.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// Method routing happens inside the handlers so that wrong-method
-	// requests still answer with the shared error envelope (the mux's
-	// built-in 405 writes text/plain).
-	mux.HandleFunc("/v1/models", r.handleList)
-	mux.HandleFunc("/v1/models/{model}/predict", r.handlePredict)
-	mux.HandleFunc("/v1/models/{model}/predict/all", r.handlePredictAll)
-	mux.HandleFunc("/v1/models/{model}/stats", r.handleStats)
-	mux.HandleFunc("/v1/models/{model}/swap", r.handleSwap)
-	mux.HandleFunc("/v1/ab", r.handleAB)
-	mux.HandleFunc("/v1/ab/report", r.handleABReport)
-	mux.HandleFunc("/v1/healthz", r.handleFleetHealthz)
-	mux.HandleFunc("/v1/readyz", r.handleReadyz)
-	mux.HandleFunc("/v1/metrics", r.handleMetrics)
-	// Deprecated flat aliases onto the default model.
-	mux.HandleFunc("/predict", r.legacy("/predict", r.handlePredict))
-	mux.HandleFunc("/predict/all", r.legacy("/predict", r.handlePredictAll))
-	mux.HandleFunc("/healthz", r.legacy("", r.handleHealthz))
-	mux.HandleFunc("/stats", r.legacy("/stats", r.handleModelStatsSnapshot))
+	for _, rt := range routes {
+		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, req *http.Request) { rt.handle(r, w, req) })
+	}
 	// Every request carries a trace ID (incoming X-Trace-Id or freshly
 	// minted) so per-request error logs and engine spans correlate.
 	return serve.Recover("registry.handler", telemetry.TraceHTTP(mux))
+}
+
+// routes is the whole mux: the one place that decides which routes exist
+// (README.md and ARCHITECTURE.md carry the same table, and a test keeps them
+// in step). {model} is "name" or "name@version". Patterns carry no method —
+// method routing happens inside the handlers so that wrong-method requests
+// still answer with the shared error envelope (the mux's built-in 405 writes
+// text/plain).
+var routes = []struct {
+	pattern string
+	handle  func(*Registry, http.ResponseWriter, *http.Request)
+}{
+	{"/v1/models", (*Registry).handleList},                           // GET: artifacts + metadata
+	{"/v1/models/{model}/predict", (*Registry).handlePredict},        // GET ?node=3 | ?nodes=1,2; POST {"nodes":[...]} | {"all":true}
+	{"/v1/models/{model}/predict/all", (*Registry).handlePredictAll}, // GET: full-graph warm path
+	{"/v1/models/{model}/stats", (*Registry).handleStats},            // GET: per-version counters + live snapshot
+	{"/v1/models/{model}/swap", (*Registry).handleSwap},              // POST {"version":N}: zero-downtime swap
+	{"/v1/ab", (*Registry).handleAB},                                 // POST: configure the A/B splitter
+	{"/v1/ab/report", (*Registry).handleABReport},                    // GET: online accuracy/latency per arm
+	{"/v1/healthz", (*Registry).handleFleetHealthz},                  // GET: liveness + readiness summary
+	{"/v1/readyz", (*Registry).handleReadyz},                         // GET: 200 serving, 503 not
+	{"/v1/metrics", (*Registry).handleMetrics},                       // GET: Prometheus text exposition
 }

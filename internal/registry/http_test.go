@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,7 +82,7 @@ func wantEnvelope(t *testing.T, m map[string]any, code string) {
 
 // TestV1Routes walks the happy paths of the versioned API.
 func TestV1Routes(t *testing.T) {
-	_, ts := zooServer(t, Options{DefaultModel: "base"})
+	r, ts := zooServer(t, Options{})
 
 	// Fleet list with peeked metadata.
 	status, _, m := get(t, ts.URL+"/v1/models")
@@ -108,13 +109,30 @@ func TestV1Routes(t *testing.T) {
 		}
 	}
 
-	// POST body predict.
-	status, m = postJSON(t, ts.URL+"/v1/models/base/predict", serve.PredictRequest{Nodes: []int{1, 2}})
-	if status != 200 {
-		t.Fatalf("POST predict status %d: %v", status, m)
+	// GET node-set and POST body predict answer the Go API's bits: logits
+	// survive the JSON round trip exactly.
+	preds, err := r.Predict("base", []int{1, 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if preds, _ := m["predictions"].([]any); len(preds) != 2 {
-		t.Fatalf("POST predict returned %v", m)
+	b, _ := json.Marshal(serve.PredictResponse{Predictions: preds})
+	var want map[string]any
+	json.Unmarshal(b, &want)
+	_, _, viaGet := get(t, ts.URL+"/v1/models/base/predict?nodes=1,5")
+	_, viaPost := postJSON(t, ts.URL+"/v1/models/base/predict", serve.PredictRequest{Nodes: []int{1, 5}})
+	if !reflect.DeepEqual(viaGet, want) || !reflect.DeepEqual(viaPost, want) {
+		t.Fatalf("predictions drifted over HTTP:\n GET  %v\n POST %v\n want %v", viaGet, viaPost, want)
+	}
+
+	// The full-graph warm path, by route and by {"all":true} body.
+	zooNodes := r.List()[1].Nodes // "base" sorts after "ada"
+	status, _, m = get(t, ts.URL+"/v1/models/base/predict/all")
+	if preds, _ := m["predictions"].([]any); status != 200 || len(preds) != zooNodes {
+		t.Fatalf("predict/all: status %d, %d of %d nodes", status, len(preds), zooNodes)
+	}
+	status, m = postJSON(t, ts.URL+"/v1/models/base/predict", serve.PredictRequest{All: true})
+	if preds, _ := m["predictions"].([]any); status != 200 || len(preds) != zooNodes {
+		t.Fatalf(`POST {"all":true}: status %d, %d of %d nodes`, status, len(preds), zooNodes)
 	}
 
 	// Per-model stats carry per-version counters and a live snapshot.
@@ -130,8 +148,8 @@ func TestV1Routes(t *testing.T) {
 	if v1["requests"].(float64) < 3 {
 		t.Fatalf("stats did not count requests: %v", v1)
 	}
-	if m["server"] == nil {
-		t.Fatal("stats missing live server snapshot")
+	if snap, _ := m["server"].(map[string]any); snap == nil || snap["requests"].(float64) < 3 || snap["nodes"].(float64) < 3 {
+		t.Fatalf("stats live server snapshot did not count the traffic: %v", m["server"])
 	}
 
 	// Fleet healthz.
@@ -144,7 +162,7 @@ func TestV1Routes(t *testing.T) {
 // TestV1Errors walks the error surface: every failure is the envelope with
 // the mapped status.
 func TestV1Errors(t *testing.T) {
-	_, ts := zooServer(t, Options{DefaultModel: "base"})
+	_, ts := zooServer(t, Options{})
 
 	cases := []struct {
 		method, path string
@@ -155,7 +173,12 @@ func TestV1Errors(t *testing.T) {
 		{"GET", "/v1/models/base@9/predict?node=0", nil, 404},     // unknown version
 		{"GET", "/v1/models/base/predict", nil, 400},              // no nodes
 		{"GET", "/v1/models/base/predict?node=999999", nil, 400},  // out of range
+		{"GET", "/v1/models/base/predict?node=abc", nil, 400},     // bad node id
 		{"GET", "/v1/models/bad@name@2/predict?node=0", nil, 400}, // bad ref
+		{"POST", "/v1/models/base/predict", `{"nodes":[1,`, 400},  // truncated JSON
+		{"POST", "/v1/models/base/predict", `garbage`, 400},       // not JSON
+		{"POST", "/v1/models/base/predict", `{"nodes":[]}`, 400},  // empty node list
+		{"POST", "/v1/models/base/predict", `{"nodes":[-1]}`, 400},
 		{"POST", "/v1/models/base/swap", map[string]int{"version": 9}, 404},
 		{"DELETE", "/v1/models/base/predict?node=0", nil, 405},
 		{"POST", "/v1/models", nil, 405},
@@ -166,7 +189,9 @@ func TestV1Errors(t *testing.T) {
 	}
 	for _, c := range cases {
 		var b []byte
-		if c.body != nil {
+		if raw, ok := c.body.(string); ok {
+			b = []byte(raw) // sent as is: malformed on purpose
+		} else if c.body != nil {
 			b, _ = json.Marshal(c.body)
 		}
 		req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(b))
@@ -189,72 +214,37 @@ func TestV1Errors(t *testing.T) {
 			continue
 		}
 		wantEnvelope(t, m, serve.CodeForStatus(c.status))
+		msg, _ := m["error"].(map[string]any)["msg"].(string)
+		if !strings.HasPrefix(msg, "serve:") && !strings.HasPrefix(msg, "registry:") {
+			t.Errorf("%s %s: error msg not named-op: %q", c.method, c.path, msg)
+		}
 	}
 }
 
-// TestLegacyAliases keeps the original flat API contract: the README curl
-// lines answer exactly as before, now with deprecation headers pointing at
-// the v1 successors, and errors use the shared envelope.
-func TestLegacyAliases(t *testing.T) {
-	_, ts := zooServer(t, Options{DefaultModel: "base"})
-
-	// /predict answers the old shape.
-	status, hdr, m := get(t, ts.URL+"/predict?node=0")
-	if status != 200 {
-		t.Fatalf("/predict status %d: %v", status, m)
-	}
-	if preds, _ := m["predictions"].([]any); len(preds) != 1 {
-		t.Fatalf("/predict body %v", m)
-	}
-	if hdr.Get("Deprecation") != "true" {
-		t.Fatal("/predict missing Deprecation header")
-	}
-	if link := hdr.Get("Link"); !strings.Contains(link, "/v1/models/base/predict") ||
-		!strings.Contains(link, `rel="successor-version"`) {
-		t.Fatalf("/predict Link header %q", link)
-	}
-
-	// /healthz answers the old single-model shape plus the resolved ref.
-	status, hdr, m = get(t, ts.URL+"/healthz")
-	if status != 200 || m["status"] != "ok" || m["arch"] != "SGC" || m["model"] != "base@1" {
-		t.Fatalf("/healthz %d %v", status, m)
-	}
-	if hdr.Get("Deprecation") != "true" || !strings.Contains(hdr.Get("Link"), "/v1/healthz") {
-		t.Fatalf("/healthz headers %v", hdr)
-	}
-
-	// /stats answers the raw live snapshot (old shape: requests/nodes/...).
-	status, _, m = get(t, ts.URL+"/stats")
-	if status != 200 {
-		t.Fatalf("/stats status %d", status)
-	}
-	if _, ok := m["requests"]; !ok {
-		t.Fatalf("/stats body %v is not the legacy snapshot shape", m)
-	}
-
-	// Legacy errors still use the envelope.
-	status, _, m = get(t, ts.URL+"/predict?node=notanumber")
-	if status != 400 {
-		t.Fatalf("legacy bad node status %d", status)
-	}
-	wantEnvelope(t, m, "bad_request")
-}
-
-// TestLegacyDefaultAmbiguous: with several models and no configured default,
-// the flat aliases answer 404 with the envelope instead of guessing.
-func TestLegacyDefaultAmbiguous(t *testing.T) {
+// TestFlatRoutesGone pins the single front door: the flat single-model
+// routes that predate /v1 (deprecated aliases since PR 6) are not mounted —
+// they answer the mux's 404 and nothing stamps a Deprecation header.
+func TestFlatRoutesGone(t *testing.T) {
 	_, ts := zooServer(t, Options{})
-	status, _, m := get(t, ts.URL+"/predict?node=0")
-	if status != 404 {
-		t.Fatalf("ambiguous default status %d: %v", status, m)
+	for _, path := range []string{"/predict?node=0", "/predict/all", "/healthz", "/stats", "/metrics"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
+		}
+		if d := resp.Header.Get("Deprecation"); d != "" {
+			t.Errorf("%s: Deprecation header %q on an unmounted route", path, d)
+		}
 	}
-	wantEnvelope(t, m, "not_found")
 }
 
 // TestABOverHTTP configures an experiment through the API, drives traffic,
 // and checks per-arm accounting plus per-node stickiness.
 func TestABOverHTTP(t *testing.T) {
-	r, ts := zooServer(t, Options{DefaultModel: "base"})
+	r, ts := zooServer(t, Options{})
 
 	status, m := postJSON(t, ts.URL+"/v1/ab", ABConfig{Control: "base", Candidate: "ada", Fraction: 0.5, Salt: 7})
 	if status != 200 || m["configured"] != true {

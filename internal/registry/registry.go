@@ -6,9 +6,9 @@
 // in-flight batch windows finish on the old model while new requests route
 // to the new one, and a retired server is drained, never killed. On top of
 // the registry sits the versioned v1 HTTP API (GET /v1/models,
-// /v1/models/{name}/predict|stats|swap, the /v1/ab A/B splitter) plus thin
-// deprecated aliases for the flat single-model routes, so the paper's
-// baseline-vs-AdaFGL comparison runs live behind one port.
+// /v1/models/{name}/predict|stats|swap, the /v1/ab A/B splitter) — the only
+// HTTP surface of a served model — so the paper's baseline-vs-AdaFGL
+// comparison runs live behind one port.
 package registry
 
 import (
@@ -26,6 +26,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/telemetry"
 )
 
 // DefaultMaxLoaded is the LRU bound on concurrently started servers used
@@ -59,10 +60,6 @@ type Options struct {
 	// Acquired servers are never evicted, even if that means temporarily
 	// exceeding the bound. 0 selects DefaultMaxLoaded.
 	MaxLoaded int
-	// DefaultModel names the model ("name" or "name@version") answering the
-	// legacy flat routes (/predict, /healthz, /stats). Empty defaults to the
-	// sole registered model name, erroring when the zoo holds several.
-	DefaultModel string
 	// Breaker configures the per-model circuit breaker; the zero value
 	// selects the package defaults (trip after DefaultBreakerThreshold
 	// consecutive failures, exponential backoff from DefaultBreakerBackoff).
@@ -123,6 +120,9 @@ type entry struct {
 	refs    int
 	last    uint64 // LRU tick of the most recent acquire
 	stats   modelStats
+	// predicts is this artifact's adafgl_registry_predicts_total series,
+	// resolved once at Add so the predict path never pays the family lookup.
+	predicts *telemetry.Counter
 
 	// Circuit-breaker state, guarded by Registry.mu: health is the exposed
 	// state, failures the consecutive breaker-relevant failure run, trips the
@@ -240,7 +240,8 @@ func (r *Registry) Add(name string, version int, path string) (ModelInfo, error)
 	if _, ok := m.versions[version]; ok {
 		return ModelInfo{}, fmt.Errorf("registry: Add: duplicate version %s", Ref(name, version))
 	}
-	e := &entry{name: name, version: version, path: path, hdr: hdr}
+	e := &entry{name: name, version: version, path: path, hdr: hdr, stats: newModelStats()}
+	e.predicts = telPredicts.With(e.ref())
 	m.versions[version] = e
 	return r.infoLocked(m, e), nil
 }
@@ -378,23 +379,6 @@ func (r *Registry) List() []ModelInfo {
 		return out[i].Version < out[j].Version
 	})
 	return out
-}
-
-// DefaultRef resolves the model reference answering the legacy flat routes:
-// Options.DefaultModel when set, otherwise the sole registered name.
-func (r *Registry) DefaultRef() (string, error) {
-	if r.opt.DefaultModel != "" {
-		return r.opt.DefaultModel, nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.models) == 1 {
-		for name := range r.models {
-			return name, nil
-		}
-	}
-	return "", fmt.Errorf("registry: DefaultRef: %d models registered and no -default-model configured: %w",
-		len(r.models), ErrNotFound)
 }
 
 // resolveLocked finds the entry for name@version (version 0 = active);

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/serve"
@@ -21,10 +20,13 @@ const statsWindow = 1 << 12
 type modelStats struct {
 	requests, nodes   uint64
 	labelled, correct uint64
-	lat               []time.Duration
-	latNext           int
-	latFull           bool
+	lat               serve.LatencyWindow
 	totalLat          time.Duration
+}
+
+// newModelStats returns zeroed counters over an empty statsWindow reservoir.
+func newModelStats() modelStats {
+	return modelStats{lat: serve.NewLatencyWindow(statsWindow)}
 }
 
 // record accounts one completed predict of n nodes, of which labelled
@@ -35,15 +37,7 @@ func (s *modelStats) record(n, labelled, correct int, lat time.Duration) {
 	s.labelled += uint64(labelled)
 	s.correct += uint64(correct)
 	s.totalLat += lat
-	if s.latFull {
-		s.lat[s.latNext] = lat
-		s.latNext = (s.latNext + 1) % statsWindow
-	} else {
-		s.lat = append(s.lat, lat)
-		if len(s.lat) == statsWindow {
-			s.latFull = true
-		}
-	}
+	s.lat.Record(lat)
 }
 
 // ArmStats is the JSON view of one model's cumulative serving counters —
@@ -77,12 +71,7 @@ func (s *modelStats) view() ArmStats {
 	if s.requests > 0 {
 		a.MeanLat = s.totalLat / time.Duration(s.requests)
 	}
-	if len(s.lat) > 0 {
-		sorted := append([]time.Duration(nil), s.lat...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		a.P50 = sorted[len(sorted)/2]
-		a.P99 = sorted[(len(sorted)*99)/100]
-	}
+	a.P50, a.P99 = serve.LatencyPercentiles(s.lat.Samples())
 	return a
 }
 
@@ -176,7 +165,7 @@ func (r *Registry) predictOn(ctx context.Context, name string, version int, node
 	}
 	lat = time.Since(start)
 	labelled, correct = scorePreds(h.Server(), preds)
-	telPredicts.With(h.e.ref()).Inc()
+	h.e.predicts.Inc()
 	r.mu.Lock()
 	r.recordSuccessLocked(h.e)
 	h.e.stats.record(len(nodes), labelled, correct, lat)

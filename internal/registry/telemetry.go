@@ -24,6 +24,10 @@ var (
 		"Successful routed predicts per model.", "model")
 	telABNodes = telemetry.Default().CounterVec("adafgl_registry_ab_nodes_total",
 		"Node queries routed to an A/B arm.", "arm")
+	// The two arm series, resolved once: predictAB runs on every split
+	// request.
+	telABControl   = telABNodes.With("control")
+	telABCandidate = telABNodes.With("candidate")
 )
 
 // recordHealthTransition emits the transition counter when a model's

@@ -9,9 +9,8 @@ import (
 	"time"
 )
 
-// APIError is the structured JSON error body shared by every HTTP handler of
-// the serving surface — the single envelope of the v1 API, the single-model
-// Handler, and the legacy aliases. Op names the failing operation
+// APIError is the structured JSON error body of every route of the v1 API
+// (registry.Handler). Op names the failing operation
 // ("serve.predict", "registry.swap", ...), Code is a machine-routable
 // category derived from the HTTP status, and Msg carries the full named-op
 // error text.
@@ -110,12 +109,12 @@ func WriteError(w http.ResponseWriter, status int, op string, err error) {
 
 // Recover wraps h so a panic anywhere below it — a handler bug, a model
 // blowing up outside the batcher's own recovery — answers the structured 500
-// envelope instead of killing the connection. Both HTTP surfaces (the
-// single-model Handler and the registry's v1 API) wrap their whole mux in
-// it, so every route is panic-isolated: one poisoned request can never take
-// the process or even its own keep-alive connection down. If the handler
-// already started writing a response the envelope cannot be delivered; the
-// panic is still swallowed and the connection completes.
+// envelope instead of killing the connection. The registry's v1 API wraps
+// its whole mux in it, so every route is panic-isolated: one poisoned
+// request can never take the process or even its own keep-alive connection
+// down. If the handler already started writing a response the envelope
+// cannot be delivered; the panic is still swallowed and the connection
+// completes.
 func Recover(op string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {

@@ -10,6 +10,47 @@ import (
 // most recent latWindow completed requests.
 const latWindow = 1 << 14
 
+// LatencyWindow is a ring of the most recent request latencies, the one
+// reservoir behind every p50/p99 the serving stack reports (Snapshot here,
+// the registry's per-model and per-arm stats). It is not safe for concurrent
+// use; the owner's lock guards it.
+type LatencyWindow struct {
+	lat      []time.Duration
+	next     int
+	capacity int
+}
+
+// NewLatencyWindow returns an empty window over the last capacity samples.
+func NewLatencyWindow(capacity int) LatencyWindow {
+	return LatencyWindow{capacity: capacity}
+}
+
+// Record adds one sample, overwriting the oldest once the window is full.
+func (w *LatencyWindow) Record(lat time.Duration) {
+	if len(w.lat) < w.capacity {
+		w.lat = append(w.lat, lat)
+		return
+	}
+	w.lat[w.next] = lat
+	w.next = (w.next + 1) % w.capacity
+}
+
+// Samples returns a copy of the window's samples in no particular order, so
+// a caller can release its lock before paying for LatencyPercentiles.
+func (w *LatencyWindow) Samples() []time.Duration {
+	return append([]time.Duration(nil), w.lat...)
+}
+
+// LatencyPercentiles sorts samples in place and returns their median and
+// 99th percentile; both are 0 for an empty slice.
+func LatencyPercentiles(samples []time.Duration) (p50, p99 time.Duration) {
+	if len(samples) == 0 {
+		return 0, 0
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	return samples[len(samples)/2], samples[(len(samples)*99)/100]
+}
+
 // Metrics accumulates per-request latency and throughput counters for one
 // Server. All methods are safe for concurrent use; tests and callers only
 // see it through Snapshot. Every mutation is mirrored onto the process-wide
@@ -27,9 +68,7 @@ type Metrics struct {
 	shed      uint64
 	deadlines uint64
 	panics    uint64
-	lat       []time.Duration // ring buffer of request latencies
-	latNext   int
-	latFull   bool
+	lat       LatencyWindow
 }
 
 // reset starts the metrics epoch.
@@ -39,8 +78,7 @@ func (m *Metrics) reset() {
 	m.start = time.Now()
 	m.requests, m.nodes, m.batches = 0, 0, 0
 	m.shed, m.deadlines, m.panics = 0, 0, 0
-	m.lat = make([]time.Duration, 0, 1024)
-	m.latNext, m.latFull = 0, false
+	m.lat = NewLatencyWindow(latWindow)
 }
 
 // record accounts one completed request of n queried nodes.
@@ -54,15 +92,7 @@ func (m *Metrics) record(n int, lat time.Duration) {
 	defer m.mu.Unlock()
 	m.requests++
 	m.nodes += uint64(n)
-	if m.latFull {
-		m.lat[m.latNext] = lat
-		m.latNext = (m.latNext + 1) % latWindow
-	} else {
-		m.lat = append(m.lat, lat)
-		if len(m.lat) == latWindow {
-			m.latFull = true
-		}
-	}
+	m.lat.Record(lat)
 }
 
 // recordBatch accounts one executed batch window.
@@ -151,13 +181,9 @@ func (m *Metrics) snapshot() Snapshot {
 	if s.Elapsed > 0 {
 		s.QueriesPerSec = float64(m.nodes) / s.Elapsed.Seconds()
 	}
-	sorted := append([]time.Duration(nil), m.lat...)
+	samples := m.lat.Samples()
 	m.mu.Unlock()
 
-	if len(sorted) > 0 {
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		s.P50 = sorted[len(sorted)/2]
-		s.P99 = sorted[(len(sorted)*99)/100]
-	}
+	s.P50, s.P99 = LatencyPercentiles(samples)
 	return s
 }

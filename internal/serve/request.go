@@ -9,8 +9,7 @@ import (
 	"strings"
 )
 
-// PredictRequest is the JSON body of the POST predict endpoints (both the
-// legacy /predict and the v1 /v1/models/{name}/predict routes).
+// PredictRequest is the JSON body of POST /v1/models/{model}/predict.
 type PredictRequest struct {
 	// Nodes lists the node ids to classify.
 	Nodes []int `json:"nodes"`
@@ -26,7 +25,7 @@ type PredictResponse struct {
 }
 
 // ParseNodesQuery decodes the node/nodes query parameters of a GET predict
-// request; shared by the single-model handlers and the registry's v1 API.
+// request.
 func ParseNodesQuery(r *http.Request) ([]int, error) {
 	q := r.URL.Query()
 	var raw []string
@@ -60,56 +59,6 @@ func DecodePredictBody(w http.ResponseWriter, r *http.Request) (PredictRequest, 
 	return req, nil
 }
 
-// handlePredict answers single-node and node-set queries.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var nodes []int
-	switch r.Method {
-	case http.MethodGet:
-		var err error
-		if nodes, err = ParseNodesQuery(r); err != nil {
-			WriteError(w, http.StatusBadRequest, "serve.predict", err)
-			return
-		}
-	case http.MethodPost:
-		req, err := DecodePredictBody(w, r)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "serve.predict", err)
-			return
-		}
-		if req.All {
-			s.handlePredictAll(w, r)
-			return
-		}
-		nodes = req.Nodes
-	default:
-		WriteError(w, http.StatusMethodNotAllowed, "serve.predict",
-			fmt.Errorf("serve: predict: method %s not allowed", r.Method))
-		return
-	}
-	// The request context carries the trace ID the TraceHTTP middleware
-	// injected (when mounted), so the batcher's window spans join it.
-	preds, err := s.PredictCtx(r.Context(), nodes)
-	if err != nil {
-		WriteError(w, PredictStatus(err), "serve.predict", err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, PredictResponse{Predictions: preds})
-}
-
-// handlePredictAll answers the full-graph warm path.
-func (s *Server) handlePredictAll(w http.ResponseWriter, r *http.Request) {
-	nodes := make([]int, s.Nodes())
-	for i := range nodes {
-		nodes[i] = i
-	}
-	preds, err := s.PredictCtx(r.Context(), nodes)
-	if err != nil {
-		WriteError(w, PredictStatus(err), "serve.predict", err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, PredictResponse{Predictions: preds})
-}
-
 // PredictStatus maps Predict errors to HTTP statuses: an overload shed or a
 // closed/draining server is 503 (WriteError adds Retry-After), a missed
 // deadline is 504, a recovered engine panic is 500, everything else
@@ -124,20 +73,4 @@ func PredictStatus(err error) int {
 		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
-}
-
-// handleHealthz reports liveness and the served model's identity.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"status":    "ok",
-		"arch":      s.arch,
-		"nodes":     s.Nodes(),
-		"classes":   s.Classes(),
-		"decoupled": s.Decoupled(),
-	})
-}
-
-// handleStats reports the metrics snapshot.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.Stats())
 }

@@ -198,9 +198,11 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestResilienceHTTPStatuses pins the HTTP mapping of the new failure modes:
-// shed 503 with Retry-After, deadline 504 with code "deadline", panic 500 —
-// all as structured envelopes.
+// TestResilienceHTTPStatuses pins the HTTP mapping of the failure modes, from
+// the errors a stressed server really returns to the response the v1
+// handlers write with them (PredictStatus + WriteError): deadline 504 with
+// code "deadline", shed and draining 503 with Retry-After, engine panic 500,
+// validation 400 — all as structured envelopes.
 func TestResilienceHTTPStatuses(t *testing.T) {
 	ck := trainedCheckpoint(t, "SGC", 1)
 	srv, err := New(ck, slowOptions(2, 5*time.Millisecond))
@@ -208,32 +210,47 @@ func TestResilienceHTTPStatuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
 
 	// Deadline: every window stalls past the 5ms request timeout.
-	resp, err := http.Get(ts.URL + "/predict?node=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEnvelope(t, resp, http.StatusGatewayTimeout, "deadline")
+	_, deadlineErr := srv.Predict([]int{0})
 
-	// Shed: saturate the 2-node budget, then query over HTTP.
+	// Shed: saturate the 2-node budget, then query.
 	bg := make(chan error, 1)
 	go func() {
 		_, err := srv.Predict([]int{0, 1})
 		bg <- err
 	}()
 	waitPending(t, srv, 2)
-	resp, err = http.Get(ts.URL + "/predict?node=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
-	}
-	checkEnvelope(t, resp, http.StatusServiceUnavailable, "unavailable")
+	_, shedErr := srv.Predict([]int{2})
 	<-bg
+
+	_, rangeErr := srv.Predict([]int{-1})
+
+	cases := []struct {
+		name       string
+		err        error
+		status     int
+		code       string
+		retryAfter bool
+	}{
+		{"deadline", deadlineErr, http.StatusGatewayTimeout, "deadline", false},
+		{"shed", shedErr, http.StatusServiceUnavailable, "unavailable", true},
+		{"draining", ErrDraining, http.StatusServiceUnavailable, "unavailable", true},
+		{"panic", ErrModelPanic, http.StatusInternalServerError, "internal", false},
+		{"validation", rangeErr, http.StatusBadRequest, "bad_request", false},
+	}
+	for _, c := range cases {
+		if c.err == nil {
+			t.Fatalf("%s: the server returned no error", c.name)
+		}
+		rec := httptest.NewRecorder()
+		WriteError(rec, PredictStatus(c.err), "serve.predict", c.err)
+		resp := rec.Result()
+		if got := resp.Header.Get("Retry-After") != ""; got != c.retryAfter {
+			t.Errorf("%s: Retry-After present = %v, want %v", c.name, got, c.retryAfter)
+		}
+		checkEnvelope(t, resp, c.status, c.code)
+	}
 }
 
 // checkEnvelope asserts a structured error envelope with the given status

@@ -6,8 +6,10 @@
 // MLP) propagate once at load time and answer from a precomputed embedding
 // cache with per-row dense GEMVs; message-passing architectures run one
 // plan-reused full propagation per window. Predictions are bit-identical for
-// every batch size, batch window and worker count. The server is embeddable
-// as a Go API (Predict/PredictAll) and exposed over HTTP by Handler.
+// every batch size, batch window and worker count. The server is a Go API
+// (Predict/PredictAll); its HTTP surface is the registry package's v1 API,
+// which this package supplies with the request decoders, the error envelope
+// and the panic-recovery middleware.
 package serve
 
 import (

@@ -193,3 +193,24 @@ func TestStats(t *testing.T) {
 		t.Fatalf("qps %v", st.QueriesPerSec)
 	}
 }
+
+// TestLatencyWindow pins the shared reservoir: it keeps the most recent
+// capacity samples, and the percentiles are the nearest-rank p50/p99 of what
+// it holds (zero when empty).
+func TestLatencyWindow(t *testing.T) {
+	w := NewLatencyWindow(4)
+	if p50, p99 := LatencyPercentiles(w.Samples()); p50 != 0 || p99 != 0 {
+		t.Fatalf("empty window percentiles = %v %v", p50, p99)
+	}
+	for i := 1; i <= 6; i++ {
+		w.Record(time.Duration(i))
+	}
+	got := w.Samples()
+	p50, p99 := LatencyPercentiles(got)
+	if len(got) != 4 || got[0] != 3 || got[3] != 6 {
+		t.Fatalf("window holds %v, want the last four samples 3..6", got)
+	}
+	if p50 != 5 || p99 != 6 {
+		t.Fatalf("percentiles = %v %v, want 5 6", p50, p99)
+	}
+}
