@@ -27,13 +27,14 @@ docs-lint:
 test:
 	$(GO) test ./...
 
-# Race-detector coverage of the concurrent paths (worker pool, federated
-# fan-out incl. fault injection, chaos scenarios, AdaFGL Step-2 fan-out,
-# parallel kernels, serving batcher, model registry swap/acquire, partition
-# determinism across worker counts, sharded routing fan-out, telemetry
-# instruments under concurrent mutation), matching the CI "race" job.
+# Race-detector coverage of the concurrent paths (worker pool, graph caches
+# filled by several models at once, federated fan-out incl. fault injection,
+# chaos scenarios, AdaFGL Step-2 fan-out, parallel kernels, serving batcher,
+# model registry swap/acquire, partition determinism across worker counts,
+# sharded routing fan-out, telemetry instruments under concurrent mutation),
+# matching the CI "race" job.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/federated/... ./internal/scenario/... ./internal/core/... ./internal/matrix/... ./internal/sparse/... ./internal/checkpoint/... ./internal/serve/... ./internal/registry/... ./internal/partition/... ./internal/shard/... ./internal/telemetry/...
+	$(GO) test -race ./internal/parallel/... ./internal/graph/... ./internal/models/... ./internal/federated/... ./internal/scenario/... ./internal/core/... ./internal/matrix/... ./internal/sparse/... ./internal/checkpoint/... ./internal/serve/... ./internal/registry/... ./internal/partition/... ./internal/shard/... ./internal/telemetry/...
 
 # Coverage floor on the numeric kernel, federation, serving, sharding and
 # telemetry packages, matching the CI "coverage" job: internal/matrix +

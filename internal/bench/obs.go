@@ -16,9 +16,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// obsReps is how many paired repetitions the overhead measurement runs; each
-// times both modes back-to-back and the median on/off ratio is reported,
-// which discards noise bursts confined to single repetitions.
+// obsReps is how many passes over the request stream the overhead
+// measurement makes; every chunk of every pass times both modes back to back
+// (interleavedRatio).
 const obsReps = 7
 
 // obsQueries is the sequential full-window request count per repetition:
@@ -45,6 +45,7 @@ var obsCoreFamilies = []string{
 	"adafgl_shard_exchange_total",
 	"adafgl_federated_rounds_total",
 	"adafgl_parallel_pool_tasks_total",
+	"adafgl_graph_cache_total",
 }
 
 // Obs proves the telemetry layer's two contracts. Correctness: with metrics
@@ -136,48 +137,22 @@ func Obs(s Scale) ([]string, error) {
 	}
 	// One discarded warmup pass per mode heats caches, page tables and CPU
 	// frequency before anything is timed — cold first invocations otherwise
-	// land in the measurement.
+	// land in the measurement. Then the interleaved measurement, in
+	// millisecond-scale chunks of obsChunk windows.
 	for _, on := range []bool{false, true} {
 		if _, err := chunk(on, 0, obsQueries); err != nil {
 			return nil, err
 		}
 	}
-	// The two modes alternate in millisecond-scale chunks of obsChunk windows
-	// (order flipping per chunk and per rep) so scheduler or VM noise bursts
-	// span both modes of a pair instead of landing in one 30ms mode-block.
-	// Each repetition's accumulated on/off ratio is one sample; the median
-	// over obsReps is the overhead estimate, robust against reps that catch a
-	// sustained burst.
-	ratios := make([]float64, 0, obsReps)
-	total := map[bool]time.Duration{}
-	for rep := 0; rep < obsReps; rep++ {
-		times := map[bool]time.Duration{}
-		for q := 0; q < obsQueries; q += obsChunk {
-			k := obsChunk
-			if q+k > obsQueries {
-				k = obsQueries - q
-			}
-			order := []bool{false, true}
-			if (rep+q/obsChunk)%2 == 1 {
-				order[0], order[1] = order[1], order[0]
-			}
-			for _, on := range order {
-				d, err := chunk(on, q, k)
-				if err != nil {
-					return nil, err
-				}
-				times[on] += d
-			}
-		}
-		total[false] += times[false]
-		total[true] += times[true]
-		ratios = append(ratios, times[true].Seconds()/times[false].Seconds())
+	ratio, total, err := interleavedRatio(obsReps, obsQueries, obsChunk, chunk)
+	if err != nil {
+		return nil, err
 	}
-	sort.Float64s(ratios)
-	overheadPct := 100 * (ratios[len(ratios)/2] - 1)
+	overheadPct := 100 * (ratio - 1)
+	chunks := obsReps * ((obsQueries + obsChunk - 1) / obsChunk)
 	if overheadPct > obsMaxOverheadPct {
-		return nil, fmt.Errorf("bench: obs: telemetry overhead %.2f%% exceeds %.1f%% budget (median of %d chunk-interleaved reps; total on %v vs off %v)",
-			overheadPct, obsMaxOverheadPct, obsReps, total[true], total[false])
+		return nil, fmt.Errorf("bench: obs: telemetry overhead %.2f%% exceeds %.1f%% budget (lower-quartile chunk time of %d interleaved chunks per mode; total on %v vs off %v)",
+			overheadPct, obsMaxOverheadPct, chunks, total[true], total[false])
 	}
 
 	// Exposition: one scrape of the process registry must be structurally
@@ -197,15 +172,58 @@ func Obs(s Scale) ([]string, error) {
 	seen, kept := telemetry.DefaultTracer().Stats()
 
 	return []string{
-		fmt.Sprintf("Observability: telemetry on vs off, SGC nodes=%d, %d sequential %d-node windows x %d paired reps",
+		fmt.Sprintf("Observability: telemetry on vs off, SGC nodes=%d, %d sequential %d-node windows x %d passes",
 			ck.Graph.N, obsQueries, span, obsReps),
 		fmt.Sprintf("serve  preds bit-identical over %d nodes; federated params bit-identical over dim %d",
 			len(onPreds), len(onParams)),
-		fmt.Sprintf("hot path  off=%-8v on=%-8v overhead %+.2f%% median of %d chunk-interleaved reps (budget %.1f%%)",
-			total[false].Round(time.Microsecond), total[true].Round(time.Microsecond), overheadPct, obsReps, obsMaxOverheadPct),
+		fmt.Sprintf("hot path  off=%-8v on=%-8v overhead %+.2f%% lower-quartile chunk time of %d interleaved chunks per mode (budget %.1f%%)",
+			total[false].Round(time.Microsecond), total[true].Round(time.Microsecond), overheadPct, chunks, obsMaxOverheadPct),
 		fmt.Sprintf("exposition %d bytes valid; %d core families present; tracer %d/%d spans kept",
 			buf.Len(), len(obsCoreFamilies), kept, seen),
 	}, nil
+}
+
+// interleavedRatio is the measurement a small A-vs-B effect needs on a noisy
+// machine. The workload is units operations long; run(alt, from, k) times
+// operations [from, from+k) under the baseline (alt false) or the
+// alternative (alt true). On each of reps passes the two sides answer every
+// chunk of chunk operations back to back, order flipping per chunk and per
+// pass, so both sample the same stretches of machine time and neither is
+// always the one that finds the caches warm. What else runs on the machine
+// only ever lengthens a chunk, so the lower quartile of a side's
+// per-operation chunk times estimates its undisturbed cost, and the figure
+// is the ratio of the two lower quartiles. Measured on the 2-core reference
+// VM (raw chunk times replayed through both estimators): the obs overhead
+// repeats within ±1 point where the median of per-pass on/off ratios spread
+// ±3, and the zoo routing overhead at its 20 passes stays within −1…+7
+// points idle, with one core taken and with both, where per-pass medians and
+// best-of-attempts totals spread beyond ±15. total holds the time spent on
+// each side over all passes.
+func interleavedRatio(reps, units, chunk int, run func(alt bool, from, k int) (time.Duration, error)) (ratio float64, total map[bool]time.Duration, err error) {
+	perOp := map[bool][]float64{}
+	total = map[bool]time.Duration{}
+	for rep := 0; rep < reps; rep++ {
+		for q := 0; q < units; q += chunk {
+			k := min(chunk, units-q)
+			order := []bool{false, true}
+			if (rep+q/chunk)%2 == 1 {
+				order[0], order[1] = order[1], order[0]
+			}
+			for _, alt := range order {
+				d, err := run(alt, q, k)
+				if err != nil {
+					return 0, nil, err
+				}
+				perOp[alt] = append(perOp[alt], d.Seconds()/float64(k))
+				total[alt] += d
+			}
+		}
+	}
+	lowerQuartile := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/4]
+	}
+	return lowerQuartile(perOp[true]) / lowerQuartile(perOp[false]), total, nil
 }
 
 // obsFedRun executes the short training run of the bit-identity pair under

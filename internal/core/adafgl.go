@@ -186,9 +186,14 @@ type personal struct {
 	// forward caches
 	hTilde, hf, hmPrime, hm1 *matrix.Dense
 	sHT, sHF, sHM            *matrix.Dense
-	pPos, pPosT, pNegT, pNeg *matrix.Dense
 	yhat                     *matrix.Dense
 	optimizer                nn.Optimizer
+
+	// n_i×n_i scratch of the learnable message-passing branch (Eq. 11), owned
+	// for the whole of train so an epoch allocates no n_i×n_i matrix: the Gram
+	// matrix H'H'ᵀ and the PoSign/NeSign halves of the evolved P̃^(1), all
+	// overwritten by every forward. Nil under DisableLM.
+	gram, pPos, pNeg *matrix.Dense
 }
 
 func newPersonal(g *graph.Graph, extractor models.Model, cfg models.Config, opt Options, rng *rand.Rand) *personal {
@@ -224,9 +229,14 @@ func newPersonal(g *graph.Graph, extractor models.Model, cfg models.Config, opt 
 	p.propX = matrix.ConcatCols(hops...)
 
 	hidden := cfg.Hidden
-	p.knowledge = nn.NewMLP("ada.knowledge", []int{p.propX.Cols, hidden, g.Classes}, 0, rng)
-	p.feature = nn.NewMLP("ada.feature", []int{g.X.Cols, hidden, g.Classes}, 0, rng)
+	// knowledge and feature are fed constants (propX, X), so their first layers
+	// are leaves; message is fed H̃ and must hand its input gradient back.
+	p.knowledge = nn.NewMLP("ada.knowledge", []int{p.propX.Cols, hidden, g.Classes}, 0, rng).MarkLeaf()
+	p.feature = nn.NewMLP("ada.feature", []int{g.X.Cols, hidden, g.Classes}, 0, rng).MarkLeaf()
 	p.message = nn.NewMLP("ada.message", []int{g.Classes, hidden, g.Classes}, 0, rng)
+	if !opt.DisableLM {
+		p.gram, p.pPos, p.pNeg = matrix.New(g.N, g.N), matrix.New(g.N, g.N), matrix.New(g.N, g.N)
+	}
 
 	// HCS (Definition 2) drives the adaptive combination.
 	if opt.DisableHCS {
@@ -296,13 +306,9 @@ func (p *personal) forward() *matrix.Dense {
 		// and its signed parts are recomputed from the current (detached)
 		// message embeddings each forward pass.
 		p.hmPrime = p.message.Forward(p.hTilde)
-		gram := matrix.MulT(p.hmPrime, p.hmPrime)
-		matrix.NormalizeRowsL1(gram)
-		pEvo := matrix.Scale(p.opt.Beta, p.ptilde)
-		matrix.AddScaled(pEvo, 1-p.opt.Beta, gram)
-		p.pPos, p.pNeg = splitSigns(pEvo)
-		p.pPosT = matrix.Transpose(p.pPos)
-		p.pNegT = matrix.Transpose(p.pNeg)
+		matrix.MulTInto(p.gram, p.hmPrime, p.hmPrime)
+		matrix.NormalizeRowsL1(p.gram)
+		evolveSigns(p.pPos, p.pNeg, p.opt.Beta, p.ptilde, p.gram)
 		// H_m^(1) = H' + P⁺H' − P⁻H'.
 		p.hm1 = matrix.Add(p.hmPrime, matrix.Sub(matrix.Mul(p.pPos, p.hmPrime), matrix.Mul(p.pNeg, p.hmPrime)))
 		p.sHM = matrix.SoftmaxRows(p.hm1)
@@ -331,18 +337,24 @@ func (p *personal) forward() *matrix.Dense {
 	return p.yhat
 }
 
-// splitSigns returns ReLU(P) and ReLU(−P) (PoSign / NeSign of Eq. 11).
-func splitSigns(p *matrix.Dense) (pos, neg *matrix.Dense) {
-	pos = matrix.New(p.Rows, p.Cols)
-	neg = matrix.New(p.Rows, p.Cols)
-	for i, v := range p.Data {
-		if v > 0 {
-			pos.Data[i] = v
-		} else {
-			neg.Data[i] = -v
+// evolveSigns overwrites pos and neg with ReLU(P) and ReLU(−P), the PoSign /
+// NeSign halves of the evolved propagation matrix P = β·P̃ + (1−β)·G of
+// Eq. (11), in one pass over the n_i² elements. A zero element lands in neg
+// (as −0). The float64 conversions round both products before the sum, so no
+// compiler may fuse them into a multiply-add: every platform computes
+// round(round(β·p̃) + round((1−β)·g)).
+func evolveSigns(pos, neg *matrix.Dense, beta float64, ptilde, gram *matrix.Dense) {
+	rest := 1 - beta
+	parallel.ForWork(len(ptilde.Data), len(ptilde.Data), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := float64(beta*ptilde.Data[i]) + float64(rest*gram.Data[i])
+			if v > 0 {
+				pos.Data[i], neg.Data[i] = v, 0
+			} else {
+				pos.Data[i], neg.Data[i] = 0, -v
+			}
 		}
-	}
-	return pos, neg
+	})
 }
 
 // train runs Step-2 epochs minimising Eq. (14): L = L_CE + L_knowledge.
@@ -350,19 +362,25 @@ func (p *personal) train(epochs int) {
 	group := p.modules()
 	for e := 0; e < epochs; e++ {
 		nn.ZeroGrads(group)
-		yhat := p.forward()
-
-		// CE on the combined probability matrix.
-		_, dY := probCrossEntropyGrad(yhat, p.g.Labels, p.g.TrainMask)
-		p.backward(dY)
-
-		// Eq. (8): knowledge preserving on the homophilous branch.
-		if !p.opt.DisableKP {
-			_, dKP := nn.MSELoss(p.hTilde, p.extLogits)
-			p.knowledge.Backward(dKP)
-		}
+		p.lossGrad()
 		p.optimizer.Step(group)
 	}
+}
+
+// lossGrad runs one forward and backward pass of Eq. (14), adds dL/dθ to the
+// modules' gradients and returns L.
+func (p *personal) lossGrad() float64 {
+	// CE on the combined probability matrix.
+	loss, dY := probCrossEntropyGrad(p.forward(), p.g.Labels, p.g.TrainMask)
+	p.backward(dY)
+
+	// Eq. (8): knowledge preserving on the homophilous branch.
+	if !p.opt.DisableKP {
+		kp, dKP := nn.MSELoss(p.hTilde, p.extLogits)
+		p.knowledge.Backward(dKP)
+		loss += kp
+	}
+	return loss
 }
 
 // backward routes dL/dŶ through every branch of forward.
@@ -384,7 +402,7 @@ func (p *personal) backward(dY *matrix.Dense) {
 		dSHM := matrix.Scale(heWeight, dY)
 		dHM1 := softmaxBackward(p.sHM, dSHM)
 		// H_m^(1) = (I + P⁺ − P⁻)·H' ⇒ dH' = (I + P⁺ᵀ − P⁻ᵀ)·dH_m.
-		dHP := matrix.Add(dHM1, matrix.Sub(matrix.Mul(p.pPosT, dHM1), matrix.Mul(p.pNegT, dHM1)))
+		dHP := matrix.Add(dHM1, matrix.Sub(matrix.TMul(p.pPos, dHM1), matrix.TMul(p.pNeg, dHM1)))
 		matrix.AddInPlace(dHT, p.message.Backward(dHP))
 	}
 	p.knowledge.Backward(dHT)

@@ -186,11 +186,42 @@ func TestProbCrossEntropyGrad(t *testing.T) {
 	}
 }
 
+// TestSplitSigns pins the sign rule of the fused Eq. (11) pass — positive
+// elements to PoSign, the rest negated to NeSign, so an exact zero lands in
+// NeSign as −0 — on reused buffers, and holds the pass bit for bit to the
+// three-pass composition it replaced (Scale, AddScaled, then the split).
 func TestSplitSigns(t *testing.T) {
 	p, _ := matrix.FromRows([][]float64{{1, -2}, {0, 3}})
-	pos, neg := splitSigns(p)
-	if pos.At(0, 0) != 1 || pos.At(0, 1) != 0 || neg.At(0, 1) != 2 || neg.At(1, 1) != 0 {
-		t.Fatalf("splitSigns wrong: pos=%v neg=%v", pos, neg)
+	pos, neg := matrix.New(2, 2), matrix.New(2, 2)
+	pos.Fill(99)
+	neg.Fill(99)
+	evolveSigns(pos, neg, 1, p, matrix.New(2, 2))
+	wantPos, wantNeg := []float64{1, 0, 0, 3}, []float64{0, 2, math.Copysign(0, -1), 0}
+	for i := range wantPos {
+		if math.Float64bits(pos.Data[i]) != math.Float64bits(wantPos[i]) ||
+			math.Float64bits(neg.Data[i]) != math.Float64bits(wantNeg[i]) {
+			t.Fatalf("element %d: pos %v neg %v, want %v %v", i, pos.Data[i], neg.Data[i], wantPos[i], wantNeg[i])
+		}
+	}
+
+	rng := rand.New(rand.NewSource(12))
+	ptilde, gram := matrix.New(37, 37), matrix.New(37, 37)
+	matrix.RandomNormal(ptilde, 0, 1, rng)
+	matrix.RandomNormal(gram, 0, 1, rng)
+	ptilde.Data[5], gram.Data[5] = 0, 0
+	pos, neg = matrix.New(37, 37), matrix.New(37, 37)
+	beta := 0.7 // a variable: the constant expression 1-0.7 would be folded exactly
+	evolveSigns(pos, neg, beta, ptilde, gram)
+	ref := matrix.Scale(beta, ptilde)
+	matrix.AddScaled(ref, 1-beta, gram)
+	for i, v := range ref.Data {
+		wp, wn := 0.0, -v
+		if v > 0 {
+			wp, wn = v, 0
+		}
+		if math.Float64bits(pos.Data[i]) != math.Float64bits(wp) || math.Float64bits(neg.Data[i]) != math.Float64bits(wn) {
+			t.Fatalf("element %d: pos %v neg %v, three-pass reference %v %v", i, pos.Data[i], neg.Data[i], wp, wn)
+		}
 	}
 }
 
@@ -352,17 +383,5 @@ func TestAdaFGLDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); math.Abs(a-b) > 1e-12 {
 		t.Fatalf("non-deterministic: %.6f vs %.6f", a, b)
-	}
-}
-
-func BenchmarkAdaFGLPersonalizedEpoch(b *testing.B) {
-	g := blockGraph(200, true, 1)
-	cfg := quickCfg()
-	rng := rand.New(rand.NewSource(2))
-	extractor := models.NewGCN(g, cfg, rng)
-	p := newPersonal(g, extractor, cfg, DefaultOptions(), rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.train(1)
 	}
 }

@@ -20,10 +20,14 @@ import (
 // the symmetric adjacency derived from Edges (without self-loops unless a
 // self-edge is present).
 type Graph struct {
-	N                            int           // number of nodes
-	Edges                        [][2]int      // canonical undirected edge list, u <= v, no duplicates
-	X                            *matrix.Dense // N x F feature matrix
-	Labels                       []int         // N class ids in [0, Classes)
+	N     int      // number of nodes
+	Edges [][2]int // canonical undirected edge list, u <= v, no duplicates
+	// X is the N x F feature matrix. Once a model is bound to the graph its
+	// contents are immutable: PropagatedX caches products of it, keyed by
+	// the matrix's identity. To change features, assign a new matrix — the
+	// cache follows — never write into the bound one.
+	X                            *matrix.Dense
+	Labels                       []int // N class ids in [0, Classes)
 	Classes                      int
 	TrainMask, ValMask, TestMask []bool
 
@@ -33,9 +37,17 @@ type Graph struct {
 	// and their edges). Transductive graphs leave Eval nil.
 	Eval *Graph
 
-	adjMu sync.Mutex  // guards adj and norm: clients may share a graph across goroutines
+	adjMu sync.Mutex  // guards adj, norm and propX: clients may share a graph across goroutines
 	adj   *sparse.CSR // lazily built
 	norm  map[sparse.NormKind]*sparse.Plan
+	propX map[sparse.NormKind]propagated
+}
+
+// propagated is one PropagatedX cache entry: ax = plan·x. It is current only
+// while the graph still holds that plan and that feature matrix.
+type propagated struct {
+	plan  *sparse.Plan
+	x, ax *matrix.Dense
 }
 
 // NodeSource is the shard-aware read surface of a serving graph: the node
@@ -124,12 +136,19 @@ func (g *Graph) Adj() *sparse.CSR {
 	return g.adj
 }
 
-// InvalidateAdj drops the cached adjacency (and the normalised plans built
-// from it) after a topology mutation.
+// InvalidateAdj drops the cached adjacency (and the normalised plans and
+// propagated features built from it) after a topology mutation.
 func (g *Graph) InvalidateAdj() {
 	g.adjMu.Lock()
+	if len(g.norm) > 0 {
+		telNormInvalidate.Inc()
+	}
+	if len(g.propX) > 0 {
+		telPropXInvalidate.Inc()
+	}
 	g.adj = nil
 	g.norm = nil
+	g.propX = nil
 	g.adjMu.Unlock()
 }
 
@@ -149,8 +168,10 @@ func (g *Graph) NormAdjPlan(kind sparse.NormKind) *sparse.Plan {
 	g.adjMu.Lock()
 	defer g.adjMu.Unlock()
 	if pl, ok := g.norm[kind]; ok {
+		telNormHit.Inc()
 		return pl
 	}
+	telNormMiss.Inc()
 	if g.adj == nil {
 		g.adj = sparse.FromEdges(g.N, g.Edges)
 	}
@@ -174,6 +195,42 @@ func (g *Graph) SeedNormAdj(kind sparse.NormKind, m *sparse.CSR) {
 		g.norm = make(map[sparse.NormKind]*sparse.Plan, 1)
 	}
 	g.norm[kind] = sparse.NewPlan(m)
+}
+
+// PropagatedX returns Ã·X, the first hop of every message-passing forward
+// pass, for the given normalisation. X never changes between the epochs of a
+// training run or the batch windows of a server, so the product — the widest
+// SpMM of a GCN, F columns against the hidden width of the second hop — is
+// computed on first use and shared, read-only, by every model bound to g. The
+// entry is dropped by InvalidateAdj and ignored once g.X or the plan has been
+// replaced. The bits are NormAdjPlan(kind).MulDense(g.X)'s.
+func (g *Graph) PropagatedX(kind sparse.NormKind) *matrix.Dense {
+	plan := g.NormAdjPlan(kind)
+	g.adjMu.Lock()
+	x := g.X
+	if e, ok := g.propX[kind]; ok && e.plan == plan && e.x == x {
+		g.adjMu.Unlock()
+		telPropXHit.Inc()
+		return e.ax
+	}
+	g.adjMu.Unlock()
+	telPropXMiss.Inc()
+
+	// The product runs outside the lock: it fans out on the shared pool, and
+	// a goroutine waiting there may be handed work that needs this graph.
+	// Two callers racing on a cold entry both compute the same bits, and the
+	// later store simply replaces the earlier one.
+	ax := plan.MulDense(x)
+	g.adjMu.Lock()
+	defer g.adjMu.Unlock()
+	if g.norm[kind] != plan || g.X != x {
+		return ax // mutated meanwhile: right for this caller, stale for the cache
+	}
+	if g.propX == nil {
+		g.propX = make(map[sparse.NormKind]propagated, 1)
+	}
+	g.propX[kind] = propagated{plan: plan, x: x, ax: ax}
+	return ax
 }
 
 // Neighbors returns the neighbour ids of node v (no self).

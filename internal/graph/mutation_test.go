@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/matrix"
@@ -77,16 +78,21 @@ func sameCSR(a, b *sparse.CSR) bool {
 }
 
 // TestAddEdgesDropsEveryNormCache is the cache-coherence regression test:
-// after AddEdges, both the NormAdj matrix and the NormAdjPlan propagation
-// plan of every NormKind must reflect the new topology — a stale cache for
-// any kind would silently serve the old graph.
+// after AddEdges, the NormAdj matrix, the NormAdjPlan propagation plan and
+// the PropagatedX first hop of every NormKind must reflect the new topology
+// — a stale cache for any kind would silently serve the old graph.
 func TestAddEdgesDropsEveryNormCache(t *testing.T) {
 	g := mutationFixture(40, 1)
 	before := make(map[sparse.NormKind]*sparse.CSR)
 	plansBefore := make(map[sparse.NormKind]*sparse.Plan)
+	axBefore := make(map[sparse.NormKind]*matrix.Dense)
 	for _, kind := range allNormKinds {
 		plansBefore[kind] = g.NormAdjPlan(kind)
 		before[kind] = g.NormAdj(kind)
+		axBefore[kind] = g.PropagatedX(kind)
+		if g.PropagatedX(kind) != axBefore[kind] {
+			t.Fatalf("kind %v: PropagatedX not cached between calls", kind)
+		}
 	}
 	// Connect a pair that is not yet adjacent, so the topology genuinely
 	// changes and every normalised value in their rows must follow.
@@ -103,6 +109,13 @@ func TestAddEdgesDropsEveryNormCache(t *testing.T) {
 		if want := fresh.NormAdj(kind); !sameCSR(got, want) {
 			t.Fatalf("kind %v: post-mutation NormAdj differs from scratch rebuild", kind)
 		}
+		ax := g.PropagatedX(kind)
+		if ax == axBefore[kind] || matrix.Equal(ax, axBefore[kind], 0) {
+			t.Fatalf("kind %v: PropagatedX unchanged after AddEdges", kind)
+		}
+		if want := fresh.NormAdjPlan(kind).MulDense(g.X); !matrix.Equal(ax, want, 0) {
+			t.Fatalf("kind %v: post-mutation PropagatedX differs from scratch product", kind)
+		}
 	}
 }
 
@@ -112,6 +125,7 @@ func TestRemoveEdgesDropsEveryNormCache(t *testing.T) {
 	g := mutationFixture(30, 2)
 	for _, kind := range allNormKinds {
 		g.NormAdjPlan(kind)
+		g.PropagatedX(kind)
 	}
 	victim := g.Edges[0]
 	g.RemoveEdges([][2]int{victim})
@@ -120,13 +134,74 @@ func TestRemoveEdgesDropsEveryNormCache(t *testing.T) {
 		if !sameCSR(g.NormAdj(kind), fresh.NormAdj(kind)) {
 			t.Fatalf("kind %v: post-removal NormAdj differs from scratch rebuild", kind)
 		}
+		if !matrix.Equal(g.PropagatedX(kind), fresh.NormAdjPlan(kind).MulDense(g.X), 0) {
+			t.Fatalf("kind %v: post-removal PropagatedX differs from scratch product", kind)
+		}
 	}
 
-	// Explicit invalidation must also drop the plain adjacency cache.
-	adj := g.Adj()
+	// Explicit invalidation must also drop the plain adjacency cache and the
+	// propagated features.
+	adj, ax := g.Adj(), g.PropagatedX(sparse.NormSym)
 	g.InvalidateAdj()
 	if g.Adj() == adj {
 		t.Fatal("Adj still the pre-invalidation cache")
+	}
+	if g.PropagatedX(sparse.NormSym) == ax {
+		t.Fatal("PropagatedX still the pre-invalidation cache")
+	}
+}
+
+// TestPropagatedXFollowsFeatureAndPlanReplacement covers the two ways the
+// first-hop cache goes stale without a topology mutation: g.X is assigned a
+// new matrix, or SeedNormAdj installs another normalised adjacency.
+func TestPropagatedXFollowsFeatureAndPlanReplacement(t *testing.T) {
+	g := mutationFixture(30, 4)
+	old := g.PropagatedX(sparse.NormSym)
+
+	g.X = matrix.Scale(2, g.X)
+	ax := g.PropagatedX(sparse.NormSym)
+	if ax == old {
+		t.Fatal("PropagatedX served the product of the replaced feature matrix")
+	}
+	if !matrix.Equal(ax, g.NormAdjPlan(sparse.NormSym).MulDense(g.X), 0) {
+		t.Fatal("PropagatedX after replacing X differs from the plan product")
+	}
+	if g.PropagatedX(sparse.NormSym) != ax {
+		t.Fatal("PropagatedX not cached again after replacing X")
+	}
+
+	g.SeedNormAdj(sparse.NormSym, g.NormAdj(sparse.NormRW))
+	seeded := g.PropagatedX(sparse.NormSym)
+	if seeded == ax || !matrix.Equal(seeded, g.NormAdjPlan(sparse.NormRW).MulDense(g.X), 0) {
+		t.Fatal("PropagatedX ignored the plan installed by SeedNormAdj")
+	}
+}
+
+// TestPropagatedXConcurrentColdFill has many goroutines hit one cold entry
+// at once (run under -race): every caller must get the same bits, and once
+// the dust settles the cache holds one matrix.
+func TestPropagatedXConcurrentColdFill(t *testing.T) {
+	g := mutationFixture(60, 5)
+	want := New(g.N, g.Edges, g.X, g.Labels, g.Classes).NormAdjPlan(sparse.NormSym).MulDense(g.X)
+	const callers = 8
+	got := make([]*matrix.Dense, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = g.PropagatedX(sparse.NormSym)
+		}()
+	}
+	wg.Wait()
+	settled := g.PropagatedX(sparse.NormSym)
+	for i, ax := range got {
+		if !matrix.Equal(ax, want, 0) {
+			t.Fatalf("caller %d: PropagatedX differs from the plan product", i)
+		}
+	}
+	if g.PropagatedX(sparse.NormSym) != settled {
+		t.Fatal("cache did not settle on one matrix")
 	}
 }
 

@@ -37,8 +37,8 @@ const (
 )
 
 // BlockedCutover is the multiply-add count (rows x inner x cols) at and
-// above which Mul, MulInto, MulT and TMul take the blocked engine; smaller
-// products stay on the naive kernels.
+// above which Mul, MulInto, MulT, MulTInto and TMul take the blocked engine;
+// smaller products stay on the naive kernels.
 const BlockedCutover = 1 << 18
 
 // Tiling holds the blocked-GEMM tile sizes, all in elements:
@@ -132,7 +132,11 @@ func RegisterFlag(fs *flag.FlagSet) {
 func Mul(a, b *Dense) *Dense {
 	shapeCheck(a.Cols == b.Rows, "Mul", a, b)
 	out := New(a.Rows, b.Cols)
-	MulInto(out, a, b)
+	if gemmFlops(a.Rows, a.Cols, b.Cols) >= BlockedCutover {
+		blockedGEMM(out, a, false, b, false)
+		return out
+	}
+	naiveMulInto(out, a, b)
 	return out
 }
 
@@ -162,6 +166,22 @@ func MulT(a, b *Dense) *Dense {
 	}
 	naiveMulTInto(out, a, b)
 	return out
+}
+
+// MulTInto computes dst = a * bᵀ into a caller-owned matrix, for loops that
+// form the same-shaped product every step (AdaFGL Step 2's Gram matrix). dst
+// must be a.Rows x b.Rows and must not alias a or b. The bits are MulT's.
+func MulTInto(dst, a, b *Dense) {
+	shapeCheck(a.Cols == b.Cols, "MulTInto", a, b)
+	if dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("matrix: MulTInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
+	}
+	if gemmFlops(a.Rows, a.Cols, b.Rows) >= BlockedCutover {
+		dst.Zero()
+		blockedGEMM(dst, a, false, b, true)
+		return
+	}
+	naiveMulTInto(dst, a, b)
 }
 
 // TMul returns aᵀ * b, the workhorse of dense gradient computation. Above
@@ -293,15 +313,18 @@ func getPackBuffer(n int) *[]float64 {
 	return buf
 }
 
-func blockedMulInto(dst, a, b *Dense) { blockedGEMM(dst, a, false, b, false) }
+func blockedMulInto(dst, a, b *Dense) {
+	dst.Zero()
+	blockedGEMM(dst, a, false, b, false)
+}
 
-// blockedGEMM computes dst = op(a)·op(b), where op transposes the operand
-// when its flag is set. Transposition happens inside the packing routines —
+// blockedGEMM accumulates op(a)·op(b) into dst, which must arrive zeroed (a
+// fresh New, or a reused buffer the caller cleared — never both), where op
+// transposes the operand when its flag is set. Transposition happens inside the packing routines —
 // they read the operand with the appropriate stride — so no transposed
 // temporary is ever materialised and the tile/micro-kernel structure (and
 // with it the determinism contract) is identical for all four variants.
 func blockedGEMM(dst *Dense, a *Dense, aT bool, b *Dense, bT bool) {
-	dst.Zero()
 	n, k := a.Rows, a.Cols
 	if aT {
 		n, k = a.Cols, a.Rows

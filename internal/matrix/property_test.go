@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -145,4 +146,70 @@ func TestPropertyBlockedBitIdenticalAcrossWorkers(t *testing.T) {
 			}
 		}
 	})
+}
+
+// bitEqual fails unless got and want hold the same float64 bits (so -0 and
+// +0 differ, unlike exactEqual).
+func bitEqual(t *testing.T, name string, got, want *Dense) {
+	t.Helper()
+	if !SameShape(got, want) {
+		t.Fatalf("%s: shape %dx%d vs %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, v := range got.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %v, want %v", name, i, v, want.Data[i])
+		}
+	}
+}
+
+// TestPropertyTransposedOperandBitIdentical is what lets AdaFGL Step 2 drop
+// its materialised P⁺ᵀ/P⁻ᵀ: TMul(a, b) must return the very bits of
+// Mul(Transpose(a), b) on both sides of BlockedCutover — the naive kernels
+// accumulate each dst element over the shared dimension in the same ascending
+// order with the same zero-skip, and the blocked engine packs identical A
+// panels from either layout. MulTInto into a stale buffer must likewise
+// return MulT's bits. Shapes cover Step 2's (n_i x n_i)ᵀ·(n_i x C) around the
+// cutover (n_i ≈ 194 at C = 7) and general products; a holds exact zeros and
+// negative zeros like the PoSign/NeSign halves do.
+func TestPropertyTransposedOperandBitIdentical(t *testing.T) {
+	withScalarKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		defer SetTiling(SetTiling(DefaultTiling()))
+		defer parallel.SetWorkers(parallel.SetWorkers(1))
+		shapes := [][3]int{ // a is k x n, b is k x p
+			{50, 50, 7}, {150, 150, 2}, {193, 193, 7}, {194, 194, 7}, {224, 224, 7}, {280, 280, 7}, {300, 300, 10},
+			{31, 64, 65}, {64, 64, 64}, {96, 63, 128}, {1, 9, 1}, {129, 257, 67},
+		}
+		for iter, s := range shapes {
+			k, n, p := s[0], s[1], s[2]
+			a, b := New(k, n), New(k, p)
+			randContents(a, rng)
+			randContents(b, rng)
+			for i := range a.Data {
+				if a.Data[i] == 0 && i%2 == 0 {
+					a.Data[i] = math.Copysign(0, -1)
+				}
+			}
+			SetTiling(propertyTilings[iter%len(propertyTilings)])
+			at := Transpose(a)
+			stale := New(n, n)
+			for _, w := range []int{1, 3} {
+				parallel.SetWorkers(w)
+				name := fmt.Sprintf("(%dx%d)ᵀ·(%dx%d) workers=%d", k, n, k, p, w)
+				bitEqual(t, "TMul "+name, TMul(a, b), Mul(at, b))
+				stale.Fill(99)
+				MulTInto(stale, at, at)
+				bitEqual(t, "MulTInto "+name, stale, MulT(at, at))
+			}
+		}
+	})
+}
+
+func TestMulTIntoShapePanic(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on wrong dst shape")
+		}
+	}()
+	MulTInto(New(2, 2), New(2, 3), New(4, 3))
 }

@@ -42,7 +42,7 @@ func NewSGC(g *graph.Graph, cfg Config, rng *rand.Rand) *SGC {
 		g:      g,
 		hops:   cfg.Hops,
 		xk:     hops[len(hops)-1],
-		linear: nn.NewLinear("sgc", g.X.Cols, g.Classes, rng),
+		linear: nn.NewLinear("sgc", g.X.Cols, g.Classes, rng).MarkLeaf(), // fed ÃᵏX
 	}
 }
 
@@ -81,7 +81,9 @@ func NewGAMLP(g *graph.Graph, cfg Config, rng *rand.Rand) *GAMLP {
 		g:    g,
 		hops: PropagateK(adj, g.X, cfg.Hops),
 		gate: nn.NewParameter("gamlp.gate", 1, cfg.Hops+1),
-		mlp:  nn.NewMLP("gamlp", []int{g.X.Cols, cfg.Hidden, g.Classes}, cfg.Dropout, rng),
+		// Not a leaf: the MLP is fed the gated hop combination, and Backward
+		// reads dL/dcombo for the gate gradient.
+		mlp: nn.NewMLP("gamlp", []int{g.X.Cols, cfg.Hidden, g.Classes}, cfg.Dropout, rng),
 	}
 	return m
 }
@@ -171,7 +173,7 @@ func NewGPRGNN(g *graph.Graph, cfg Config, rng *rand.Rand) *GPRGNN {
 		g:     g,
 		adj:   g.NormAdjPlan(sparse.NormSym),
 		gamma: nn.NewParameter("gpr.gamma", 1, cfg.Hops+1),
-		mlp:   nn.NewMLP("gpr", []int{g.X.Cols, cfg.Hidden, g.Classes}, cfg.Dropout, rng),
+		mlp:   nn.NewMLP("gpr", []int{g.X.Cols, cfg.Hidden, g.Classes}, cfg.Dropout, rng).MarkLeaf(), // fed X
 	}
 	a := cfg.Alpha
 	if a <= 0 || a >= 1 {

@@ -34,7 +34,7 @@ func NewGCN(g *graph.Graph, cfg Config, rng *rand.Rand) *GCN {
 	return &GCN{
 		g:    g,
 		adj:  g.NormAdjPlan(sparse.NormSym),
-		l1:   nn.NewLinear("gcn.l1", g.X.Cols, cfg.Hidden, rng),
+		l1:   nn.NewLinear("gcn.l1", g.X.Cols, cfg.Hidden, rng).MarkLeaf(), // fed Ã·X
 		l2:   nn.NewLinear("gcn.l2", cfg.Hidden, g.Classes, rng),
 		act:  &nn.ReLU{},
 		drop: nn.NewDropout(cfg.Dropout, rng),
@@ -48,11 +48,11 @@ func (m *GCN) Params() []*nn.Parameter {
 
 // Logits implements Model: Ã·dropout(ReLU(Ã·X·W₁))·W₂.
 func (m *GCN) Logits(train bool) *matrix.Dense {
-	ax := m.adj.MulDense(m.g.X)  // Ã·X
-	h := m.l1.Forward(ax)        // Ã·X·W₁
-	h = m.act.Forward(h)         // ReLU
-	h = m.drop.Forward(h, train) // dropout
-	ah := m.adj.MulDense(h)      // Ã·H
+	ax := m.g.PropagatedX(sparse.NormSym) // Ã·X, constant between epochs
+	h := m.l1.Forward(ax)                 // Ã·X·W₁
+	h = m.act.Forward(h)                  // ReLU
+	h = m.drop.Forward(h, train)          // dropout
+	ah := m.adj.MulDense(h)               // Ã·H
 	m.h1 = ah
 	return m.l2.Forward(ah) // Ã·H·W₂
 }
@@ -63,6 +63,5 @@ func (m *GCN) Backward(grad *matrix.Dense) {
 	g = m.adj.MulDense(g)    // Ãᵀ·g = Ã·g (dH)
 	g = m.drop.Backward(g)
 	g = m.act.Backward(g)
-	g = m.l1.Backward(g) // d(Ã·X): not propagated further (X is input)
-	_ = g
+	m.l1.Backward(g)
 }

@@ -46,7 +46,7 @@ func NewGCNII(g *graph.Graph, cfg Config, rng *rand.Rand) *GCNII {
 	m := &GCNII{
 		g:      g,
 		adj:    g.NormAdjPlan(sparse.NormSym),
-		in:     nn.NewLinear("gcnii.in", g.X.Cols, cfg.Hidden, rng),
+		in:     nn.NewLinear("gcnii.in", g.X.Cols, cfg.Hidden, rng).MarkLeaf(), // fed dropout(X)
 		out:    nn.NewLinear("gcnii.out", cfg.Hidden, g.Classes, rng),
 		drop:   nn.NewDropout(cfg.Dropout, rng),
 		alpha:  cfg.Alpha,
@@ -110,7 +110,5 @@ func (m *GCNII) Backward(grad *matrix.Dense) {
 		dh = matrix.Scale(1-m.alpha, m.adj.MulDense(du))
 	}
 	matrix.AddInPlace(dh0, dh)
-	g := m.inAct.Backward(dh0)
-	g = m.in.Backward(g)
-	m.drop.Backward(g)
+	m.in.Backward(m.inAct.Backward(dh0))
 }

@@ -48,7 +48,7 @@ func NewGGCN(g *graph.Graph, cfg Config, rng *rand.Rand) *GGCN {
 		neg:   sparse.NewPlan(neg),
 		posT:  sparse.NewPlan(pos.Transpose()),
 		negT:  sparse.NewPlan(neg.Transpose()),
-		l1:    nn.NewLinear("ggcn.l1", g.X.Cols, cfg.Hidden, rng),
+		l1:    nn.NewLinear("ggcn.l1", g.X.Cols, cfg.Hidden, rng).MarkLeaf(), // fed X
 		l2:    nn.NewLinear("ggcn.l2", cfg.Hidden, g.Classes, rng),
 		gates: nn.NewParameter("ggcn.gates", 1, 3),
 		act:   &nn.ReLU{},
@@ -189,7 +189,7 @@ func NewGloGNN(g *graph.Graph, cfg Config, rng *rand.Rand) *GloGNN {
 	tMat := matrix.SoftmaxRows(matrix.Scale(scale, matrix.MulT(g.X, g.X)))
 	m := &GloGNN{
 		g:     g,
-		l1:    nn.NewLinear("glognn.l1", g.X.Cols, cfg.Hidden, rng),
+		l1:    nn.NewLinear("glognn.l1", g.X.Cols, cfg.Hidden, rng).MarkLeaf(), // fed X
 		l2:    nn.NewLinear("glognn.l2", cfg.Hidden, g.Classes, rng),
 		mixP:  nn.NewParameter("glognn.mix", 1, 1),
 		act:   &nn.ReLU{},

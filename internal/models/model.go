@@ -118,7 +118,7 @@ type MLPModel struct {
 
 // NewMLPModel builds a 2-layer MLP classifier on node features.
 func NewMLPModel(g *graph.Graph, cfg Config, rng *rand.Rand) *MLPModel {
-	return &MLPModel{g: g, mlp: nn.NewMLP("mlp", []int{g.X.Cols, cfg.Hidden, g.Classes}, cfg.Dropout, rng)}
+	return &MLPModel{g: g, mlp: nn.NewMLP("mlp", []int{g.X.Cols, cfg.Hidden, g.Classes}, cfg.Dropout, rng).MarkLeaf()}
 }
 
 // Params implements nn.Module.

@@ -3,8 +3,10 @@ package models
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/nn"
@@ -262,11 +264,77 @@ func TestGCNSmoothsTowardNeighbors(t *testing.T) {
 	}
 }
 
+// TestGCNFollowsReplacedFeatures is the stale-cache guard at the model level:
+// GCN reads its first hop Ã·X from the graph's cache, so after g.X is
+// replaced the next Logits must equal, bit for bit, those of a model built
+// from scratch on the new features with the same parameters.
+func TestGCNFollowsReplacedFeatures(t *testing.T) {
+	g := testGraph(40, true, 37)
+	cfg := noDropout()
+	m := NewGCN(g, cfg, rand.New(rand.NewSource(1)))
+	before := m.Logits(false)
+
+	g.X = matrix.Scale(-0.5, g.X)
+	fresh := graph.New(g.N, g.Edges, g.X.Clone(), g.Labels, g.Classes)
+	ref := NewGCN(fresh, cfg, rand.New(rand.NewSource(2)))
+	if err := nn.Unflatten(ref, nn.Flatten(m)); err != nil {
+		t.Fatal(err)
+	}
+	after := m.Logits(false)
+	if !matrix.Equal(after, ref.Logits(false), 0) {
+		t.Fatal("logits after replacing X differ from a freshly built model's")
+	}
+	if matrix.Equal(after, before, 0) {
+		t.Fatal("logits did not move with the features")
+	}
+}
+
+// TestTwoGCNsFillColdCacheConcurrently runs two models bound to one graph
+// through their first forward passes at once (under -race in CI): both must
+// produce the logits of an unshared twin, whichever of them filled the
+// graph's Ã·X cache.
+func TestTwoGCNsFillColdCacheConcurrently(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		g := testGraph(60, true, 41)
+		cfg := noDropout()
+		ms := []*GCN{NewGCN(g, cfg, rand.New(rand.NewSource(1))), NewGCN(g, cfg, rand.New(rand.NewSource(2)))}
+		got := make([]*matrix.Dense, len(ms))
+		var wg sync.WaitGroup
+		for i, m := range ms {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = m.Logits(false)
+			}()
+		}
+		wg.Wait()
+		for i, m := range ms {
+			alone := graph.New(g.N, g.Edges, g.X.Clone(), g.Labels, g.Classes)
+			twin := NewGCN(alone, cfg, rand.New(rand.NewSource(3)))
+			if err := nn.Unflatten(twin, nn.Flatten(m)); err != nil {
+				t.Fatal(err)
+			}
+			if !matrix.Equal(got[i], twin.Logits(false), 0) {
+				t.Fatalf("model %d: concurrent first forward differs from an unshared twin's", i)
+			}
+		}
+	}
+}
+
+// BenchmarkGCNTrainEpoch times one full-batch GCN step at the client shape of
+// the benchmark's adafgl-noniid workload: n_i = 280, F = 64, C = 7, hidden 32.
 func BenchmarkGCNTrainEpoch(b *testing.B) {
-	g := testGraph(300, true, 31)
+	spec, err := datasets.ByName("Cora")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := datasets.GenerateScaled(spec, 0.2, 1)
 	cfg := DefaultConfig()
+	cfg.Hidden = 32
 	m := NewGCN(g, cfg, rand.New(rand.NewSource(1)))
 	opt := cfg.NewOptimizer()
+	TrainEpoch(m, opt, g.Labels, g.TrainMask)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		TrainEpoch(m, opt, g.Labels, g.TrainMask)

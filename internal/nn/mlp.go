@@ -35,6 +35,13 @@ func NewMLP(name string, dims []int, dropout float64, rng *rand.Rand) *MLP {
 	return m
 }
 
+// MarkLeaf marks the first layer as a leaf (see Linear.MarkLeaf) for an MLP
+// that is fed data, and returns m; Backward then returns nil.
+func (m *MLP) MarkLeaf() *MLP {
+	m.Layers[0].MarkLeaf()
+	return m
+}
+
 // Params implements Module.
 func (m *MLP) Params() []*Parameter {
 	var out []*Parameter
@@ -61,7 +68,7 @@ func (m *MLP) Forward(x *matrix.Dense) *matrix.Dense {
 }
 
 // Backward backpropagates dL/dlogits through the whole stack and returns
-// dL/dinput.
+// dL/dinput (nil when the first layer is a leaf).
 func (m *MLP) Backward(gradOut *matrix.Dense) *matrix.Dense {
 	g := gradOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {

@@ -90,6 +90,7 @@ type Linear struct {
 	W *Parameter // in x out
 	B *Parameter // 1 x out
 
+	leaf      bool
 	lastInput *matrix.Dense
 }
 
@@ -100,6 +101,17 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 		B: NewParameter(name+".B", 1, out),
 	}
 	matrix.XavierUniform(l.W.Value, rng)
+	return l
+}
+
+// MarkLeaf declares that the layer's input is data — node features or a
+// fixed function of them — not the output of a trainable layer, and returns
+// l. Nothing reads dL/dx of such a layer, so Backward skips the gradOut·Wᵀ
+// product (in × out × rows multiply-adds, the widest of a first layer) and
+// returns nil. Set it where the model is built; parameter gradients are
+// unaffected.
+func (l *Linear) MarkLeaf() *Linear {
+	l.leaf = true
 	return l
 }
 
@@ -114,7 +126,8 @@ func (l *Linear) Forward(x *matrix.Dense) *matrix.Dense {
 	return out
 }
 
-// Backward accumulates dL/dW and dL/db from dL/dy and returns dL/dx.
+// Backward accumulates dL/dW and dL/db from dL/dy and returns dL/dx (nil for
+// a leaf layer, see MarkLeaf).
 func (l *Linear) Backward(gradOut *matrix.Dense) *matrix.Dense {
 	if l.lastInput == nil {
 		panic("nn: Linear.Backward before Forward")
@@ -123,6 +136,9 @@ func (l *Linear) Backward(gradOut *matrix.Dense) *matrix.Dense {
 	bias := matrix.ColSums(gradOut)
 	for j, v := range bias {
 		l.B.Grad.Data[j] += v
+	}
+	if l.leaf {
+		return nil
 	}
 	return matrix.MulT(gradOut, l.W.Value) // gradOut · Wᵀ
 }

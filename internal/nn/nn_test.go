@@ -68,6 +68,52 @@ func TestLinearGradientCheck(t *testing.T) {
 	}
 }
 
+// TestLeafLayerSkipsOnlyTheInputGradient pins the leaf rule: a layer marked
+// as fed data returns nil from Backward — nothing may read dL/dx of a
+// constant — while dL/dW and dL/db keep the bits of an unmarked twin, for a
+// bare Linear and through an MLP's first layer. (TestLinearGradientCheck
+// keeps checking dL/dx of the unmarked layer.)
+func TestLeafLayerSkipsOnlyTheInputGradient(t *testing.T) {
+	x := matrix.New(5, 4)
+	matrix.RandomNormal(x, 0, 1, rand.New(rand.NewSource(4)))
+	labels := []int{0, 1, 2, 0, 1}
+	sameGrads := func(name string, leaf, plain Module) {
+		t.Helper()
+		lp, pp := leaf.Params(), plain.Params()
+		for k := range lp {
+			for i, v := range lp[k].Grad.Data {
+				if math.Float64bits(v) != math.Float64bits(pp[k].Grad.Data[i]) {
+					t.Fatalf("%s: %s grad[%d] = %v, unmarked twin %v", name, lp[k].Name, i, v, pp[k].Grad.Data[i])
+				}
+			}
+		}
+	}
+
+	leaf := NewLinear("l", 4, 3, rand.New(rand.NewSource(5))).MarkLeaf()
+	plain := NewLinear("l", 4, 3, rand.New(rand.NewSource(5)))
+	_, g := SoftmaxCrossEntropy(leaf.Forward(x), labels, nil)
+	plain.Forward(x)
+	if gx := leaf.Backward(g); gx != nil {
+		t.Fatalf("leaf Linear.Backward returned a %dx%d input gradient, want nil", gx.Rows, gx.Cols)
+	}
+	if plain.Backward(g) == nil {
+		t.Fatal("unmarked Linear.Backward returned no input gradient")
+	}
+	sameGrads("Linear", leaf, plain)
+
+	leafMLP := NewMLP("m", []int{4, 6, 3}, 0, rand.New(rand.NewSource(6))).MarkLeaf()
+	plainMLP := NewMLP("m", []int{4, 6, 3}, 0, rand.New(rand.NewSource(6)))
+	_, g = SoftmaxCrossEntropy(leafMLP.Forward(x), labels, nil)
+	plainMLP.Forward(x)
+	if gx := leafMLP.Backward(g); gx != nil {
+		t.Fatalf("leaf MLP.Backward returned a %dx%d input gradient, want nil", gx.Rows, gx.Cols)
+	}
+	if plainMLP.Backward(g) == nil {
+		t.Fatal("unmarked MLP.Backward returned no input gradient")
+	}
+	sameGrads("MLP", leafMLP, plainMLP)
+}
+
 func TestMLPGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewMLP("mlp", []int{4, 5, 3}, 0, rng) // dropout off for determinism

@@ -297,7 +297,8 @@ func cosineRows(a, b []float64) float64 {
 }
 
 // SparsifyFeatures zeroes the feature rows of a fraction frac of unlabeled
-// (non-train) nodes, simulating missing features (Fig. 10(a)).
+// (non-train) nodes, simulating missing features (Fig. 10(a)). It writes into
+// g.X, so it belongs before any model is bound to g (see graph.Graph.X).
 func SparsifyFeatures(g *graph.Graph, frac float64, rng *rand.Rand) int {
 	count := 0
 	for i := 0; i < g.N; i++ {

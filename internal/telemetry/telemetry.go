@@ -3,7 +3,7 @@
 // counters, gauges, bounded histograms, labeled families) with Prometheus
 // text-format exposition, plus a lightweight span tracer that threads
 // per-request trace IDs through context.Context and records sampled
-// structured span events. Every runtime layer (serve, registry, shard,
+// structured span events. Every runtime layer (serve, registry, shard, graph,
 // federated, parallel) instruments itself onto the Default registry; the
 // serving binary exposes it as GET /v1/metrics and optionally wires
 // net/http/pprof and runtime/metrics snapshots behind -pprof-addr.
