@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint docs-lint test race cover fuzz bench serve-demo zoo-demo chaos-demo torture-demo shard-demo ci
+.PHONY: all build lint docs-lint test test-fused race cover fuzz bench serve-demo zoo-demo chaos-demo torture-demo shard-demo ci
 
 all: build
 
@@ -26,6 +26,16 @@ docs-lint:
 
 test:
 	$(GO) test ./...
+
+# The pinned-bits suites again on a GOAMD64=v3 build, where the compiler may
+# contract x*y + z into a fused multiply-add, matching the CI "test" job's
+# second step. The AVX edge-tile kernel multiplies and adds separately because
+# that is what the portable microKernel computes; this run fails if a
+# toolchain ever fuses the portable kernel (or any golden-pinned loop), in
+# which case pin it with the explicit float64(a*b) rounding core.evolveSigns
+# already uses.
+test-fused:
+	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/core ./internal/federated -run 'Golden|Property'
 
 # Race-detector coverage of the concurrent paths (worker pool, graph caches
 # filled by several models at once, federated fan-out incl. fault injection,
@@ -101,4 +111,4 @@ torture-demo:
 shard-demo:
 	$(GO) run ./cmd/adafgl-bench -exp shard
 
-ci: build lint docs-lint test race cover fuzz bench
+ci: build lint docs-lint test test-fused race cover fuzz bench

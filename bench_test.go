@@ -170,8 +170,30 @@ func BenchmarkParallelGEMM(b *testing.B) {
 // configurations and worker counts, with the naive kernel as baseline, so
 // the CI smoke-bench artifact tracks the blocked path's speedup. Outputs are
 // bit-identical across worker counts and within 1e-12 of naive across tile
-// sizes (enforced by the property suite in internal/matrix).
+// sizes (enforced by the property suite in internal/matrix). The shape=
+// rows are the products training runs (bench.TrainingGEMMShapes: edge tiles,
+// transposed packing, sub-cutover kernels), path=dispatch being the public
+// entry point and path=naive MulNaive on the same logical product.
 func BenchmarkGEMM(b *testing.B) {
+	for i, sh := range bench.TrainingGEMMShapes() {
+		x, y, lx, ly := sh.Operands(int64(i))
+		for _, w := range workerCounts() {
+			b.Run(fmt.Sprintf("shape=%s/path=naive/workers=%d", sh.Name, w), func(b *testing.B) {
+				defer parallel.SetWorkers(parallel.SetWorkers(w))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = matrix.MulNaive(lx, ly)
+				}
+			})
+			b.Run(fmt.Sprintf("shape=%s/path=dispatch/workers=%d", sh.Name, w), func(b *testing.B) {
+				defer parallel.SetWorkers(parallel.SetWorkers(w))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = sh.Product(x, y)
+				}
+			})
+		}
+	}
 	tilings := []string{"default", "32,128,64", "128,512,256"}
 	for _, n := range []int{128, 256, 512} {
 		x := matrix.New(n, n)

@@ -107,12 +107,15 @@ func TestGEMMExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header (3 lines) + one row per size.
-	if len(lines) != 6 {
-		t.Fatalf("GEMM lines = %d, want 6", len(lines))
+	// Header (3 lines) + one row per square size + one per training shape.
+	if want := 3 + 3 + len(TrainingGEMMShapes()); len(lines) != want {
+		t.Fatalf("GEMM lines = %d, want %d", len(lines), want)
 	}
 	if !strings.Contains(lines[3], "128x128") || !strings.Contains(lines[3], "x") {
 		t.Fatalf("first size row = %q", lines[3])
+	}
+	if !strings.Contains(lines[7], "step2-PTdH") || !strings.Contains(lines[7], "(280x280)ᵀ·280x7") {
+		t.Fatalf("transposed Step-2 row = %q", lines[7])
 	}
 }
 
@@ -121,13 +124,14 @@ func TestSpMMExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header (3 lines) + one row per case, the last being the engine's
-	// 50k-node / avg-degree-20 / 64-column acceptance configuration.
-	if len(lines) != 7 {
-		t.Fatalf("SpMM lines = %d, want 7", len(lines))
+	// Header (3 lines) + one row per case: the engine's 50k-node /
+	// avg-degree-20 / 64-column acceptance configuration, then the same
+	// density at 100k nodes.
+	if len(lines) != 8 {
+		t.Fatalf("SpMM lines = %d, want 8", len(lines))
 	}
-	if !strings.Contains(lines[6], "50000n/d20 x 64") {
-		t.Fatalf("acceptance row = %q", lines[6])
+	if !strings.Contains(lines[6], "50000n/d20 x 64") || !strings.Contains(lines[7], "100000n/d20 x 64") {
+		t.Fatalf("acceptance rows = %q, %q", lines[6], lines[7])
 	}
 }
 

@@ -46,6 +46,8 @@ var obsCoreFamilies = []string{
 	"adafgl_federated_rounds_total",
 	"adafgl_parallel_pool_tasks_total",
 	"adafgl_graph_cache_total",
+	"adafgl_matrix_gemm_total",
+	"adafgl_matrix_gemm_tiles_total",
 }
 
 // Obs proves the telemetry layer's two contracts. Correctness: with metrics

@@ -342,17 +342,17 @@ func (p *personal) forward() *matrix.Dense {
 // Eq. (11), in one pass over the n_i² elements. A zero element lands in neg
 // (as −0). The float64 conversions round both products before the sum, so no
 // compiler may fuse them into a multiply-add: every platform computes
-// round(round(β·p̃) + round((1−β)·g)).
+// round(round(β·p̃) + round((1−β)·g)). The halves are selected by mask, not by
+// a branch on the sign: pos = v where v > 0 else +0, neg = −v where not else +0.
 func evolveSigns(pos, neg *matrix.Dense, beta float64, ptilde, gram *matrix.Dense) {
 	rest := 1 - beta
 	parallel.ForWork(len(ptilde.Data), len(ptilde.Data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := float64(beta*ptilde.Data[i]) + float64(rest*gram.Data[i])
-			if v > 0 {
-				pos.Data[i], neg.Data[i] = v, 0
-			} else {
-				pos.Data[i], neg.Data[i] = 0, -v
-			}
+			bits := math.Float64bits(v)
+			m := nn.PositiveMask(bits)
+			pos.Data[i] = math.Float64frombits(bits & m)
+			neg.Data[i] = math.Float64frombits((bits ^ 1<<63) &^ m)
 		}
 	})
 }

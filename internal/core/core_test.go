@@ -204,6 +204,24 @@ func TestSplitSigns(t *testing.T) {
 		}
 	}
 
+	// The halves are selected by bit mask; hold the select to the branch it
+	// replaced on the values a sign test can get wrong.
+	special := matrix.FromSlice(1, 6, []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
+		math.Copysign(0, -1), math.SmallestNonzeroFloat64})
+	pos, neg = matrix.New(1, 6), matrix.New(1, 6)
+	evolveSigns(pos, neg, 1, special, matrix.New(1, 6))
+	for i, v := range special.Data {
+		v += 0 // the (1−β)·g term: −0 evolves to +0
+		wp, wn := 0.0, -v
+		if v > 0 {
+			wp, wn = v, 0
+		}
+		if math.Float64bits(pos.Data[i]) != math.Float64bits(wp) || math.Float64bits(neg.Data[i]) != math.Float64bits(wn) {
+			t.Fatalf("special %v: pos %#x neg %#x, want %#x %#x", v, math.Float64bits(pos.Data[i]),
+				math.Float64bits(neg.Data[i]), math.Float64bits(wp), math.Float64bits(wn))
+		}
+	}
+
 	rng := rand.New(rand.NewSource(12))
 	ptilde, gram := matrix.New(37, 37), matrix.New(37, 37)
 	matrix.RandomNormal(ptilde, 0, 1, rng)

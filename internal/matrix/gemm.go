@@ -12,6 +12,18 @@
 // Products below the cutover keep the naive kernels: for small operands the
 // packing traffic costs more than the cache misses it avoids.
 //
+// On amd64 with AVX2+FMA every tile runs a vector kernel (gemm_amd64.s), and
+// which rounding a dst element gets is a pure function of the product's shape
+// (n mod 4, p mod 4), never of workers or tile sizes. Full 4x4 tiles fuse each
+// step (VFMADD231PD, one rounding). Partial tiles — the last tile row when
+// n is not a multiple of 4, the last tile column when p is not, which with
+// C = 7 classes is half of all tiles in training — multiply, round, then add
+// (VMULPD, VADDPD): that is what the portable microKernel computes, which
+// served those tiles before they had a vector kernel, so recorded results did
+// not move when they got one. The portable kernel is the whole engine
+// elsewhere (useSIMD false) and the reference the edge kernel is tested
+// against bit for bit.
+//
 // The two paths agree to 1e-12 on finite inputs (enforced by the property
 // suite). Non-finite operands are outside that contract: the naive kernels
 // skip exact-zero A terms (a measurable win on post-ReLU activations), so
@@ -218,6 +230,7 @@ func gemmFlops(n, k, p int) int { return n * k * p }
 // locality; row blocks write disjoint dst rows, so the parallel path is
 // exact.
 func naiveMulInto(dst, a, b *Dense) {
+	telGEMMNaive.Inc()
 	dst.Zero()
 	n, k, p := a.Rows, a.Cols, b.Cols
 	parallel.ForWork(n, gemmFlops(n, k, p), func(lo, hi int) {
@@ -238,13 +251,31 @@ func naiveMulInto(dst, a, b *Dense) {
 	})
 }
 
-// naiveMulTInto computes dst = a * bᵀ by row dot products.
+// naiveMulTInto computes dst = a * bᵀ by row dot products, four rows of b at
+// a time: the four sums are independent chains, so the adds overlap instead
+// of each waiting out the previous one's latency, and every chain still
+// accumulates its own dot product in ascending order.
 func naiveMulTInto(dst, a, b *Dense) {
+	telGEMMNaive.Inc()
 	parallel.ForWork(a.Rows, gemmFlops(a.Rows, a.Cols, b.Rows), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			orow := dst.Row(i)
-			for j := 0; j < b.Rows; j++ {
+			j := 0
+			for ; j+4 <= b.Rows; j += 4 {
+				// Reslicing to len(arow) (== b.Cols) drops the bounds checks below.
+				b0, b1 := b.Row(j)[:len(arow)], b.Row(j + 1)[:len(arow)]
+				b2, b3 := b.Row(j + 2)[:len(arow)], b.Row(j + 3)[:len(arow)]
+				var s0, s1, s2, s3 float64
+				for t, av := range arow {
+					s0 += av * b0[t]
+					s1 += av * b1[t]
+					s2 += av * b2[t]
+					s3 += av * b3[t]
+				}
+				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+			}
+			for ; j < b.Rows; j++ {
 				brow := b.Row(j)
 				var s float64
 				for t, av := range arow {
@@ -261,6 +292,7 @@ func naiveMulTInto(dst, a, b *Dense) {
 // accumulation order over i is the same ascending order as the serial loop,
 // keeping results exact.
 func naiveTMulInto(dst, a, b *Dense) {
+	telGEMMNaive.Inc()
 	dst.Zero()
 	p := b.Cols
 	parallel.ForWork(a.Cols, gemmFlops(a.Cols, a.Rows, b.Cols), func(tlo, thi int) {
@@ -283,20 +315,6 @@ func naiveTMulInto(dst, a, b *Dense) {
 
 // ---- Blocked engine ----
 
-// blockedMulInto computes dst = a*b with panel packing and the mr x nr
-// micro-kernel. Loop structure (GotoBLAS order, NC/KC/rows):
-//
-//	for each NC-wide column panel of B:
-//	  for each KC-deep slice:                       // ascending, serial
-//	    pack B[kc, jc] once (shared, read-only)
-//	    parallel over dst rows (mr-aligned blocks):
-//	      for each MC-high row chunk: pack A[ic, kc] per worker
-//	        micro-kernels accumulate dst tiles
-//
-// Each dst element receives its KC-tile partial sums in ascending kc order,
-// and each tile's partial sum is accumulated in ascending shared-dimension
-// order inside the micro-kernel, so the arithmetic is independent of the
-// worker count.
 // packBuffers recycles panel scratch across GEMM calls and worker blocks:
 // packing buffers are the hottest allocation in training loops (one A panel
 // per worker block per (jc,kc) pair) and would otherwise be steady GC churn.
@@ -313,17 +331,33 @@ func getPackBuffer(n int) *[]float64 {
 	return buf
 }
 
+// blockedMulInto computes dst = a*b on the blocked engine whatever the size:
+// MulInto's path above the cutover, and the entry the property suite drives
+// directly.
 func blockedMulInto(dst, a, b *Dense) {
 	dst.Zero()
 	blockedGEMM(dst, a, false, b, false)
 }
 
-// blockedGEMM accumulates op(a)·op(b) into dst, which must arrive zeroed (a
-// fresh New, or a reused buffer the caller cleared — never both), where op
-// transposes the operand when its flag is set. Transposition happens inside the packing routines —
-// they read the operand with the appropriate stride — so no transposed
-// temporary is ever materialised and the tile/micro-kernel structure (and
-// with it the determinism contract) is identical for all four variants.
+// blockedGEMM accumulates op(a)·op(b) into dst with panel packing and the
+// mr x nr micro-kernel; dst must arrive zeroed (a fresh New, or a reused
+// buffer the caller cleared — never both), and op transposes the operand
+// when its flag is set. Loop structure (GotoBLAS order, NC/KC/rows):
+//
+//	for each NC-wide column panel of B:
+//	  for each KC-deep slice:                       // ascending, serial
+//	    pack B[kc, jc] once (shared, read-only)
+//	    parallel over dst rows (mr-aligned blocks):
+//	      for each MC-high row chunk: pack A[ic, kc] per worker
+//	        micro-kernels accumulate dst tiles
+//
+// Each dst element receives its KC-tile partial sums in ascending kc order,
+// and each tile's partial sum is accumulated in ascending shared-dimension
+// order inside the micro-kernel, so the arithmetic is independent of the
+// worker count. Transposition happens inside the packing routines — they
+// read the operand with the appropriate stride — so no transposed temporary
+// is ever materialised and the tile/micro-kernel structure (and with it the
+// determinism contract) is identical for all four variants.
 func blockedGEMM(dst *Dense, a *Dense, aT bool, b *Dense, bT bool) {
 	n, k := a.Rows, a.Cols
 	if aT {
@@ -338,6 +372,7 @@ func blockedGEMM(dst *Dense, a *Dense, aT bool, b *Dense, bT bool) {
 	}
 	t := CurrentTiling()
 	mc, kcT, ncT := t.MC, t.KC, t.NC
+	countBlocked(n, k, p, kcT)
 	bpBuf := getPackBuffer(min(kcT, k) * min(ncT, roundUp(p, nr)))
 	defer packBuffers.Put(bpBuf)
 	bp := *bpBuf
@@ -362,15 +397,55 @@ func blockedGEMM(dst *Dense, a *Dense, aT bool, b *Dense, bT bool) {
 							vc := min(nr, jw-jr)
 							bpn := bp[(jr/nr)*kw*nr:]
 							d := dst.Data[(i0+ir)*p+jc+jr:]
-							if useSIMD && vr == mr && vc == nr {
-								microKernelAVX(&d[0], p, kw, &apn[0], &bpn[0])
-							} else {
+							switch tileKernel(useSIMD, vr, vc) {
+							case tilePortable:
 								microKernel(d, p, vr, vc, kw, apn, bpn)
+							case tileFullAVX:
+								microKernelAVX(&d[0], p, kw, &apn[0], &bpn[0])
+							case tileEdgeAVX:
+								edgeTileAVX(d, p, vr, vc, kw, apn, bpn)
 							}
 						}
 					}
 				}
 			})
+		}
+	}
+}
+
+// The kernels a vr x vc tile can run on.
+const (
+	tilePortable = iota // microKernel, any tile, machines without SIMD
+	tileFullAVX         // microKernelAVX, fused, full tiles
+	tileEdgeAVX         // edgeTileAVX, multiply-then-add, partial tiles
+)
+
+// tileKernel picks the kernel of a vr x vc tile: on a SIMD machine every
+// tile, full or partial, runs a vector kernel, and the portable microKernel
+// is the fallback of machines without one — never a second path beside them.
+func tileKernel(simd bool, vr, vc int) int {
+	switch {
+	case !simd:
+		return tilePortable
+	case vr == mr && vc == nr:
+		return tileFullAVX
+	default:
+		return tileEdgeAVX
+	}
+}
+
+// edgeTileAVX is microKernel for a partial tile on SIMD machines: the packed
+// panels are zero-padded to the full mr x nr tile, so the vector kernel
+// computes all 16 partial sums into a stack tile and only the valid vr x vc
+// corner is added to dst. The kernel multiplies and adds separately (never
+// fused), so the result is microKernel's bit for bit.
+func edgeTileAVX(dst []float64, stride, vr, vc, kw int, ap, bp []float64) {
+	var tile [mr * nr]float64
+	microKernelEdgeAVX(&tile, kw, &ap[0], &bp[0])
+	for r := 0; r < vr; r++ {
+		d := dst[r*stride : r*stride+vc]
+		for c := range d {
+			d[c] += tile[r*nr+c]
 		}
 	}
 }
@@ -426,12 +501,25 @@ func packA(ap []float64, a *Dense, aT bool, i0, iw, iwR, kc, kw int) {
 		if aT {
 			n := a.Cols
 			base := i0 + g*mr
+			if h == mr {
+				// Four loads and stores per step; a 32-byte copy() here is
+				// a runtime.memmove call that costs more than the move.
+				for kk := 0; kk < kw; kk++ {
+					src := a.Data[(kc+kk)*n+base : (kc+kk)*n+base+mr]
+					d := ap[off+kk*mr : off+kk*mr+mr]
+					d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
+				}
+				continue
+			}
 			for kk := 0; kk < kw; kk++ {
 				src := a.Data[(kc+kk)*n+base : (kc+kk)*n+base+h]
 				d := ap[off+kk*mr : off+kk*mr+mr]
-				copy(d, src)
-				for r := h; r < mr; r++ {
-					d[r] = 0
+				for r := range d {
+					if r < h {
+						d[r] = src[r]
+					} else {
+						d[r] = 0
+					}
 				}
 			}
 			continue

@@ -10,3 +10,8 @@ var useSIMD = false
 func microKernelAVX(dst *float64, stride, kw int, ap, bp *float64) {
 	panic("matrix: SIMD micro-kernel unavailable on this architecture")
 }
+
+// microKernelEdgeAVX is never called when useSIMD is false.
+func microKernelEdgeAVX(tile *[mr * nr]float64, kw int, ap, bp *float64) {
+	panic("matrix: SIMD micro-kernel unavailable on this architecture")
+}

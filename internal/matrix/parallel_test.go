@@ -60,6 +60,19 @@ func TestDenseKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		exactEqual(t, "Scale", Scale(1.7, big), scale)
 		exactEqual(t, "SoftmaxRows", SoftmaxRows(big), soft)
 	}
+
+	// The products of a training step: n_i x n_i against n_i x C and back.
+	for _, s := range trainingShapes {
+		sq, tall, wide := randDense(s[0], s[1], 5), randDense(s[1], s[2], 6), randDense(s[2], s[1], 7)
+		parallel.SetWorkers(1)
+		mul, tMul, mulT := Mul(sq, tall), TMul(sq, tall), MulT(sq, wide)
+		for _, w := range []int{2, 3, 8} {
+			parallel.SetWorkers(w)
+			exactEqual(t, "Mul", Mul(sq, tall), mul)
+			exactEqual(t, "TMul", TMul(sq, tall), tMul)
+			exactEqual(t, "MulT", MulT(sq, wide), mulT)
+		}
+	}
 }
 
 func TestInPlaceKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {

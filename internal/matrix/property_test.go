@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/telemetry"
 )
 
 // propertyTilings are deliberately awkward tile configurations: tiny tiles
@@ -41,6 +42,14 @@ func randContents(m *Dense, rng *rand.Rand) {
 		}
 		m.Data[i] = rng.Float64()*2 - 1
 	}
+}
+
+// trainingShapes are (n, k, p) of Step 2's P·H beside the tile grid: n = k =
+// 281 and 283 leave a partial last tile row, p = 1, 5, 7 (class counts) make
+// every tile column partial — what the square sweeps never touch.
+var trainingShapes = [][3]int{
+	{281, 281, 1}, {281, 281, 5}, {281, 281, 7},
+	{283, 283, 1}, {283, 283, 5}, {283, 283, 7},
 }
 
 // withScalarKernel runs fn twice when the SIMD micro-kernel is available —
@@ -90,12 +99,7 @@ func TestPropertyDispatchedKernelsMatchNaive(t *testing.T) {
 	withScalarKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		defer SetTiling(SetTiling(DefaultTiling()))
-		// 64^3 == BlockedCutover, so dims around 64 land on both sides.
-		dims := []int{31, 63, 64, 65, 96, 128}
-		for iter := 0; iter < 40; iter++ {
-			n := dims[rng.Intn(len(dims))]
-			k := dims[rng.Intn(len(dims))]
-			p := dims[rng.Intn(len(dims))]
+		check := func(iter, n, k, p int) {
 			SetTiling(propertyTilings[rng.Intn(len(propertyTilings))])
 			a, b := New(n, k), New(k, p)
 			randContents(a, rng)
@@ -118,6 +122,19 @@ func TestPropertyDispatchedKernelsMatchNaive(t *testing.T) {
 				t.Fatalf("iter %d: TMul (%d,%d,%d) diverges from naive", iter, n, k, p)
 			}
 		}
+		// 64^3 == BlockedCutover, so dims around 64 land on both sides.
+		dims := []int{31, 63, 64, 65, 96, 128}
+		for iter := 0; iter < 40; iter++ {
+			n := dims[rng.Intn(len(dims))]
+			k := dims[rng.Intn(len(dims))]
+			p := dims[rng.Intn(len(dims))]
+			check(iter, n, k, p)
+		}
+		// The shapes training runs: n_i x n_i against n_i x C, a partial last
+		// tile row and every tile column partial.
+		for i, s := range trainingShapes {
+			check(40+i, s[0], s[1], s[2])
+		}
 	})
 }
 
@@ -127,7 +144,7 @@ func TestPropertyDispatchedKernelsMatchNaive(t *testing.T) {
 func TestPropertyBlockedBitIdenticalAcrossWorkers(t *testing.T) {
 	withScalarKernel(t, func(t *testing.T) {
 		defer SetTiling(SetTiling(DefaultTiling()))
-		shapes := [][3]int{{160, 120, 140}, {257, 129, 67}, {64, 512, 64}, {501, 33, 77}}
+		shapes := append([][3]int{{160, 120, 140}, {257, 129, 67}, {64, 512, 64}, {501, 33, 77}}, trainingShapes...)
 		for _, tile := range propertyTilings {
 			SetTiling(tile)
 			for _, s := range shapes {
@@ -212,4 +229,115 @@ func TestMulTIntoShapePanic(t *testing.T) {
 		}
 	}()
 	MulTInto(New(2, 2), New(2, 3), New(4, 3))
+}
+
+// TestPropertyBlockedOrientationsAtTrainingShapes drives all four operand
+// orientations of the blocked engine (the public entry points reach three)
+// at the training shapes and at tile-aligned n = 280: within 1e-12 of the
+// naive reference, bit-identical for every worker count, and — with p < nr
+// every tile is partial, none fused — the SIMD engine reproduces the portable
+// engine bit for bit.
+func TestPropertyBlockedOrientationsAtTrainingShapes(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	rng := rand.New(rand.NewSource(19))
+	shapes := append([][3]int{{280, 280, 1}, {280, 280, 5}, {280, 280, 7}}, trainingShapes...)
+	for _, s := range shapes {
+		n, k, p := s[0], s[1], s[2]
+		la, lb := New(n, k), New(k, p) // logical operands
+		randContents(la, rng)
+		randContents(lb, rng)
+		want := MulNaive(la, lb)
+		ta, tb := Transpose(la), Transpose(lb)
+		for _, aT := range []bool{false, true} {
+			for _, bT := range []bool{false, true} {
+				a, b := la, lb
+				if aT {
+					a = ta
+				}
+				if bT {
+					b = tb
+				}
+				product := func() *Dense {
+					out := New(n, p)
+					blockedGEMM(out, a, aT, b, bT)
+					return out
+				}
+				name := fmt.Sprintf("blocked(aT=%v,bT=%v) n=%d p=%d", aT, bT, n, p)
+				parallel.SetWorkers(1)
+				serial := product()
+				if !Equal(serial, want, 1e-12) {
+					t.Fatalf("%s diverges from MulNaive", name)
+				}
+				for _, w := range []int{2, 3} {
+					parallel.SetWorkers(w)
+					bitEqual(t, fmt.Sprintf("%s workers=%d", name, w), product(), serial)
+				}
+				parallel.SetWorkers(1)
+				if useSIMD {
+					useSIMD = false
+					portable := product()
+					useSIMD = true
+					if p < nr {
+						bitEqual(t, name+" SIMD vs portable engine (all tiles partial)", serial, portable)
+					} else if !Equal(serial, portable, 1e-12) {
+						t.Fatalf("%s: SIMD and portable engines diverge", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPropertyNoTileReachesPortableKernelOnSIMD holds the dispatch to "SIMD ⇒
+// full and partial tiles both run a vector kernel, the portable microKernel
+// is only the fallback without it", for every tile extent.
+func TestPropertyNoTileReachesPortableKernelOnSIMD(t *testing.T) {
+	for vr := 1; vr <= mr; vr++ {
+		for vc := 1; vc <= nr; vc++ {
+			want := tileEdgeAVX
+			if vr == mr && vc == nr {
+				want = tileFullAVX
+			}
+			if got := tileKernel(true, vr, vc); got != want {
+				t.Fatalf("SIMD %dx%d tile runs kernel %d, want %d", vr, vc, got, want)
+			}
+			if got := tileKernel(false, vr, vc); got != tilePortable {
+				t.Fatalf("non-SIMD %dx%d tile runs kernel %d, want the portable one", vr, vc, got)
+			}
+		}
+	}
+}
+
+// TestGEMMCountersFollowDispatch: one count per product on the engine that
+// ran it, full and partial tiles counted from the shape, nothing while
+// telemetry is off.
+func TestGEMMCountersFollowDispatch(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
+	small, big := randDense(8, 8, 1), randDense(64, 64, 2) // 64^3 == BlockedCutover
+	read := func() [4]uint64 {
+		return [4]uint64{telGEMMNaive.Value(), telGEMMBlocked.Value(), telTilesFull.Value(), telTilesEdge.Value()}
+	}
+	before := read()
+	Mul(small, small)
+	MulT(small, small)
+	TMul(small, small)
+	MulNaive(big, big)
+	Mul(big, big)
+	after := read()
+	want := [4]uint64{before[0] + 4, before[1] + 1, before[2] + 16*16, before[3]}
+	if after != want {
+		t.Fatalf("counters (naive, blocked, full, edge) %v -> %v, want %v", before, after, want)
+	}
+	// 71 tile rows x 2 tile columns x 2 KC slices, of which 70 x 1 x 2 full.
+	blockedMulInto(New(283, 7), randDense(283, 300, 3), randDense(300, 7, 4))
+	want, after = [4]uint64{after[0], after[1] + 1, after[2] + 140, after[3] + 144}, read()
+	if after != want {
+		t.Fatalf("counters after a product with partial tiles %v, want %v", after, want)
+	}
+	telemetry.SetEnabled(false)
+	Mul(small, small)
+	Mul(big, big)
+	if read() != after {
+		t.Fatalf("counters moved with telemetry disabled: %v -> %v", after, read())
+	}
 }

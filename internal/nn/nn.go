@@ -148,31 +148,50 @@ type ReLU struct {
 	mask []bool
 }
 
-// Forward returns max(x, 0) elementwise.
+// PositiveMask returns all ones when bits is the pattern of a float64 v > 0
+// and zero otherwise (−x, ±0, every NaN): v > 0 exactly when bits lies in
+// [1, bits(+Inf)], i.e. bits−1 is below bits(+Inf) unsigned — +0 wraps to
+// the top, everything else non-positive already sits above. ReLU-shaped
+// loops select with the mask (x & m) instead of branching on the sign, which
+// is a coin flip per element and mispredicts about every other one; the
+// conditional below compiles to a conditional move.
+func PositiveMask(bits uint64) uint64 {
+	var m uint64
+	if bits-1 < 0x7FF0000000000000 {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+// Forward returns max(x, 0) elementwise: x where x > 0, +0 elsewhere (NaN
+// included).
 func (r *ReLU) Forward(x *matrix.Dense) *matrix.Dense {
 	out := matrix.New(x.Rows, x.Cols)
 	if cap(r.mask) < len(x.Data) {
 		r.mask = make([]bool, len(x.Data))
 	}
 	r.mask = r.mask[:len(x.Data)]
+	mask, dst := r.mask, out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-		}
+		bits := math.Float64bits(v)
+		m := PositiveMask(bits)
+		dst[i] = math.Float64frombits(bits & m)
+		mask[i] = m != 0
 	}
 	return out
 }
 
-// Backward zeroes gradient where the forward input was non-positive.
+// Backward zeroes gradient where the forward input was non-positive (a
+// select on the cached mask, not a branch).
 func (r *ReLU) Backward(gradOut *matrix.Dense) *matrix.Dense {
 	out := matrix.New(gradOut.Rows, gradOut.Cols)
+	mask, dst := r.mask[:len(gradOut.Data)], out.Data[:len(gradOut.Data)]
 	for i, v := range gradOut.Data {
-		if r.mask[i] {
-			out.Data[i] = v
+		var m uint64
+		if mask[i] {
+			m = ^uint64(0)
 		}
+		dst[i] = math.Float64frombits(math.Float64bits(v) & m)
 	}
 	return out
 }

@@ -206,6 +206,46 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// TestReLUBitsMatchBranchDefinition holds the mask-select ReLU to the
+// branch it replaced — out = v if v > 0 else +0, mask = v > 0, gradient
+// passed where the mask is set else +0 — bit for bit over every float64
+// class: NaNs of both signs and extreme payloads, ±0, ±Inf, the smallest and
+// largest subnormals, ±tiny and ±huge normals.
+func TestReLUBitsMatchBranchDefinition(t *testing.T) {
+	in := []float64{
+		math.NaN(), -math.NaN(), math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFFFFFFFFFFFFFFF),
+		math.Float64frombits(0x7FFFFFFFFFFFFFFF), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000FFFFFFFFFFFFF), math.Float64frombits(0x800FFFFFFFFFFFFF),
+		2.2250738585072014e-308, -2.2250738585072014e-308, 1e-300, -1e-300, 1, -1,
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	// Gradients worth masking: the same specials, rotated so each meets both
+	// a set and a clear mask bit.
+	grad := append(append([]float64(nil), in[7:]...), in[:7]...)
+	x, g := matrix.FromSlice(1, len(in), in), matrix.FromSlice(1, len(grad), grad)
+	r := &ReLU{}
+	y := r.Forward(x)
+	gx := r.Backward(g)
+	for i, v := range in {
+		wantY, wantG := 0.0, 0.0
+		if v > 0 {
+			wantY, wantG = v, grad[i]
+		}
+		if math.Float64bits(y.Data[i]) != math.Float64bits(wantY) || r.mask[i] != (v > 0) {
+			t.Fatalf("Forward(%v = %#x) = %#x mask %v, want %#x mask %v", v, math.Float64bits(v),
+				math.Float64bits(y.Data[i]), r.mask[i], math.Float64bits(wantY), v > 0)
+		}
+		if math.Float64bits(gx.Data[i]) != math.Float64bits(wantG) {
+			t.Fatalf("Backward(%v) under input %v = %#x, want %#x", grad[i], v,
+				math.Float64bits(gx.Data[i]), math.Float64bits(wantG))
+		}
+		if want := ^uint64(0); (PositiveMask(math.Float64bits(v)) == want) != (v > 0) {
+			t.Fatalf("PositiveMask(%#x) = %#x for v = %v", math.Float64bits(v), PositiveMask(math.Float64bits(v)), v)
+		}
+	}
+}
+
 func TestDropoutEvalIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := NewDropout(0.5, rng)

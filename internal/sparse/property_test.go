@@ -81,6 +81,22 @@ func TestBlockedSpMMAboveCutover(t *testing.T) {
 	if m.blockedWorthwhile(4) {
 		t.Fatal("narrow operand should stay on the row-streamed kernel")
 	}
+	// The density floor: ~10 entries per row are worthwhile over 8 panels
+	// (floor 4) and row-streamed over 40 (floor capped at 12); ~15 entries per
+	// row clear the cap however many panels there are.
+	defer SetBlocking(SetBlocking(Blocking{Panel: 250})) // 8 panels
+	if !m.blockedWorthwhile(x.Cols) {
+		t.Fatal("10 entries per row over 8 panels should still dispatch to the blocked engine")
+	}
+	SetBlocking(Blocking{Panel: 50}) // 40 panels
+	if m.blockedWorthwhile(x.Cols) {
+		t.Fatal("10 entries per row over 40 panels should stay on the row-streamed kernel")
+	}
+	SetBlocking(Blocking{Panel: 20}) // 100 panels
+	if dense := sprinkledCSR(2000, 2000, 0.0075, 9); !dense.blockedWorthwhile(x.Cols) {
+		t.Fatalf("%d entries over 2000 rows should dispatch to the blocked engine at any panel count", dense.NNZ())
+	}
+	SetBlocking(DefaultBlocking())
 	// Twice, so the second call reuses pooled slabs from the first's release.
 	assertBitIdentical(t, "above-cutover", m.MulDense(x), m.MulDenseNaive(x))
 	assertBitIdentical(t, "above-cutover pooled", m.MulDense(x), m.MulDenseNaive(x))

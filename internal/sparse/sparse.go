@@ -277,11 +277,30 @@ func (m *CSR) MulDenseInto(dst, x *matrix.Dense) {
 // rebuild away and has no such floor).
 const spmmRebuildFactor = 48
 
+// spmmFloorPanels caps the panel count the density floor of blockedWorthwhile
+// scales with: past it the floor stays at spmmFloorPanels/2 entries per row.
+const spmmFloorPanels = 24
+
 // blockedWorthwhile reports whether a one-shot product should pay the panel
-// reorganisation.
+// reorganisation: enough work to clear the cutover and the rebuild margin,
+// and rows dense enough for their panels — on average half an entry per
+// (row, panel), a floor that stops growing at spmmFloorPanels panels (12
+// entries per row). Sparser than that, nearly every run the kernel sees is a
+// single entry: it reloads and stores the dst row once per entry, and the
+// reorganisation — which is serial — builds a row list per panel, for no
+// locality the row-streamed kernel lacks. Fitted to paired one-shot readings
+// against the row-streamed kernel at 64 columns and two workers (at one
+// worker blocked never read below 0.99x): 6 entries per row win up to 8
+// panels (1.06–1.17x at 30k nodes) and lose from 13 (0.85–0.90x at 50k,
+// 0.68–0.82x at 100k); at 25 and 49 panels 11 entries per row read
+// 0.88–1.02x and 13, 16 and 21 entries 1.00–1.30x. A Plan, which reorganises
+// once, wins at every density and has no floor.
 func (m *CSR) blockedWorthwhile(p int) bool {
 	work := m.NNZ() * p
-	return work >= BlockedSpMMCutover && work >= spmmRebuildFactor*(m.NNZ()+m.NRows) && m.blockable()
+	panel := CurrentBlocking().Panel
+	panels := min((m.NCols+panel-1)/panel, spmmFloorPanels)
+	return work >= BlockedSpMMCutover && work >= spmmRebuildFactor*(m.NNZ()+m.NRows) &&
+		2*m.NNZ() >= m.NRows*panels && m.blockable()
 }
 
 // MulDenseNaive computes m·x on the row-streamed kernel regardless of size.
