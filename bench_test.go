@@ -420,9 +420,10 @@ func BenchmarkShardScale(b *testing.B) {
 
 // BenchmarkObsOverhead tracks the hot-path cost of the telemetry layer in the
 // smoke-bench artifact: one op is a full DefaultMaxBatch-node window Predict
-// against a live SGC server — the cheapest per-window engine, hence the most
-// overhead-sensitive — run with the instruments disabled (path=notelemetry,
-// the baseline benchjson groups against) and fully enabled (path=telemetry).
+// against a live SGC server — a window is 64 row GEMVs, nothing graph-sized
+// to hide instrument cost behind — run with the instruments disabled
+// (path=notelemetry, the baseline benchjson groups against) and fully enabled
+// (path=telemetry).
 // The enabled row's speedup in BENCH_smoke.json is its fraction of baseline
 // throughput; drifting below ~0.97 means the instruments grew past the 3%
 // budget `adafgl-bench -exp obs` enforces. The engine runs single-worker so

@@ -41,6 +41,7 @@ const obsMaxOverheadPct = 3.0
 var obsCoreFamilies = []string{
 	"adafgl_serve_requests_total",
 	"adafgl_serve_request_latency_seconds",
+	"adafgl_serve_engine_passes_total",
 	"adafgl_registry_cold_starts_total",
 	"adafgl_shard_exchange_total",
 	"adafgl_federated_rounds_total",
@@ -57,8 +58,8 @@ var obsCoreFamilies = []string{
 // families present. Cost: the enabled instruments add at most
 // obsMaxOverheadPct to the hot serve path, measured as the median paired
 // enabled/disabled ratio over storms of sequential full-window requests on
-// an SGC server (the cheapest per-window engine, hence the most
-// overhead-sensitive).
+// an SGC server (a window is 64 row GEMVs — nothing graph-sized to hide
+// instrument cost behind).
 func Obs(s Scale) ([]string, error) {
 	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
 	factor := s.Factor

@@ -11,6 +11,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -317,20 +318,21 @@ func decodeGraph(p *reader, c *Checkpoint) {
 		return
 	}
 	nEdges := p.count(16, "edge")
+	raw := p.take(16 * nEdges)
 	if p.err != nil {
 		return
 	}
 	edges := make([][2]int, nEdges)
 	for i := range edges {
-		u, v := p.dim("edge endpoint"), p.dim("edge endpoint")
-		if p.err != nil {
-			return
-		}
-		if u >= n || v >= n {
+		u := binary.LittleEndian.Uint64(raw[16*i:])
+		v := binary.LittleEndian.Uint64(raw[16*i+8:])
+		// One unsigned compare per endpoint covers both the dimension cap
+		// and the node range: n itself passed dim's cap.
+		if u >= uint64(n) || v >= uint64(n) {
 			p.fail("edge %d = {%d,%d} outside %d-node graph", i, u, v, n)
 			return
 		}
-		edges[i] = [2]int{u, v}
+		edges[i] = [2]int{int(u), int(v)}
 	}
 	var x *matrix.Dense
 	if p.u8() == 1 {

@@ -2,8 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
@@ -230,6 +234,48 @@ func TestDecodeHostileHyperparams(t *testing.T) {
 		} else if got := err.Error(); got[:11] != "checkpoint:" {
 			t.Fatalf("%s: error not named-op: %q", name, got)
 		}
+	}
+}
+
+// TestDecodeHostileGraphPayload: CRC-valid graph sections whose bulk-decoded
+// arrays (edge list, labels, masks) carry out-of-range elements must fail at
+// Decode with a named-op error — the per-element guards survive the bulk
+// decoders that check their extent once.
+func TestDecodeHostileGraphPayload(t *testing.T) {
+	for name, mutate := range map[string]func(*Checkpoint){
+		"edge-at-n":      func(c *Checkpoint) { c.Graph.Edges[3] = [2]int{0, c.Graph.N} },
+		"edge-huge":      func(c *Checkpoint) { c.Graph.Edges[0] = [2]int{1 << 40, 0} },
+		"edge-negative":  func(c *Checkpoint) { c.Graph.Edges[len(c.Graph.Edges)-1] = [2]int{1, -1} },
+		"label-at-c":     func(c *Checkpoint) { c.Graph.Labels[5] = c.Graph.Classes },
+		"label-negative": func(c *Checkpoint) { c.Graph.Labels[0] = -1 },
+	} {
+		ck := miniCheckpoint(1, false)
+		mutate(ck)
+		enc, err := ck.Encode()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := Decode(enc); err == nil {
+			t.Fatalf("%s: Decode accepted a hostile value", name)
+		} else if got := err.Error(); got[:11] != "checkpoint:" || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: error not a named-op ErrCorrupt: %q", name, got)
+		}
+	}
+
+	// A mask byte that is neither 0 nor 1, re-framed under a valid CRC: the
+	// graph section is the last one, its final payload byte the last test-mask
+	// entry.
+	enc, err := miniCheckpoint(1, false).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := len(Magic) + 8
+	off += 4 + 8 + int(binary.LittleEndian.Uint64(enc[off+4:])) + 4 // skip the model section
+	payload := enc[off+12 : len(enc)-4]
+	payload[len(payload)-1] = 2
+	binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.ChecksumIEEE(payload))
+	if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "mask byte") {
+		t.Fatalf("mask byte 2 under a valid CRC: got %v", err)
 	}
 }
 

@@ -168,38 +168,54 @@ func (r *reader) str() string {
 	return s
 }
 
+// take returns the next n bytes and advances past them, or nil once the
+// reader has failed. The bulk decoders check their whole extent through it
+// once and then convert from the sub-slice, instead of paying need() per
+// element.
+func (r *reader) take(n int) []byte {
+	if !r.need(n) {
+		return nil
+	}
+	b := r.data[r.off : r.off+n]
+	r.off += n
+	return b
+}
+
 func (r *reader) f64s(what string) []float64 {
 	n := r.count(8, what)
+	b := r.take(8 * n) // cannot overflow: count bounded n by the remaining bytes / 8
 	if r.err != nil {
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = r.f64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
 
 func (r *reader) ints(what string) []int {
 	n := r.count(8, what)
+	b := r.take(8 * n)
 	if r.err != nil {
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = int(int64(r.u64()))
+		out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 	}
 	return out
 }
 
 func (r *reader) bools(what string) []bool {
 	n := r.count(1, what)
+	b := r.take(n)
 	if r.err != nil {
 		return nil
 	}
 	out := make([]bool, n)
-	for i := range out {
-		switch r.u8() {
+	for i, v := range b {
+		switch v {
 		case 0:
 		case 1:
 			out[i] = true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"repro/internal/serve"
 )
@@ -95,7 +96,10 @@ func ABRoute(cfg ABConfig, node int) bool {
 // predictAB answers a control-addressed request under the active experiment:
 // nodes are partitioned by the deterministic hash, each non-empty arm runs
 // one predict on its model's active version, per-arm counters are updated,
-// and the answers are merged back into request order.
+// and the answers are merged back into request order. When both arms have
+// nodes they run concurrently — each pins its own handle, each waits out its
+// own server's batch window — so a split node set costs the slower arm, not
+// the sum. When both fail, control's error is the one reported.
 func (r *Registry) predictAB(ctx context.Context, cfg ABConfig, nodes []int) ([]serve.Prediction, error) {
 	var ctrlNodes, candNodes []int
 	var ctrlPos, candPos []int
@@ -111,6 +115,8 @@ func (r *Registry) predictAB(ctx context.Context, cfg ABConfig, nodes []int) ([]
 	telABControl.Add(uint64(len(ctrlNodes)))
 	telABCandidate.Add(uint64(len(candNodes)))
 	out := make([]serve.Prediction, len(nodes))
+	// run answers one arm into its own positions of out (the arms' positions
+	// are disjoint, so concurrent arms never write the same element).
 	run := func(name string, armNodes, pos []int, arm func(*abState) *modelStats) error {
 		if len(armNodes) == 0 {
 			return nil
@@ -131,13 +137,46 @@ func (r *Registry) predictAB(ctx context.Context, cfg ABConfig, nodes []int) ([]
 		r.mu.Unlock()
 		return nil
 	}
-	if err := run(cfg.Control, ctrlNodes, ctrlPos, func(s *abState) *modelStats { return &s.control }); err != nil {
-		return nil, err
+	control := func() error {
+		return run(cfg.Control, ctrlNodes, ctrlPos, func(s *abState) *modelStats { return &s.control })
 	}
-	if err := run(cfg.Candidate, candNodes, candPos, func(s *abState) *modelStats { return &s.candidate }); err != nil {
-		return nil, err
+	candidate := func() error {
+		return run(cfg.Candidate, candNodes, candPos, func(s *abState) *modelStats { return &s.candidate })
+	}
+	var ctrlErr, candErr error
+	if len(ctrlNodes) > 0 && len(candNodes) > 0 {
+		ctrlErr, candErr = inParallel(control, candidate)
+	} else {
+		ctrlErr, candErr = control(), candidate()
+	}
+	if ctrlErr != nil {
+		return nil, ctrlErr
+	}
+	if candErr != nil {
+		return nil, candErr
 	}
 	return out, nil
+}
+
+// inParallel runs a on the caller's goroutine and b on a second one, and
+// returns both results once both are done. A panic in b is re-raised on the
+// caller's goroutine, where the HTTP layer's recovery turns it into a 500 —
+// left on its own goroutine it would kill the process.
+func inParallel(a, b func() error) (errA, errB error) {
+	var panicked any
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() { panicked = recover() }()
+		errB = b()
+	}()
+	errA = a()
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+	return errA, errB
 }
 
 // ABArmReport is one arm of the A/B report: the model behind it and its

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -72,6 +73,31 @@ func TestTracePropagatesHandlerToShardExchange(t *testing.T) {
 		if !stages[want] {
 			t.Errorf("no %s span carries trace %s (stages seen: %v)", want, wire, stages)
 		}
+	}
+
+	// The halo-exchanged forward belongs to the request that paid for it: a
+	// second request rides its own window but gathers from the logits table
+	// the first one filled, so no exchange span joins its trace.
+	const second = "00000000000000cd"
+	req.Header.Set(telemetry.TraceHeader, second)
+	resp, err = srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Equal(again, body) {
+		t.Fatalf("second request answered %s, first %s", again, body)
+	}
+	id2, _ := telemetry.ParseTraceID(second)
+	stages = map[string]bool{}
+	for _, ev := range tr.Events() {
+		if ev.Trace == id2 {
+			stages[ev.Name] = true
+		}
+	}
+	if !stages["serve.request"] || !stages["serve.window"] || stages["shard.exchange"] {
+		t.Errorf("second request's trace carries %v; want serve.request and serve.window, no shard.exchange", stages)
 	}
 }
 

@@ -101,10 +101,11 @@ func (s *Server) failPending() {
 // runBatch answers one window: requests whose deadline already lapsed are
 // failed with ErrDeadline without costing engine work, then a single logits
 // source is produced for the union of the surviving queried nodes — the
-// decoupled embedding head on gathered rows, or one full plan-reused
-// propagation — and scattered back per request. Dropping expired requests
-// never changes survivors' answers: every per-node result is computed by a
-// row-independent kernel, so window composition cannot leak between rows.
+// decoupled embedding head on gathered rows, or rows gathered from the
+// coupled logits table (filled by this window if it is the first) — and
+// scattered back per request. Dropping expired requests never changes
+// survivors' answers: every per-node result is computed by a row-independent
+// kernel, so window composition cannot leak between rows.
 // An engine panic (a model bug, or injected chaos) is recovered here and
 // fails only this window's live requests with ErrModelPanic — the
 // dispatcher, and with it the server, keeps running.
@@ -203,32 +204,44 @@ func (s *Server) safeLogitsFor(ctx context.Context, ids []int) (rows *matrix.Den
 // logitsFor computes the class-score rows for ids, in order.
 func (s *Server) logitsFor(ctx context.Context, ids []int) *matrix.Dense {
 	if s.emb == nil {
-		// Coupled path: one full propagation per window (the plan cached on
-		// the graph is reused across windows), then a row gather. An engine
-		// that accepts the window context (the sharded forward) gets it, so
-		// its halo-exchange spans join the request trace.
-		var full *matrix.Dense
-		if cm, ok := s.model.(CtxModel); ok {
-			full = cm.LogitsCtx(ctx, false)
-		} else {
-			full = s.model.Logits(false)
+		// Coupled path: the full-graph logits of an immutable checkpoint on an
+		// immutable graph are a constant (what Alg. 2 calls Ẑ and computes
+		// once), so the first window to get here runs the one engine pass and
+		// keeps its N×C result; every later window is a row gather from it.
+		// The table belongs to the dispatcher goroutine — no lock — and is
+		// dropped with the server. A pass that panics stores nothing, so the
+		// next window retries. An engine that accepts the window context (the
+		// sharded forward) gets it, so its halo-exchange spans join the trace
+		// of the request that paid for the pass.
+		if s.full == nil {
+			if tel := s.metrics.tel; tel != nil {
+				tel.passes.Inc()
+			}
+			if cm, ok := s.model.(CtxModel); ok {
+				s.full = cm.LogitsCtx(ctx, false)
+			} else {
+				s.full = s.model.Logits(false)
+			}
 		}
-		out := matrix.New(len(ids), full.Cols)
-		for i, id := range ids {
-			copy(out.Row(i), full.Row(id))
-		}
-		return out
+		return gatherRows(s.full, ids)
 	}
 	// Decoupled path: gather cached embedding rows and run the dense head
 	// row-wise. Each output row depends only on its own input row and the
 	// head weights, evaluated in a fixed sequential order — that is what
 	// makes predictions bit-identical across batch compositions and worker
 	// counts.
-	in := matrix.New(len(ids), s.emb.Cols)
+	return ApplyHead(s.head, gatherRows(s.emb, ids))
+}
+
+// gatherRows copies the rows of table named by ids, in order, into a fresh
+// matrix — the one way a window reads either long-lived table (the decoupled
+// embedding, the coupled logits), so no caller ever holds a view into them.
+func gatherRows(table *matrix.Dense, ids []int) *matrix.Dense {
+	out := matrix.New(len(ids), table.Cols)
 	for i, id := range ids {
-		copy(in.Row(i), s.emb.Row(id))
+		copy(out.Row(i), table.Row(id))
 	}
-	return ApplyHead(s.head, in)
+	return out
 }
 
 // ApplyHead evaluates a dense head on every row of in: per row, a sequence

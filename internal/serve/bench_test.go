@@ -12,9 +12,11 @@ import (
 // BenchmarkServeBatching prices request coalescing: 64 concurrent
 // single-node queries answered by a single-request server (path=single, the
 // baseline benchjson divides by) versus a batching server (path=batch64),
-// across worker counts and both engine paths (coupled GCN propagates per
-// window, decoupled SGC rides the embedding cache). ns/op covers one full
-// 64-query wave, so the ns/op ratio is the throughput ratio.
+// across worker counts and both engine paths (coupled GCN gathers from the
+// logits table its first window filled — the one forward lands in the first
+// wave, outside the steady state b.N averages over — decoupled SGC rides the
+// embedding table). ns/op covers one full 64-query wave, so the ns/op ratio
+// is the throughput ratio.
 func BenchmarkServeBatching(b *testing.B) {
 	const conc = 64
 	for _, arch := range []string{"GCN", "SGC"} {

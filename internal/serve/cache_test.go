@@ -1,0 +1,317 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/matrix"
+	"repro/internal/nn"
+	"repro/internal/parallel"
+	"repro/internal/telemetry"
+)
+
+// stubSource is a label-free node universe of n nodes and c classes.
+type stubSource struct{ n, c int }
+
+func (s stubSource) NumNodes() int         { return s.n }
+func (s stubSource) NumClasses() int       { return s.c }
+func (s stubSource) Label(int) (int, bool) { return 0, false }
+
+// countingModel is a coupled engine that counts its full-graph passes and
+// panics on the first panics of them. Every successful pass returns a fresh
+// copy of logits, as a real forward does. Only the dispatcher goroutine calls
+// it; tests read the counters after Predict has returned.
+type countingModel struct {
+	logits *matrix.Dense
+	passes int
+	panics int
+}
+
+func (m *countingModel) Params() []*nn.Parameter { return nil }
+func (m *countingModel) Backward(*matrix.Dense)  { panic("countingModel is inference-only") }
+
+func (m *countingModel) Logits(bool) *matrix.Dense {
+	m.passes++
+	if m.passes <= m.panics {
+		panic(fmt.Sprintf("countingModel: injected failure of pass %d", m.passes))
+	}
+	return m.logits.Clone()
+}
+
+// countingCtxModel is countingModel behind the CtxModel door: it records
+// that the context-taking method, not plain Logits, ran the pass, and the
+// trace the window handed it.
+type countingCtxModel struct {
+	countingModel
+	ctxPasses int
+	trace     telemetry.TraceID
+}
+
+func (m *countingCtxModel) LogitsCtx(ctx context.Context, train bool) *matrix.Dense {
+	m.ctxPasses++
+	m.trace, _ = telemetry.TraceFrom(ctx)
+	return m.countingModel.Logits(train)
+}
+
+// stubLogits fills an n×c table with distinct, recognisable scores.
+func stubLogits(n, c int) *matrix.Dense {
+	lg := matrix.New(n, c)
+	for i := range lg.Data {
+		lg.Data[i] = float64(i)*0.25 - 3
+	}
+	return lg
+}
+
+// TestCoupledWindowsCostOneEnginePass: N windows over a coupled engine run
+// the full-graph forward exactly once — through LogitsCtx when the engine
+// offers it, under the first request's trace — and every window's answers
+// are the rows of that one pass.
+func TestCoupledWindowsCostOneEnginePass(t *testing.T) {
+	const n, c, windows = 20, 3, 25
+	table := stubLogits(n, c)
+	want := denseRows(table)
+	check := func(t *testing.T, srv *Server) {
+		for w := 0; w < windows; w++ {
+			nodes := []int{w % n, (3*w + 1) % n}
+			preds, err := srv.Predict(nodes)
+			if err != nil {
+				t.Fatalf("window %d: %v", w+1, err)
+			}
+			for i, p := range preds {
+				checkPred(t, fmt.Sprintf("window %d", w+1), p, nodes[i], want, 0)
+			}
+		}
+	}
+	// ranWindows stops the dispatcher first: a window is counted after its
+	// callers are released, so a live server's count may trail by one.
+	ranWindows := func(srv *Server) uint64 {
+		srv.Close()
+		return srv.Stats().Batches
+	}
+
+	t.Run("Model", func(t *testing.T) {
+		m := &countingModel{logits: table}
+		srv, err := NewFromModel(stubSource{n, c}, m, "stub-plain", Options{MaxBatch: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if srv.Decoupled() {
+			t.Fatal("a plain models.Model must serve on the coupled path")
+		}
+		check(t, srv)
+		if got := ranWindows(srv); got != windows || m.passes != 1 {
+			t.Fatalf("%d windows ran %d engine passes, want %d and exactly 1", got, m.passes, windows)
+		}
+	})
+
+	t.Run("CtxModel", func(t *testing.T) {
+		m := &countingCtxModel{countingModel: countingModel{logits: table}}
+		srv, err := NewFromModel(stubSource{n, c}, m, "stub-ctx", Options{MaxBatch: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		trace := telemetry.NewTraceID()
+		if _, err := srv.PredictCtx(telemetry.ContextWithTrace(context.Background(), trace), []int{4}); err != nil {
+			t.Fatal(err)
+		}
+		check(t, srv)
+		if got := ranWindows(srv); got != windows+1 || m.passes != 1 || m.ctxPasses != 1 {
+			t.Fatalf("%d windows ran %d passes, %d through LogitsCtx; want %d, 1 and 1", got, m.passes, m.ctxPasses, windows+1)
+		}
+		if m.trace != trace {
+			t.Fatalf("the pass ran under trace %v, want the first request's %v", m.trace, trace)
+		}
+	})
+}
+
+// TestPanickingPassStoresNothing: a first engine pass that panics fails only
+// its own window with ErrModelPanic; nothing is kept from it, the next window
+// runs the pass again and fills the table, and every window after that
+// gathers. Injected chaos panics fire before the engine and leave a filled
+// table alone.
+func TestPanickingPassStoresNothing(t *testing.T) {
+	const n, c = 12, 4
+	table := stubLogits(n, c)
+	want := denseRows(table)
+	m := &countingModel{logits: table, panics: 1}
+	srv, err := NewFromModel(stubSource{n, c}, m, "stub-panic", Options{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	if _, err := srv.Predict([]int{1}); !errors.Is(err, ErrModelPanic) {
+		t.Fatalf("window 1: want ErrModelPanic, got %v", err)
+	}
+	for w := 2; w <= 6; w++ {
+		preds, err := srv.Predict([]int{w, 0})
+		if err != nil {
+			t.Fatalf("window %d after the panic: %v", w, err)
+		}
+		checkPred(t, "after panic", preds[0], w, want, 0)
+		checkPred(t, "after panic", preds[1], 0, want, 0)
+	}
+	if m.passes != 2 {
+		t.Fatalf("engine ran %d passes, want 2 (the panicking one and the one that filled the table)", m.passes)
+	}
+	if st := srv.Stats(); st.Panics != 1 || st.Requests != 5 {
+		t.Fatalf("stats %+v: want 1 panicked and 5 answered requests", st)
+	}
+
+	// Chaos on a real GCN: every second window is failed by injection. The
+	// odd windows before and after it answer the fresh forward's rows.
+	ck := trainedCheckpoint(t, "GCN", 61)
+	ref := reference(t, ck)
+	chaos, err := New(ck, Options{MaxBatch: 1, Seed: 1, Chaos: ChaosOptions{PanicEvery: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chaos.Close()
+	for w := 1; w <= 7; w++ {
+		preds, err := chaos.Predict([]int{w})
+		if w%2 == 0 {
+			if !errors.Is(err, ErrModelPanic) {
+				t.Fatalf("chaos window %d: want ErrModelPanic, got %v", w, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("chaos window %d: %v", w, err)
+		}
+		checkPred(t, "chaos survivor", preds[0], w, ref, 0)
+	}
+}
+
+// TestReturnedLogitsDoNotAliasTheTable: a caller scribbling over the Logits
+// it was handed never reaches the server's table — the same nodes asked again
+// (alone, in a set, in a full-graph query) still carry the reference bits.
+func TestReturnedLogitsDoNotAliasTheTable(t *testing.T) {
+	ck := trainedCheckpoint(t, "GCN", 67)
+	ref := reference(t, ck)
+	srv, err := New(ck, Options{MaxBatch: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	scribble := func(preds []Prediction) {
+		for _, p := range preds {
+			for j := range p.Logits {
+				p.Logits[j] = -1e300
+			}
+		}
+	}
+	first, err := srv.Predict([]int{3, 5, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(first)
+	all, err := srv.PredictAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range all {
+		checkPred(t, "PredictAll after scribble", p, p.Node, ref, 0)
+	}
+	scribble(all)
+	again, err := srv.Predict([]int{5, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPred(t, "re-query", again[0], 5, ref, 0)
+	checkPred(t, "re-query", again[1], 3, ref, 0)
+}
+
+// TestCoupledAnswersEqualFreshForward extends the determinism contract over
+// the life of a server: on the coupled path every answer of the 1st, the 2nd
+// and the 50th window — and of each one between — equals the row of a fresh
+// model.Logits(false), bit for bit, for single-node, node-set and full-graph
+// queries, at MaxBatch 1 and 64 and at 1 and 3 workers.
+func TestCoupledAnswersEqualFreshForward(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(0))
+	ck := trainedCheckpoint(t, "GCN", 71)
+	n := ck.Graph.N
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	kinds := map[string]func(w int) []int{
+		"single":  func(w int) []int { return []int{(w * 37) % n} },
+		"nodeset": func(w int) []int { return []int{(w * 13) % n, (w * 7) % n, n - 1 - w, (w * 13) % n} },
+		"all":     func(int) []int { return all },
+	}
+	const windows = 50
+	for _, workers := range []int{1, 3} {
+		parallel.SetWorkers(workers)
+		ref := reference(t, ck) // a fresh forward at this worker count
+		for _, batch := range []int{1, 64} {
+			for kind, query := range kinds {
+				what := fmt.Sprintf("workers=%d batch=%d %s", workers, batch, kind)
+				// MaxWait 0 with one caller: every Predict is its own window.
+				srv, err := New(ck, Options{MaxBatch: batch, MaxWait: 0, Seed: 1})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				for w := 1; w <= windows; w++ {
+					nodes := query(w)
+					preds, err := srv.Predict(nodes)
+					if err != nil {
+						t.Fatalf("%s window %d: %v", what, w, err)
+					}
+					if len(preds) != len(nodes) {
+						t.Fatalf("%s window %d: %d answers for %d nodes", what, w, len(preds), len(nodes))
+					}
+					for i, p := range preds {
+						checkPred(t, fmt.Sprintf("%s window %d", what, w), p, nodes[i], ref, 0)
+					}
+				}
+				srv.Close() // before reading the count: it trails the answers
+				if got := srv.Stats().Batches; got != windows {
+					t.Fatalf("%s: ran %d windows, want %d", what, got, windows)
+				}
+			}
+		}
+	}
+}
+
+// TestEnginePassCounterFollowsCacheFill: adafgl_serve_engine_passes_total
+// counts full-graph forwards, not windows — still zero after construction
+// (the pass is paid by the first window, not by New), one after the first
+// window and after every later one on a coupled server, and never moved by a
+// decoupled server — while adafgl_serve_batches_total keeps counting windows.
+func TestEnginePassCounterFollowsCacheFill(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
+	for _, tc := range []struct {
+		arch       string
+		wantPasses uint64
+	}{{"GCN", 1}, {"SGC", 0}} {
+		ck := trainedCheckpoint(t, tc.arch, 73)
+		passes, batches := telEnginePasses.With(tc.arch), telBatches.With(tc.arch)
+		passes0, batches0 := passes.Value(), batches.Value()
+		srv, err := New(ck, Options{MaxBatch: 4, MaxWait: time.Millisecond, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := passes.Value() - passes0; got != 0 {
+			t.Fatalf("%s: %d engine passes counted before any request", tc.arch, got)
+		}
+		const windows = 9
+		for w := 1; w <= windows; w++ {
+			if _, err := srv.Predict([]int{w, w + 1}); err != nil {
+				t.Fatal(err)
+			}
+			if got := passes.Value() - passes0; got != tc.wantPasses {
+				t.Fatalf("%s: %d engine passes after window %d, want %d", tc.arch, got, w, tc.wantPasses)
+			}
+		}
+		srv.Close()
+		if got := batches.Value() - batches0; got != windows {
+			t.Fatalf("%s: %d windows counted, want %d", tc.arch, got, windows)
+		}
+	}
+}

@@ -1,12 +1,14 @@
 // Package serve is the batched inference layer of the AdaFGL reproduction:
 // it rebuilds a trained model from a checkpoint and answers concurrent
-// node-classification queries by coalescing them into batch windows, so the
-// propagate+transform hot path the kernel engines accelerate runs once per
-// window instead of once per request. Decoupled architectures (SGC, GAMLP,
-// MLP) propagate once at load time and answer from a precomputed embedding
-// cache with per-row dense GEMVs; message-passing architectures run one
-// plan-reused full propagation per window. Predictions are bit-identical for
-// every batch size, batch window and worker count. The server is a Go API
+// node-classification queries by coalescing them into batch windows. One
+// server is one immutable checkpoint on one immutable graph, so everything
+// that depends only on those two is computed once per server, never per
+// request or per window: decoupled architectures (SGC, GAMLP, MLP) propagate
+// at load time and answer from a precomputed embedding table with per-row
+// dense GEMVs; message-passing architectures run their full-graph forward in
+// the first window that needs it, keep the N×C logits table, and answer every
+// later window by a row gather. Predictions are bit-identical for every
+// batch size, batch window and worker count. The server is a Go API
 // (Predict/PredictAll); its HTTP surface is the registry package's v1 API,
 // which this package supplies with the request decoders, the error envelope
 // and the panic-recovery middleware.
@@ -153,6 +155,12 @@ type Server struct {
 	emb  *matrix.Dense
 	head []models.HeadLayer
 
+	// Coupled path: the full-graph logits of the first successful engine
+	// pass, nil until then. Owned by the dispatcher goroutine, never
+	// invalidated (checkpoint and graph are immutable), dropped with the
+	// server.
+	full *matrix.Dense
+
 	opt     Options
 	queue   chan *request
 	quit    chan struct{}
@@ -273,8 +281,9 @@ func (s *Server) Nodes() int { return s.src.NumNodes() }
 // Classes returns the number of output classes.
 func (s *Server) Classes() int { return s.src.NumClasses() }
 
-// Decoupled reports whether queries ride the precomputed-embedding fast
-// path (true) or a per-window full propagation (false).
+// Decoupled reports whether queries ride the embedding table built at load
+// time plus a per-row dense head (true), or are gathered from the logits
+// table the first window's full-graph forward fills (false).
 func (s *Server) Decoupled() bool { return s.emb != nil }
 
 // Predict classifies the given nodes, blocking until the batch window

@@ -8,6 +8,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/datasets"
 	"repro/internal/federated"
+	"repro/internal/matrix"
 	"repro/internal/models"
 	"repro/internal/partition"
 )
@@ -48,7 +49,12 @@ func reference(t testing.TB, ck *checkpoint.Checkpoint) [][]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg := m.Logits(false)
+	return denseRows(m.Logits(false))
+}
+
+// denseRows copies a logits matrix into per-node rows, the form checkPred
+// compares against.
+func denseRows(lg *matrix.Dense) [][]float64 {
 	out := make([][]float64, lg.Rows)
 	for i := range out {
 		out[i] = append([]float64(nil), lg.Row(i)...)

@@ -18,9 +18,9 @@ type CtxModel interface {
 }
 
 // Serving-layer metric families on the process-wide telemetry registry.
-// One series per served architecture; every counter mirrors a field of the
-// bit-compatible Snapshot, so /stats and /v1/metrics can never disagree on
-// what they count.
+// One series per served architecture; every counter but the engine-pass one
+// mirrors a field of the bit-compatible Snapshot, so /stats and /v1/metrics
+// can never disagree on what they count.
 var (
 	telRequests = telemetry.Default().CounterVec("adafgl_serve_requests_total",
 		"Completed Predict calls.", "arch")
@@ -28,6 +28,8 @@ var (
 		"Node queries answered.", "arch")
 	telBatches = telemetry.Default().CounterVec("adafgl_serve_batches_total",
 		"Executed batch windows.", "arch")
+	telEnginePasses = telemetry.Default().CounterVec("adafgl_serve_engine_passes_total",
+		"Full-graph forward passes started (coupled servers run one, then gather rows; decoupled servers none).", "arch")
 	telShed = telemetry.Default().CounterVec("adafgl_serve_shed_total",
 		"Predict calls rejected by admission control.", "arch")
 	telDeadlines = telemetry.Default().CounterVec("adafgl_serve_deadline_total",
@@ -44,10 +46,11 @@ var (
 // never pays a family map lookup. A nil *telSeries (zero-value Metrics
 // outside a server) records nothing.
 type telSeries struct {
-	requests, nodes, batches *telemetry.Counter
-	shed, deadlines, panics  *telemetry.Counter
-	latency                  *telemetry.Histogram
-	pending                  *telemetry.Gauge
+	requests, nodes         *telemetry.Counter
+	batches, passes         *telemetry.Counter
+	shed, deadlines, panics *telemetry.Counter
+	latency                 *telemetry.Histogram
+	pending                 *telemetry.Gauge
 }
 
 // newTelSeries resolves the per-arch series once at server construction.
@@ -56,6 +59,7 @@ func newTelSeries(arch string) *telSeries {
 		requests:  telRequests.With(arch),
 		nodes:     telNodes.With(arch),
 		batches:   telBatches.With(arch),
+		passes:    telEnginePasses.With(arch),
 		shed:      telShed.With(arch),
 		deadlines: telDeadlines.With(arch),
 		panics:    telPanics.With(arch),

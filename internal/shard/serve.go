@@ -51,7 +51,9 @@ func (src globalSource) Label(v int) (int, bool) { return src.sh.label(v) }
 // windowModel adapts a sharded message-passing pipeline to models.Model, so
 // one serve.Server can batch over it: every Logits call runs the full
 // halo-exchanged Forward across the shards and reassembles the global logit
-// matrix. It is inference-only — it carries no parameters and cannot train.
+// matrix — which the server does once, in its first window, and gathers rows
+// from afterwards. It is inference-only — it carries no parameters and cannot
+// train.
 type windowModel struct {
 	sh     *Sharded
 	layers []models.InferenceLayer

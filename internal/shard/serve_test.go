@@ -16,6 +16,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/serve"
 	"repro/internal/sparse"
+	"repro/internal/telemetry"
 )
 
 // trainedCheckpoint runs a tiny federation of arch over a scaled Cora and
@@ -161,6 +162,76 @@ func TestCoupledShardedInvariantAndClose(t *testing.T) {
 			}
 		}
 		srv.Close()
+	}
+}
+
+// TestCoupledShardedRepeatedWindows: the sharded window engine keeps its
+// shard-count invariance over the life of a server — thirty windows of
+// single-node, node-set and full-graph queries answer one bit pattern at 2
+// and at 4 shards — and, the checkpoint and graph being immutable, pays the
+// halo-exchanged forward in the first window only.
+func TestCoupledShardedRepeatedWindows(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
+	ck := trainedCheckpoint(t, "GCN", 41)
+	n := ck.Graph.N
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	const windows = 30
+	query := func(w int) []int {
+		switch w % 3 {
+		case 0:
+			return []int{(w * 37) % n}
+		case 1:
+			return []int{(w * 13) % n, n - 1 - w, (w * 7) % n}
+		}
+		return all
+	}
+	var want [][]serve.Prediction
+	for _, shards := range []int{2, 4} {
+		srv, err := NewServer(ck, shards, serve.Options{MaxBatch: 4, MaxWait: 0, Seed: 1})
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		var got [][]serve.Prediction
+		before := telExchanges.Value()
+		var afterFirst uint64
+		for w := 0; w < windows; w++ {
+			preds, err := srv.Predict(query(w))
+			if err != nil {
+				t.Fatalf("%d shards window %d: %v", shards, w+1, err)
+			}
+			got = append(got, preds)
+			if w == 0 {
+				afterFirst = telExchanges.Value()
+			}
+		}
+		if afterFirst == before {
+			t.Errorf("%d shards: the first window ran no halo exchange", shards)
+		}
+		if extra := telExchanges.Value() - afterFirst; extra != 0 {
+			t.Errorf("%d shards: %d halo exchanges after the first window, want none", shards, extra)
+		}
+		srv.Close()
+		if want == nil {
+			want = got
+			continue
+		}
+		for w := range want {
+			for i, p := range want[w] {
+				q := got[w][i]
+				if q.Node != p.Node || q.Class != p.Class {
+					t.Fatalf("%d shards window %d: answer %d is (%d,%d), 2 shards said (%d,%d)",
+						shards, w+1, i, q.Node, q.Class, p.Node, p.Class)
+				}
+				for j := range p.Logits {
+					if q.Logits[j] != p.Logits[j] {
+						t.Fatalf("%d shards window %d: node %d logit %d differs from the 2-shard answer", shards, w+1, p.Node, j)
+					}
+				}
+			}
+		}
 	}
 }
 
