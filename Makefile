@@ -35,16 +35,17 @@ test:
 # which case pin it with the explicit float64(a*b) rounding core.evolveSigns
 # already uses.
 test-fused:
-	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/core ./internal/federated -run 'Golden|Property'
+	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/core ./internal/federated ./internal/fgl -run 'Golden|Property'
 
 # Race-detector coverage of the concurrent paths (worker pool, graph caches
 # filled by several models at once, federated fan-out incl. fault injection,
-# chaos scenarios, AdaFGL Step-2 fan-out, parallel kernels, serving batcher,
+# the FGL baselines' evaluations on the pool, chaos scenarios, AdaFGL Step-2
+# fan-out, parallel kernels, serving batcher,
 # model registry swap/acquire, partition determinism across worker counts,
 # sharded routing fan-out, telemetry instruments under concurrent mutation),
 # matching the CI "race" job.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/graph/... ./internal/models/... ./internal/federated/... ./internal/scenario/... ./internal/core/... ./internal/matrix/... ./internal/sparse/... ./internal/checkpoint/... ./internal/serve/... ./internal/registry/... ./internal/partition/... ./internal/shard/... ./internal/telemetry/...
+	$(GO) test -race ./internal/parallel/... ./internal/graph/... ./internal/models/... ./internal/federated/... ./internal/fgl/... ./internal/scenario/... ./internal/core/... ./internal/matrix/... ./internal/sparse/... ./internal/checkpoint/... ./internal/serve/... ./internal/registry/... ./internal/partition/... ./internal/shard/... ./internal/telemetry/...
 
 # Coverage floor on the numeric kernel, federation, serving, sharding and
 # telemetry packages, matching the CI "coverage" job: internal/matrix +

@@ -298,13 +298,12 @@ func BenchmarkSpMMPlanReuse(b *testing.B) {
 	})
 }
 
-// BenchmarkFedAsyncRound sweeps the asynchronous aggregation engine across
-// commit thresholds (K=1 committing on every arrival, K=N/2 buffered, K=N
-// the full synchronous barrier) and worker counts under a 4x-straggler speed
-// model, so the smoke-bench artifact tracks the engine-machinery overhead of
-// the virtual-clock scheduler alongside the synchronous baseline
-// (BenchmarkParallelFederatedRound). Results are bit-identical across worker
-// counts for every K (enforced by internal/federated's async suite).
+// BenchmarkFedAsyncRound sweeps the federated engine across commit
+// thresholds (K=1 committing on every arrival, K=N/2 buffered, K=N the full
+// synchronous barrier — plain FedAvg) and worker counts under a 4x-straggler
+// speed model, so the smoke-bench artifact tracks the cost of the
+// virtual-clock scheduler at every K. Results are bit-identical across worker
+// counts for every K (enforced by internal/federated's suite).
 func BenchmarkFedAsyncRound(b *testing.B) {
 	spec, err := datasets.ByName("Cora")
 	if err != nil {
@@ -328,7 +327,7 @@ func BenchmarkFedAsyncRound(b *testing.B) {
 					o := federated.DefaultOptions()
 					o.Rounds = 2
 					o.LocalEpochs = 3
-					o.Async = federated.AsyncOptions{Enabled: true, MinUpdates: k, Speed: speed}
+					o.Async = federated.AsyncOptions{MinUpdates: k, Speed: speed}
 					b.StartTimer()
 					if _, err := federated.Run(fleet, 6, o); err != nil {
 						b.Fatal(err)
@@ -336,38 +335,6 @@ func BenchmarkFedAsyncRound(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkParallelFederatedRound measures one FedAvg round with concurrent
-// per-client local training across worker counts.
-func BenchmarkParallelFederatedRound(b *testing.B) {
-	spec, err := datasets.ByName("Cora")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range workerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			orig := parallel.SetWorkers(w)
-			defer parallel.SetWorkers(orig)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := datasets.GenerateScaled(spec, 0.3, 5)
-				cd := partition.CommunitySplit(g, 8, rand.New(rand.NewSource(5)))
-				cfg := models.DefaultConfig()
-				cfg.Hidden = 32
-				clients := federated.BuildClients(cd.Subgraphs, models.Registry["GCN"], cfg, 5)
-				srv := federated.NewServer(clients, 6)
-				o := federated.DefaultOptions()
-				o.Rounds = 1
-				o.LocalEpochs = 3
-				b.StartTimer()
-				if _, err := srv.Run(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Chaos demo: federation under realistic failure. One named scenario from
 // the scenario registry (churn, crash-and-rejoin, byzantine arms, ...) is
-// compiled onto the async engine's fault schedule and run with AdaFGL and a
+// compiled onto the federated engine's fault schedule and run with AdaFGL and a
 // FedGCN reference, under plain FedAvg and under a robust aggregator, against
 // the fault-free steady baseline — showing how much each method loses to the
 // failure and how much the robust aggregator claws back. Every run is seeded

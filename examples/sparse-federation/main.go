@@ -25,9 +25,8 @@ func main() {
 	parallel.RegisterFlag(flag.CommandLine)
 	matrix.RegisterFlag(flag.CommandLine)
 	sparse.RegisterFlag(flag.CommandLine)
-	async := flag.Bool("async", false, "run federated training on the asynchronous staleness-aware aggregation engine")
-	asyncK := flag.Int("async-k", 0, "async commit threshold K (0 or >= participants = full synchronous barrier)")
-	asyncStaleness := flag.Float64("async-staleness", 0, "async staleness discount α: updates s rounds stale weigh α/(1+s) (0 = 1.0)")
+	asyncK := flag.Int("async-k", 0, "commit threshold K: aggregate once K client updates are buffered (0 or >= participants = synchronous FedAvg)")
+	asyncStaleness := flag.Float64("async-staleness", 0, "staleness discount α: updates s rounds stale weigh α/(1+s) (0 = 1.0)")
 	flag.Parse()
 
 	spec, err := datasets.ByName("Computer")
@@ -40,14 +39,12 @@ func main() {
 	fed := federated.DefaultOptions()
 	fed.Rounds = 20
 	fed.LocalEpochs = 2
-	// The async engine drops the per-round barrier: one 4x-slowed client
-	// (simulated) no longer gates every aggregation round.
+	// One client is (simulated) 4x slower. At the default K = N it gates every
+	// aggregation round; -async-k below the participant count drops that
+	// barrier and folds its late updates in staleness-discounted.
 	fed.Async = federated.AsyncOptions{
-		Enabled: *async, MinUpdates: *asyncK, Staleness: *asyncStaleness,
+		MinUpdates: *asyncK, Staleness: *asyncStaleness,
 		Speed: &federated.SpeedModel{Slowdown: []float64{4}, Jitter: 0.05, Seed: 1},
-	}
-	if *async {
-		fmt.Println("(async aggregation engine: K-of-N buffered commits, staleness-discounted)")
 	}
 
 	fmt.Println("== sparsity sweeps on Computer (structure Non-iid split) ==")
@@ -91,12 +88,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(res.RoundTime) > 0 {
-			fmt.Printf("  participation %.1f: AdaFGL %.3f (sim time %.0f, mean staleness %.2f)\n",
-				p, res.TestAcc, res.RoundTime[len(res.RoundTime)-1], res.MeanStaleness)
-		} else {
-			fmt.Printf("  participation %.1f: AdaFGL %.3f\n", p, res.TestAcc)
-		}
+		fmt.Printf("  participation %.1f: AdaFGL %.3f (sim time %.0f, mean staleness %.2f)\n",
+			p, res.TestAcc, res.RoundTime[len(res.RoundTime)-1], res.MeanStaleness)
 	}
 }
 

@@ -42,9 +42,10 @@ type Scale struct {
 	// Correction is the local-correction epoch budget for GNN wrappers.
 	Correction int
 	Seed       int64
-	// Async configures the Step-1 aggregation engine for every experiment
-	// (wired to the -async/-async-k/-async-staleness flags of
-	// cmd/adafgl-bench); the zero value keeps the synchronous reference.
+	// Async configures Step-1's commit threshold, staleness discount and
+	// clock for every experiment (wired to the -async-k/-async-staleness/
+	// -async-wall flags of cmd/adafgl-bench); the zero value is synchronous
+	// FedAvg.
 	Async federated.AsyncOptions
 	// Robust configures Step-1 robust aggregation for every experiment
 	// (wired to the -robust/-trim-frac/-clip/-dp-noise flags of

@@ -139,12 +139,12 @@ func TestAsyncExperiment(t *testing.T) {
 	s := tinyScale()
 	s.Rounds = 8
 	lines, err := Async(s)
-	if err != nil { // includes the K=N vs Server.Run bit-parity cross-check
+	if err != nil { // includes the K=N full-barrier cross-check
 		t.Fatal(err)
 	}
-	// Header (3 lines) + sync + async K=N + rows for K in {N-1, ceil(N/2), 1}
+	// Header (3 lines) + sync K=N + rows for K in {N-1, ceil(N/2), 1}
 	// (deduplicated at tiny client counts).
-	if len(lines) < 7 {
+	if len(lines) < 6 {
 		t.Fatalf("Async lines = %d: %v", len(lines), lines)
 	}
 	joined := strings.Join(lines, "\n")

@@ -37,9 +37,9 @@ var chaosScenarios = []string{
 // scenario from the scenario registry's failure sweep crossed with the robust
 // aggregation sweep, AdaFGL against the FedGCN baseline in each cell. Before
 // the table runs, the fault-free scenario is cross-checked bit-identical
-// against today's engines — scenario-steady Step-1 must reproduce both
-// Server.Run and AsyncServer.Run exactly — so the fault layer provably costs
-// nothing when unused. Each non-steady row also reports degradation versus
+// against the bare engine — scenario-steady Step-1 must reproduce a direct
+// federated.Run exactly, at K = N and at K < N — so the fault layer provably
+// costs nothing when unused. Each non-steady row also reports degradation versus
 // the same aggregator's steady row; the closing headline names the
 // churn/byzantine scenario where AdaFGL's personalized Step-2 recovers most
 // relative to the baseline.
@@ -87,7 +87,7 @@ func Chaos(s Scale) ([]string, error) {
 			return nil, err
 		}
 		opt := s.fedOpts(s.Seed)
-		opt.Async = federated.AsyncOptions{} // scenarios own the engine choice
+		opt.Async = federated.AsyncOptions{} // scenarios own the schedule
 		if err := sc.Apply(subs, &opt); err != nil {
 			return nil, err
 		}
@@ -102,7 +102,7 @@ func Chaos(s Scale) ([]string, error) {
 	lines := []string{
 		fmt.Sprintf("Chaos: federation under failure on %s, %d clients, %d rounds — AdaFGL vs %s test accuracy",
 			dataset, s.Clients, s.Rounds, baseline),
-		fmt.Sprintf("cross-check passed: steady scenario bit-identical to Server.Run and AsyncServer.Run; clip calibrated to %.4g (half the steady max update norm %.4g)",
+		fmt.Sprintf("cross-check passed: steady scenario bit-identical to a direct federated.Run at K=N and K=2; clip calibrated to %.4g (half the steady max update norm %.4g)",
 			clipNorm, calRes.MaxUpdateNorm),
 		fmt.Sprintf("%-14s %-8s %8s %8s %8s %8s", "scenario", "agg", "AdaFGL", baseline, "Δada", "Δfgl"),
 	}
@@ -157,16 +157,16 @@ func Chaos(s Scale) ([]string, error) {
 
 // chaosCrossCheck proves the fault layer is free when unused: the steady
 // scenario applied over fresh data must leave Step-1 bit-identical to a
-// direct Server.Run, and its async twin bit-identical to a direct
-// AsyncServer.Run at the same K.
+// direct federated.Run, both at the synchronous barrier and at K = 2 under
+// a skewed speed model with a staleness discount.
 func chaosCrossCheck(s Scale, newSubs func() ([]*graph.Graph, error)) error {
 	type variant struct {
 		name  string
 		async federated.AsyncOptions
 	}
 	variants := []variant{
-		{"Server.Run", federated.AsyncOptions{}},
-		{"AsyncServer.Run", federated.AsyncOptions{Enabled: true, MinUpdates: 2, Staleness: 0.5,
+		{"K=N", federated.AsyncOptions{}},
+		{"K=2", federated.AsyncOptions{MinUpdates: 2, Staleness: 0.5,
 			Speed: &federated.SpeedModel{Slowdown: []float64{3}, Jitter: 0.1, Seed: s.Seed}}},
 	}
 	for _, v := range variants {
@@ -183,7 +183,7 @@ func chaosCrossCheck(s Scale, newSubs func() ([]*graph.Graph, error)) error {
 		}
 		for i := range direct.GlobalParams {
 			if direct.GlobalParams[i] != viaScenario.GlobalParams[i] {
-				return fmt.Errorf("bench: chaos cross-check: steady scenario diverges from %s at param %d", v.name, i)
+				return fmt.Errorf("bench: chaos cross-check: %s: steady scenario diverges from a direct run at param %d", v.name, i)
 			}
 		}
 	}

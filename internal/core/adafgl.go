@@ -85,8 +85,7 @@ func (a *AdaFGL) Run(subgraphs []*graph.Graph, cfg models.Config, fedOpt federat
 		return nil, err
 	}
 	clients := federated.BuildClients(subgraphs, build, cfg, fedOpt.Seed)
-	// federated.Run picks the synchronous reference or the asynchronous
-	// staleness-aware engine per fedOpt.Async.
+	// Synchronous FedAvg unless fedOpt.Async asks for K-of-N commits.
 	fedRes, err := federated.Run(clients, fedOpt.Seed+1, fedOpt)
 	if err != nil {
 		return nil, err

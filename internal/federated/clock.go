@@ -6,14 +6,14 @@ import (
 )
 
 // Clock is the duration source ordering client-update arrivals for
-// AsyncServer. The default (nil AsyncOptions.Clock) is the seeded virtual
+// Server. The default (nil AsyncOptions.Clock) is the seeded virtual
 // clock driven by AsyncOptions.Speed, under which a run's commit schedule is
 // a pure function of the seed and the speed model — bit-reproducible for any
-// worker count. NewWallClock swaps in real elapsed time so the async engine
+// worker count. NewWallClock swaps in real elapsed time so the engine
 // orders arrivals by actual training completion, the behaviour a wall-clock
 // deployment needs (and which is, by nature, not reproducible).
 //
-// A Clock is stateful across one AsyncServer.Run and is reset at the start of
+// A Clock is stateful across one Server.Run and is reset at the start of
 // each run; it must not be shared by concurrent runs. The interface is
 // intentionally sealed (unexported methods): the two implementations in this
 // package cover the simulation/deployment split.
@@ -104,7 +104,7 @@ type wallClock struct {
 }
 
 // NewWallClock returns a Clock that measures real elapsed time, for running
-// the asynchronous engine in wall-clock deployments instead of simulation.
+// the engine in wall-clock deployments instead of simulation.
 // Select it via AsyncOptions.Clock. RoundTime entries become seconds since
 // the run started. Do not reuse one wall clock across concurrent runs.
 func NewWallClock() Clock { return &wallClock{} }

@@ -11,7 +11,7 @@ import (
 func TestAsyncWallClockRuns(t *testing.T) {
 	o := asyncOpts(2, nil)
 	o.Async.Clock = NewWallClock()
-	res, err := NewAsyncServer(coraClients(t, 4, 11), 12).Run(o)
+	res, err := NewServer(coraClients(t, 4, 11), 12).Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,27 +35,20 @@ func TestAsyncWallClockRuns(t *testing.T) {
 
 // TestAsyncWallClockFullBarrier runs the wall clock at MinUpdates = N. The
 // commit schedule is real-time ordered, but with a full barrier every commit
-// aggregates exactly the sampled wave, so the result must still match the
-// synchronous reference bit for bit (aggregation order is dispatch order,
-// not arrival order).
+// aggregates exactly the sampled wave, so the result must still match
+// textbook FedAvg bit for bit (aggregation order is dispatch order, not
+// arrival order).
 func TestAsyncWallClockFullBarrier(t *testing.T) {
 	o := asyncOpts(0, nil)
-	sync, err := NewServer(coraClients(t, 3, 21), 22).Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := referenceFedAvg(t, coraClients(t, 3, 21), 22, o)
 	o.Async.Clock = NewWallClock()
-	wall, err := NewAsyncServer(coraClients(t, 3, 21), 22).Run(o)
+	wall, err := NewServer(coraClients(t, 3, 21), 22).Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sync.GlobalParams {
-		if wall.GlobalParams[i] != sync.GlobalParams[i] {
-			t.Fatalf("GlobalParams[%d]: wall %v != sync %v", i, wall.GlobalParams[i], sync.GlobalParams[i])
-		}
-	}
-	if wall.TestAcc != sync.TestAcc {
-		t.Fatalf("TestAcc: wall %v != sync %v", wall.TestAcc, sync.TestAcc)
+	sameFloats(t, "GlobalParams", wall.GlobalParams, ref.GlobalParams)
+	if wall.TestAcc != ref.TestAcc {
+		t.Fatalf("TestAcc: wall %v != reference %v", wall.TestAcc, ref.TestAcc)
 	}
 }
 
@@ -66,12 +59,12 @@ func TestAsyncWallClockFullBarrier(t *testing.T) {
 func TestVirtualClockDefault(t *testing.T) {
 	speed := skewedSpeed()
 	o := asyncOpts(2, speed)
-	a, err := NewAsyncServer(coraClients(t, 4, 51), 52).Run(o)
+	a, err := NewServer(coraClients(t, 4, 51), 52).Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Async.Clock = newVirtualClock(speed)
-	b, err := NewAsyncServer(coraClients(t, 4, 51), 52).Run(o)
+	b, err := NewServer(coraClients(t, 4, 51), 52).Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// FaultKind classifies one scheduled fault event on the async engine's
+// FaultKind classifies one scheduled fault event on the engine's
 // virtual timeline.
 type FaultKind int
 
@@ -122,14 +122,13 @@ type FaultEvent struct {
 	Attack Attack
 }
 
-// Faults is the fault-injection schedule of one async run: a list of
+// Faults is the fault-injection schedule of one run: a list of
 // per-client events ordered by the engine's virtual clock, so every faulted
 // run is bit-reproducible for any worker count. The zero value injects
-// nothing and keeps the engine's historical code path. Faults require the
-// seeded virtual clock (the default); AsyncServer.Run rejects a fault
-// schedule combined with a wall clock.
+// nothing. Faults require the seeded virtual clock (the default); Server.Run
+// rejects a fault schedule combined with a wall clock.
 type Faults struct {
-	// Events is the schedule; AsyncServer.Run sorts a copy stably by Time,
+	// Events is the schedule; Server.Run sorts a copy stably by Time,
 	// so same-time events keep their slice order.
 	Events []FaultEvent
 	// DownAtStart lists clients that begin the run down (joining later via

@@ -25,7 +25,7 @@ func TestFaultsValidateRejectsBadSchedules(t *testing.T) {
 	for _, f := range bad {
 		o := quickOpts()
 		o.Rounds = 1
-		o.Async = AsyncOptions{Enabled: true, Faults: f}
+		o.Async = AsyncOptions{Faults: f}
 		if _, err := Run(clients, 1, o); err == nil || !strings.Contains(err.Error(), "federated: faults:") {
 			t.Fatalf("engine accepted bad fault schedule %+v (err=%v)", f, err)
 		}
@@ -36,7 +36,7 @@ func TestFaultsRequireVirtualClock(t *testing.T) {
 	clients := coraClients(t, 2, 52)
 	o := quickOpts()
 	o.Rounds = 1
-	o.Async = AsyncOptions{Enabled: true, Clock: NewWallClock(),
+	o.Async = AsyncOptions{Clock: NewWallClock(),
 		Faults: Faults{Events: []FaultEvent{{Time: 1, Client: 0, Kind: FaultLeave}}}}
 	if _, err := Run(clients, 1, o); err == nil || !strings.Contains(err.Error(), "virtual clock") {
 		t.Fatalf("wall clock + faults must be rejected, got %v", err)
@@ -76,7 +76,6 @@ func churnOpts(clients []*Client, rounds int) Options {
 	o.Rounds = rounds
 	o.LocalEpochs = 2
 	o.Async = AsyncOptions{
-		Enabled:   true,
 		Staleness: 0.6,
 		Speed:     &SpeedModel{Slowdown: []float64{1, 1.5, 2, 1}, Jitter: 0.2, Seed: 9},
 		Faults: Faults{
@@ -169,7 +168,7 @@ func TestCrashRejoinResumesStale(t *testing.T) {
 		o := DefaultOptions()
 		o.Rounds = 6
 		o.LocalEpochs = 2
-		o.Async = AsyncOptions{Enabled: true, Faults: faults}
+		o.Async = AsyncOptions{Faults: faults}
 		res, err := Run(clients, 82, o)
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +202,7 @@ func TestLeaveDeliversInFlightButStopsRedispatch(t *testing.T) {
 		o := DefaultOptions()
 		o.Rounds = 5
 		o.LocalEpochs = 2
-		o.Async = AsyncOptions{Enabled: true, Faults: faults}
+		o.Async = AsyncOptions{Faults: faults}
 		res, err := Run(clients, 92, o)
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +229,7 @@ func TestFleetDeathEndsRunEarly(t *testing.T) {
 	o := DefaultOptions()
 	o.Rounds = 10
 	o.LocalEpochs = 1
-	o.Async = AsyncOptions{Enabled: true, Faults: Faults{Events: []FaultEvent{
+	o.Async = AsyncOptions{Faults: Faults{Events: []FaultEvent{
 		{Time: 1, Client: 0, Kind: FaultLeave},
 		{Time: 1, Client: 1, Kind: FaultLeave},
 	}}}
@@ -259,7 +258,7 @@ func TestZeroEpochConservationUnderFaults(t *testing.T) {
 	o := DefaultOptions()
 	o.Rounds = 4
 	o.LocalEpochs = 0 // echo updates: any weighted mix must conserve params
-	o.Async = AsyncOptions{Enabled: true, MinUpdates: 1, Staleness: 0.5,
+	o.Async = AsyncOptions{MinUpdates: 1, Staleness: 0.5,
 		Faults: Faults{
 			DownAtStart: []int{2},
 			Events: []FaultEvent{
@@ -286,7 +285,7 @@ func TestBlackoutThenRejoinRevivesFleet(t *testing.T) {
 	o := DefaultOptions()
 	o.Rounds = 4
 	o.LocalEpochs = 1
-	o.Async = AsyncOptions{Enabled: true, Faults: Faults{Events: []FaultEvent{
+	o.Async = AsyncOptions{Faults: Faults{Events: []FaultEvent{
 		{Time: 1, Client: 0, Kind: FaultCrash},
 		{Time: 1, Client: 1, Kind: FaultCrash},
 		{Time: 1e6, Client: 0, Kind: FaultJoin},
@@ -341,7 +340,7 @@ func TestEmptyFaultsBitIdenticalToLegacyPath(t *testing.T) {
 	}
 	o := quickOpts()
 	o.Rounds = 5
-	o.Async = AsyncOptions{Enabled: true, MinUpdates: 2,
+	o.Async = AsyncOptions{MinUpdates: 2,
 		Speed: &SpeedModel{Slowdown: []float64{1, 2, 3}, Seed: 3}}
 	a := run(o)
 	o.Async.Faults = Faults{} // explicit zero value

@@ -2,18 +2,18 @@
 // substrate of the AdaFGL paper: FedAvg orchestration (Eq. 3–4) over
 // graph-bound client models, partial client participation, per-round
 // convergence recording (Figs. 8/9/11) and communication accounting
-// (Table VIII). Two aggregation engines share one protocol surface: Server
-// is the synchronous reference (every round barriers on all participants)
-// and AsyncServer is the buffered, staleness-aware asynchronous engine
-// (commits after K of N updates, discounting late ones FedAsync-style,
-// scheduled on a seeded virtual clock so runs stay bit-reproducible for any
-// worker count). federated.Run dispatches between them via Options.Async.
+// (Table VIII). There is one aggregation engine, Server: a buffered event
+// loop that commits a round once K of the N sampled participants have
+// uploaded, discounts late updates FedAsync-style and orders arrivals on a
+// seeded virtual clock, so runs stay bit-reproducible for any worker count.
+// Synchronous FedAvg is its K = N configuration, the zero value of
+// Options.Async: nothing is ever stale and a commit is Eq. (4) exactly.
 package federated
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/models"
@@ -117,15 +117,38 @@ type Options struct {
 	// client's private RNG streams; two runs with equal Options and client
 	// fleets are bit-identical. Both defaults use 1.
 	Seed int64
-	// Async selects and configures the asynchronous staleness-aware
-	// aggregation engine (AsyncServer). The zero value keeps the synchronous
-	// FedAvg reference path.
+	// Async configures how early the engine commits (K-of-N buffering, the
+	// staleness discount, the clock, fault injection). The zero value commits
+	// only when every participant has arrived: synchronous FedAvg.
 	Async AsyncOptions
 	// Robust configures the robust-aggregation defences (update-norm
 	// clipping, coordinate-median / trimmed-mean alternatives to FedAvg,
-	// seeded DP noise) shared by both engines. The zero value keeps plain
-	// FedAvg bit-identically.
+	// seeded DP noise). The zero value keeps plain FedAvg bit-identically.
 	Robust RobustOptions
+}
+
+// Validate rejects out-of-range or non-finite options with named errors.
+// Server.Run calls it, as does every baseline that drives its own round loop.
+func (o Options) Validate() error {
+	if o.Rounds < 1 {
+		return fmt.Errorf("federated: options: Rounds %d must be >= 1", o.Rounds)
+	}
+	if o.LocalEpochs < 0 {
+		return fmt.Errorf("federated: options: LocalEpochs %d must be >= 0", o.LocalEpochs)
+	}
+	if o.LocalCorrection < 0 {
+		return fmt.Errorf("federated: options: LocalCorrection %d must be >= 0", o.LocalCorrection)
+	}
+	if !(o.Participation > 0 && o.Participation <= 1) {
+		return fmt.Errorf("federated: options: Participation %v outside (0, 1]", o.Participation)
+	}
+	if o.Async.MinUpdates < 0 {
+		return fmt.Errorf("federated: options: Async.MinUpdates %d must be >= 0", o.Async.MinUpdates)
+	}
+	if !(o.Async.Staleness >= 0) || math.IsInf(o.Async.Staleness, 0) {
+		return fmt.Errorf("federated: options: Async.Staleness %v must be finite and >= 0", o.Async.Staleness)
+	}
+	return o.Robust.validate()
 }
 
 // DefaultOptions is the practical scale the runnable examples use
@@ -144,7 +167,7 @@ func PaperOptions() Options {
 
 // Result summarises a federated run.
 type Result struct {
-	// TestAcc is the train-size-weighted mean client test accuracy of the
+	// TestAcc is the test-size-weighted mean client test accuracy of the
 	// final (optionally locally corrected) models.
 	TestAcc float64
 	// PerClient holds each client's final test accuracy (Fig. 2(d)).
@@ -157,19 +180,19 @@ type Result struct {
 	GlobalParams []float64
 	// BytesPerRound is the communication volume of one round: every
 	// participating client uploads and receives one parameter vector
-	// (8 bytes per float64). Under the async engine a round commits after
-	// MinUpdates uploads, so the volume scales with K instead of the
-	// participant count.
+	// (8 bytes per float64). A round commits after Async.MinUpdates uploads,
+	// so with K < N the volume scales with K instead of the participant
+	// count.
 	BytesPerRound int
-	// RoundTime is the simulated wall-clock (SpeedModel time units) at which
-	// each aggregation round committed. Filled only by the async engine; the
-	// synchronous path leaves it nil. Comparing an async run's RoundTime
-	// against a MinUpdates=N run of the same fleet gives the
-	// convergence-vs-wall-clock tradeoff directly.
+	// RoundTime is the time on the engine's Clock at which each aggregation
+	// round committed (SpeedModel units on the default virtual clock, seconds
+	// under NewWallClock); one entry per committed round. Comparing a K < N
+	// run's RoundTime against a MinUpdates = N run of the same fleet gives
+	// the convergence-vs-wall-clock tradeoff directly.
 	RoundTime []float64
 	// MeanStaleness is the mean staleness, in committed rounds, of every
-	// update aggregated during the run. Filled only by the async engine;
-	// 0 whenever commits wait for all participants (MinUpdates = N).
+	// update aggregated during the run; 0 whenever commits wait for all
+	// participants (MinUpdates = N).
 	MeanStaleness float64
 	// DispatchedUpdates counts every local-training job the server
 	// dispatched. The data-mass ledger always balances exactly:
@@ -192,199 +215,48 @@ type Result struct {
 	MaxUpdateNorm float64
 }
 
-// Server coordinates FedAvg over a set of clients.
-type Server struct {
-	Clients []*Client
-	rng     *rand.Rand
-}
-
-// NewServer wraps the clients; the rng drives participation sampling.
-func NewServer(clients []*Client, seed int64) *Server {
-	return &Server{Clients: clients, rng: rand.New(rand.NewSource(seed))}
-}
-
-// checkClients validates a fleet for aggregation (non-empty, uniform
-// parameter dimension) and returns the shared dimension.
-func checkClients(clients []*Client) (int, error) {
-	if len(clients) == 0 {
-		return 0, fmt.Errorf("federated: no clients")
-	}
-	dim := len(nn.Flatten(clients[0].Model))
-	for _, c := range clients[1:] {
-		if len(nn.Flatten(c.Model)) != dim {
-			return 0, fmt.Errorf("federated: client %d parameter dim mismatch", c.ID)
-		}
-	}
-	return dim, nil
-}
-
-// participantCount resolves Options.Participation to a per-round client
-// count (at least one).
-func participantCount(n int, participation float64) int {
-	nPart := int(float64(n) * participation)
-	if nPart < 1 {
-		nPart = 1
-	}
-	return nPart
-}
-
-// Run executes FedAvg per Eq. (4): broadcast, parallel local training,
-// data-size-weighted aggregation; repeated for opt.Rounds.
-func (s *Server) Run(opt Options) (*Result, error) {
-	dim, err := checkClients(s.Clients)
-	if err != nil {
-		return nil, err
-	}
-	if err := opt.Robust.validate(); err != nil {
-		return nil, err
-	}
-	global := nn.Flatten(s.Clients[0].Model) // initial broadcast model
-	res := &Result{}
-	noise := newNoiseStream(opt)
-
-	nPart := participantCount(len(s.Clients), opt.Participation)
-	res.BytesPerRound = nPart * dim * 8 * 2 // upload + download
-
-	// Scratch for the parallel local-training fan-out: each participant's
-	// slot is written by exactly one goroutine and reduced sequentially in
-	// participant order, so the aggregate is bit-identical for any worker
-	// count. Every client only touches its own model, optimizer and RNGs.
-	locals := make([][]float64, len(s.Clients))
-	weights := make([]float64, len(s.Clients))
-
-	for round := 0; round < opt.Rounds; round++ {
-		perm := s.rng.Perm(len(s.Clients))
-		participants := perm[:nPart]
-
-		grp := parallel.NewGroup(parallel.Workers())
-		for slot, ci := range participants {
-			grp.Go(func() error {
-				c := s.Clients[ci]
-				if err := nn.Unflatten(c.Model, global); err != nil {
-					return fmt.Errorf("federated: broadcast to client %d: %w", c.ID, err)
-				}
-				c.TrainLocal(opt.LocalEpochs)
-				w := float64(c.TrainSize())
-				if w == 0 {
-					w = 1
-				}
-				locals[slot] = nn.Flatten(c.Model)
-				weights[slot] = w
-				return nil
-			})
-		}
-		if err := grp.Wait(); err != nil {
-			return nil, err
-		}
-
-		// Robust defences, in fixed order: clip each update's delta against
-		// the round's broadcast, aggregate with the selected rule (the
-		// FedAvg default reproduces the historical inline loop bit for
-		// bit), then add the seeded DP noise.
-		if opt.Robust.ClipNorm > 0 {
-			for slot := range participants {
-				if n := clipDelta(locals[slot], global, opt.Robust.ClipNorm); n > res.MaxUpdateNorm {
-					res.MaxUpdateNorm = n
-				}
-			}
-		}
-		global = opt.Robust.aggregate(dim, locals[:nPart], weights[:nPart])
-		if noise != nil {
-			noise.add(global)
-		}
-		acc := evalGlobal(s.Clients, global)
-		res.RoundAcc = append(res.RoundAcc, acc)
-		recordCommit((round+1)*nPart, 0, 0)
-		telRoundAcc.Set(acc)
-	}
-	res.DispatchedUpdates = nPart * opt.Rounds
-	res.CommittedUpdates = res.DispatchedUpdates
-	res.GlobalParams = global
-	if err := finalize(s.Clients, global, opt, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// finalize broadcasts the final global parameters, optionally applies local
-// correction, and fills res.PerClient/res.TestAcc with the test-size-weighted
-// evaluation — fanned out per client with a sequential weighted reduction.
-// Shared by the synchronous and asynchronous engines so the evaluation
-// protocol cannot drift between them.
-func finalize(clients []*Client, global []float64, opt Options, res *Result) error {
-	accs := make([]float64, len(clients))
+// Evaluate is the one evaluation reduction every federated method shares:
+// load paramsFor(ci) into client ci's model (the same vector for all under
+// FedAvg, one each for personalised or clustered methods), fine-tune it for
+// correction local epochs (the paper's "local correction"; 0 = none), score
+// it with Client.TestAccuracy and return the test-size-weighted mean beside
+// the per-client accuracies. Clients fan out on the worker pool — paramsFor
+// is called concurrently and must only read — and are reduced in client
+// order, so the result is bit-identical for every worker count. A vector
+// that does not fit a client's model is an error, never a silent 0.
+func Evaluate(clients []*Client, paramsFor func(ci int) []float64, correction int) (acc float64, perClient []float64, err error) {
+	perClient = make([]float64, len(clients))
 	grp := parallel.NewGroup(parallel.Workers())
 	for ci, c := range clients {
 		grp.Go(func() error {
-			if err := nn.Unflatten(c.Model, global); err != nil {
-				return err
+			if err := nn.Unflatten(c.Model, paramsFor(ci)); err != nil {
+				return fmt.Errorf("federated: evaluate client %d: %w", c.ID, err)
 			}
-			if opt.LocalCorrection > 0 {
-				c.TrainLocal(opt.LocalCorrection)
+			if correction > 0 {
+				c.TrainLocal(correction)
 			}
-			accs[ci] = c.TestAccuracy()
+			perClient[ci] = c.TestAccuracy()
 			return nil
 		})
 	}
 	if err := grp.Wait(); err != nil {
-		return err
+		return 0, nil, err
 	}
 	var weighted, total float64
 	for ci, c := range clients {
-		res.PerClient = append(res.PerClient, accs[ci])
 		w := float64(c.TestSize())
-		weighted += accs[ci] * w
+		weighted += perClient[ci] * w
 		total += w
 	}
 	if total > 0 {
-		res.TestAcc = weighted / total
+		acc = weighted / total
 	}
-	return nil
+	return acc, perClient, nil
 }
 
-// evalGlobal loads the global parameters into every client and returns the
-// test-size-weighted accuracy.
-func evalGlobal(clients []*Client, global []float64) float64 {
-	accs := make([]float64, len(clients))
-	var failed atomic.Bool
-	grp := parallel.NewGroup(parallel.Workers())
-	for ci, c := range clients {
-		grp.Go(func() error {
-			if failed.Load() {
-				return nil // another client already sank the round; skip the work
-			}
-			if err := nn.Unflatten(c.Model, global); err != nil {
-				failed.Store(true) // evalGlobal is best-effort: report 0
-				return nil
-			}
-			accs[ci] = c.TestAccuracy()
-			return nil
-		})
-	}
-	grp.Wait()
-	if failed.Load() {
-		return 0
-	}
-	var weighted, total float64
-	for ci, c := range clients {
-		w := float64(c.TestSize())
-		weighted += accs[ci] * w
-		total += w
-	}
-	if total == 0 {
-		return 0
-	}
-	return weighted / total
-}
-
-// Run executes the engine opt selects on a fresh server over clients: the
-// synchronous FedAvg reference by default, the asynchronous staleness-aware
-// engine when opt.Async.Enabled. seed drives participation sampling either
-// way, so the two engines consume server randomness identically.
+// Run executes opt on a fresh Server over clients; seed drives participation
+// sampling.
 func Run(clients []*Client, seed int64, opt Options) (*Result, error) {
-	if opt.Async.Enabled {
-		return NewAsyncServer(clients, seed).Run(opt)
-	}
 	return NewServer(clients, seed).Run(opt)
 }
 

@@ -15,7 +15,7 @@ type AggregatorKind int
 
 const (
 	// AggFedAvg is the data-size-weighted mean of Eq. (4) — the default, and
-	// the rule whose code path is bit-identical to the pre-robust engines.
+	// the rule the golden digests pin.
 	AggFedAvg AggregatorKind = iota
 	// AggMedian takes the unweighted coordinate-wise median of the updates.
 	// Aggregation weights (data size, staleness discount) are ignored: the
@@ -56,10 +56,8 @@ func ParseAggregator(s string) (AggregatorKind, error) {
 	return AggFedAvg, fmt.Errorf("federated: robust: unknown aggregator %q (want fedavg, median or trim)", s)
 }
 
-// RobustOptions configures the robust-aggregation defences shared by both
-// engines (Server and AsyncServer). The zero value is plain FedAvg with no
-// clipping and no noise — bit-identical to the engines before these knobs
-// existed. Defences compose in a fixed order per commit: each received
+// RobustOptions configures the robust-aggregation defences. The zero value
+// is plain FedAvg with no clipping and no noise. Defences compose in a fixed order per commit: each received
 // update is norm-clipped against the broadcast it was trained from, the
 // selected aggregator combines the clipped updates, and seeded Gaussian
 // noise is added to the committed aggregate last.
@@ -107,9 +105,8 @@ func (ro RobustOptions) validate() error {
 
 // aggregate combines weighted updates into the next global model with the
 // selected rule. updates and weights are parallel and non-empty; for the
-// FedAvg kind the accumulation order is exactly the historical inline loop
-// (updates in caller order, one running totalW), so zero-valued
-// RobustOptions keep both engines bit-identical to their pre-robust code.
+// FedAvg kind the accumulation order is updates in caller order with one
+// running totalW — the order the golden digests pin.
 func (ro RobustOptions) aggregate(dim int, updates [][]float64, weights []float64) []float64 {
 	switch ro.Aggregator {
 	case AggMedian:
@@ -122,7 +119,7 @@ func (ro RobustOptions) aggregate(dim int, updates [][]float64, weights []float6
 }
 
 // weightedMean is Eq. (4)'s data-size-weighted mean, accumulated in caller
-// order to preserve the engines' historical float summation order.
+// order (the float summation order the golden digests pin).
 func weightedMean(dim int, updates [][]float64, weights []float64) []float64 {
 	agg := make([]float64, dim)
 	var totalW float64

@@ -98,11 +98,7 @@ func TestRobustValidateRejectsBadKnobs(t *testing.T) {
 		o.Rounds = 1
 		o.Robust = ro
 		if _, err := NewServer(clients, 1).Run(o); err == nil || !strings.Contains(err.Error(), "federated: robust:") {
-			t.Fatalf("sync engine accepted bad robust options %+v (err=%v)", ro, err)
-		}
-		o.Async = AsyncOptions{Enabled: true}
-		if _, err := NewAsyncServer(clients, 1).Run(o); err == nil || !strings.Contains(err.Error(), "federated: robust:") {
-			t.Fatalf("async engine accepted bad robust options %+v (err=%v)", ro, err)
+			t.Fatalf("engine accepted bad robust options %+v (err=%v)", ro, err)
 		}
 	}
 }
@@ -121,7 +117,7 @@ func TestAggregatorsConserveZeroEpochEchoes(t *testing.T) {
 		o.Rounds = 3
 		o.LocalEpochs = 0
 		o.Robust = RobustOptions{Aggregator: agg, TrimFrac: 0.25, ClipNorm: 10}
-		o.Async = AsyncOptions{Enabled: true, MinUpdates: 2, Staleness: 0.5,
+		o.Async = AsyncOptions{MinUpdates: 2, Staleness: 0.5,
 			Speed: &SpeedModel{Slowdown: []float64{1, 3, 9}, Seed: 5}}
 		res, err := Run(clients, 18, o)
 		if err != nil {
@@ -155,21 +151,23 @@ func TestMedianAndTrimEqualFedAvgOnIdenticalUpdates(t *testing.T) {
 
 func TestClippingBoundsEveryCommittedUpdateNorm(t *testing.T) {
 	const clip = 0.05
-	for _, async := range []bool{false, true} {
+	// K = N (FedAvg) and K < N (stale updates clipped against the broadcast
+	// they were trained from, not the current global).
+	for _, k := range []int{0, 2} {
 		clients := coraClients(t, 3, 23)
 		o := quickOpts()
 		o.Rounds = 4
 		o.Robust.ClipNorm = clip
-		o.Async.Enabled = async
+		o.Async = AsyncOptions{MinUpdates: k, Speed: skewedSpeed()}
 		res, err := Run(clients, 24, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.MaxUpdateNorm <= 0 {
-			t.Fatalf("async=%v: MaxUpdateNorm not recorded", async)
+			t.Fatalf("K=%d: MaxUpdateNorm not recorded", k)
 		}
 		if res.MaxUpdateNorm > clip+1e-12 {
-			t.Fatalf("async=%v: committed update norm %v exceeds clip %v", async, res.MaxUpdateNorm, clip)
+			t.Fatalf("K=%d: committed update norm %v exceeds clip %v", k, res.MaxUpdateNorm, clip)
 		}
 	}
 }
@@ -214,7 +212,6 @@ func TestMedianResistsScaledUpdateAttack(t *testing.T) {
 		o := quickOpts()
 		o.Rounds = 6
 		o.Robust.Aggregator = agg
-		o.Async.Enabled = true
 		if attack {
 			o.Async.Faults.Events = []FaultEvent{
 				{Time: 0, Client: 3, Kind: FaultCorrupt, Attack: Attack{Kind: AttackScale, Factor: 50}},

@@ -9,26 +9,23 @@ import (
 	"repro/internal/parallel"
 )
 
-// AsyncOptions configures the asynchronous staleness-aware aggregation
-// engine (AsyncServer). The zero value disables it, keeping the synchronous
-// FedAvg reference path.
+// AsyncOptions configures how far Server departs from synchronous FedAvg:
+// the commit threshold, the staleness discount, the clock and the faults.
+// The zero value is synchronous FedAvg.
 type AsyncOptions struct {
-	// Enabled routes federated.Run through AsyncServer instead of Server.
-	Enabled bool
 	// MinUpdates is the K of buffered K-of-N aggregation: the server commits
 	// a round as soon as K client updates are buffered instead of waiting
 	// for every participant. 0 (or any value >= the per-round participant
-	// count) commits only when all participants have arrived — a full
-	// synchronous barrier, bit-identical to Server.Run when Staleness
-	// leaves fresh updates undiscounted.
+	// count) commits only when all participants have arrived — the full
+	// synchronous barrier of textbook FedAvg.
 	MinUpdates int
 	// Staleness is the α of the FedAsync-style discount α/(1+s): an update
 	// trained from a global model s commits old joins the aggregate with
 	// weight n_i·α/(1+s). 0 means 1.0, under which fresh updates (s = 0)
-	// carry exactly their synchronous weight n_i — the setting that makes
-	// MinUpdates = N degrade gracefully to the bit-exact synchronous
-	// reference. Lower α shrinks every buffered update toward the fresh
-	// participants, higher staleness shrinks stragglers harder.
+	// carry exactly their FedAvg weight n_i — so MinUpdates = N, where every
+	// update is fresh, is Eq. (4) bit for bit. Lower α shrinks every buffered
+	// update toward the fresh participants, higher staleness shrinks
+	// stragglers harder.
 	Staleness float64
 	// Speed is the simulated per-client duration model driving the virtual
 	// clock. Nil runs every client at nominal speed (duration = local epochs
@@ -40,13 +37,12 @@ type AsyncOptions struct {
 	Clock Clock
 	// Faults is the fault-injection schedule: per-client crash, leave,
 	// join and corrupt events ordered by the virtual clock. The zero value
-	// injects nothing and keeps the engine's historical code path exactly;
-	// a non-empty schedule requires the virtual clock.
+	// injects nothing; a non-empty schedule requires the virtual clock.
 	Faults Faults
 }
 
 // SpeedModel deterministically assigns a simulated duration to every local
-// training job, driving AsyncServer's virtual clock. A job's duration is
+// training job, driving Server's virtual clock. A job's duration is
 //
 //	LocalEpochs × max(1, train size) × Slowdown[client] × (1 + Jitter·u)
 //
@@ -59,7 +55,7 @@ type SpeedModel struct {
 	// Slowdown multiplies client i's durations by Slowdown[i] (1.0 =
 	// nominal). Clients beyond len(Slowdown), and entries <= 0, run at 1.0.
 	// A skewed fleet — e.g. one entry at 4 — reproduces the straggler
-	// scenarios the async engine exists for.
+	// scenarios K < N commits exist for.
 	Slowdown []float64
 	// Jitter is the relative amplitude of per-dispatch duration noise in
 	// [0, 1); 0 disables it.
@@ -82,23 +78,32 @@ func (m *SpeedModel) duration(work float64, ci int, jr *rand.Rand) float64 {
 	return d
 }
 
-// AsyncServer coordinates buffered asynchronous FedAvg over a set of
-// clients: clients train concurrently on a bounded worker pool, the server
-// commits a round as soon as AsyncOptions.MinUpdates updates are buffered,
-// and late (stale) updates are discounted FedAsync-style instead of stalling
-// the fleet. A seeded virtual clock (SpeedModel) orders arrivals, so runs
-// are bit-reproducible for every worker count; with MinUpdates covering all
-// participants the engine degrades to the synchronous reference exactly.
-type AsyncServer struct {
+// Server is the federated engine: buffered K-of-N FedAvg over a set of
+// clients (see Run), which at the default K = N is synchronous FedAvg.
+type Server struct {
 	Clients []*Client
 	rng     *rand.Rand
 }
 
-// NewAsyncServer wraps the clients; the rng drives participation sampling
-// exactly as in NewServer, so a MinUpdates=N async run samples the same
-// participant permutations as the synchronous server under the same seed.
-func NewAsyncServer(clients []*Client, seed int64) *AsyncServer {
-	return &AsyncServer{Clients: clients, rng: rand.New(rand.NewSource(seed))}
+// NewServer wraps the clients; the rng drives participation sampling, one
+// permutation per commit whatever K is.
+func NewServer(clients []*Client, seed int64) *Server {
+	return &Server{Clients: clients, rng: rand.New(rand.NewSource(seed))}
+}
+
+// checkClients validates a fleet for aggregation (non-empty, uniform
+// parameter dimension) and returns the shared dimension.
+func checkClients(clients []*Client) (int, error) {
+	if len(clients) == 0 {
+		return 0, fmt.Errorf("federated: no clients")
+	}
+	dim := len(nn.Flatten(clients[0].Model))
+	for _, c := range clients[1:] {
+		if len(nn.Flatten(c.Model)) != dim {
+			return 0, fmt.Errorf("federated: client %d parameter dim mismatch", c.ID)
+		}
+	}
+	return dim, nil
 }
 
 // asyncJob tracks one dispatched local-training task from broadcast to
@@ -116,7 +121,8 @@ type asyncJob struct {
 	err     error
 }
 
-// Run executes asynchronous buffered FedAvg for opt.Rounds commits.
+// Run executes buffered FedAvg for opt.Rounds commits: broadcast, parallel
+// local training (Eq. 3), data-size-weighted aggregation (Eq. 4).
 //
 // Scheduling is event-driven on the engine's Clock (the seeded virtual clock
 // by default; NewWallClock for real time): every dispatched client
@@ -127,12 +133,19 @@ type asyncJob struct {
 // never on scheduling. Each commit averages the K buffered updates with
 // weights n_i·α/(1+staleness), plus the current global anchored by the data
 // mass of clients still in flight (FedBuff-style, so a small buffer cannot
-// yank the model toward one client; the anchor vanishes at K = N).
-// Contributors are then re-broadcast the new global model and re-dispatched,
-// while still-running clients keep training on the parameters they were
-// given. Round accuracies are evaluated after the schedule finishes
-// (evaluation is RNG-free, so the curve matches the synchronous engine's
-// interleaved evaluation bit for bit).
+// yank the model toward one client). Contributors are then re-broadcast the
+// new global model and re-dispatched, while still-running clients keep
+// training on the parameters they were given.
+//
+// At K = N (the default) nothing is in flight at a commit, so the anchor
+// weight is zero, every staleness is 0, the default discount is exactly 1
+// and the commit is the weighted mean of the wave in participant order —
+// synchronous FedAvg, bit for bit; the speed model only labels RoundTime.
+//
+// Round accuracies are evaluated while no client is training (evaluation
+// overwrites every client's model): after every commit at K = N, otherwise
+// once the fleet is next idle, at the latest after the schedule. Evaluation
+// is RNG-free, so when it runs cannot change a result.
 //
 // A non-empty opt.Async.Faults schedule overlays crash/leave/join/corrupt
 // events on the same virtual timeline: events at time T apply before
@@ -144,13 +157,13 @@ type asyncJob struct {
 // commit degrades to what is actually achievable, and a run whose fleet
 // dies entirely ends early with the rounds committed so far. Faulted runs
 // remain bit-reproducible for any worker count; opt.Robust's clipping,
-// alternative aggregators and seeded noise apply to both engines.
-func (s *AsyncServer) Run(opt Options) (*Result, error) {
-	dim, err := checkClients(s.Clients)
-	if err != nil {
+// alternative aggregators and seeded noise apply to every commit.
+func (s *Server) Run(opt Options) (*Result, error) {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opt.Robust.validate(); err != nil {
+	dim, err := checkClients(s.Clients)
+	if err != nil {
 		return nil, err
 	}
 	var ft *faultRun
@@ -164,13 +177,14 @@ func (s *AsyncServer) Run(opt Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	nPart := participantCount(len(s.Clients), opt.Participation)
+	// Clients sampled per commit: at least one.
+	nPart := max(1, int(float64(len(s.Clients))*opt.Participation))
 	k := opt.Async.MinUpdates
-	if k <= 0 || k > nPart {
+	if k == 0 || k > nPart {
 		k = nPart
 	}
 	alpha := opt.Async.Staleness
-	if alpha <= 0 {
+	if alpha == 0 {
 		alpha = 1
 	}
 	clock := opt.Async.Clock
@@ -203,10 +217,7 @@ func (s *AsyncServer) Run(opt Options) (*Result, error) {
 	}
 	dispatch := func(ci int) {
 		c := s.Clients[ci]
-		w := float64(c.TrainSize())
-		if w == 0 {
-			w = 1
-		}
+		w := float64(max(1, c.TrainSize()))
 		job := &asyncJob{
 			client: ci, version: version, seq: seq, weight: w,
 			done: make(chan struct{}),
@@ -215,9 +226,10 @@ func (s *AsyncServer) Run(opt Options) (*Result, error) {
 		seq++
 		busy[ci] = true
 		inflight = append(inflight, job)
-		// Snapshot the broadcast: the server may commit new globals while
-		// this client is still training on the old one.
-		bcast := append([]float64(nil), global...)
+		// The broadcast this client trains from. Every commit allocates a
+		// fresh global and none is written after its first dispatch, so the
+		// slice is shared, not copied, while later commits move on.
+		bcast := global
 		var atk Attack
 		if ft != nil {
 			if ft.stale[ci] && lastBcast[ci] != nil {
@@ -252,9 +264,8 @@ func (s *AsyncServer) Run(opt Options) (*Result, error) {
 		})
 	}
 
-	// Initial wave: one participation draw, like the synchronous round head.
-	// Time-zero fault events (corrupt-from-start, down-at-start joins)
-	// apply before anything is dispatched.
+	// Initial wave. Time-zero fault events (corrupt-from-start, down-at-start
+	// joins) apply before anything is dispatched.
 	if ft != nil {
 		ft.process(0, nil)
 	}
@@ -267,7 +278,21 @@ func (s *AsyncServer) Run(opt Options) (*Result, error) {
 		dispatch(ci)
 	}
 
-	globals := make([][]float64, 0, opt.Rounds)
+	// Committed globals whose round accuracy is still owed; evaluated only
+	// while nothing is in flight — at K = N, after every commit.
+	var pending [][]float64
+	flush := func() error {
+		for _, g := range pending {
+			acc, _, err := Evaluate(s.Clients, func(int) []float64 { return g }, 0)
+			if err != nil {
+				return err
+			}
+			res.RoundAcc = append(res.RoundAcc, acc)
+			telRoundAcc.Set(acc)
+		}
+		pending = pending[:0]
+		return nil
+	}
 	var staleSum float64
 	var staleCount int
 	for commit := 0; commit < opt.Rounds; commit++ {
@@ -320,8 +345,8 @@ func (s *AsyncServer) Run(opt Options) (*Result, error) {
 			break
 		}
 		// Commit: aggregate the buffer in dispatch order (not arrival
-		// order), so when the buffer spans one synchronous wave the
-		// summation order — and hence the float result — matches Server.Run.
+		// order), so when the buffer spans one whole wave the summation
+		// order — and hence the float result — is FedAvg's participant order.
 		sort.Slice(buffer, func(i, j int) bool { return buffer[i].seq < buffer[j].seq })
 		updates := make([][]float64, 0, len(buffer)+1)
 		weights := make([]float64, 0, len(buffer)+1)
@@ -346,8 +371,7 @@ func (s *AsyncServer) Run(opt Options) (*Result, error) {
 		// small buffer cannot yank the model toward one client. When every
 		// participant has arrived (K = N) the anchor weight is zero and the
 		// commit reduces to the exact synchronous weighted mean. The anchor
-		// joins as a pseudo-update so every aggregator treats it uniformly;
-		// under FedAvg the arithmetic is exactly the historical inline loop.
+		// joins as a pseudo-update so every aggregator treats it uniformly.
 		var anchorW float64
 		for _, u := range inflight {
 			if !u.lost {
@@ -365,16 +389,21 @@ func (s *AsyncServer) Run(opt Options) (*Result, error) {
 		version++
 		buffer = buffer[:0]
 		res.RoundTime = append(res.RoundTime, now)
-		globals = append(globals, global)
+		pending = append(pending, global)
 		meanStale := 0.0
 		if staleCount > 0 {
 			meanStale = staleSum / float64(staleCount)
 		}
 		recordCommit(staleCount, res.DroppedUpdates, meanStale)
+		if len(inflight) == 0 {
+			if err := flush(); err != nil {
+				return nil, err
+			}
+		}
 		if commit+1 < opt.Rounds {
 			// Re-broadcast to every idle sampled participant; busy clients
 			// keep training on their stale snapshot. One permutation per
-			// commit keeps server-RNG consumption aligned with Server.Run.
+			// commit, whatever K is.
 			perm := s.rng.Perm(len(s.Clients))
 			sampled = perm[:nPart]
 			for _, ci := range sampled {
@@ -389,7 +418,7 @@ func (s *AsyncServer) Run(opt Options) (*Result, error) {
 		}
 	}
 	// Stragglers past the last commit never contribute; wait them out so the
-	// final evaluation below cannot race their model writes.
+	// evaluations below cannot race their model writes.
 	if err := grp.Wait(); err != nil {
 		return nil, err
 	}
@@ -406,13 +435,12 @@ func (s *AsyncServer) Run(opt Options) (*Result, error) {
 	if staleCount > 0 {
 		res.MeanStaleness = staleSum / float64(staleCount)
 	}
-	for _, g := range globals {
-		acc := evalGlobal(s.Clients, g)
-		res.RoundAcc = append(res.RoundAcc, acc)
-		telRoundAcc.Set(acc)
+	if err := flush(); err != nil {
+		return nil, err
 	}
 	res.GlobalParams = global
-	if err := finalize(s.Clients, global, opt, res); err != nil {
+	res.TestAcc, res.PerClient, err = Evaluate(s.Clients, func(int) []float64 { return global }, opt.LocalCorrection)
+	if err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -2,18 +2,20 @@ package federated
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/nn"
 	"repro/internal/parallel"
 )
 
-// asyncOpts returns a quick protocol routed through the async engine.
+// asyncOpts returns a quick protocol committing after k of N updates
+// (0 = all participants) under the given speed model.
 func asyncOpts(k int, speed *SpeedModel) Options {
 	o := DefaultOptions()
 	o.Rounds = 8
 	o.LocalEpochs = 2
-	o.Async = AsyncOptions{Enabled: true, MinUpdates: k, Speed: speed}
+	o.Async = AsyncOptions{MinUpdates: k, Speed: speed}
 	return o
 }
 
@@ -23,79 +25,122 @@ func skewedSpeed() *SpeedModel {
 	return &SpeedModel{Slowdown: []float64{8, 1, 1, 1, 1, 1}, Jitter: 0.1, Seed: 3}
 }
 
-// TestAsyncKofNBitIdenticalToSync is the engine's degradation contract:
-// with MinUpdates = N (every commit barriers on all participants) and the
-// default staleness discount, the async engine must reproduce the
-// synchronous reference bit for bit — same global parameters, same round
-// curve, same per-client accuracies — regardless of the speed model, which
-// can then only relabel the virtual timeline.
-func TestAsyncKofNBitIdenticalToSync(t *testing.T) {
-	o := asyncOpts(0, skewedSpeed()) // MinUpdates 0 = all participants
-	sync, err := NewServer(coraClients(t, 4, 31), 32).Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	async, err := NewAsyncServer(coraClients(t, 4, 31), 32).Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(async.GlobalParams) != len(sync.GlobalParams) {
-		t.Fatalf("param dims differ: %d vs %d", len(async.GlobalParams), len(sync.GlobalParams))
-	}
-	for i := range sync.GlobalParams {
-		if async.GlobalParams[i] != sync.GlobalParams[i] {
-			t.Fatalf("GlobalParams[%d]: async %v != sync %v", i, async.GlobalParams[i], sync.GlobalParams[i])
+// referenceFedAvg is textbook synchronous FedAvg (Alg. 1, Eqs. 3–4), written
+// serially and sharing nothing with Server.Run but the Client methods: per
+// round one participant permutation, broadcast, local training, the
+// n_i-weighted mean in participant order, then the test-size-weighted
+// accuracy of the new global on every client. It is the reference the
+// engine's K = N configuration is held to.
+func referenceFedAvg(t *testing.T, clients []*Client, seed int64, o Options) *Result {
+	t.Helper()
+	train := func(c *Client, params []float64, epochs int) {
+		if err := nn.Unflatten(c.Model, params); err != nil {
+			t.Fatal(err)
 		}
+		c.TrainLocal(epochs)
 	}
-	if len(async.RoundAcc) != len(sync.RoundAcc) {
-		t.Fatalf("round counts differ: %d vs %d", len(async.RoundAcc), len(sync.RoundAcc))
-	}
-	for r := range sync.RoundAcc {
-		if async.RoundAcc[r] != sync.RoundAcc[r] {
-			t.Fatalf("RoundAcc[%d]: async %v != sync %v", r, async.RoundAcc[r], sync.RoundAcc[r])
+	score := func(global []float64, correction int) (acc float64, per []float64) {
+		var total float64
+		for _, c := range clients {
+			train(c, global, correction)
+			per = append(per, c.TestAccuracy())
+			acc += per[len(per)-1] * float64(c.TestSize())
+			total += float64(c.TestSize())
 		}
+		return acc / total, per
 	}
-	for ci := range sync.PerClient {
-		if async.PerClient[ci] != sync.PerClient[ci] {
-			t.Fatalf("PerClient[%d]: async %v != sync %v", ci, async.PerClient[ci], sync.PerClient[ci])
+	rng := rand.New(rand.NewSource(seed))
+	global := nn.Flatten(clients[0].Model)
+	nPart := max(1, int(float64(len(clients))*o.Participation))
+	res := &Result{BytesPerRound: nPart * len(global) * 8 * 2}
+	for round := 0; round < o.Rounds; round++ {
+		agg := make([]float64, len(global))
+		var totalW float64
+		for _, ci := range rng.Perm(len(clients))[:nPart] {
+			train(clients[ci], global, o.LocalEpochs)
+			w := float64(clients[ci].TrainSize())
+			for i, v := range nn.Flatten(clients[ci].Model) {
+				agg[i] += w * v
+			}
+			totalW += w
 		}
+		for i := range agg {
+			agg[i] /= totalW
+		}
+		global = agg
+		acc, _ := score(global, 0)
+		res.RoundAcc = append(res.RoundAcc, acc)
 	}
-	if async.TestAcc != sync.TestAcc {
-		t.Fatalf("TestAcc: async %v != sync %v", async.TestAcc, sync.TestAcc)
+	res.GlobalParams = global
+	res.TestAcc, res.PerClient = score(global, o.LocalCorrection)
+	return res
+}
+
+// sameFloats fails the test at the first index where got and want differ in
+// length or in any bit.
+func sameFloats(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, reference %d", what, len(got), len(want))
 	}
-	if async.BytesPerRound != sync.BytesPerRound {
-		t.Fatalf("BytesPerRound: async %d != sync %d", async.BytesPerRound, sync.BytesPerRound)
-	}
-	if async.MeanStaleness != 0 {
-		t.Fatalf("K=N commits can never be stale, got mean staleness %v", async.MeanStaleness)
-	}
-	if len(async.RoundTime) != o.Rounds {
-		t.Fatalf("async must fill RoundTime, got %d entries", len(async.RoundTime))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d]: engine %v != reference %v", what, i, got[i], want[i])
+		}
 	}
 }
 
-// TestAsyncKofNPartialParticipationMatchesSync extends the degradation
-// contract to sampled participation: the async engine consumes server
-// randomness like the synchronous one, so the sampled fleets coincide.
-func TestAsyncKofNPartialParticipationMatchesSync(t *testing.T) {
-	o := asyncOpts(0, skewedSpeed())
-	o.Participation = 0.6
-	sync, err := NewServer(coraClients(t, 5, 41), 42).Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	async, err := NewAsyncServer(coraClients(t, 5, 41), 42).Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sync.GlobalParams {
-		if async.GlobalParams[i] != sync.GlobalParams[i] {
-			t.Fatalf("GlobalParams[%d] diverge under partial participation", i)
+// checkKofNIsFedAvg runs the engine at K = N (MinUpdates 0) under the given
+// participation and holds it to referenceFedAvg bit for bit, for a nominal
+// and a skewed speed model (which may only relabel the virtual timeline) at
+// worker counts 1 and 3.
+func checkKofNIsFedAvg(t *testing.T, nClients int, seed int64, participation float64) {
+	for _, speed := range []*SpeedModel{nil, skewedSpeed()} {
+		o := asyncOpts(0, speed) // MinUpdates 0 = all participants
+		o.Participation = participation
+		o.LocalCorrection = 2
+		ref := referenceFedAvg(t, coraClients(t, nClients, seed), seed+1, o)
+		for _, workers := range []int{1, 3} {
+			orig := parallel.SetWorkers(workers)
+			got, err := NewServer(coraClients(t, nClients, seed), seed+1).Run(o)
+			parallel.SetWorkers(orig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFloats(t, "GlobalParams", got.GlobalParams, ref.GlobalParams)
+			sameFloats(t, "RoundAcc", got.RoundAcc, ref.RoundAcc)
+			sameFloats(t, "PerClient", got.PerClient, ref.PerClient)
+			if got.TestAcc != ref.TestAcc {
+				t.Fatalf("TestAcc: engine %v != reference %v", got.TestAcc, ref.TestAcc)
+			}
+			if got.BytesPerRound != ref.BytesPerRound {
+				t.Fatalf("BytesPerRound: engine %d != reference %d", got.BytesPerRound, ref.BytesPerRound)
+			}
+			if got.MeanStaleness != 0 {
+				t.Fatalf("K=N commits can never be stale, got mean staleness %v", got.MeanStaleness)
+			}
+			if len(got.RoundTime) != o.Rounds {
+				t.Fatalf("every commit must be timed, got %d RoundTime entries", len(got.RoundTime))
+			}
 		}
 	}
-	if async.TestAcc != sync.TestAcc {
-		t.Fatalf("TestAcc: async %v != sync %v", async.TestAcc, sync.TestAcc)
-	}
+}
+
+// TestAsyncKofNBitIdenticalToSync is the engine's degradation contract:
+// with MinUpdates = N (every commit barriers on all participants) and the
+// default staleness discount, the buffered engine is synchronous FedAvg bit
+// for bit — same global parameters, same round curve, same per-client
+// accuracies as the serial textbook loop — regardless of the speed model and
+// the worker count.
+func TestAsyncKofNBitIdenticalToSync(t *testing.T) {
+	checkKofNIsFedAvg(t, 4, 31, 1.0)
+}
+
+// TestAsyncKofNPartialParticipationMatchesSync extends the degradation
+// contract to sampled participation: the engine draws one permutation per
+// commit, so the sampled fleets coincide with the textbook loop's.
+func TestAsyncKofNPartialParticipationMatchesSync(t *testing.T) {
+	checkKofNIsFedAvg(t, 5, 41, 0.6)
 }
 
 // TestAsyncDeterministicAcrossWorkerCounts is the determinism contract: the
@@ -106,7 +151,7 @@ func TestAsyncDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers, k int) *Result {
 		orig := parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(orig)
-		res, err := NewAsyncServer(coraClients(t, 5, 51), 52).Run(asyncOpts(k, skewedSpeed()))
+		res, err := NewServer(coraClients(t, 5, 51), 52).Run(asyncOpts(k, skewedSpeed()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +187,7 @@ func TestAsyncKOne(t *testing.T) {
 	// distance needs roughly N times the commits of a synchronous round.
 	o := asyncOpts(1, skewedSpeed())
 	o.Rounds = 60
-	res, err := NewAsyncServer(coraClients(t, 4, 61), 62).Run(o)
+	res, err := NewServer(coraClients(t, 4, 61), 62).Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +217,7 @@ func TestAsyncStragglerSlowerThanRound(t *testing.T) {
 	speed := &SpeedModel{Slowdown: []float64{500, 1, 1, 1}, Seed: 7}
 	o := asyncOpts(3, speed) // commits need 3 of 4: never wait for the straggler
 	o.Rounds = 12
-	res, err := NewAsyncServer(coraClients(t, 4, 71), 72).Run(o)
+	res, err := NewServer(coraClients(t, 4, 71), 72).Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +225,7 @@ func TestAsyncStragglerSlowerThanRound(t *testing.T) {
 		t.Fatalf("fleet stalled on the straggler: %d of 12 commits", len(res.RoundAcc))
 	}
 	// The same schedule must replay exactly.
-	res2, err := NewAsyncServer(coraClients(t, 4, 71), 72).Run(o)
+	res2, err := NewServer(coraClients(t, 4, 71), 72).Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +249,7 @@ func TestAsyncStragglerSlowerThanRound(t *testing.T) {
 func TestAsyncBeatsSyncWallClockUnderSkew(t *testing.T) {
 	speed := &SpeedModel{Slowdown: []float64{4, 1, 1, 1, 1}, Seed: 11}
 	runK := func(k int) *Result {
-		res, err := NewAsyncServer(coraClients(t, 5, 81), 82).Run(asyncOpts(k, speed))
+		res, err := NewServer(coraClients(t, 5, 81), 82).Run(asyncOpts(k, speed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,9 +280,9 @@ func TestAsyncZeroEpochConservation(t *testing.T) {
 	o := DefaultOptions()
 	o.Rounds = 2
 	o.LocalEpochs = 0 // updates are exact echoes of the broadcast
-	o.Async = AsyncOptions{Enabled: true, MinUpdates: 1, Staleness: 0.5,
+	o.Async = AsyncOptions{MinUpdates: 1, Staleness: 0.5,
 		Speed: &SpeedModel{Slowdown: []float64{1, 10}, Seed: 1}}
-	res, err := NewAsyncServer(clients, 92).Run(o)
+	res, err := NewServer(clients, 92).Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}

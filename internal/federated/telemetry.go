@@ -1,18 +1,18 @@
 package federated
 
 // Telemetry families for live training runs. Everything here is
-// observation-only: gauges and counters are written from values the engines
-// already compute, never read back, so a scrape can watch a long federated
+// observation-only: gauges and counters are written from values the engine
+// already computes, never read back, so a scrape can watch a long federated
 // run converge without perturbing its bit-exact result.
 
 import "repro/internal/telemetry"
 
 var (
 	// telRounds counts committed aggregation rounds across all runs in the
-	// process (sync rounds and async commits alike).
+	// process.
 	telRounds = telemetry.Default().Counter(
 		"adafgl_federated_rounds_total",
-		"Committed federated aggregation rounds (sync rounds + async commits).")
+		"Committed federated aggregation rounds.")
 	// telRoundAcc tracks the most recent round's global test accuracy.
 	telRoundAcc = telemetry.Default().Gauge(
 		"adafgl_federated_round_accuracy",
@@ -26,7 +26,7 @@ var (
 		"adafgl_federated_dropped_updates",
 		"Client updates lost to faults or attacks in the current run.")
 	// telStaleness tracks the running mean staleness (in versions) of
-	// committed async updates; 0 for synchronous runs.
+	// committed updates; 0 whenever commits wait for all participants.
 	telStaleness = telemetry.Default().Gauge(
 		"adafgl_federated_mean_staleness",
 		"Mean staleness (global versions behind) of committed updates.")

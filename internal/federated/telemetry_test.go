@@ -3,6 +3,8 @@ package federated
 import (
 	"testing"
 
+	"repro/internal/matrix"
+	"repro/internal/models"
 	"repro/internal/telemetry"
 )
 
@@ -65,5 +67,50 @@ func TestTelemetryRoundCounter(t *testing.T) {
 	}
 	if want := res.RoundAcc[len(res.RoundAcc)-1]; telRoundAcc.Value() != want {
 		t.Errorf("round-accuracy gauge = %v, want final round %v", telRoundAcc.Value(), want)
+	}
+}
+
+// gaugeProbe wraps a client model and samples the round-accuracy gauge each
+// time a training forward pass starts.
+type gaugeProbe struct {
+	models.Model
+	seen []float64
+}
+
+func (p *gaugeProbe) Logits(train bool) *matrix.Dense {
+	if train {
+		p.seen = append(p.seen, telRoundAcc.Value())
+	}
+	return p.Model.Logits(train)
+}
+
+// TestTelemetryRoundAccuracyIsLive fails if round evaluation is deferred to
+// the end of the schedule at K = N: when round r+1's local training starts,
+// the gauge must already hold round r's accuracy, so a scrape sees the curve
+// move while the run is in progress.
+func TestTelemetryRoundAccuracyIsLive(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
+	o := DefaultOptions()
+	o.Rounds = 4
+	o.LocalEpochs = 1 // one training forward per client per round
+
+	clients := coraClients(t, 3, 23)
+	probe := &gaugeProbe{Model: clients[0].Model}
+	clients[0].Model = probe
+	telRoundAcc.Set(-1)
+	res, err := Run(clients, 24, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.seen) != o.Rounds {
+		t.Fatalf("client 0 trained %d times, want once per round (%d)", len(probe.seen), o.Rounds)
+	}
+	if probe.seen[0] != -1 {
+		t.Fatalf("gauge written before the first commit: %v", probe.seen[0])
+	}
+	for r := 1; r < o.Rounds; r++ {
+		if probe.seen[r] != res.RoundAcc[r-1] {
+			t.Fatalf("at the start of round %d the gauge read %v, want round %d's accuracy %v", r+1, probe.seen[r], r, res.RoundAcc[r-1])
+		}
 	}
 }

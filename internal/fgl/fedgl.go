@@ -31,6 +31,9 @@ func (m *FedGL) Name() string { return "FedGL" }
 
 // Run implements Method.
 func (m *FedGL) Run(subgraphs []*graph.Graph, cfg models.Config, opt federated.Options) (*federated.Result, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	build, err := models.BuilderFor("GCN")
 	if err != nil {
 		return nil, err
@@ -81,10 +84,17 @@ func (m *FedGL) Run(subgraphs []*graph.Graph, cfg models.Config, opt federated.O
 		if (round+1)%m.RefreshEvery == 0 {
 			m.refreshPseudoLabels(clients, orig, global, rng)
 		}
-		res.RoundAcc = append(res.RoundAcc, evalOnOriginal(clients, orig, global))
+		acc, _, err := evalOnOriginal(clients, orig, global, 0)
+		if err != nil {
+			return nil, err
+		}
+		res.RoundAcc = append(res.RoundAcc, acc)
 	}
 	res.GlobalParams = global
-	finalEval(res, clients, orig, global, opt.LocalCorrection)
+	res.TestAcc, res.PerClient, err = evalOnOriginal(clients, orig, global, opt.LocalCorrection)
+	if err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -121,45 +131,27 @@ func (m *FedGL) refreshPseudoLabels(clients []*federated.Client, orig []*graph.G
 	}
 }
 
-// evalOnOriginal computes weighted test accuracy against the ORIGINAL labels
-// and masks (pseudo-labels must never leak into evaluation).
-func evalOnOriginal(clients []*federated.Client, orig []*graph.Graph, global []float64) float64 {
+// evalOnOriginal is federated.Evaluate for the one method that cannot use it:
+// the working graphs carry pseudo-labels on test nodes, so accuracy is scored
+// against the ORIGINAL labels and test mask (correction still trains on the
+// pseudo-labelled graph).
+func evalOnOriginal(clients []*federated.Client, orig []*graph.Graph, global []float64, correction int) (acc float64, perClient []float64, err error) {
+	perClient = make([]float64, len(clients))
 	var weighted, total float64
 	for ci, c := range clients {
 		if err := nn.Unflatten(c.Model, global); err != nil {
-			return 0
-		}
-		logits := c.Model.Logits(false)
-		acc := models.AccuracyFromLogits(logits, orig[ci].Labels, orig[ci].TestMask)
-		w := float64(graph.CountMask(orig[ci].TestMask))
-		weighted += acc * w
-		total += w
-	}
-	if total == 0 {
-		return 0
-	}
-	return weighted / total
-}
-
-// finalEval fills Result.PerClient/TestAcc after optional local correction,
-// always scoring against original labels.
-func finalEval(res *federated.Result, clients []*federated.Client, orig []*graph.Graph, global []float64, correction int) {
-	var weighted, total float64
-	for ci, c := range clients {
-		if err := nn.Unflatten(c.Model, global); err != nil {
-			return
+			return 0, nil, err
 		}
 		if correction > 0 {
 			c.TrainLocal(correction)
 		}
-		logits := c.Model.Logits(false)
-		acc := models.AccuracyFromLogits(logits, orig[ci].Labels, orig[ci].TestMask)
-		res.PerClient = append(res.PerClient, acc)
+		perClient[ci] = models.AccuracyFromLogits(c.Model.Logits(false), orig[ci].Labels, orig[ci].TestMask)
 		w := float64(graph.CountMask(orig[ci].TestMask))
-		weighted += acc * w
+		weighted += perClient[ci] * w
 		total += w
 	}
 	if total > 0 {
-		res.TestAcc = weighted / total
+		acc = weighted / total
 	}
+	return acc, perClient, nil
 }

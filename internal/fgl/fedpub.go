@@ -31,6 +31,9 @@ func (m *FedPub) Name() string { return "FED-PUB" }
 
 // Run implements Method.
 func (m *FedPub) Run(subgraphs []*graph.Graph, cfg models.Config, opt federated.Options) (*federated.Result, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	build, err := models.BuilderFor("GCN")
 	if err != nil {
 		return nil, err
@@ -49,6 +52,7 @@ func (m *FedPub) Run(subgraphs []*graph.Graph, cfg models.Config, opt federated.
 	// mask (one bit per parameter) each client maintains (Table VIII).
 	res := &federated.Result{BytesPerRound: n*dim*8*2 + n*dim/8}
 	locals := make([][]float64, n)
+	personalFor := func(ci int) []float64 { return personal[ci] }
 
 	for round := 0; round < opt.Rounds; round++ {
 		for ci, c := range clients {
@@ -86,7 +90,11 @@ func (m *FedPub) Run(subgraphs []*graph.Graph, cfg models.Config, opt federated.
 			}
 			personal[i] = agg
 		}
-		res.RoundAcc = append(res.RoundAcc, m.evalPersonal(clients, personal))
+		acc, _, err := federated.Evaluate(clients, personalFor, 0)
+		if err != nil {
+			return nil, err
+		}
+		res.RoundAcc = append(res.RoundAcc, acc)
 	}
 	// The mean personalised model stands in for a global model.
 	mean := make([]float64, dim)
@@ -97,40 +105,11 @@ func (m *FedPub) Run(subgraphs []*graph.Graph, cfg models.Config, opt federated.
 	}
 	res.GlobalParams = mean
 
-	var weighted, total float64
-	for ci, c := range clients {
-		if err := nn.Unflatten(c.Model, personal[ci]); err != nil {
-			return nil, err
-		}
-		if opt.LocalCorrection > 0 {
-			c.TrainLocal(opt.LocalCorrection)
-		}
-		acc := c.TestAccuracy()
-		res.PerClient = append(res.PerClient, acc)
-		w := float64(c.TestSize())
-		weighted += acc * w
-		total += w
-	}
-	if total > 0 {
-		res.TestAcc = weighted / total
+	res.TestAcc, res.PerClient, err = federated.Evaluate(clients, personalFor, opt.LocalCorrection)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
-}
-
-func (m *FedPub) evalPersonal(clients []*federated.Client, personal [][]float64) float64 {
-	var weighted, total float64
-	for ci, c := range clients {
-		if err := nn.Unflatten(c.Model, personal[ci]); err != nil {
-			return 0
-		}
-		w := float64(c.TestSize())
-		weighted += c.TestAccuracy() * w
-		total += w
-	}
-	if total == 0 {
-		return 0
-	}
-	return weighted / total
 }
 
 // kthLargestAbsDiff returns the k-th largest |a[i]-b[i]| via a partial

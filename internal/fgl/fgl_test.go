@@ -3,6 +3,7 @@ package fgl
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
@@ -222,5 +223,18 @@ func TestHeterophilyAdvantageShape(t *testing.T) {
 	// deteriorate when moving to the Non-iid split.
 	if (gloNI - gcnNI) < (gloComm-gcnComm)-0.2 {
 		t.Errorf("heterophilous advantage shape violated")
+	}
+}
+
+// Every baseline rejects unusable options with the shared named error before
+// training, whether it drives its own round loop or delegates to the engine.
+func TestMethodsValidateOptions(t *testing.T) {
+	subs := communitySubgraphs(t, "Cora", 3, 1)
+	for _, m := range Methods([]string{"GCN"}, 0) {
+		o := quickOpts()
+		o.Rounds = 0
+		if _, err := m.Run(subs, quickCfg(), o); err == nil || !strings.HasPrefix(err.Error(), "federated: options: Rounds") {
+			t.Errorf("%s accepted Rounds = 0 (err=%v)", m.Name(), err)
+		}
 	}
 }

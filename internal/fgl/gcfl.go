@@ -30,6 +30,9 @@ func (m *GCFL) Name() string { return "GCFL+" }
 
 // Run implements Method.
 func (m *GCFL) Run(subgraphs []*graph.Graph, cfg models.Config, opt federated.Options) (*federated.Result, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	build, err := models.BuilderFor("GCN")
 	if err != nil {
 		return nil, err
@@ -41,6 +44,7 @@ func (m *GCFL) Run(subgraphs []*graph.Graph, cfg models.Config, opt federated.Op
 	cluster := make([]int, len(clients))
 	clusterModels := map[int][]float64{0: nn.Flatten(clients[0].Model)}
 	nClusters := 1
+	clusterModelFor := func(ci int) []float64 { return clusterModels[cluster[ci]] }
 
 	// Communication: model params both ways plus the per-client gradient
 	// (update) sequence the server clusters on (Table VIII).
@@ -87,28 +91,19 @@ func (m *GCFL) Run(subgraphs []*graph.Graph, cfg models.Config, opt federated.Op
 			nClusters = m.maybeSplit(cluster, updates, clusterModels, nClusters)
 		}
 
-		res.RoundAcc = append(res.RoundAcc, m.evalClustered(clients, cluster, clusterModels))
+		acc, _, err := federated.Evaluate(clients, clusterModelFor, 0)
+		if err != nil {
+			return nil, err
+		}
+		res.RoundAcc = append(res.RoundAcc, acc)
 	}
 	// Report the largest cluster's model as "global" for knowledge-extractor
 	// style consumers.
 	res.GlobalParams = clusterModels[largestCluster(cluster, nClusters)]
 
-	var weighted, total float64
-	for ci, c := range clients {
-		if err := nn.Unflatten(c.Model, clusterModels[cluster[ci]]); err != nil {
-			return nil, err
-		}
-		if opt.LocalCorrection > 0 {
-			c.TrainLocal(opt.LocalCorrection)
-		}
-		acc := c.TestAccuracy()
-		res.PerClient = append(res.PerClient, acc)
-		w := float64(c.TestSize())
-		weighted += acc * w
-		total += w
-	}
-	if total > 0 {
-		res.TestAcc = weighted / total
+	res.TestAcc, res.PerClient, err = federated.Evaluate(clients, clusterModelFor, opt.LocalCorrection)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -159,22 +154,6 @@ func (m *GCFL) maybeSplit(cluster []int, updates [][]float64, clusterModels map[
 		clusterModels[newID] = append([]float64(nil), clusterModels[cid]...)
 	}
 	return nClusters
-}
-
-func (m *GCFL) evalClustered(clients []*federated.Client, cluster []int, clusterModels map[int][]float64) float64 {
-	var weighted, total float64
-	for ci, c := range clients {
-		if err := nn.Unflatten(c.Model, clusterModels[cluster[ci]]); err != nil {
-			return 0
-		}
-		w := float64(c.TestSize())
-		weighted += c.TestAccuracy() * w
-		total += w
-	}
-	if total == 0 {
-		return 0
-	}
-	return weighted / total
 }
 
 func largestCluster(cluster []int, n int) int {

@@ -4,7 +4,7 @@
 // crash-and-rejoin with stale parameters, straggler skew, and byzantine
 // arms with label-flip / sign-flip / scaled-update attackers. A scenario
 // compiles a textual spec ("churn:leave=2,leaveat=0.4") into a fault
-// schedule on the async engine's virtual clock (federated.Faults) plus any
+// schedule on the federated engine's virtual clock (federated.Faults) plus any
 // data-level corruption (label flips on attacker subgraphs), so every
 // scenario run is bit-reproducible for any worker count at a fixed seed.
 // adafgl-bench's chaos experiment and examples/chaos both draw from this
@@ -198,9 +198,10 @@ func (s *Scenario) Spec() string { return RenderSpec(s.Name, s.Params) }
 
 // Apply configures opt (and, for data-poisoning scenarios, the subgraphs in
 // place) to run this scenario over the given fleet. Scenarios that inject
-// faults or speed skew switch opt.Async on — their schedules live on the
-// async engine's virtual clock — while "steady" leaves opt untouched so the
-// caller's engine choice stands. Event times are laid out in units of the
+// faults or speed skew write opt.Async.Faults / opt.Async.Speed — their
+// schedules live on the engine's virtual clock — and leave the caller's K
+// and staleness discount alone; "steady" and the data-level byz-labelflip
+// leave opt untouched. Event times are laid out in units of the
 // fleet's nominal commit period (LocalEpochs × slowest client's train size),
 // making one spec reproducible across dataset scales. Apply validates its
 // parameters against the fleet and fails with "scenario:"-prefixed errors;
@@ -252,11 +253,7 @@ func commitPeriod(subs []*graph.Graph, opt *federated.Options) float64 {
 			maxW = w
 		}
 	}
-	epochs := opt.LocalEpochs
-	if epochs < 1 {
-		epochs = 1
-	}
-	return float64(epochs * maxW)
+	return float64(max(1, opt.LocalEpochs) * maxW)
 }
 
 // horizon is the run's nominal virtual duration: Rounds commit periods.
@@ -281,7 +278,6 @@ func applyStraggler(s *Scenario, subs []*graph.Graph, opt *federated.Options) er
 	for i := n - count; i < n; i++ {
 		slowdown[i] = factor
 	}
-	opt.Async.Enabled = true
 	opt.Async.Speed = &federated.SpeedModel{Slowdown: slowdown, Seed: opt.Seed}
 	return nil
 }
@@ -316,7 +312,6 @@ func applyChurn(s *Scenario, subs []*graph.Graph, opt *federated.Options) error 
 	for i := n - leave; i < n; i++ {
 		f.Events = append(f.Events, federated.FaultEvent{Time: leaveAt * h, Client: i, Kind: federated.FaultLeave})
 	}
-	opt.Async.Enabled = true
 	opt.Async.Faults = f
 	return nil
 }
@@ -358,7 +353,6 @@ func applyWaves(s *Scenario, subs []*graph.Graph, opt *federated.Options) error 
 		}
 		up = next
 	}
-	opt.Async.Enabled = true
 	opt.Async.Faults = f
 	return nil
 }
@@ -385,7 +379,6 @@ func applyCrashRejoin(s *Scenario, subs []*graph.Graph, opt *federated.Options) 
 			federated.FaultEvent{Time: (at + down) * h, Client: i, Kind: federated.FaultJoin},
 		)
 	}
-	opt.Async.Enabled = true
 	opt.Async.Faults = f
 	return nil
 }
@@ -442,7 +435,6 @@ func applyUploadAttack(s *Scenario, subs []*graph.Graph, opt *federated.Options,
 	for i := n - m; i < n; i++ {
 		f.Events = append(f.Events, federated.FaultEvent{Time: 0, Client: i, Kind: federated.FaultCorrupt, Attack: atk})
 	}
-	opt.Async.Enabled = true
 	opt.Async.Faults = f
 	return nil
 }

@@ -233,9 +233,9 @@ func TestLabelFlipPoisonsOnlyAttackerTrainLabels(t *testing.T) {
 			}
 		}
 	}
-	// Label flipping must not switch the engine: steady data poisoning.
-	if opt.Async.Enabled {
-		t.Fatal("byz-labelflip is data-level; it must not force the async engine")
+	// Label flipping is data-level: it must leave the commit schedule alone.
+	if !reflect.DeepEqual(opt, baseOpts()) {
+		t.Fatalf("byz-labelflip must not touch the options, got %+v", opt)
 	}
 }
 
@@ -250,9 +250,6 @@ func TestChurnScheduleShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := opt.Async.Faults
-	if !opt.Async.Enabled {
-		t.Fatal("churn must run on the async engine")
-	}
 	if !reflect.DeepEqual(f.DownAtStart, []int{0, 1}) {
 		t.Fatalf("joiners must start down: %v", f.DownAtStart)
 	}
