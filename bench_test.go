@@ -237,13 +237,12 @@ func BenchmarkGEMM(b *testing.B) {
 	}
 }
 
-// BenchmarkSpMM sweeps the blocked SpMM engine across graph sizes, densities
-// and worker counts, with the row-streamed kernel as baseline, so the CI
-// smoke-bench artifact tracks the blocked path's speedup alongside the GEMM
-// trajectory. path=blocked is the one-shot dispatch (panel reorganisation
-// per call); path=plan reuses one prebuilt sparse.Plan, the propagation-loop
-// pattern. All three paths are bit-identical for every worker count
-// (enforced by the property suite in internal/sparse).
+// BenchmarkSpMM sweeps the two SpMM kernels across graph sizes, densities and
+// worker counts, so the CI smoke-bench artifact tracks the blocked engine's
+// speedup alongside the GEMM trajectory. path=rowstream is CSR.MulDense;
+// path=plan reuses one prebuilt sparse.Plan, the propagation-loop pattern.
+// The two are bit-identical for every worker count (enforced by the property
+// suite in internal/sparse).
 func BenchmarkSpMM(b *testing.B) {
 	const cols = 64
 	for _, n := range []int{5000, 50000} {
@@ -255,8 +254,7 @@ func BenchmarkSpMM(b *testing.B) {
 					name string
 					run  func()
 				}{
-					{"rowstream", func() { _ = adj.MulDenseNaive(x) }},
-					{"blocked", func() { _ = adj.MulDense(x) }},
+					{"rowstream", func() { _ = adj.MulDense(x) }},
 					{"plan", func() { _ = plan.MulDense(x) }},
 				}
 				for _, p := range paths {
@@ -274,28 +272,30 @@ func BenchmarkSpMM(b *testing.B) {
 	}
 }
 
-// BenchmarkSpMMPlanReuse contrasts k-step propagation with and without a
-// reusable plan at the engine's acceptance configuration (50k nodes, average
-// degree 20, 64-column operand, 8 steps): path=rebuild pays the dispatch
-// path's per-product reorganisation, path=plan builds the layout once.
+// BenchmarkSpMMPlanReuse contrasts k-step propagation on the row-streamed
+// kernel with a plan that is built inside the timed region, at the engine's
+// acceptance configuration (50k nodes, average degree 20, 64-column
+// operand): steps=8 is the propagation-loop pattern, steps=1 prices a plan
+// nobody reuses — the panel reorganisation against a single product.
 func BenchmarkSpMMPlanReuse(b *testing.B) {
-	const steps = 8
 	adj, x := benchGraphCSR(50000, 20, 64)
 	scratch := matrix.New(50000, 64)
-	b.Run("steps=8/path=rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cur := x
-			for k := 0; k < steps; k++ {
-				cur = adj.MulDense(cur)
+	for _, steps := range []int{1, 8} {
+		b.Run(fmt.Sprintf("steps=%d/path=rowstream", steps), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cur := x
+				for k := 0; k < steps; k++ {
+					cur = adj.MulDense(cur)
+				}
 			}
-		}
-	})
-	b.Run("steps=8/path=plan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan := sparse.NewPlan(adj)
-			plan.PropagateInto(x.Clone(), scratch, steps)
-		}
-	})
+		})
+		b.Run(fmt.Sprintf("steps=%d/path=plan", steps), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plan := sparse.NewPlan(adj)
+				plan.PropagateInto(x.Clone(), scratch, steps)
+			}
+		})
+	}
 }
 
 // BenchmarkFedAsyncRound sweeps the federated engine across commit

@@ -37,7 +37,6 @@ func main() {
 
 		asyncK         = flag.Int("async-k", 0, "Step-1 commit threshold K: commit a round once K client updates are buffered (0 or >= participants = synchronous FedAvg, the default)")
 		asyncStaleness = flag.Float64("async-staleness", 0, "staleness discount α — an update s rounds stale is weighted α/(1+s) (0 = 1.0, leaving fresh updates undiscounted)")
-		asyncWall      = flag.Bool("async-wall", false, "order arrivals by real training completion (wall clock) instead of the seeded virtual clock; not reproducible when K < participants")
 
 		shardNodes = flag.Int("shard-nodes", 1_000_000, "streamed graph size for the shard scaling experiment")
 		shardMax   = flag.Int("shard-max", 8, "largest shard count of the shard experiment's sweep")
@@ -92,9 +91,6 @@ func main() {
 	scale.ShardNodes = *shardNodes
 	scale.ShardMax = *shardMax
 	scale.Async = federated.AsyncOptions{MinUpdates: *asyncK, Staleness: *asyncStaleness}
-	if *asyncWall {
-		scale.Async.Clock = federated.NewWallClock()
-	}
 	agg, err := federated.ParseAggregator(*robust)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -2,8 +2,8 @@
 // machine-readable bench trajectory artifact BENCH_smoke.json: one record
 // per benchmark with the operation, its parameter string, ns/op, and — for
 // sweeps that carry a path=<kernel> parameter — the speedup against the
-// sibling baseline kernel (path=naive for the GEMM sweep, path=rowstream or
-// path=rebuild for the SpMM sweeps, path=single for the serving-batcher
+// sibling baseline kernel (path=naive for the GEMM sweep, path=rowstream
+// for the SpMM sweeps, path=single for the serving-batcher
 // sweep, path=direct for the registry-routing sweep, path=whole for the
 // shard-scale sweep, path=notelemetry for the telemetry-overhead sweep —
 // there the enabled row's speedup is its fraction of uninstrumented
@@ -61,7 +61,7 @@ var metricPair = regexp.MustCompile(`([0-9.eE+-]+) ([^\s]+)`)
 
 // baselinePaths are the path= values treated as the reference kernel of
 // their sweep.
-var baselinePaths = map[string]bool{"naive": true, "rowstream": true, "rebuild": true, "single": true, "direct": true, "whole": true, "notelemetry": true}
+var baselinePaths = map[string]bool{"naive": true, "rowstream": true, "single": true, "direct": true, "whole": true, "notelemetry": true}
 
 func main() {
 	in := flag.String("in", "bench-smoke.txt", "go test -bench output to parse")

@@ -42,10 +42,9 @@ type Scale struct {
 	// Correction is the local-correction epoch budget for GNN wrappers.
 	Correction int
 	Seed       int64
-	// Async configures Step-1's commit threshold, staleness discount and
-	// clock for every experiment (wired to the -async-k/-async-staleness/
-	// -async-wall flags of cmd/adafgl-bench); the zero value is synchronous
-	// FedAvg.
+	// Async configures Step-1's commit threshold and staleness discount for
+	// every experiment (wired to the -async-k/-async-staleness flags of
+	// cmd/adafgl-bench); the zero value is synchronous FedAvg.
 	Async federated.AsyncOptions
 	// Robust configures Step-1 robust aggregation for every experiment
 	// (wired to the -robust/-trim-frac/-clip/-dp-noise flags of

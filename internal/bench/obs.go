@@ -84,7 +84,7 @@ func Obs(s Scale) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := comparePreds(onPreds, offPreds); err != nil {
+	if err := comparePredSlices(onPreds, offPreds); err != nil {
 		return nil, fmt.Errorf("bench: obs: serve telemetry on vs off: %w", err)
 	}
 

@@ -57,7 +57,7 @@ func Serve(s Scale) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := comparePreds(singlePreds, batchedPreds); err != nil {
+		if err := comparePredSlices(singlePreds, batchedPreds); err != nil {
 			return nil, fmt.Errorf("bench: serve: %s: %w", arch, err)
 		}
 		lines = append(lines,
@@ -94,15 +94,16 @@ func serveCheckpoint(arch string, factor float64, s Scale) (*checkpoint.Checkpoi
 }
 
 // serveLoad drives the concurrent query storm against one server config and
-// returns the metrics snapshot plus every prediction keyed by node.
-func serveLoad(ck *checkpoint.Checkpoint, opt serve.Options) (serve.Snapshot, map[int]serve.Prediction, error) {
+// returns the metrics snapshot plus every answer, in query order (client by
+// client) — the same order for every config, so two loads compare
+// positionally.
+func serveLoad(ck *checkpoint.Checkpoint, opt serve.Options) (serve.Snapshot, []serve.Prediction, error) {
 	srv, err := serve.New(ck, opt)
 	if err != nil {
 		return serve.Snapshot{}, nil, err
 	}
 	defer srv.Close()
-	preds := make(map[int]serve.Prediction)
-	var mu sync.Mutex
+	preds := make([]serve.Prediction, serveConc*serveQueriesPerWorker)
 	var wg sync.WaitGroup
 	errs := make(chan error, serveConc)
 	for w := 0; w < serveConc; w++ {
@@ -116,9 +117,7 @@ func serveLoad(ck *checkpoint.Checkpoint, opt serve.Options) (serve.Snapshot, ma
 					errs <- err
 					return
 				}
-				mu.Lock()
-				preds[node] = ps[0]
-				mu.Unlock()
+				preds[w*serveQueriesPerWorker+q] = ps[0]
 			}
 		}()
 	}
@@ -128,26 +127,4 @@ func serveLoad(ck *checkpoint.Checkpoint, opt serve.Options) (serve.Snapshot, ma
 		return serve.Snapshot{}, nil, err
 	}
 	return srv.Stats(), preds, nil
-}
-
-// comparePreds requires bit-identical logits and classes across modes.
-func comparePreds(a, b map[int]serve.Prediction) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("answered node sets differ: %d vs %d", len(a), len(b))
-	}
-	for node, pa := range a {
-		pb, ok := b[node]
-		if !ok {
-			return fmt.Errorf("node %d missing from batched answers", node)
-		}
-		if pa.Class != pb.Class {
-			return fmt.Errorf("node %d class differs: %d vs %d", node, pa.Class, pb.Class)
-		}
-		for j := range pa.Logits {
-			if pa.Logits[j] != pb.Logits[j] {
-				return fmt.Errorf("node %d logit %d differs bitwise: %v vs %v", node, j, pa.Logits[j], pb.Logits[j])
-			}
-		}
-	}
-	return nil
 }

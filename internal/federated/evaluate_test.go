@@ -139,6 +139,12 @@ func TestOptionsValidate(t *testing.T) {
 		{"Async.Staleness", func(o *Options) { o.Async.Staleness = -0.1 }},
 		{"Async.Staleness", func(o *Options) { o.Async.Staleness = math.NaN() }},
 		{"Async.Staleness", func(o *Options) { o.Async.Staleness = math.Inf(1) }},
+		{"Async.Speed: Jitter", func(o *Options) { o.Async.Speed = &SpeedModel{Jitter: 1.5} }}, // factor in [-0.5, 2.5): a finish before its dispatch
+		{"Async.Speed: Jitter", func(o *Options) { o.Async.Speed = &SpeedModel{Jitter: 1} }},
+		{"Async.Speed: Jitter", func(o *Options) { o.Async.Speed = &SpeedModel{Jitter: -0.1} }},
+		{"Async.Speed: Jitter", func(o *Options) { o.Async.Speed = &SpeedModel{Jitter: math.NaN()} }}, // used to mean 0 silently
+		{"Async.Speed: Slowdown[1]", func(o *Options) { o.Async.Speed = &SpeedModel{Slowdown: []float64{1, math.Inf(1)}} }},
+		{"Async.Speed: Slowdown[0]", func(o *Options) { o.Async.Speed = &SpeedModel{Slowdown: []float64{math.NaN()}} }},
 	}
 	clients := coraClients(t, 3, 135)
 	for _, tc := range bad {
@@ -158,6 +164,7 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.Participation = 0.01 }, // rounds up to one client
 		func(o *Options) { o.Async.MinUpdates = 99 },
 		func(o *Options) { o.Async.Staleness = 2 },
+		func(o *Options) { o.Async.Speed = &SpeedModel{Jitter: 0.99, Slowdown: []float64{4, 0, -1}} }, // entries <= 0 mean nominal speed
 		func(o *Options) { *o = PaperOptions() },
 	}
 	for _, edit := range good {

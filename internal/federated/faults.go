@@ -125,8 +125,7 @@ type FaultEvent struct {
 // Faults is the fault-injection schedule of one run: a list of
 // per-client events ordered by the engine's virtual clock, so every faulted
 // run is bit-reproducible for any worker count. The zero value injects
-// nothing. Faults require the seeded virtual clock (the default); Server.Run
-// rejects a fault schedule combined with a wall clock.
+// nothing.
 type Faults struct {
 	// Events is the schedule; Server.Run sorts a copy stably by Time,
 	// so same-time events keep their slice order.

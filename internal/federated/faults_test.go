@@ -32,17 +32,6 @@ func TestFaultsValidateRejectsBadSchedules(t *testing.T) {
 	}
 }
 
-func TestFaultsRequireVirtualClock(t *testing.T) {
-	clients := coraClients(t, 2, 52)
-	o := quickOpts()
-	o.Rounds = 1
-	o.Async = AsyncOptions{Clock: NewWallClock(),
-		Faults: Faults{Events: []FaultEvent{{Time: 1, Client: 0, Kind: FaultLeave}}}}
-	if _, err := Run(clients, 1, o); err == nil || !strings.Contains(err.Error(), "virtual clock") {
-		t.Fatalf("wall clock + faults must be rejected, got %v", err)
-	}
-}
-
 func TestAttackApply(t *testing.T) {
 	base := []float64{1, 2}
 	local := []float64{2, 0} // delta (+1, -2)

@@ -118,8 +118,8 @@ type Options struct {
 	// fleets are bit-identical. Both defaults use 1.
 	Seed int64
 	// Async configures how early the engine commits (K-of-N buffering, the
-	// staleness discount, the clock, fault injection). The zero value commits
-	// only when every participant has arrived: synchronous FedAvg.
+	// staleness discount, the speed model, fault injection). The zero value
+	// commits only when every participant has arrived: synchronous FedAvg.
 	Async AsyncOptions
 	// Robust configures the robust-aggregation defences (update-norm
 	// clipping, coordinate-median / trimmed-mean alternatives to FedAvg,
@@ -147,6 +147,19 @@ func (o Options) Validate() error {
 	}
 	if !(o.Async.Staleness >= 0) || math.IsInf(o.Async.Staleness, 0) {
 		return fmt.Errorf("federated: options: Async.Staleness %v must be finite and >= 0", o.Async.Staleness)
+	}
+	if sp := o.Async.Speed; sp != nil {
+		// The speed model alone sets the commit schedule: Jitter >= 1 can
+		// stamp a finish before its own dispatch, a non-finite factor stamps
+		// one at infinity or NaN.
+		if !(sp.Jitter >= 0 && sp.Jitter < 1) {
+			return fmt.Errorf("federated: options: Async.Speed: Jitter %v outside [0, 1)", sp.Jitter)
+		}
+		for i, f := range sp.Slowdown {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return fmt.Errorf("federated: options: Async.Speed: Slowdown[%d] %v must be finite", i, f)
+			}
+		}
 	}
 	return o.Robust.validate()
 }
@@ -184,11 +197,10 @@ type Result struct {
 	// so with K < N the volume scales with K instead of the participant
 	// count.
 	BytesPerRound int
-	// RoundTime is the time on the engine's Clock at which each aggregation
-	// round committed (SpeedModel units on the default virtual clock, seconds
-	// under NewWallClock); one entry per committed round. Comparing a K < N
-	// run's RoundTime against a MinUpdates = N run of the same fleet gives
-	// the convergence-vs-wall-clock tradeoff directly.
+	// RoundTime is the time on the virtual clock, in SpeedModel units, at
+	// which each aggregation round committed; one entry per committed round.
+	// Comparing a K < N run's RoundTime against a MinUpdates = N run of the
+	// same fleet gives the convergence-vs-simulated-time tradeoff directly.
 	RoundTime []float64
 	// MeanStaleness is the mean staleness, in committed rounds, of every
 	// update aggregated during the run; 0 whenever commits wait for all

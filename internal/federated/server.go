@@ -10,8 +10,8 @@ import (
 )
 
 // AsyncOptions configures how far Server departs from synchronous FedAvg:
-// the commit threshold, the staleness discount, the clock and the faults.
-// The zero value is synchronous FedAvg.
+// the commit threshold, the staleness discount, the speed model and the
+// faults. The zero value is synchronous FedAvg.
 type AsyncOptions struct {
 	// MinUpdates is the K of buffered K-of-N aggregation: the server commits
 	// a round as soon as K client updates are buffered instead of waiting
@@ -29,15 +29,11 @@ type AsyncOptions struct {
 	Staleness float64
 	// Speed is the simulated per-client duration model driving the virtual
 	// clock. Nil runs every client at nominal speed (duration = local epochs
-	// × labeled-node count, no jitter). Ignored when Clock is set.
+	// × labeled-node count, no jitter).
 	Speed *SpeedModel
-	// Clock overrides the duration source. Nil keeps the seeded virtual
-	// clock built from Speed (bit-reproducible simulation); NewWallClock()
-	// orders arrivals by real training completion for deployments.
-	Clock Clock
 	// Faults is the fault-injection schedule: per-client crash, leave,
 	// join and corrupt events ordered by the virtual clock. The zero value
-	// injects nothing; a non-empty schedule requires the virtual clock.
+	// injects nothing.
 	Faults Faults
 }
 
@@ -112,7 +108,7 @@ type asyncJob struct {
 	client  int     // index into Clients
 	version int     // global model version trained from
 	seq     int     // global dispatch sequence number
-	finish  float64 // arrival time on the engine's Clock (virtual units, or wall seconds)
+	finish  float64 // arrival time on the virtual clock
 	weight  float64 // FedAvg data-size weight n_i
 	done    chan struct{}
 	params  []float64
@@ -124,9 +120,8 @@ type asyncJob struct {
 // Run executes buffered FedAvg for opt.Rounds commits: broadcast, parallel
 // local training (Eq. 3), data-size-weighted aggregation (Eq. 4).
 //
-// Scheduling is event-driven on the engine's Clock (the seeded virtual clock
-// by default; NewWallClock for real time): every dispatched client
-// trains concurrently (bounded by parallel.Workers()), but the server
+// Scheduling is event-driven on the seeded virtual clock: every dispatched
+// client trains concurrently (bounded by parallel.Workers()), but the server
 // harvests arrivals strictly in (virtual finish time, dispatch sequence)
 // order and aggregates each commit's buffer in dispatch order — so the
 // sequence of global models depends only on the seed and the speed model,
@@ -168,11 +163,6 @@ func (s *Server) Run(opt Options) (*Result, error) {
 	}
 	var ft *faultRun
 	if !opt.Async.Faults.Empty() {
-		if opt.Async.Clock != nil {
-			if _, ok := opt.Async.Clock.(*virtualClock); !ok {
-				return nil, fmt.Errorf("federated: faults: a fault schedule requires the virtual clock")
-			}
-		}
 		if ft, err = newFaultRun(opt.Async.Faults, len(s.Clients)); err != nil {
 			return nil, err
 		}
@@ -187,11 +177,7 @@ func (s *Server) Run(opt Options) (*Result, error) {
 	if alpha == 0 {
 		alpha = 1
 	}
-	clock := opt.Async.Clock
-	if clock == nil {
-		clock = newVirtualClock(opt.Async.Speed)
-	}
-	clock.reset(len(s.Clients))
+	clock := newVirtualClock(opt.Async.Speed, len(s.Clients))
 
 	global := nn.Flatten(s.Clients[0].Model) // initial broadcast model
 	res := &Result{BytesPerRound: k * dim * 8 * 2}
@@ -246,10 +232,7 @@ func (s *Server) Run(opt Options) (*Result, error) {
 		}
 		job.base = bcast
 		grp.Go(func() error {
-			defer func() {
-				close(job.done)
-				clock.completed(job)
-			}()
+			defer close(job.done)
 			if err := nn.Unflatten(c.Model, bcast); err != nil {
 				job.err = fmt.Errorf("federated: broadcast to client %d: %w", c.ID, err)
 				return job.err
@@ -309,7 +292,7 @@ func (s *Server) Run(opt Options) (*Result, error) {
 					}
 					if ft.next < len(ft.events) {
 						now = ft.events[ft.next].Time
-						clock.(*virtualClock).advance(now)
+						clock.advance(now)
 						ft.process(now, inflight)
 						for _, ci := range sampled {
 							if !busy[ci] && !ft.down[ci] {

@@ -100,41 +100,3 @@ func (m *GAMLP) EmbeddingSpec() EmbeddingSpec {
 // EmbeddingSpec implements ShardableDecoupled: the MLP baseline never
 // propagates, so its embedding is hop zero (the raw features).
 func (m *MLPModel) EmbeddingSpec() EmbeddingSpec { return EmbeddingSpec{Norm: sparse.NormSym} }
-
-// InferenceLayer is one step of a message-passing model's inference
-// pipeline: either a propagation (one Ã multiply) or a row-wise dense head
-// layer. The alternating sequence lets a sharded engine interleave local
-// SpMM with halo exchange while applying the dense steps row-locally.
-type InferenceLayer struct {
-	// Propagate marks a Ã·H step; Head is ignored when set.
-	Propagate bool
-	// Head is the affine(+ReLU) step applied to every row independently.
-	Head HeadLayer
-}
-
-// Layered is implemented by message-passing architectures whose inference
-// decomposes into an alternating propagate / row-wise-dense pipeline. GCN
-// qualifies (dropout is an identity at inference); architectures with
-// cross-layer residuals to the input do not.
-type Layered interface {
-	Model
-	// InferenceLayers returns the pipeline under the current parameters;
-	// weights alias live parameters like InferenceFactors.
-	InferenceLayers() []InferenceLayer
-	// PropagationNorm is the adjacency normalisation the propagation steps
-	// use.
-	PropagationNorm() sparse.NormKind
-}
-
-// InferenceLayers implements Layered: Ã → W₁+ReLU → Ã → W₂.
-func (m *GCN) InferenceLayers() []InferenceLayer {
-	return []InferenceLayer{
-		{Propagate: true},
-		{Head: HeadLayer{W: m.l1.W.Value, Bias: m.l1.B.Value.Data, ReLU: true}},
-		{Propagate: true},
-		{Head: HeadLayer{W: m.l2.W.Value, Bias: m.l2.B.Value.Data}},
-	}
-}
-
-// PropagationNorm implements Layered.
-func (m *GCN) PropagationNorm() sparse.NormKind { return sparse.NormSym }

@@ -80,9 +80,3 @@ func (m *MLP) Backward(gradOut *matrix.Dense) *matrix.Dense {
 	}
 	return g
 }
-
-// OutDim returns the output dimension of the final layer.
-func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].W.Value.Cols }
-
-// InDim returns the expected input dimension.
-func (m *MLP) InDim() int { return m.Layers[0].W.Value.Rows }

@@ -76,15 +76,6 @@ func Unflatten(m Module, v []float64) error {
 	return nil
 }
 
-// FlattenGrads serialises all gradients of m (GCFL+ clusters on gradients).
-func FlattenGrads(m Module) []float64 {
-	out := make([]float64, 0, NumParams(m))
-	for _, p := range m.Params() {
-		out = append(out, p.Grad.Data...)
-	}
-	return out
-}
-
 // Linear is a fully connected layer y = x·W + b.
 type Linear struct {
 	W *Parameter // in x out

@@ -69,10 +69,11 @@ type Options struct {
 	// whole scan. This is the self-healing startup mode of adafgl-serve: one
 	// bad file in the zoo directory must not keep every good model offline.
 	LenientScan bool
-	// Shards, when > 1, serves every model shard-aware: each started
-	// instance is a shard.NewServer fleet instead of a single-process
-	// serve.Server. Predictions are unchanged (bit-identical for decoupled
-	// architectures); only the memory/throughput scaling profile differs.
+	// Shards, when > 1, starts every instance through shard.NewServer: a
+	// decoupled architecture becomes a routed per-shard fleet, a
+	// message-passing one stays the single-process serve.Server.
+	// Predictions are bit-identical to unsharded serving for every
+	// architecture; only the memory/throughput scaling profile differs.
 	// 0 or 1 serves unsharded.
 	Shards int
 }

@@ -9,9 +9,13 @@ import (
 
 // TestShardedRegistryBitIdentical covers Options.Shards: a registry told to
 // serve shard-aware must answer every model exactly as the plain registry —
-// the routing layer above cannot tell the two apart.
+// the routing layer above cannot tell the two apart. A decoupled artifact
+// rides the shard router; a message-passing one (GCNII used to trip its
+// breaker with "neither decoupled nor layered") cold-starts as the plain
+// server.
 func TestShardedRegistryBitIdentical(t *testing.T) {
 	dir := zooDir(t, "m@1")
+	saveCkpt(t, dir, "deep@1.ckpt", makeCkpt(t, "GCNII", 3, 100))
 
 	plain := New(Options{Serve: serve.Options{MaxBatch: 8, Seed: 1}})
 	defer plain.Close()
@@ -34,25 +38,27 @@ func TestShardedRegistryBitIdentical(t *testing.T) {
 	h.Release()
 
 	nodes := []int{0, 5, 11, 2, 40, 7}
-	a, err := plain.Predict("m", nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sharded.Predict("m", nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("prediction counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Node != b[i].Node || a[i].Class != b[i].Class {
-			t.Fatalf("query %d: plain (%d,%d) vs sharded (%d,%d)",
-				i, a[i].Node, a[i].Class, b[i].Node, b[i].Class)
+	for _, name := range []string{"m", "deep"} {
+		a, err := plain.Predict(name, nodes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range a[i].Logits {
-			if a[i].Logits[j] != b[i].Logits[j] {
-				t.Fatalf("query %d logit %d differs between plain and sharded registry", i, j)
+		b, err := sharded.Predict(name, nodes)
+		if err != nil {
+			t.Fatalf("%s under Shards: 2: %v", name, err)
+		}
+		if len(a) != len(b) {
+			t.Fatalf("%s: prediction counts differ: %d vs %d", name, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].Node != b[i].Node || a[i].Class != b[i].Class {
+				t.Fatalf("%s query %d: plain (%d,%d) vs sharded (%d,%d)",
+					name, i, a[i].Node, a[i].Class, b[i].Node, b[i].Class)
+			}
+			for j := range a[i].Logits {
+				if a[i].Logits[j] != b[i].Logits[j] {
+					t.Fatalf("%s query %d logit %d differs between plain and sharded registry", name, i, j)
+				}
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,23 +11,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// saveGCN writes one GCN artifact (the message-passing engine whose sharded
-// windows halo-exchange at serving time) into a fresh zoo dir.
-func saveGCN(t *testing.T, name string) string {
-	t.Helper()
-	dir := t.TempDir()
-	saveCkpt(t, dir, name+".ckpt", makeCkpt(t, "GCN", 3, 100))
-	return dir
-}
-
-// TestTracePropagatesHandlerToShardExchange pins the tentpole tracing
-// contract: one trace ID, supplied by the HTTP caller, must annotate every
-// stage of a sharded predict — the per-request serving span, the batcher's
-// window span, and the halo-exchange spans of the sharded engine the window
-// runs on. If any layer dropped or re-minted the ID, the request could not
-// be followed across the stack.
-func TestTracePropagatesHandlerToShardExchange(t *testing.T) {
-	dir := saveGCN(t, "m@1")
+// TestTracePropagatesHandlerToShardRoute pins the tracing contract on the
+// sharded path: one trace ID, supplied by the HTTP caller, must annotate
+// every stage of a routed predict — the router's fan-out span, the owner
+// shards' per-request serving spans and their batchers' window spans. If any
+// layer dropped or re-minted the ID, the request could not be followed
+// across the stack.
+func TestTracePropagatesHandlerToShardRoute(t *testing.T) {
+	dir := zooDir(t, "m@1")
 	reg := New(Options{Serve: serve.Options{MaxBatch: 8, Seed: 1}, Shards: 2})
 	defer reg.Close()
 	if _, err := reg.LoadDir(dir); err != nil {
@@ -69,35 +59,10 @@ func TestTracePropagatesHandlerToShardExchange(t *testing.T) {
 			stages[ev.Name] = true
 		}
 	}
-	for _, want := range []string{"serve.request", "serve.window", "shard.exchange"} {
+	for _, want := range []string{"shard.route", "serve.request", "serve.window"} {
 		if !stages[want] {
 			t.Errorf("no %s span carries trace %s (stages seen: %v)", want, wire, stages)
 		}
-	}
-
-	// The halo-exchanged forward belongs to the request that paid for it: a
-	// second request rides its own window but gathers from the logits table
-	// the first one filled, so no exchange span joins its trace.
-	const second = "00000000000000cd"
-	req.Header.Set(telemetry.TraceHeader, second)
-	resp, err = srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !bytes.Equal(again, body) {
-		t.Fatalf("second request answered %s, first %s", again, body)
-	}
-	id2, _ := telemetry.ParseTraceID(second)
-	stages = map[string]bool{}
-	for _, ev := range tr.Events() {
-		if ev.Trace == id2 {
-			stages[ev.Name] = true
-		}
-	}
-	if !stages["serve.request"] || !stages["serve.window"] || stages["shard.exchange"] {
-		t.Errorf("second request's trace carries %v; want serve.request and serve.window, no shard.exchange", stages)
 	}
 }
 

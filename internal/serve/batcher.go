@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -16,8 +15,7 @@ import (
 // waiting, and by the dispatcher when it opens the window — an expired
 // request is failed with ErrDeadline instead of computed, so a stale caller
 // never costs engine work. trace is the caller's telemetry trace ID, carried
-// so the window span and the sharded engine's exchange spans join the same
-// trace.
+// so the window span joins the same trace.
 type request struct {
 	nodes []int
 	trace telemetry.TraceID
@@ -129,22 +127,17 @@ func (s *Server) runBatch(batch []*request) {
 	for _, r := range live {
 		ids = append(ids, r.nodes...)
 	}
-	// The window runs under the first traced live request's trace: batch
-	// windows have no identity of their own, so the span that paid for the
-	// engine pass joins the trace that opened the window. The context
-	// carries observability identity only — the engine's numeric work never
-	// reads it. Windows with no traced request (embedded callers) skip the
-	// span and the context allocation entirely.
-	wctx := context.Background()
+	// The window's span joins the first traced live request's trace: batch
+	// windows have no identity of their own. Windows with no traced request
+	// (embedded callers) skip the span entirely.
 	var wsp *telemetry.Span
 	for _, r := range live {
 		if r.traced {
-			wctx = telemetry.ContextWithTrace(wctx, r.trace)
 			wsp = telemetry.DefaultTracer().Span(r.trace, "serve.window")
 			break
 		}
 	}
-	rows, err := s.safeLogitsFor(wctx, ids)
+	rows, err := s.safeLogitsFor(ids)
 	if wsp != nil {
 		wsp.Attr("requests", len(live)).Attr("nodes", len(ids)).End()
 	}
@@ -183,7 +176,7 @@ func (s *Server) runBatch(batch []*request) {
 // into an ErrModelPanic the window's requests fail with. The fault schedule
 // keys off s.windows, owned by this (the dispatcher's) goroutine, so a
 // seeded scenario injects the same faults at the same windows on every run.
-func (s *Server) safeLogitsFor(ctx context.Context, ids []int) (rows *matrix.Dense, err error) {
+func (s *Server) safeLogitsFor(ids []int) (rows *matrix.Dense, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			rows = nil
@@ -198,11 +191,11 @@ func (s *Server) safeLogitsFor(ctx context.Context, ids []int) (rows *matrix.Den
 			panic(fmt.Sprintf("chaos: injected engine panic at window %d", s.windows))
 		}
 	}
-	return s.logitsFor(ctx, ids), nil
+	return s.logitsFor(ids), nil
 }
 
 // logitsFor computes the class-score rows for ids, in order.
-func (s *Server) logitsFor(ctx context.Context, ids []int) *matrix.Dense {
+func (s *Server) logitsFor(ids []int) *matrix.Dense {
 	if s.emb == nil {
 		// Coupled path: the full-graph logits of an immutable checkpoint on an
 		// immutable graph are a constant (what Alg. 2 calls Ẑ and computes
@@ -210,18 +203,12 @@ func (s *Server) logitsFor(ctx context.Context, ids []int) *matrix.Dense {
 		// keeps its N×C result; every later window is a row gather from it.
 		// The table belongs to the dispatcher goroutine — no lock — and is
 		// dropped with the server. A pass that panics stores nothing, so the
-		// next window retries. An engine that accepts the window context (the
-		// sharded forward) gets it, so its halo-exchange spans join the trace
-		// of the request that paid for the pass.
+		// next window retries.
 		if s.full == nil {
 			if tel := s.metrics.tel; tel != nil {
 				tel.passes.Inc()
 			}
-			if cm, ok := s.model.(CtxModel); ok {
-				s.full = cm.LogitsCtx(ctx, false)
-			} else {
-				s.full = s.model.Logits(false)
-			}
+			s.full = s.model.Logits(false)
 		}
 		return gatherRows(s.full, ids)
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -41,21 +40,6 @@ func (m *countingModel) Logits(bool) *matrix.Dense {
 	return m.logits.Clone()
 }
 
-// countingCtxModel is countingModel behind the CtxModel door: it records
-// that the context-taking method, not plain Logits, ran the pass, and the
-// trace the window handed it.
-type countingCtxModel struct {
-	countingModel
-	ctxPasses int
-	trace     telemetry.TraceID
-}
-
-func (m *countingCtxModel) LogitsCtx(ctx context.Context, train bool) *matrix.Dense {
-	m.ctxPasses++
-	m.trace, _ = telemetry.TraceFrom(ctx)
-	return m.countingModel.Logits(train)
-}
-
 // stubLogits fills an n×c table with distinct, recognisable scores.
 func stubLogits(n, c int) *matrix.Dense {
 	lg := matrix.New(n, c)
@@ -66,9 +50,8 @@ func stubLogits(n, c int) *matrix.Dense {
 }
 
 // TestCoupledWindowsCostOneEnginePass: N windows over a coupled engine run
-// the full-graph forward exactly once — through LogitsCtx when the engine
-// offers it, under the first request's trace — and every window's answers
-// are the rows of that one pass.
+// the full-graph forward exactly once, and every window's answers are the
+// rows of that one pass.
 func TestCoupledWindowsCostOneEnginePass(t *testing.T) {
 	const n, c, windows = 20, 3, 25
 	table := stubLogits(n, c)
@@ -105,26 +88,6 @@ func TestCoupledWindowsCostOneEnginePass(t *testing.T) {
 		check(t, srv)
 		if got := ranWindows(srv); got != windows || m.passes != 1 {
 			t.Fatalf("%d windows ran %d engine passes, want %d and exactly 1", got, m.passes, windows)
-		}
-	})
-
-	t.Run("CtxModel", func(t *testing.T) {
-		m := &countingCtxModel{countingModel: countingModel{logits: table}}
-		srv, err := NewFromModel(stubSource{n, c}, m, "stub-ctx", Options{MaxBatch: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		trace := telemetry.NewTraceID()
-		if _, err := srv.PredictCtx(telemetry.ContextWithTrace(context.Background(), trace), []int{4}); err != nil {
-			t.Fatal(err)
-		}
-		check(t, srv)
-		if got := ranWindows(srv); got != windows+1 || m.passes != 1 || m.ctxPasses != 1 {
-			t.Fatalf("%d windows ran %d passes, %d through LogitsCtx; want %d, 1 and 1", got, m.passes, m.ctxPasses, windows+1)
-		}
-		if m.trace != trace {
-			t.Fatalf("the pass ran under trace %v, want the first request's %v", m.trace, trace)
 		}
 	})
 }

@@ -219,8 +219,8 @@ func New(ck *checkpoint.Checkpoint, opt Options) (*Server, error) {
 }
 
 // NewFromModel starts a server over an already-built model bound to src.
-// The sharded serving layer uses it to put the batching dispatcher, metrics
-// and admission control in front of a shard-routed engine; single-process
+// shard.NewServer uses it to serve the model it built to choose a path, and
+// tests to put the dispatcher in front of a stub engine; single-process
 // callers normally go through New.
 func NewFromModel(src graph.NodeSource, m models.Model, arch string, opt Options) (*Server, error) {
 	opt, err := opt.withDefaults()

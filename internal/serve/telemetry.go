@@ -1,21 +1,6 @@
 package serve
 
-import (
-	"context"
-
-	"repro/internal/matrix"
-	"repro/internal/telemetry"
-)
-
-// CtxModel is implemented by engines whose full-graph logits pass can use
-// the window's request context — the sharded engine threads it into the
-// halo exchange so one trace ID spans HTTP handler → batcher window →
-// shard exchange. Engines without the method run exactly as before; the
-// context carries observability identity only and never alters results.
-type CtxModel interface {
-	// LogitsCtx is models.Model.Logits under a request context.
-	LogitsCtx(ctx context.Context, train bool) *matrix.Dense
-}
+import "repro/internal/telemetry"
 
 // Serving-layer metric families on the process-wide telemetry registry.
 // One series per served architecture; every counter but the engine-pass one

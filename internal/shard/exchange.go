@@ -1,13 +1,10 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/matrix"
-	"repro/internal/models"
-	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
@@ -23,12 +20,6 @@ import (
 // FeatureSlabs builds the hop-zero slabs: every shard's feature rows
 // scattered to their column positions, halos filled by one exchange.
 func (sh *Sharded) FeatureSlabs() []*matrix.Dense {
-	return sh.featureSlabsCtx(context.Background())
-}
-
-// featureSlabsCtx is FeatureSlabs under a request context (trace threading
-// only).
-func (sh *Sharded) featureSlabsCtx(ctx context.Context) []*matrix.Dense {
 	slabs := make([]*matrix.Dense, len(sh.Shards))
 	for i, s := range sh.Shards {
 		slab := matrix.New(len(s.Cols), sh.Features)
@@ -37,41 +28,27 @@ func (sh *Sharded) featureSlabsCtx(ctx context.Context) []*matrix.Dense {
 		}
 		slabs[i] = slab
 	}
-	sh.ExchangeCtx(ctx, slabs)
+	sh.Exchange(slabs)
 	return slabs
 }
 
 // Exchange refreshes every shard's halo rows from the owners' slabs — the
 // cross-shard traffic of one propagation hop. Halo rows are exact copies of
 // the owner's rows, never recomputed, so a value observed through a halo is
-// bit-equal to the value the owner holds.
+// bit-equal to the value the owner holds. The exchanged bytes and wall time
+// feed the adafgl_shard_exchange_* families (observation only).
 func (sh *Sharded) Exchange(slabs []*matrix.Dense) {
-	sh.ExchangeCtx(context.Background(), slabs)
-}
-
-// ExchangeCtx is Exchange under a request context: when the context carries
-// a telemetry trace ID (a serving window's), the exchange records a span on
-// that trace, so one trace follows a request from the HTTP handler through
-// the batch window into the halo exchange it paid for. The exchanged bytes
-// and wall time feed the adafgl_shard_exchange_* families either way. The
-// row copies themselves are identical to Exchange — observation only.
-func (sh *Sharded) ExchangeCtx(ctx context.Context, slabs []*matrix.Dense) {
 	observe := telemetry.Enabled()
 	var start time.Time
-	var sp *telemetry.Span
 	if observe {
-		if id, ok := telemetry.TraceFrom(ctx); ok {
-			sp = telemetry.DefaultTracer().Span(id, "shard.exchange")
-		}
 		start = time.Now()
 	}
-	var rows, bytes uint64
+	var bytes uint64
 	for i, s := range sh.Shards {
 		for _, h := range s.halos {
 			copy(slabs[i].Row(int(h.pos)), slabs[h.owner].Row(int(h.row)))
 		}
 		if observe {
-			rows += uint64(len(s.halos))
 			bytes += uint64(len(s.halos)) * uint64(slabs[i].Cols) * 8
 		}
 	}
@@ -79,7 +56,6 @@ func (sh *Sharded) ExchangeCtx(ctx context.Context, slabs []*matrix.Dense) {
 		telExchanges.Inc()
 		telExchangeBytes.Add(bytes)
 		telExchangeSeconds.Observe(time.Since(start).Seconds())
-		sp.Attr("halo_rows", rows).Attr("bytes", bytes).End()
 	}
 }
 
@@ -90,12 +66,6 @@ func (sh *Sharded) ExchangeCtx(ctx context.Context, slabs []*matrix.Dense) {
 // order — the same order as the unsharded kernel — which is what keeps
 // sharded propagation bit-identical to single-process propagation.
 func (sh *Sharded) PropagateSlabs(slabs []*matrix.Dense) []*matrix.Dense {
-	return sh.propagateSlabsCtx(context.Background(), slabs)
-}
-
-// propagateSlabsCtx is PropagateSlabs under a request context (trace
-// threading only).
-func (sh *Sharded) propagateSlabsCtx(ctx context.Context, slabs []*matrix.Dense) []*matrix.Dense {
 	next := make([]*matrix.Dense, len(sh.Shards))
 	for i, s := range sh.Shards {
 		local := s.plan.MulDense(slabs[i])
@@ -105,7 +75,7 @@ func (sh *Sharded) propagateSlabsCtx(ctx context.Context, slabs []*matrix.Dense)
 		}
 		next[i] = slab
 	}
-	sh.ExchangeCtx(ctx, next)
+	sh.Exchange(next)
 	return next
 }
 
@@ -157,33 +127,4 @@ func (sh *Sharded) Embedding(hops int, weights []float64) ([]*matrix.Dense, erro
 		}
 	}
 	return acc, nil
-}
-
-// Forward runs a message-passing model's inference pipeline
-// (models.Layered) over the shards: propagation steps go through
-// PropagateSlabs (local SpMM + halo exchange), dense head steps apply
-// row-wise to the whole slab — halo rows transform exactly like the owner's
-// copies, because a head step is a pure per-row function, so no exchange is
-// needed between a head step and the next propagation. Returns each shard's
-// owned logit rows.
-func (sh *Sharded) Forward(layers []models.InferenceLayer) []*matrix.Dense {
-	return sh.ForwardCtx(context.Background(), layers)
-}
-
-// ForwardCtx is Forward under a request context: the batching window's
-// trace ID rides ctx into every halo exchange of the pipeline, so the
-// exchange spans of a served request join its trace. Numerics are identical
-// to Forward.
-func (sh *Sharded) ForwardCtx(ctx context.Context, layers []models.InferenceLayer) []*matrix.Dense {
-	slabs := sh.featureSlabsCtx(ctx)
-	for _, l := range layers {
-		if l.Propagate {
-			slabs = sh.propagateSlabsCtx(ctx, slabs)
-			continue
-		}
-		for i, slab := range slabs {
-			slabs[i] = serve.ApplyHead([]models.HeadLayer{l.Head}, slab)
-		}
-	}
-	return sh.LocalRows(slabs)
 }

@@ -132,51 +132,3 @@ func TestEmbeddingErrors(t *testing.T) {
 		t.Fatal("expected error for wrong weight count")
 	}
 }
-
-// TestForwardShardCountInvariance checks the layered (message-passing)
-// pipeline produces one bit pattern at every shard count: propagation goes
-// through halo exchange, dense heads apply row-locally.
-func TestForwardShardCountInvariance(t *testing.T) {
-	spec := datasets.DefaultStream(200, 31)
-	g := spec.Materialize()
-	w1 := matrix.New(g.X.Cols, 6)
-	b1 := make([]float64, 6)
-	w2 := matrix.New(6, spec.Classes)
-	b2 := make([]float64, spec.Classes)
-	for i := range w1.Data {
-		w1.Data[i] = float64(i%7) - 3
-	}
-	for i := range w2.Data {
-		w2.Data[i] = float64(i%5) - 2
-	}
-	for i := range b1 {
-		b1[i] = float64(i) / 4
-	}
-	layers := []models.InferenceLayer{
-		{Propagate: true},
-		{Head: models.HeadLayer{W: w1, Bias: b1, ReLU: true}},
-		{Propagate: true},
-		{Head: models.HeadLayer{W: w2, Bias: b2}},
-	}
-	var ref *matrix.Dense
-	for _, shards := range []int{1, 2, 4} {
-		p, err := PlanFromGraph(g, shards, 19)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh, err := BuildFromGraph(g, p, sparse.NormSym)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := gatherGlobal(sh, sh.Forward(layers))
-		if ref == nil {
-			ref = got
-			continue
-		}
-		for i := range ref.Data {
-			if got.Data[i] != ref.Data[i] {
-				t.Fatalf("%d shards: logits differ at %d from 1-shard reference", shards, i)
-			}
-		}
-	}
-}

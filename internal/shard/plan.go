@@ -5,8 +5,9 @@
 // Predictor surface as a single-process serve.Server, routing each queried
 // node id to its owner shard. Decoupled architectures (SGC, GAMLP, MLP) are
 // bit-identical to the unsharded server at every shard count; message-
-// passing architectures (GCN) are bit-identical across shard counts >= 2
-// and delegate to the plain unsharded server at one shard. Construction is
+// passing architectures, whose whole serving state is one N×C logits table,
+// are served by the plain unsharded server at every shard count, so a
+// checkpoint has one answer however it is deployed. Construction is
 // partition-aware: ownership comes from internal/partition's METIS on the
 // graph (or on the community quotient of a streamed spec), so shard
 // boundaries cut few edges and halos stay small.

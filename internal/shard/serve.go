@@ -5,24 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/matrix"
 	"repro/internal/models"
-	"repro/internal/nn"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
-
-// label routes a global node id to its owner shard's label table.
-func (sh *Sharded) label(v int) (int, bool) {
-	if v < 0 || v >= sh.Plan.N() {
-		return 0, false
-	}
-	s := sh.Shards[sh.Plan.Owner(v)]
-	if s.Labels == nil {
-		return 0, false
-	}
-	return s.Labels[sh.Plan.LocalID(v)], true
-}
 
 // shardSource exposes one shard as a graph.NodeSource (local ids): the node
 // universe a per-shard serve.Server validates and answers against.
@@ -38,50 +24,6 @@ func (src shardSource) Label(local int) (int, bool) {
 		return 0, false
 	}
 	return src.s.Labels[local], true
-}
-
-// globalSource exposes the whole sharded set as one graph.NodeSource
-// (global ids) — the universe the coupled window server serves.
-type globalSource struct{ sh *Sharded }
-
-func (src globalSource) NumNodes() int           { return src.sh.Plan.N() }
-func (src globalSource) NumClasses() int         { return src.sh.Classes }
-func (src globalSource) Label(v int) (int, bool) { return src.sh.label(v) }
-
-// windowModel adapts a sharded message-passing pipeline to models.Model, so
-// one serve.Server can batch over it: every Logits call runs the full
-// halo-exchanged Forward across the shards and reassembles the global logit
-// matrix — which the server does once, in its first window, and gathers rows
-// from afterwards. It is inference-only — it carries no parameters and cannot
-// train.
-type windowModel struct {
-	sh     *Sharded
-	layers []models.InferenceLayer
-}
-
-func (m *windowModel) Params() []*nn.Parameter { return nil }
-
-func (m *windowModel) Logits(train bool) *matrix.Dense {
-	return m.LogitsCtx(context.Background(), train)
-}
-
-// LogitsCtx implements serve.CtxModel: the batching window's context (and
-// with it the request's telemetry trace) threads into the halo-exchanged
-// forward, so exchange spans join the trace that opened the window. The
-// computation is exactly Logits.
-func (m *windowModel) LogitsCtx(ctx context.Context, train bool) *matrix.Dense {
-	locals := m.sh.ForwardCtx(ctx, m.layers)
-	out := matrix.New(m.sh.Plan.N(), locals[0].Cols)
-	for i, s := range m.sh.Shards {
-		for l, v := range s.Nodes {
-			copy(out.Row(v), locals[i].Row(l))
-		}
-	}
-	return out
-}
-
-func (m *windowModel) Backward(grad *matrix.Dense) {
-	panic("shard: windowModel is inference-only")
 }
 
 // Server routes node-classification queries across per-shard serving
@@ -131,46 +73,37 @@ func NewFromParts(sh *Sharded, arch string, head []models.HeadLayer, spec models
 	return s, nil
 }
 
-// NewServer builds a sharded Predictor from a checkpoint: the graph is
-// METIS-planned into the given shard count and served shard-aware. With one
-// shard it returns the plain single-process server — the degenerate fleet —
-// so predictions on any graph that fits in one shard are trivially
-// bit-identical to the unsharded path. Decoupled architectures route
-// queries to per-shard embedding caches (bit-identical to unsharded at
-// every shard count); message-passing architectures batch through a
-// halo-exchanged window engine (bit-identical across shard counts).
+// NewServer builds a Predictor for a checkpoint under a shard count.
+// Decoupled architectures at two or more shards are METIS-planned and served
+// by the routed per-shard fleet, each shard answering from its slab of the
+// embedding, bit-identical to the unsharded server at every shard count.
+// Everything else — one shard, or a message-passing architecture, whose
+// whole serving state is one N×C logits table, smaller than any shard's
+// feature slab — is the plain single-process server: one answer per
+// checkpoint, whatever the shard count.
 func NewServer(ck *checkpoint.Checkpoint, shards int, opt serve.Options) (serve.Predictor, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("shard: NewServer: nil checkpoint")
-	}
-	if shards <= 1 {
-		return serve.New(ck, opt)
 	}
 	m, err := ck.Model(opt.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("shard: NewServer: %w", err)
 	}
+	dec, ok := m.(models.ShardableDecoupled)
+	if shards <= 1 || !ok {
+		return serve.NewFromModel(ck.Graph, m, ck.Arch, opt)
+	}
 	plan, err := PlanFromGraph(ck.Graph, shards, opt.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("shard: NewServer: %w", err)
 	}
-	switch mm := m.(type) {
-	case models.ShardableDecoupled:
-		spec := mm.EmbeddingSpec()
-		sh, err := BuildFromGraph(ck.Graph, plan, spec.Norm)
-		if err != nil {
-			return nil, fmt.Errorf("shard: NewServer: %w", err)
-		}
-		_, head := mm.InferenceFactors()
-		return NewFromParts(sh, ck.Arch, head, spec, opt)
-	case models.Layered:
-		sh, err := BuildFromGraph(ck.Graph, plan, mm.PropagationNorm())
-		if err != nil {
-			return nil, fmt.Errorf("shard: NewServer: %w", err)
-		}
-		return serve.NewFromModel(globalSource{sh}, &windowModel{sh: sh, layers: mm.InferenceLayers()}, ck.Arch, opt)
+	spec := dec.EmbeddingSpec()
+	sh, err := BuildFromGraph(ck.Graph, plan, spec.Norm)
+	if err != nil {
+		return nil, fmt.Errorf("shard: NewServer: %w", err)
 	}
-	return nil, fmt.Errorf("shard: NewServer: architecture %q is neither decoupled nor layered", ck.Arch)
+	_, head := dec.InferenceFactors()
+	return NewFromParts(sh, ck.Arch, head, spec, opt)
 }
 
 // Predict classifies global node ids, routing each to its owner shard.
@@ -247,7 +180,16 @@ func (s *Server) Classes() int { return s.sh.Classes }
 func (s *Server) Decoupled() bool { return true }
 
 // Label routes a global node id to its owner shard's label table.
-func (s *Server) Label(node int) (int, bool) { return s.sh.label(node) }
+func (s *Server) Label(node int) (int, bool) {
+	if node < 0 || node >= s.sh.Plan.N() {
+		return 0, false
+	}
+	shd := s.sh.Shards[s.sh.Plan.Owner(node)]
+	if shd.Labels == nil {
+		return 0, false
+	}
+	return shd.Labels[s.sh.Plan.LocalID(node)], true
+}
 
 // Stats aggregates the per-shard serving metrics into one fleet snapshot:
 // counters sum, latency percentiles take the worst shard (a query is as

@@ -1,23 +1,20 @@
-// Blocked SpMM engine. Sparse-dense products above a work cutover run on a
-// cache-blocked, pool-aware path mirroring the blocked GEMM engine of
-// internal/matrix: the CSR is reorganised once into column panels sized so
-// the referenced slice of the dense operand stays L2-resident, each panel
-// stores only its non-empty rows (compressed-sparse-block style, so empty
-// row scans cost nothing), and the per-row entry runs are streamed through a
-// vectorised axpy micro-kernel — AVX on amd64 with a portable scalar
-// fallback. Work is distributed over grain-aligned row blocks with
-// parallel.ForWorkGrain inside each panel sweep, so every dst row is written
-// by exactly one worker block and each dst element accumulates its terms in
-// ascending column order — the same order as the row-streamed reference
-// kernel. The micro-kernel uses separate multiply and add (no FMA
-// contraction), so blocked results are bit-identical to MulDenseNaive and to
-// themselves for every worker count and panel width.
-//
-// Products below the cutover keep the row-streamed kernel: for small
-// operands the panel reorganisation costs more than the locality it buys.
-// Callers that multiply the same matrix repeatedly (k-step propagation,
-// per-epoch GNN passes) should build a Plan once instead, which keeps the
-// blocked layout and skips the per-call reorganisation entirely.
+// Blocked SpMM engine. The sparse layer has two SpMM kernels and the caller
+// chooses between them by what it builds: CSR.MulDense is the row-streamed
+// kernel, for a product computed once; a Plan, built by a caller that
+// multiplies the same matrix repeatedly (k-step propagation, per-epoch GNN
+// passes), is this engine. It mirrors the blocked GEMM engine of
+// internal/matrix: the CSR is reorganised once, at plan construction, into
+// column panels sized so the referenced slice of the dense operand stays
+// L2-resident, each panel stores only its non-empty rows
+// (compressed-sparse-block style, so empty row scans cost nothing), and the
+// per-row entry runs are streamed through a vectorised axpy micro-kernel —
+// AVX on amd64 with a portable scalar fallback. Work is distributed over
+// grain-aligned row blocks with parallel.ForWorkGrain inside each panel
+// sweep, so every dst row is written by exactly one worker block and each dst
+// element accumulates its terms in ascending column order — the same order
+// as the row-streamed kernel. The micro-kernel uses separate multiply and
+// add (no FMA contraction), so plan results are bit-identical to
+// CSR.MulDense and to themselves for every worker count and panel width.
 package sparse
 
 import (
@@ -25,17 +22,11 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
-
-// BlockedSpMMCutover is the multiply-add count (nnz x operand columns) at
-// and above which MulDense/MulDenseInto reorganise into the blocked engine;
-// smaller products stay on the row-streamed kernel.
-const BlockedSpMMCutover = 1 << 18
 
 // blockGrain aligns worker row-block boundaries in the blocked kernel and in
 // Normalized: 64-row blocks keep each worker's dst stripe and RowPtr slice
@@ -101,11 +92,6 @@ type blockedCSR struct {
 	nRows, nCols int
 	panel        int
 	panels       []spmmPanel
-
-	// Slabs backing every panel's slices, kept so on-the-fly products can
-	// return them to the pools afterwards.
-	slabI32 *[]int32
-	slabF64 *[]float64
 }
 
 // spmmPanel is one column panel.
@@ -125,9 +111,6 @@ func (m *CSR) blockable() bool {
 // over the entries: size every panel exactly, then fill. The layout is a
 // pure function of (m, panel).
 func newBlocked(m *CSR, panel int) *blockedCSR {
-	if panel <= 0 {
-		panel = DefaultBlocking().Panel
-	}
 	if !m.blockable() {
 		panic(fmt.Sprintf("sparse: blocked layout needs int32-indexable dimensions, got %dx%d nnz %d",
 			m.NRows, m.NCols, m.NNZ()))
@@ -163,9 +146,8 @@ func newBlocked(m *CSR, panel int) *blockedCSR {
 	for _, r := range rowsOf {
 		totalRows += r + 1 // +1 for each panel's ptr sentinel
 	}
-	b.slabI32 = getI32(2*totalRows + nnz) // rows + ptr + cols
-	b.slabF64 = getF64(nnz)
-	i32, f64 := *b.slabI32, *b.slabF64
+	i32 := make([]int32, 2*totalRows+nnz) // rows + ptr + cols
+	f64 := make([]float64, nnz)
 	carveI32 := func(n int) []int32 { s := i32[:n:n]; i32 = i32[n:]; return s }
 	for p := range b.panels {
 		b.panels[p] = spmmPanel{
@@ -200,14 +182,6 @@ func newBlocked(m *CSR, panel int) *blockedCSR {
 		}
 	}
 	return b
-}
-
-// release returns the slabs to the pools. Only on-the-fly products call
-// this; Plan keeps its layout alive.
-func (b *blockedCSR) release() {
-	i32Pool.Put(b.slabI32)
-	f64Pool.Put(b.slabF64)
-	b.slabI32, b.slabF64, b.panels = nil, nil, nil
 }
 
 // mulInto computes dst = blocked(m)·x. Panels are swept ascending (serial),
@@ -272,34 +246,4 @@ func axpyRun(dst []float64, x []float64, p int, cols []int32, vals []float64) {
 			dst[j] += v * xv
 		}
 	}
-}
-
-// ---- pooled scratch ----
-
-// Slab pools recycle the blocked layout's index/value slabs across on-the-fly
-// products and the degree scratch of Normalized — the hottest per-call
-// allocations of the sparse layer in training loops. Zeroing is never
-// needed: every slab element handed out is overwritten before it is read.
-// Get/Put move the same holder pointer, mirroring matrix.packBuffers.
-var (
-	i32Pool = sync.Pool{New: func() any { return new([]int32) }}
-	f64Pool = sync.Pool{New: func() any { return new([]float64) }}
-)
-
-func getI32(n int) *[]int32 {
-	buf := i32Pool.Get().(*[]int32)
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	*buf = (*buf)[:n]
-	return buf
-}
-
-func getF64(n int) *[]float64 {
-	buf := f64Pool.Get().(*[]float64)
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return buf
 }

@@ -10,10 +10,10 @@ import (
 // once and shared by every subsequent product with that matrix. The k-step
 // propagation loops of the GNN hot paths (Eq. (7) smoothing, decoupled
 // pre-propagation, label propagation, per-epoch GCN/GCNII passes) multiply
-// the same normalized adjacency dozens to thousands of times; a Plan
-// amortises the panel reorganisation the on-the-fly blocked path would
-// otherwise pay per call. A Plan is immutable after construction and safe
-// for concurrent use; it must be rebuilt if the underlying CSR is mutated.
+// the same normalized adjacency dozens to thousands of times; a Plan pays
+// the panel reorganisation once for all of them. A Plan is immutable after
+// construction and safe for concurrent use; it must be rebuilt if the
+// underlying CSR is mutated.
 type Plan struct {
 	m *CSR
 	b *blockedCSR
@@ -46,7 +46,7 @@ func (pl *Plan) MulDense(x *matrix.Dense) *matrix.Dense {
 }
 
 // MulDenseInto computes dst = plan·x. dst must be NRows x x.Cols and must
-// not alias x. Results are bit-identical to CSR.MulDenseNaive for every
+// not alias x. Results are bit-identical to CSR.MulDense for every
 // worker count and panel width.
 func (pl *Plan) MulDenseInto(dst, x *matrix.Dense) {
 	if pl.m.NCols != x.Rows || dst.Rows != pl.m.NRows || dst.Cols != x.Cols {

@@ -45,8 +45,9 @@ func assertBitIdentical(t *testing.T, tag string, got, want *matrix.Dense) {
 }
 
 // TestBlockedSpMMMatchesNaive sweeps shapes, densities, operand widths and
-// panel widths: the plan product must be bit-identical to MulDenseNaive
-// (which also bounds it far inside the 1e-12 acceptance tolerance).
+// panel widths: the plan product must be bit-identical to CSR.MulDense, the
+// row-streamed kernel (which also bounds it far inside the 1e-12 acceptance
+// tolerance).
 func TestBlockedSpMMMatchesNaive(t *testing.T) {
 	shapes := []struct{ nr, nc, p int }{
 		{1, 1, 1}, {3, 7, 5}, {40, 40, 1}, {64, 128, 3},
@@ -58,53 +59,30 @@ func TestBlockedSpMMMatchesNaive(t *testing.T) {
 		for _, d := range densities {
 			m := sprinkledCSR(sh.nr, sh.nc, d, int64(sh.nr*1000+sh.nc+int(d*100)))
 			x := randomDense(sh.nc, sh.p, int64(sh.p))
-			want := m.MulDenseNaive(x)
+			want := m.MulDense(x)
 			for _, panel := range panels {
 				pl := NewPlanBlocking(m, Blocking{Panel: panel})
 				assertBitIdentical(t, "plan", pl.MulDense(x), want)
 			}
-			assertBitIdentical(t, "dispatch", m.MulDense(x), want)
 		}
 	}
 }
 
-// TestBlockedSpMMAboveCutover exercises the on-the-fly blocked dispatch path
-// (pooled reorganisation per call) against the reference kernel, and pins
-// the dispatch predicate itself: wide-operand products clear the rebuild
-// margin, narrow ones fall back to the row-streamed kernel.
+// TestBlockedSpMMAboveCutover runs the blocked engine at a size where the
+// panels carry real work (~20k entries against 64 columns, 8 panels) against
+// the row-streamed kernel, twice through one plan: a plan is immutable, so
+// reuse cannot change a bit.
 func TestBlockedSpMMAboveCutover(t *testing.T) {
 	m := sprinkledCSR(2000, 2000, 0.005, 9) // ~20k nnz
 	x := randomDense(2000, 64, 10)
-	if !m.blockedWorthwhile(x.Cols) {
-		t.Fatalf("%d nnz x %d cols should dispatch to the blocked engine", m.NNZ(), x.Cols)
-	}
-	if m.blockedWorthwhile(4) {
-		t.Fatal("narrow operand should stay on the row-streamed kernel")
-	}
-	// The density floor: ~10 entries per row are worthwhile over 8 panels
-	// (floor 4) and row-streamed over 40 (floor capped at 12); ~15 entries per
-	// row clear the cap however many panels there are.
-	defer SetBlocking(SetBlocking(Blocking{Panel: 250})) // 8 panels
-	if !m.blockedWorthwhile(x.Cols) {
-		t.Fatal("10 entries per row over 8 panels should still dispatch to the blocked engine")
-	}
-	SetBlocking(Blocking{Panel: 50}) // 40 panels
-	if m.blockedWorthwhile(x.Cols) {
-		t.Fatal("10 entries per row over 40 panels should stay on the row-streamed kernel")
-	}
-	SetBlocking(Blocking{Panel: 20}) // 100 panels
-	if dense := sprinkledCSR(2000, 2000, 0.0075, 9); !dense.blockedWorthwhile(x.Cols) {
-		t.Fatalf("%d entries over 2000 rows should dispatch to the blocked engine at any panel count", dense.NNZ())
-	}
-	SetBlocking(DefaultBlocking())
-	// Twice, so the second call reuses pooled slabs from the first's release.
-	assertBitIdentical(t, "above-cutover", m.MulDense(x), m.MulDenseNaive(x))
-	assertBitIdentical(t, "above-cutover pooled", m.MulDense(x), m.MulDenseNaive(x))
+	pl := NewPlanBlocking(m, Blocking{Panel: 250})
+	want := m.MulDense(x)
+	assertBitIdentical(t, "above-cutover", pl.MulDense(x), want)
+	assertBitIdentical(t, "above-cutover reused", pl.MulDense(x), want)
 }
 
 // TestBlockedSpMMWorkerBitIdentity fixes the engine's determinism contract:
-// identical bits for every worker count, on both the plan path and the
-// dispatching path.
+// identical bits for every worker count, on both kernels, and between them.
 func TestBlockedSpMMWorkerBitIdentity(t *testing.T) {
 	m := sprinkledCSR(1500, 1500, 0.01, 11)
 	x := randomDense(1500, 24, 12)
@@ -112,13 +90,13 @@ func TestBlockedSpMMWorkerBitIdentity(t *testing.T) {
 
 	orig := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(orig)
-	serialPlan := pl.MulDense(x)
-	serialDispatch := m.MulDense(x)
+	serial := m.MulDense(x)
+	assertBitIdentical(t, "plan vs rowstream", pl.MulDense(x), serial)
 
 	for _, w := range []int{2, 3, 4, 8, 13} {
 		parallel.SetWorkers(w)
-		assertBitIdentical(t, "plan workers", pl.MulDense(x), serialPlan)
-		assertBitIdentical(t, "dispatch workers", m.MulDense(x), serialDispatch)
+		assertBitIdentical(t, "plan workers", pl.MulDense(x), serial)
+		assertBitIdentical(t, "rowstream workers", m.MulDense(x), serial)
 	}
 }
 
@@ -129,7 +107,7 @@ func TestBlockedSpMMScalarFallback(t *testing.T) {
 	m := sprinkledCSR(400, 400, 0.05, 13)
 	x := randomDense(400, 17, 14) // odd width exercises the 4-wide + scalar tails
 	pl := NewPlanBlocking(m, Blocking{Panel: 128})
-	want := m.MulDenseNaive(x)
+	want := m.MulDense(x)
 
 	simd := pl.MulDense(x)
 	defer func(v bool) { useSIMD = v }(useSIMD)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"unsafe"
 
 	"repro/internal/matrix"
@@ -200,6 +201,21 @@ func (m *CSR) Normalized(kind NormKind) *CSR {
 	return out
 }
 
+// f64Pool recycles the degree scratch of Normalized — the hottest per-call
+// allocation of the sparse layer in training loops. Zeroing is never needed:
+// every element handed out is overwritten before it is read. Get/Put move
+// the same holder pointer, mirroring matrix.packBuffers.
+var f64Pool = sync.Pool{New: func() any { return new([]float64) }}
+
+func getF64(n int) *[]float64 {
+	buf := f64Pool.Get().(*[]float64)
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	return buf
+}
+
 // normalizeRow applies the Eq. (1) scaling to one row of out.
 func normalizeRow(out *CSR, deg []float64, i int, kind NormKind) {
 	lo, hi := out.RowPtr[i], out.RowPtr[i+1]
@@ -238,10 +254,10 @@ func sqrt(x float64) float64 {
 	return math.Sqrt(x)
 }
 
-// MulDense computes m · x (SpMM) into a new dense matrix. Products with
-// nnz·x.Cols at or above BlockedSpMMCutover run on the blocked engine (see
-// blocked.go); smaller ones stay on the row-streamed kernel. Both paths are
-// bit-identical.
+// MulDense computes m · x (SpMM) into a new dense matrix on the row-streamed
+// kernel — the reference every Plan product is held bit-identical to. A
+// caller that multiplies the same matrix more than once declares that by
+// building a Plan, which runs the blocked engine (see blocked.go).
 func (m *CSR) MulDense(x *matrix.Dense) *matrix.Dense {
 	if m.NCols != x.Rows {
 		panic(fmt.Sprintf("sparse: MulDense %dx%d · %dx%d", m.NRows, m.NCols, x.Rows, x.Cols))
@@ -252,73 +268,15 @@ func (m *CSR) MulDense(x *matrix.Dense) *matrix.Dense {
 }
 
 // MulDenseInto computes dst = m·x. dst must be m.NRows x x.Cols and must not
-// alias x. At or above the nnz·cols cutover the product reorganises into the
-// blocked engine with pooled scratch; callers multiplying the same matrix
-// repeatedly should build a Plan once instead.
+// alias x. It is the row-streamed SpMM kernel: each dst row accumulates its
+// entries in ascending column order; row blocks write disjoint dst rows, so
+// the parallel path is exact.
 func (m *CSR) MulDenseInto(dst, x *matrix.Dense) {
 	if m.NCols != x.Rows || dst.Rows != m.NRows || dst.Cols != x.Cols {
 		panic(fmt.Sprintf("sparse: MulDenseInto dst %dx%d for %dx%d · %dx%d",
 			dst.Rows, dst.Cols, m.NRows, m.NCols, x.Rows, x.Cols))
 	}
 	checkNoAlias("MulDenseInto", dst, x)
-	if m.blockedWorthwhile(x.Cols) {
-		b := newBlocked(m, CurrentBlocking().Panel)
-		b.mulInto(dst, x)
-		b.release()
-		return
-	}
-	m.mulDenseRowsInto(dst, x)
-}
-
-// spmmRebuildFactor is the madds-per-reorganised-element margin the one-shot
-// blocked path must clear: reorganisation costs O(nnz + rows) regardless of
-// the operand width, while the kernel win scales with nnz·cols, so narrow
-// operands fall back to the row-streamed kernel (a Plan amortises the
-// rebuild away and has no such floor).
-const spmmRebuildFactor = 48
-
-// spmmFloorPanels caps the panel count the density floor of blockedWorthwhile
-// scales with: past it the floor stays at spmmFloorPanels/2 entries per row.
-const spmmFloorPanels = 24
-
-// blockedWorthwhile reports whether a one-shot product should pay the panel
-// reorganisation: enough work to clear the cutover and the rebuild margin,
-// and rows dense enough for their panels — on average half an entry per
-// (row, panel), a floor that stops growing at spmmFloorPanels panels (12
-// entries per row). Sparser than that, nearly every run the kernel sees is a
-// single entry: it reloads and stores the dst row once per entry, and the
-// reorganisation — which is serial — builds a row list per panel, for no
-// locality the row-streamed kernel lacks. Fitted to paired one-shot readings
-// against the row-streamed kernel at 64 columns and two workers (at one
-// worker blocked never read below 0.99x): 6 entries per row win up to 8
-// panels (1.06–1.17x at 30k nodes) and lose from 13 (0.85–0.90x at 50k,
-// 0.68–0.82x at 100k); at 25 and 49 panels 11 entries per row read
-// 0.88–1.02x and 13, 16 and 21 entries 1.00–1.30x. A Plan, which reorganises
-// once, wins at every density and has no floor.
-func (m *CSR) blockedWorthwhile(p int) bool {
-	work := m.NNZ() * p
-	panel := CurrentBlocking().Panel
-	panels := min((m.NCols+panel-1)/panel, spmmFloorPanels)
-	return work >= BlockedSpMMCutover && work >= spmmRebuildFactor*(m.NNZ()+m.NRows) &&
-		2*m.NNZ() >= m.NRows*panels && m.blockable()
-}
-
-// MulDenseNaive computes m·x on the row-streamed kernel regardless of size.
-// It is the reference implementation the property/equivalence harness and
-// the BenchmarkSpMM sweep compare the blocked engine against.
-func (m *CSR) MulDenseNaive(x *matrix.Dense) *matrix.Dense {
-	if m.NCols != x.Rows {
-		panic(fmt.Sprintf("sparse: MulDenseNaive %dx%d · %dx%d", m.NRows, m.NCols, x.Rows, x.Cols))
-	}
-	out := matrix.New(m.NRows, x.Cols)
-	m.mulDenseRowsInto(out, x)
-	return out
-}
-
-// mulDenseRowsInto is the row-streamed SpMM kernel: each dst row accumulates
-// its entries in ascending column order; row blocks write disjoint dst rows,
-// so the parallel path is exact.
-func (m *CSR) mulDenseRowsInto(dst, x *matrix.Dense) {
 	dst.Zero()
 	p := x.Cols
 	parallel.ForWork(m.NRows, m.NNZ()*p, func(rlo, rhi int) {

@@ -69,7 +69,7 @@ type SpanEvent struct {
 	// Trace is the request's trace ID.
 	Trace TraceID `json:"trace"`
 	// Name is the stage, e.g. "serve.request", "serve.window",
-	// "shard.exchange".
+	// "shard.route".
 	Name string `json:"span"`
 	// Start is the wall-clock start of the span.
 	Start time.Time `json:"start"`
