@@ -33,9 +33,10 @@ test:
 # that is what the portable microKernel computes; this run fails if a
 # toolchain ever fuses the portable kernel (or any golden-pinned loop), in
 # which case pin it with the explicit float64(a*b) rounding core.evolveSigns
-# already uses.
+# already uses. internal/bench rides along: its paper_tiny.golden pins every
+# table and figure line.
 test-fused:
-	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/core ./internal/federated ./internal/fgl -run 'Golden|Property'
+	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/core ./internal/federated ./internal/fgl ./internal/bench -run 'Golden|Property'
 
 # Race-detector coverage of the concurrent paths (worker pool, graph caches
 # filled by several models at once, federated fan-out incl. fault injection,

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -25,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id (table1..table8, fig2..fig11, or 'all')")
+		exp     = flag.String("exp", "", "experiment id: "+strings.Join(bench.IDs(), ", ")+", or 'all'")
 		list    = flag.Bool("list", false, "list available experiments")
 		paper   = flag.Bool("paper", false, "use the paper-scale protocol (slow)")
 		factor  = flag.Float64("factor", 0, "dataset scale factor override")

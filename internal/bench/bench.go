@@ -19,12 +19,6 @@ import (
 	"repro/internal/partition"
 )
 
-// Method is the common contract satisfied by fgl baselines and core.AdaFGL.
-type Method interface {
-	Name() string
-	Run(subgraphs []*graph.Graph, cfg models.Config, opt federated.Options) (*federated.Result, error)
-}
-
 // Scale controls experiment cost. Defaults regenerate the paper's shape in
 // minutes on one CPU; raise the fields toward the paper's protocol (factor 1,
 // 100 rounds, 10 runs) for tighter numbers.
@@ -115,30 +109,49 @@ func (k SplitKind) String() string {
 	return "?"
 }
 
+// bothSplits is the pair of strategies most tables and figures compare, and
+// splitTitle their long names.
+var (
+	bothSplits = []SplitKind{Community, NonIID}
+	splitTitle = map[SplitKind]string{Community: "community split", NonIID: "structure Non-iid split"}
+)
+
 // MakeSplit generates the dataset and applies the chosen strategy.
 func MakeSplit(name string, kind SplitKind, s Scale, seed int64) ([]*graph.Graph, error) {
+	_, subs, err := split(name, kind, nil, s, seed)
+	return subs, err
+}
+
+// split is the one place a dataset becomes client subgraphs: the graph is
+// generated from seed, the partition draws from the stream seed+101. tweak,
+// when set, adjusts the structure Non-iid options (ignored by Community). The
+// full graph is returned beside the subgraphs for callers that serve it.
+func split(name string, kind SplitKind, tweak func(*partition.StructureNonIIDOptions), s Scale, seed int64) (*graph.Graph, []*graph.Graph, error) {
 	spec, err := datasets.ByName(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	g := datasets.GenerateScaled(spec, s.Factor, seed)
 	rng := rand.New(rand.NewSource(seed + 101))
+	opt := partition.DefaultNonIID()
 	switch kind {
 	case Community:
-		return partition.CommunitySplit(g, s.Clients, rng).Subgraphs, nil
+		return g, partition.CommunitySplit(g, s.Clients, rng).Subgraphs, nil
 	case NonIID:
-		return partition.StructureNonIIDSplit(g, s.Clients, partition.DefaultNonIID(), rng).Subgraphs, nil
 	case NonIIDMeta:
-		opt := partition.DefaultNonIID()
 		opt.Meta = true
-		return partition.StructureNonIIDSplit(g, s.Clients, opt, rng).Subgraphs, nil
+	default:
+		return nil, nil, fmt.Errorf("bench: unknown split %v", kind)
 	}
-	return nil, fmt.Errorf("bench: unknown split %v", kind)
+	if tweak != nil {
+		tweak(&opt)
+	}
+	return g, partition.StructureNonIIDSplit(g, s.Clients, opt, rng).Subgraphs, nil
 }
 
 // ResolveMethod returns the named method; "AdaFGL" resolves to the core
 // implementation, everything else through the fgl registry.
-func ResolveMethod(name string, s Scale) (Method, error) {
+func ResolveMethod(name string, s Scale) (fgl.Method, error) {
 	if name == "AdaFGL" {
 		return s.adaMethod(), nil
 	}
@@ -162,21 +175,61 @@ type Cell struct {
 	PerClient []float64
 }
 
-// RunCell evaluates a method on a dataset/split over s.Runs seeds.
-func RunCell(dataset string, kind SplitKind, methodName string, s Scale) (Cell, error) {
+// runSpec is one run of the paper's protocol: a method on a dataset under a
+// split. Every table and figure is a loop over runSpecs; the optional fields
+// are the axes the evaluation varies.
+type runSpec struct {
+	dataset string
+	kind    SplitKind
+	// partition adjusts the structure Non-iid injection (Fig. 5).
+	partition func(*partition.StructureNonIIDOptions)
+	method    string
+	// ada adjusts AdaFGL's options (Tables VI/VII, Fig. 6); other methods
+	// ignore it.
+	ada func(*core.Options)
+	// prepare edits the client subgraphs and the federated options between
+	// the split and the run (inductive transplant, sparsifiers,
+	// participation, chaos scenarios).
+	prepare func(subs []*graph.Graph, fo *federated.Options) error
+}
+
+// runOne executes sp once from seed. The reports are AdaFGL's per-client
+// diagnostics, nil for every other method.
+func runOne(s Scale, sp runSpec, seed int64) (*federated.Result, []core.ClientReport, error) {
+	_, subs, err := split(sp.dataset, sp.kind, sp.partition, s, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := ResolveMethod(sp.method, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	ada, _ := m.(*core.AdaFGL)
+	if ada != nil && sp.ada != nil {
+		sp.ada(&ada.Opt)
+	}
+	fo := s.fedOpts(seed)
+	if sp.prepare != nil {
+		if err := sp.prepare(subs, &fo); err != nil {
+			return nil, nil, err
+		}
+	}
+	res, err := m.Run(subs, s.cfg(), fo)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s on %s (%v): %w", sp.method, sp.dataset, sp.kind, err)
+	}
+	if ada != nil {
+		return res, ada.Reports, nil
+	}
+	return res, nil, nil
+}
+
+// runCell folds sp over s.Runs seeds into one mean±std cell.
+func runCell(s Scale, sp runSpec) (Cell, error) {
 	var accs []float64
 	var cell Cell
 	for r := 0; r < s.Runs; r++ {
-		seed := s.Seed + int64(r)*1000
-		subs, err := MakeSplit(dataset, kind, s, seed)
-		if err != nil {
-			return cell, err
-		}
-		m, err := ResolveMethod(methodName, s)
-		if err != nil {
-			return cell, err
-		}
-		res, err := m.Run(subs, s.cfg(), s.fedOpts(seed))
+		res, _, err := runOne(s, sp, s.Seed+int64(r)*1000)
 		if err != nil {
 			return cell, err
 		}
@@ -188,6 +241,11 @@ func RunCell(dataset string, kind SplitKind, methodName string, s Scale) (Cell, 
 	}
 	cell.Mean, cell.Std = meanStd(accs)
 	return cell, nil
+}
+
+// RunCell evaluates a method on a dataset/split over s.Runs seeds.
+func RunCell(dataset string, kind SplitKind, methodName string, s Scale) (Cell, error) {
+	return runCell(s, runSpec{dataset: dataset, kind: kind, method: methodName})
 }
 
 func meanStd(v []float64) (float64, float64) { return metrics.MeanStd(v) }

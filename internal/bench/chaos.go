@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/federated"
-	"repro/internal/fgl"
 	"repro/internal/graph"
 	"repro/internal/scenario"
 )
@@ -47,56 +46,20 @@ func Chaos(s Scale) ([]string, error) {
 	const dataset = "Cora"
 	const baseline = "FedGCN"
 
-	newSubs := func() ([]*graph.Graph, error) {
-		return MakeSplit(dataset, Community, s, s.Seed)
-	}
-	if err := chaosCrossCheck(s, newSubs); err != nil {
+	if err := chaosCrossCheck(s); err != nil {
 		return nil, err
 	}
 
 	// Calibrate the clip column: a huge limit never rescales, so the steady
 	// run under it both stays exact and reports the raw max update norm.
-	calOpt := s.fedOpts(s.Seed)
-	calOpt.Robust = federated.RobustOptions{ClipNorm: 1e9}
-	calSubs, err := newSubs()
-	if err != nil {
-		return nil, err
-	}
-	calMethod, err := ResolveMethod(baseline, s)
-	if err != nil {
-		return nil, err
-	}
-	calRes, err := calMethod.Run(calSubs, s.cfg(), calOpt)
+	calRes, _, err := runOne(s, runSpec{dataset: dataset, kind: Community, method: baseline,
+		prepare: chaosPrepare("", s.Async, federated.RobustOptions{ClipNorm: 1e9})}, s.Seed)
 	if err != nil {
 		return nil, err
 	}
 	clipNorm := calRes.MaxUpdateNorm / 2
 	if clipNorm <= 0 {
 		return nil, fmt.Errorf("bench: chaos: clip calibration measured no update norm")
-	}
-
-	// One run per scenario x aggregator x method, all from one seed: chaos
-	// compares degradation shapes, not error bars.
-	run := func(specStr string, ro federated.RobustOptions, methodName string) (*federated.Result, error) {
-		sc, err := scenario.Parse(specStr)
-		if err != nil {
-			return nil, err
-		}
-		subs, err := newSubs()
-		if err != nil {
-			return nil, err
-		}
-		opt := s.fedOpts(s.Seed)
-		opt.Async = federated.AsyncOptions{} // scenarios own the schedule
-		if err := sc.Apply(subs, &opt); err != nil {
-			return nil, err
-		}
-		opt.Robust = ro
-		m, err := ResolveMethod(methodName, s)
-		if err != nil {
-			return nil, err
-		}
-		return m.Run(subs, s.cfg(), opt)
 	}
 
 	lines := []string{
@@ -107,8 +70,8 @@ func Chaos(s Scale) ([]string, error) {
 		fmt.Sprintf("%-14s %-8s %8s %8s %8s %8s", "scenario", "agg", "AdaFGL", baseline, "Δada", "Δfgl"),
 	}
 
-	// steadyAcc[agg][method] anchors the degradation columns.
-	steadyAcc := map[string]map[string]float64{}
+	// steadyAcc[agg] anchors the degradation columns: {AdaFGL, baseline}.
+	steadyAcc := map[string][2]float64{}
 	type headline struct {
 		scen, agg    string
 		dAda, dBase  float64
@@ -122,20 +85,24 @@ func Chaos(s Scale) ([]string, error) {
 			if ro.ClipNorm < 0 {
 				ro.ClipNorm = clipNorm
 			}
-			adaRes, err := run(specStr, ro, "AdaFGL")
-			if err != nil {
-				return nil, fmt.Errorf("bench: chaos: %s/%s/AdaFGL: %w", specStr, agg.name, err)
-			}
-			baseRes, err := run(specStr, ro, baseline)
-			if err != nil {
-				return nil, fmt.Errorf("bench: chaos: %s/%s/%s: %w", specStr, agg.name, baseline, err)
+			// One run per scenario x aggregator x method, all from one seed:
+			// chaos compares degradation shapes, not error bars. Scenarios
+			// own the schedule, so Scale.Async is dropped.
+			var acc [2]float64 // AdaFGL, baseline
+			for i, mn := range []string{"AdaFGL", baseline} {
+				res, _, err := runOne(s, runSpec{dataset: dataset, kind: Community, method: mn,
+					prepare: chaosPrepare(specStr, federated.AsyncOptions{}, ro)}, s.Seed)
+				if err != nil {
+					return nil, fmt.Errorf("bench: chaos: %s/%s/%s: %w", specStr, agg.name, mn, err)
+				}
+				acc[i] = res.TestAcc
 			}
 			dAda, dBase := "-", "-"
 			if specStr == "steady" {
-				steadyAcc[agg.name] = map[string]float64{"ada": adaRes.TestAcc, "base": baseRes.TestAcc}
+				steadyAcc[agg.name] = acc
 			} else if anchor, ok := steadyAcc[agg.name]; ok {
-				da := anchor["ada"] - adaRes.TestAcc
-				db := anchor["base"] - baseRes.TestAcc
+				da := anchor[0] - acc[0]
+				db := anchor[1] - acc[1]
 				dAda = fmt.Sprintf("%+.3f", -da)
 				dBase = fmt.Sprintf("%+.3f", -db)
 				if adv := db - da; !best.hasAdvantage || adv > best.adaAdvantage {
@@ -144,7 +111,7 @@ func Chaos(s Scale) ([]string, error) {
 				}
 			}
 			lines = append(lines, fmt.Sprintf("%-14s %-8s %8.3f %8.3f %8s %8s",
-				specStr, agg.name, adaRes.TestAcc, baseRes.TestAcc, dAda, dBase))
+				specStr, agg.name, acc[0], acc[1], dAda, dBase))
 		}
 	}
 	if best.hasAdvantage {
@@ -155,60 +122,57 @@ func Chaos(s Scale) ([]string, error) {
 	return lines, nil
 }
 
+// chaosPrepare is the runSpec.prepare hook of every chaos run: the options
+// take the given schedule and aggregator, then the named scenario (none when
+// empty) is applied over the fresh subgraphs.
+func chaosPrepare(scen string, async federated.AsyncOptions, ro federated.RobustOptions) func([]*graph.Graph, *federated.Options) error {
+	return func(subs []*graph.Graph, fo *federated.Options) error {
+		fo.Async, fo.Robust = async, ro
+		if scen == "" {
+			return nil
+		}
+		sc, err := scenario.Parse(scen)
+		if err != nil {
+			return err
+		}
+		return sc.Apply(subs, fo)
+	}
+}
+
 // chaosCrossCheck proves the fault layer is free when unused: the steady
 // scenario applied over fresh data must leave Step-1 bit-identical to a
 // direct federated.Run, both at the synchronous barrier and at K = 2 under
-// a skewed speed model with a staleness discount.
-func chaosCrossCheck(s Scale, newSubs func() ([]*graph.Graph, error)) error {
-	type variant struct {
+// a skewed speed model with a staleness discount. Both arms are bare Step 1:
+// FedGCN with no local correction.
+func chaosCrossCheck(s Scale) error {
+	s.Correction = 0
+	variants := []struct {
 		name  string
 		async federated.AsyncOptions
-	}
-	variants := []variant{
+	}{
 		{"K=N", federated.AsyncOptions{}},
 		{"K=2", federated.AsyncOptions{MinUpdates: 2, Staleness: 0.5,
 			Speed: &federated.SpeedModel{Slowdown: []float64{3}, Jitter: 0.1, Seed: s.Seed}}},
 	}
 	for _, v := range variants {
-		direct, err := chaosStepOne(s, newSubs, v.async, false)
-		if err != nil {
-			return err
+		var params [2][]float64
+		for i, scen := range []string{"", "steady"} {
+			res, _, err := runOne(s, runSpec{dataset: "Cora", kind: Community, method: "GCN",
+				prepare: chaosPrepare(scen, v.async, federated.RobustOptions{})}, s.Seed)
+			if err != nil {
+				return err
+			}
+			params[i] = res.GlobalParams
 		}
-		viaScenario, err := chaosStepOne(s, newSubs, v.async, true)
-		if err != nil {
-			return err
-		}
-		if len(direct.GlobalParams) != len(viaScenario.GlobalParams) {
+		direct, viaScenario := params[0], params[1]
+		if len(direct) != len(viaScenario) {
 			return fmt.Errorf("bench: chaos cross-check: %s: dimension drifted", v.name)
 		}
-		for i := range direct.GlobalParams {
-			if direct.GlobalParams[i] != viaScenario.GlobalParams[i] {
+		for i := range direct {
+			if direct[i] != viaScenario[i] {
 				return fmt.Errorf("bench: chaos cross-check: %s: steady scenario diverges from a direct run at param %d", v.name, i)
 			}
 		}
 	}
 	return nil
-}
-
-// chaosStepOne runs one bare Step-1 federation (no Step-2, no correction),
-// optionally routed through the steady scenario's Apply.
-func chaosStepOne(s Scale, newSubs func() ([]*graph.Graph, error), async federated.AsyncOptions, viaScenario bool) (*federated.Result, error) {
-	subs, err := newSubs()
-	if err != nil {
-		return nil, err
-	}
-	opt := s.fedOpts(s.Seed)
-	opt.Async = async
-	opt.Robust = federated.RobustOptions{}
-	if viaScenario {
-		sc, err := scenario.Parse("steady")
-		if err != nil {
-			return nil, err
-		}
-		if err := sc.Apply(subs, &opt); err != nil {
-			return nil, err
-		}
-	}
-	m := fgl.FedModel{Arch: "GCN"}
-	return m.Run(subs, s.cfg(), opt)
 }

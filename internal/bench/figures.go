@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/datasets"
+	"repro/internal/core"
+	"repro/internal/federated"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
@@ -13,59 +14,51 @@ import (
 // s.Clients clients: (a) per-client label distributions, (b) per-client
 // topology distributions, (c) round-accuracy curves, (d) per-client accuracy.
 func Fig2(s Scale) ([]string, error) {
-	spec, err := datasets.ByName("Cora")
+	g, comm, err := split("Cora", Community, nil, s, s.Seed)
 	if err != nil {
 		return nil, err
 	}
-	g := datasets.GenerateScaled(spec, s.Factor, s.Seed)
-	comm := partition.CommunitySplit(g, s.Clients, partitionRNG(s.Seed))
-	noniid := partition.StructureNonIIDSplit(g.Clone(), s.Clients, partition.DefaultNonIID(), partitionRNG(s.Seed+1))
+	noniid := partition.StructureNonIIDSplit(g, s.Clients, partition.DefaultNonIID(), rand.New(rand.NewSource(s.Seed+102))).Subgraphs
+	splits := map[SplitKind][]*graph.Graph{Community: comm, NonIID: noniid}
 
 	out := []string{"FIG 2(a): per-client label distributions (rows=clients, cols=classes)"}
-	describe := func(name string, cd *partition.ClientData) {
-		out = append(out, "  "+name)
-		for i, sub := range cd.Subgraphs {
+	for _, kind := range bothSplits {
+		out = append(out, "  "+splitTitle[kind])
+		for i, sub := range splits[kind] {
 			out = append(out, fmt.Sprintf("   client %2d: %v", i, sub.LabelDistribution()))
 		}
 	}
-	describe("community split", comm)
-	describe("structure Non-iid split", noniid)
 
 	out = append(out, "", "FIG 2(b): per-client topology distributions (node/edge homophily)")
-	topo := func(name string, cd *partition.ClientData) {
-		out = append(out, "  "+name)
-		for i, sub := range cd.Subgraphs {
+	for _, kind := range bothSplits {
+		out = append(out, "  "+splitTitle[kind])
+		for i, sub := range splits[kind] {
 			out = append(out, fmt.Sprintf("   client %2d: node %.3f edge %.3f", i, sub.NodeHomophily(), sub.EdgeHomophily()))
 		}
 	}
-	topo("community split", comm)
-	topo("structure Non-iid split", noniid)
 
 	out = append(out, "", "FIG 2(c): round-accuracy curves (every 5th round)")
-	curveMethods := []string{"GCN", "GloGNN", "FedGL", "FedSage+", "FED-PUB"}
-	for _, kind := range []SplitKind{Community, NonIID} {
+	gcn := map[SplitKind][]float64{} // panel (d) plots the GCN runs of panel (c)
+	for _, kind := range bothSplits {
 		out = append(out, "  "+kind.String())
-		for _, mn := range curveMethods {
-			c, err := RunCell("Cora", kind, mn, singleRun(s))
+		for _, mn := range []string{"GCN", "GloGNN", "FedGL", "FedSage+", "FED-PUB"} {
+			res, _, err := runOne(s, runSpec{dataset: "Cora", kind: kind, method: mn}, s.Seed)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, fmt.Sprintf("   %-10s %s", mn, fmtCurve(c.Curve, 5)))
+			if mn == "GCN" {
+				gcn[kind] = res.PerClient
+			}
+			out = append(out, fmt.Sprintf("   %-10s %s", mn, fmtCurve(res.RoundAcc, 5)))
 		}
 	}
 
 	out = append(out, "", "FIG 2(d): per-client accuracy (GCN)")
-	for _, kind := range []SplitKind{Community, NonIID} {
-		c, err := RunCell("Cora", kind, "GCN", singleRun(s))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fmt.Sprintf("  %-10s %v", kind.String(), fmtClientAccs(c.PerClient)))
+	for _, kind := range bothSplits {
+		out = append(out, fmt.Sprintf("  %-10s %v", kind.String(), fmtClientAccs(gcn[kind])))
 	}
 	return out, nil
 }
-
-func singleRun(s Scale) Scale { s.Runs = 1; return s }
 
 func fmtClientAccs(a []float64) string {
 	out := ""
@@ -84,54 +77,33 @@ func fmtClientAccs(a []float64) string {
 func Fig5(s Scale) ([]string, error) {
 	out := []string{"FIG 5: accuracy under varying topology heterogeneity"}
 	methods := []string{"FedSage+", "FED-PUB", "AdaFGL"}
-	ratios := []float64{0.1, 0.3, 0.5, 0.7}
+	sweep := []struct {
+		kind  SplitKind
+		label string
+		set   func(o *partition.StructureNonIIDOptions, v float64)
+		vals  []float64
+	}{
+		{NonIID, "r", func(o *partition.StructureNonIIDOptions, v float64) { o.SamplingRatio = v }, []float64{0.1, 0.3, 0.5, 0.7}},
+		{NonIIDMeta, "m", func(o *partition.StructureNonIIDOptions, v float64) { o.MetaBudget = v }, []float64{0.1, 0.2}},
+	}
 	for _, d := range []string{"PubMed", "Flickr", "Reddit"} {
 		out = append(out, "  "+d)
 		for _, mn := range methods {
 			row := fmt.Sprintf("   %-10s", mn)
-			for _, ratio := range ratios {
-				acc, err := injectionSweepCell(d, mn, ratio, false, s)
-				if err != nil {
-					return nil, err
+			for _, sw := range sweep {
+				for _, v := range sw.vals {
+					res, _, err := runOne(s, runSpec{dataset: d, kind: sw.kind, method: mn,
+						partition: func(o *partition.StructureNonIIDOptions) { sw.set(o, v) }}, s.Seed)
+					if err != nil {
+						return nil, err
+					}
+					row += fmt.Sprintf(" %s%.1f=%.3f", sw.label, v, res.TestAcc)
 				}
-				row += fmt.Sprintf(" r%.1f=%.3f", ratio, acc)
-			}
-			for _, budget := range []float64{0.1, 0.2} {
-				acc, err := injectionSweepCell(d, mn, budget, true, s)
-				if err != nil {
-					return nil, err
-				}
-				row += fmt.Sprintf(" m%.1f=%.3f", budget, acc)
 			}
 			out = append(out, row)
 		}
 	}
 	return out, nil
-}
-
-func injectionSweepCell(dataset, methodName string, intensity float64, meta bool, s Scale) (float64, error) {
-	spec, err := datasets.ByName(dataset)
-	if err != nil {
-		return 0, err
-	}
-	g := datasets.GenerateScaled(spec, s.Factor, s.Seed)
-	opt := partition.DefaultNonIID()
-	if meta {
-		opt.Meta = true
-		opt.MetaBudget = intensity
-	} else {
-		opt.SamplingRatio = intensity
-	}
-	cd := partition.StructureNonIIDSplit(g, s.Clients, opt, partitionRNG(s.Seed))
-	m, err := ResolveMethod(methodName, s)
-	if err != nil {
-		return 0, err
-	}
-	res, err := runOnce(m, cd.Subgraphs, s, s.Seed)
-	if err != nil {
-		return 0, err
-	}
-	return res.TestAcc, nil
 }
 
 // Fig6 regenerates the α/β sensitivity grids on one homophilous and one
@@ -140,19 +112,13 @@ func Fig6(s Scale) ([]string, error) {
 	out := []string{"FIG 6: hyperparameter sensitivity (rows α, cols β; cells accuracy)"}
 	grid := []float64{0.1, 0.5, 0.9}
 	for _, d := range []string{"Cora", "Chameleon"} {
-		for _, kind := range []SplitKind{Community, NonIID} {
+		for _, kind := range bothSplits {
 			out = append(out, fmt.Sprintf("  %s — %s", d, kind))
-			subs, err := MakeSplit(d, kind, s, s.Seed)
-			if err != nil {
-				return nil, err
-			}
 			for _, alpha := range grid {
 				row := fmt.Sprintf("   α=%.1f:", alpha)
 				for _, beta := range grid {
-					a := s.adaMethod()
-					a.Opt.Alpha = alpha
-					a.Opt.Beta = beta
-					res, err := runOnce(a, cloneSubs(subs), s, s.Seed)
+					res, _, err := runOne(s, runSpec{dataset: d, kind: kind, method: "AdaFGL",
+						ada: func(o *core.Options) { o.Alpha, o.Beta = alpha, beta }}, s.Seed)
 					if err != nil {
 						return nil, err
 					}
@@ -170,17 +136,13 @@ func Fig6(s Scale) ([]string, error) {
 func Fig7(s Scale) ([]string, error) {
 	out := []string{"FIG 7: per-client HCS vs subgraph edge homophily"}
 	for _, d := range []string{"Cora", "CiteSeer", "PubMed", "Chameleon", "Squirrel", "Actor"} {
-		for _, kind := range []SplitKind{Community, NonIID} {
-			subs, err := MakeSplit(d, kind, s, s.Seed)
+		for _, kind := range bothSplits {
+			_, reports, err := runOne(s, runSpec{dataset: d, kind: kind, method: "AdaFGL"}, s.Seed)
 			if err != nil {
 				return nil, err
 			}
-			a := s.adaMethod()
-			if _, err := runOnce(a, subs, s, s.Seed); err != nil {
-				return nil, err
-			}
 			row := fmt.Sprintf("  %-10s %-12s", d, kind)
-			for _, r := range a.Reports {
+			for _, r := range reports {
 				row += fmt.Sprintf(" (hcs %.2f|homo %.2f)", r.HCS, r.EdgeHomophily)
 			}
 			out = append(out, row)
@@ -204,14 +166,14 @@ func convergenceFigure(title string, dsets []string, s Scale) ([]string, error) 
 	out := []string{title + " (every 5th round)"}
 	methods := []string{"GCN", "GloGNN", "FED-PUB", "AdaFGL"}
 	for _, d := range dsets {
-		for _, kind := range []SplitKind{Community, NonIID} {
+		for _, kind := range bothSplits {
 			out = append(out, fmt.Sprintf("  %s — %s", d, kind))
 			for _, mn := range methods {
-				c, err := RunCell(d, kind, mn, singleRun(s))
+				res, _, err := runOne(s, runSpec{dataset: d, kind: kind, method: mn}, s.Seed)
 				if err != nil {
 					return nil, err
 				}
-				out = append(out, fmt.Sprintf("   %-10s %s (final %.3f)", mn, fmtCurve(c.Curve, 5), c.Mean))
+				out = append(out, fmt.Sprintf("   %-10s %s (final %.3f)", mn, fmtCurve(res.RoundAcc, 5), res.TestAcc))
 			}
 		}
 	}
@@ -224,7 +186,6 @@ func Fig10(s Scale) ([]string, error) {
 	out := []string{"FIG 10: sparsity robustness on Computer"}
 	methods := []string{"FedSage+", "FED-PUB", "AdaFGL"}
 	levels := []float64{0.2, 0.5, 0.8}
-	kinds := []SplitKind{Community, NonIID}
 	modes := []struct {
 		name  string
 		apply func(g *graph.Graph, frac float64, rng *rand.Rand)
@@ -234,24 +195,19 @@ func Fig10(s Scale) ([]string, error) {
 		{"label", func(g *graph.Graph, f float64, rng *rand.Rand) { partition.SparsifyLabels(g, f, rng) }},
 	}
 	for _, mode := range modes {
-		for _, kind := range kinds {
+		for _, kind := range bothSplits {
 			out = append(out, fmt.Sprintf("  %s sparsity — %s", mode.name, kind))
 			for _, mn := range methods {
 				row := fmt.Sprintf("   %-10s", mn)
 				for _, lvl := range levels {
-					subs, err := MakeSplit("Computer", kind, s, s.Seed)
-					if err != nil {
-						return nil, err
+					sparsify := func(subs []*graph.Graph, _ *federated.Options) error {
+						rng := rand.New(rand.NewSource(s.Seed + int64(lvl*100)))
+						for _, sub := range subs {
+							mode.apply(sub, lvl, rng)
+						}
+						return nil
 					}
-					rng := rand.New(rand.NewSource(s.Seed + int64(lvl*100)))
-					for _, sub := range subs {
-						mode.apply(sub, lvl, rng)
-					}
-					m, err := ResolveMethod(mn, s)
-					if err != nil {
-						return nil, err
-					}
-					res, err := runOnce(m, subs, s, s.Seed)
+					res, _, err := runOne(s, runSpec{dataset: "Computer", kind: kind, method: mn, prepare: sparsify}, s.Seed)
 					if err != nil {
 						return nil, err
 					}
@@ -264,31 +220,22 @@ func Fig10(s Scale) ([]string, error) {
 	return out, nil
 }
 
-// Fig11 regenerates the sparse client-participation experiment with 20
-// clients on arxiv-year, Flickr and Reddit.
+// Fig11 regenerates the sparse client-participation experiment on
+// arxiv-year, Flickr and Reddit with twice the scale's client count (the
+// paper's 20 at its 10-client protocol).
 func Fig11(s Scale) ([]string, error) {
 	out := []string{"FIG 11: accuracy vs participation ratio (20-client split)"}
-	s20 := s
-	s20.Clients = s.Clients * 2
+	s.Clients *= 2
 	methods := []string{"FedGL", "FedSage+", "FED-PUB", "AdaFGL"}
 	ratios := []float64{0.2, 0.5, 1.0}
 	for _, d := range []string{"arxiv-year", "Flickr", "Reddit"} {
-		for _, kind := range []SplitKind{Community, NonIID} {
+		for _, kind := range bothSplits {
 			out = append(out, fmt.Sprintf("  %s — %s", d, kind))
 			for _, mn := range methods {
 				row := fmt.Sprintf("   %-10s", mn)
 				for _, ratio := range ratios {
-					subs, err := MakeSplit(d, kind, s20, s.Seed)
-					if err != nil {
-						return nil, err
-					}
-					m, err := ResolveMethod(mn, s20)
-					if err != nil {
-						return nil, err
-					}
-					fo := s20.fedOpts(s.Seed)
-					fo.Participation = ratio
-					res, err := m.Run(subs, s20.cfg(), fo)
+					res, _, err := runOne(s, runSpec{dataset: d, kind: kind, method: mn,
+						prepare: func(_ []*graph.Graph, fo *federated.Options) error { fo.Participation = ratio; return nil }}, s.Seed)
 					if err != nil {
 						return nil, err
 					}

@@ -3,15 +3,12 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
-	"repro/internal/datasets"
 	"repro/internal/federated"
 	"repro/internal/models"
 	"repro/internal/parallel"
-	"repro/internal/partition"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -62,11 +59,10 @@ var obsCoreFamilies = []string{
 // instrument cost behind).
 func Obs(s Scale) ([]string, error) {
 	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
-	factor := s.Factor
-	if factor <= 0 {
-		factor = 0.5 // quickstart scale
+	if s.Factor <= 0 {
+		s.Factor = 0.5 // quickstart scale
 	}
-	ck, err := serveCheckpoint("SGC", factor, s)
+	ck, err := serveCheckpoint("SGC", s)
 	if err != nil {
 		return nil, err
 	}
@@ -90,11 +86,11 @@ func Obs(s Scale) ([]string, error) {
 
 	// Bit-identity, training: a short federated run repeated under both
 	// telemetry states must land on bitwise-equal global parameters.
-	onParams, err := obsFedRun(s, factor, true)
+	onParams, err := obsFedRun(s, true)
 	if err != nil {
 		return nil, err
 	}
-	offParams, err := obsFedRun(s, factor, false)
+	offParams, err := obsFedRun(s, false)
 	if err != nil {
 		return nil, err
 	}
@@ -231,16 +227,15 @@ func interleavedRatio(reps, units, chunk int, run func(alt bool, from, k int) (t
 
 // obsFedRun executes the short training run of the bit-identity pair under
 // the given telemetry state and returns the final global parameters.
-func obsFedRun(s Scale, factor float64, enabled bool) ([]float64, error) {
+func obsFedRun(s Scale, enabled bool) ([]float64, error) {
 	telemetry.SetEnabled(enabled)
 	defer telemetry.SetEnabled(true)
-	spec, err := datasets.ByName("Cora")
+	s.Clients = 5
+	_, subs, err := split("Cora", Community, nil, s, s.Seed)
 	if err != nil {
 		return nil, err
 	}
-	g := datasets.GenerateScaled(spec, factor, s.Seed)
-	cd := partition.CommunitySplit(g, 5, rand.New(rand.NewSource(s.Seed+101)))
-	clients := federated.BuildClients(cd.Subgraphs, models.Registry["SGC"], s.cfg(), s.Seed)
+	clients := federated.BuildClients(subs, models.Registry["SGC"], s.cfg(), s.Seed)
 	opt := s.fedOpts(s.Seed)
 	if opt.Rounds > 5 {
 		opt.Rounds = 5 // the pair only needs enough rounds to exercise the loop

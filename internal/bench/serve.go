@@ -2,15 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/datasets"
 	"repro/internal/federated"
 	"repro/internal/models"
-	"repro/internal/partition"
 	"repro/internal/serve"
 )
 
@@ -36,16 +33,15 @@ const serveQueriesPerWorker = 16
 // collecting company — the "speedup" column reads below 1 whenever the
 // clients cannot fill a window faster than that wait.
 func Serve(s Scale) ([]string, error) {
-	factor := s.Factor
-	if factor <= 0 {
-		factor = 0.5 // quickstart scale
+	if s.Factor <= 0 {
+		s.Factor = 0.5 // quickstart scale
 	}
 	lines := []string{
 		fmt.Sprintf("Serving: single-request vs batched inference, %d concurrent clients x %d queries",
 			serveConc, serveQueriesPerWorker),
 	}
 	for _, arch := range []string{"GCN", "SGC"} {
-		ck, err := serveCheckpoint(arch, factor, s)
+		ck, err := serveCheckpoint(arch, s)
 		if err != nil {
 			return nil, err
 		}
@@ -73,15 +69,14 @@ func Serve(s Scale) ([]string, error) {
 
 // serveCheckpoint trains arch briefly over a community split of a scaled
 // Cora and packages the global model on the full graph.
-func serveCheckpoint(arch string, factor float64, s Scale) (*checkpoint.Checkpoint, error) {
-	spec, err := datasets.ByName("Cora")
+func serveCheckpoint(arch string, s Scale) (*checkpoint.Checkpoint, error) {
+	s.Clients = 5
+	g, subs, err := split("Cora", Community, nil, s, s.Seed)
 	if err != nil {
 		return nil, err
 	}
-	g := datasets.GenerateScaled(spec, factor, s.Seed)
-	cd := partition.CommunitySplit(g, 5, rand.New(rand.NewSource(s.Seed+101)))
 	cfg := s.cfg()
-	clients := federated.BuildClients(cd.Subgraphs, models.Registry[arch], cfg, s.Seed)
+	clients := federated.BuildClients(subs, models.Registry[arch], cfg, s.Seed)
 	opt := s.fedOpts(s.Seed)
 	if opt.Rounds > 10 {
 		opt.Rounds = 10 // training cost is not what this experiment measures

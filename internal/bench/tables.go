@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -41,98 +40,82 @@ func Table1(s Scale) ([]string, error) {
 	return out, nil
 }
 
-// accuracyTable renders one split block of Table II/III.
-func accuracyTable(title string, dsets, methods []string, kind SplitKind, s Scale) ([]string, error) {
-	out := []string{title}
-	header := fmt.Sprintf("%-10s", "Method")
-	for _, d := range dsets {
-		header += fmt.Sprintf(" %12s", d)
+// renderGrid is the one row×column table renderer: title, a header of
+// corner + column names, then one line per row with mean±std cells. Cells are
+// evaluated row-major before anything is rendered so starBest can mark each
+// column's best row. Labels take 10 characters, cells width.
+func renderGrid(title, corner string, rows, cols []string, width int, starBest bool, cell func(r, c int) (Cell, error)) ([]string, error) {
+	header := fmt.Sprintf("%-10s", corner)
+	for _, c := range cols {
+		header += fmt.Sprintf(" %*s", width, c)
 	}
-	out = append(out, header)
-	cols := make([][]Cell, len(dsets)) // per dataset, per method
-	for di := range dsets {
-		cols[di] = make([]Cell, len(methods))
-	}
-	for mi, m := range methods {
-		for di, d := range dsets {
-			c, err := RunCell(d, kind, m, s)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", m, d, err)
+	out := []string{title, header}
+	cells := make([][]Cell, len(rows))
+	for r := range rows {
+		cells[r] = make([]Cell, len(cols))
+		for c := range cols {
+			var err error
+			if cells[r][c], err = cell(r, c); err != nil {
+				return nil, err
 			}
-			cols[di][mi] = c
 		}
 	}
-	for mi, m := range methods {
-		row := fmt.Sprintf("%-10s", m)
-		for di := range dsets {
-			cellStr := fmtCell(cols[di][mi])
-			if isBest(cols[di], mi) {
-				cellStr = "*" + cellStr + "*"
+	for r, name := range rows {
+		line := fmt.Sprintf("%-10s", name)
+		for c := range cols {
+			str := fmtCell(cells[r][c])
+			if starBest && isBest(cells, r, c) {
+				str = "*" + str + "*"
 			}
-			row += fmt.Sprintf(" %12s", cellStr)
+			line += fmt.Sprintf(" %*s", width, str)
 		}
-		out = append(out, row)
+		out = append(out, line)
 	}
 	return out, nil
 }
 
-func isBest(col []Cell, mi int) bool {
-	for _, c := range col {
-		if c.Mean > col[mi].Mean {
+func isBest(cells [][]Cell, r, c int) bool {
+	for _, row := range cells {
+		if row[c].Mean > cells[r][c].Mean {
 			return false
 		}
 	}
 	return true
 }
 
+// pairColumns expands each dataset into two adjacent columns, one per suffix.
+func pairColumns(dsets []string, first, second string) []string {
+	var cols []string
+	for _, d := range dsets {
+		cols = append(cols, d+first, d+second)
+	}
+	return cols
+}
+
 // Table2 regenerates the transductive comparison (both splits).
 func Table2(s Scale) ([]string, error) {
-	return accuracyTableTwoSplits("TABLE II: transductive accuracy", TransductiveDatasets, MainMethods, s)
+	return accuracyGrids("TABLE II: transductive accuracy", TransductiveDatasets, MainMethods, s)
 }
 
 // Table3 regenerates the inductive comparison (both splits).
 func Table3(s Scale) ([]string, error) {
-	return accuracyTableTwoSplits("TABLE III: inductive accuracy", InductiveDatasets, InductiveMethods, s)
+	return accuracyGrids("TABLE III: inductive accuracy", InductiveDatasets, InductiveMethods, s)
 }
 
-func accuracyTableTwoSplits(title string, dsets, methods []string, s Scale) ([]string, error) {
-	out := []string{}
-	a, err := accuracyTable(title+" — community split", dsets, methods, Community, s)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, a...)
-	b, err := accuracyTable(title+" — structure Non-iid split", dsets, methods, NonIID, s)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, "")
-	return append(out, b...), nil
-}
-
-// injectionTable powers Tables IV and V: random vs meta injection.
-func injectionTable(title string, dsets []string, methods []string, s Scale) ([]string, error) {
-	out := []string{title, fmt.Sprintf("%-10s %s", "Method", func() string {
-		h := ""
-		for _, d := range dsets {
-			h += fmt.Sprintf(" %12s(R) %12s(M)", d, d)
+// accuracyGrids renders the method × dataset grid once per split.
+func accuracyGrids(title string, dsets, methods []string, s Scale) ([]string, error) {
+	var out []string
+	for _, kind := range bothSplits {
+		block, err := renderGrid(title+" — "+splitTitle[kind], "Method", methods, dsets, 12, true, func(r, c int) (Cell, error) {
+			return RunCell(dsets[c], kind, methods[r], s)
+		})
+		if err != nil {
+			return nil, err
 		}
-		return h
-	}())}
-	for _, m := range methods {
-		row := fmt.Sprintf("%-10s", m)
-		for _, d := range dsets {
-			r, err := RunCell(d, NonIID, m, s)
-			if err != nil {
-				return nil, err
-			}
-			mt, err := RunCell(d, NonIIDMeta, m, s)
-			if err != nil {
-				return nil, err
-			}
-			row += fmt.Sprintf(" %15s %15s", fmtCell(r), fmtCell(mt))
+		if out != nil {
+			out = append(out, "")
 		}
-		out = append(out, row)
+		out = append(out, block...)
 	}
 	return out, nil
 }
@@ -142,34 +125,22 @@ var Table4Methods = []string{"FedGL", "GCFL+", "FedSage+", "FED-PUB", "AdaFGL"}
 
 // Table4 regenerates the transductive injection comparison (Physics, Penn94).
 func Table4(s Scale) ([]string, error) {
-	return injectionTable("TABLE IV: transductive, random vs meta injection", []string{"Physics", "Penn94"}, Table4Methods, s)
+	return injectionGrid("TABLE IV: transductive, random vs meta injection", []string{"Physics", "Penn94"}, s)
 }
 
 // Table5 regenerates the inductive injection comparison (Flickr, Reddit).
 func Table5(s Scale) ([]string, error) {
-	return injectionTable("TABLE V: inductive, random vs meta injection", []string{"Flickr", "Reddit"}, Table4Methods, s)
+	return injectionGrid("TABLE V: inductive, random vs meta injection", []string{"Flickr", "Reddit"}, s)
 }
 
-// ablationCell runs AdaFGL with one component disabled.
-func ablationCell(dataset string, kind SplitKind, mod func(*core.Options), s Scale) (Cell, error) {
-	var accs []float64
-	var cell Cell
-	for r := 0; r < s.Runs; r++ {
-		seed := s.Seed + int64(r)*1000
-		subs, err := MakeSplit(dataset, kind, s, seed)
-		if err != nil {
-			return cell, err
-		}
-		a := s.adaMethod()
-		mod(&a.Opt)
-		res, err := a.Run(subs, s.cfg(), s.fedOpts(seed))
-		if err != nil {
-			return cell, err
-		}
-		accs = append(accs, res.TestAcc)
-	}
-	cell.Mean, cell.Std = meanStd(accs)
-	return cell, nil
+// injectionGrid powers Tables IV and V: random vs meta injection per dataset.
+// The corner is padded one past the label width: these two headers have
+// always sat one column right of their rows, and the golden pins it.
+func injectionGrid(title string, dsets []string, s Scale) ([]string, error) {
+	kinds := []SplitKind{NonIID, NonIIDMeta}
+	return renderGrid(title, "Method     ", Table4Methods, pairColumns(dsets, "(R)", "(M)"), 15, false, func(r, c int) (Cell, error) {
+		return RunCell(dsets[c/2], kinds[c%2], Table4Methods[r], s)
+	})
 }
 
 // Ablations enumerates the component switches of Tables VI/VII.
@@ -185,39 +156,35 @@ var Ablations = []struct {
 	{"AdaFGL", func(o *core.Options) {}},
 }
 
-func ablationTable(title string, dsets []string, s Scale) ([]string, error) {
-	out := []string{title}
-	header := fmt.Sprintf("%-10s", "Component")
-	for _, d := range dsets {
-		header += fmt.Sprintf(" %10s-Com %9s-NIID", d, d)
-	}
-	out = append(out, header)
+// ablationGrid powers Tables VI and VII: AdaFGL with one component disabled
+// per row, both splits per dataset.
+func ablationGrid(title string, dsets []string, s Scale) ([]string, error) {
+	var rows []string
 	for _, ab := range Ablations {
-		row := fmt.Sprintf("%-10s", ab.Name)
-		for _, d := range dsets {
-			com, err := ablationCell(d, Community, ab.Mod, s)
-			if err != nil {
-				return nil, err
-			}
-			ni, err := ablationCell(d, NonIID, ab.Mod, s)
-			if err != nil {
-				return nil, err
-			}
-			row += fmt.Sprintf(" %14s %14s", fmtCell(com), fmtCell(ni))
-		}
-		out = append(out, row)
+		rows = append(rows, ab.Name)
 	}
-	return out, nil
+	return renderGrid(title, "Component", rows, pairColumns(dsets, "-Com", "-NIID"), 14, false, func(r, c int) (Cell, error) {
+		return runCell(s, runSpec{dataset: dsets[c/2], kind: bothSplits[c%2], method: "AdaFGL", ada: Ablations[r].Mod})
+	})
 }
 
 // Table6 regenerates the homophilous ablation study (Computer, Reddit).
 func Table6(s Scale) ([]string, error) {
-	return ablationTable("TABLE VI: ablation on homophilous datasets", []string{"Computer", "Reddit"}, s)
+	return ablationGrid("TABLE VI: ablation on homophilous datasets", []string{"Computer", "Reddit"}, s)
 }
 
 // Table7 regenerates the heterophilous ablation study (arxiv-year, Flickr).
 func Table7(s Scale) ([]string, error) {
-	return ablationTable("TABLE VII: ablation on heterophilous datasets", []string{"arxiv-year", "Flickr"}, s)
+	return ablationGrid("TABLE VII: ablation on heterophilous datasets", []string{"arxiv-year", "Flickr"}, s)
+}
+
+// makeInductive is the runSpec.prepare hook of the true inductive protocol:
+// every client trains on the subgraph induced over its non-test nodes.
+func makeInductive(subs []*graph.Graph, _ *federated.Options) error {
+	for i := range subs {
+		subs[i] = graph.MakeInductive(subs[i])
+	}
+	return nil
 }
 
 // Table3Inductive regenerates Table III under the paper's true inductive
@@ -228,33 +195,16 @@ func Table7(s Scale) ([]string, error) {
 func Table3Inductive(s Scale) ([]string, error) {
 	methods := []string{"GCNII", "GloGNN", "GCFL+", "FED-PUB", "AdaFGL"}
 	out := []string{"TABLE III (true inductive protocol): accuracy on unseen test nodes"}
-	for _, kind := range []SplitKind{Community, NonIID} {
+	for _, kind := range bothSplits {
 		out = append(out, "  "+kind.String())
 		for _, mn := range methods {
 			row := fmt.Sprintf("   %-10s", mn)
 			for _, d := range InductiveDatasets {
-				var accs []float64
-				for r := 0; r < s.Runs; r++ {
-					seed := s.Seed + int64(r)*1000
-					subs, err := MakeSplit(d, kind, s, seed)
-					if err != nil {
-						return nil, err
-					}
-					for i := range subs {
-						subs[i] = graph.MakeInductive(subs[i])
-					}
-					m, err := ResolveMethod(mn, s)
-					if err != nil {
-						return nil, err
-					}
-					res, err := m.Run(subs, s.cfg(), s.fedOpts(seed))
-					if err != nil {
-						return nil, err
-					}
-					accs = append(accs, res.TestAcc)
+				c, err := runCell(s, runSpec{dataset: d, kind: kind, method: mn, prepare: makeInductive})
+				if err != nil {
+					return nil, err
 				}
-				mean, std := meanStd(accs)
-				row += fmt.Sprintf(" %s=%5.1f±%.1f", d, mean*100, std*100)
+				row += fmt.Sprintf(" %s=%s", d, fmtCell(c))
 			}
 			out = append(out, row)
 		}
@@ -265,10 +215,6 @@ func Table3Inductive(s Scale) ([]string, error) {
 // Table8 regenerates the paradigm comparison: the static taxonomy of
 // Sec. IV-D augmented with measured per-round communication volume.
 func Table8(s Scale) ([]string, error) {
-	subs, err := MakeSplit("Cora", Community, s, s.Seed)
-	if err != nil {
-		return nil, err
-	}
 	rows := []struct {
 		name, typ, comm string
 	}{
@@ -281,11 +227,7 @@ func Table8(s Scale) ([]string, error) {
 	out := []string{"TABLE VIII: FGL paradigm comparison",
 		fmt.Sprintf("%-10s %-6s %-46s %14s", "Method", "Type", "Communication content", "bytes/round")}
 	for _, r := range rows {
-		m, err := ResolveMethod(r.name, s)
-		if err != nil {
-			return nil, err
-		}
-		res, err := m.Run(cloneSubs(subs), s.cfg(), s.fedOpts(s.Seed))
+		res, _, err := runOne(s, runSpec{dataset: "Cora", kind: Community, method: r.name}, s.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -293,20 +235,3 @@ func Table8(s Scale) ([]string, error) {
 	}
 	return out, nil
 }
-
-func cloneSubs(subs []*graph.Graph) []*graph.Graph {
-	out := make([]*graph.Graph, len(subs))
-	for i, g := range subs {
-		out[i] = g.Clone()
-	}
-	return out
-}
-
-// Sanity helper reused by figures: run one method once.
-func runOnce(m Method, subs []*graph.Graph, s Scale, seed int64) (*federated.Result, error) {
-	return m.Run(subs, s.cfg(), s.fedOpts(seed))
-}
-
-// partitionRNG builds the deterministic rng used by split generation in
-// figure runners that need direct partition control.
-func partitionRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed + 101)) }

@@ -207,11 +207,10 @@ func RunTorture(spec string, s Scale) (*TortureReport, error) {
 // returns the directory, the in-memory checkpoint (for the reference server)
 // and a cleanup func.
 func tortureArtifacts(s Scale) (string, *checkpoint.Checkpoint, func(), error) {
-	factor := s.Factor
-	if factor <= 0 {
-		factor = 0.3
+	if s.Factor <= 0 {
+		s.Factor = 0.3
 	}
-	ck, err := serveCheckpoint("SGC", factor, s)
+	ck, err := serveCheckpoint("SGC", s)
 	if err != nil {
 		return "", nil, nil, err
 	}

@@ -7,10 +7,9 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/datasets"
 	"repro/internal/federated"
+	"repro/internal/graph"
 	"repro/internal/models"
-	"repro/internal/partition"
 	"repro/internal/registry"
 	"repro/internal/serve"
 )
@@ -55,19 +54,16 @@ const zooTimingAttempts = 3
 // baseline vs AdaFGL under a 50/50 deterministic node split — the paper's
 // baseline-vs-AdaFGL table as an online measurement.
 func Zoo(s Scale) ([]string, error) {
-	factor := s.Factor
-	if factor <= 0 {
-		factor = 0.5 // quickstart scale
+	if s.Factor <= 0 {
+		s.Factor = 0.5 // quickstart scale
 	}
 
 	// One shared graph and split so every artifact answers the same nodes and
 	// online accuracy is comparable across arms.
-	spec, err := datasets.ByName("Cora")
+	g, subs, err := split("Cora", Community, nil, s, s.Seed)
 	if err != nil {
 		return nil, err
 	}
-	g := datasets.GenerateScaled(spec, factor, s.Seed)
-	cd := partition.CommunitySplit(g, s.Clients, partitionRNG(s.Seed))
 	cfg := s.cfg()
 	opt := s.fedOpts(s.Seed)
 	if opt.Rounds > 10 {
@@ -84,7 +80,7 @@ func Zoo(s Scale) ([]string, error) {
 	// AdaFGL via its two-step pipeline (the servable artifact is the Step-1
 	// federated knowledge extractor).
 	for _, arch := range []string{"GCN", "SGC"} {
-		clients := federated.BuildClients(cloneSubs(cd.Subgraphs), models.Registry[arch], cfg, s.Seed)
+		clients := federated.BuildClients(cloneSubs(subs), models.Registry[arch], cfg, s.Seed)
 		res, err := federated.Run(clients, s.Seed+1, opt)
 		if err != nil {
 			return nil, err
@@ -102,7 +98,7 @@ func Zoo(s Scale) ([]string, error) {
 		}
 	}
 	ada := s.adaMethod()
-	resAda, err := ada.Run(cloneSubs(cd.Subgraphs), cfg, opt)
+	resAda, err := ada.Run(cloneSubs(subs), cfg, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -291,4 +287,12 @@ func zooAB(reg *registry.Registry, n int, seed int64) ([]string, error) {
 		fmt.Sprintf("A/B delta: candidate %+.3f accuracy vs control",
 			rep.Candidate.Stats.Accuracy-rep.Control.Stats.Accuracy),
 	}, nil
+}
+
+func cloneSubs(subs []*graph.Graph) []*graph.Graph {
+	out := make([]*graph.Graph, len(subs))
+	for i, g := range subs {
+		out[i] = g.Clone()
+	}
+	return out
 }

@@ -51,22 +51,6 @@ func (m FedModel) Run(subgraphs []*graph.Graph, cfg models.Config, opt federated
 	return federated.Run(clients, opt.Seed+1, opt)
 }
 
-// Methods returns the baseline set of the paper's main tables for the given
-// split family. All four FGL systems plus the GNN wrappers named.
-func Methods(archWrappers []string, correction int) []Method {
-	out := make([]Method, 0, len(archWrappers)+4)
-	for _, a := range archWrappers {
-		out = append(out, FedModel{Arch: a, Correction: correction})
-	}
-	out = append(out,
-		NewFedGL(),
-		NewGCFL(),
-		NewFedSage(),
-		NewFedPub(),
-	)
-	return out
-}
-
 // MethodByName resolves the names used in the paper's tables.
 func MethodByName(name string) (Method, error) {
 	switch name {

@@ -58,9 +58,23 @@ func runMethod(t *testing.T, m Method, subs []*graph.Graph) *federated.Result {
 	return res
 }
 
+// methodsByName resolves the named GNN wrappers plus the four FGL systems.
+func methodsByName(t *testing.T, wrappers ...string) []Method {
+	t.Helper()
+	var out []Method
+	for _, name := range append(wrappers, "FedGL", "GCFL+", "FedSage+", "FED-PUB") {
+		m, err := MethodByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
 func TestAllMethodsRunAndLearn(t *testing.T) {
 	subs := communitySubgraphs(t, "Cora", 4, 1)
-	for _, m := range Methods([]string{"GCN", "GloGNN"}, 5) {
+	for _, m := range methodsByName(t, "GCN", "GloGNN") {
 		res := runMethod(t, m, subs)
 		if res.TestAcc < 0.4 {
 			t.Errorf("%s: accuracy %.3f < 0.4 on homophilous community split", m.Name(), res.TestAcc)
@@ -230,7 +244,7 @@ func TestHeterophilyAdvantageShape(t *testing.T) {
 // training, whether it drives its own round loop or delegates to the engine.
 func TestMethodsValidateOptions(t *testing.T) {
 	subs := communitySubgraphs(t, "Cora", 3, 1)
-	for _, m := range Methods([]string{"GCN"}, 0) {
+	for _, m := range methodsByName(t, "GCN") {
 		o := quickOpts()
 		o.Rounds = 0
 		if _, err := m.Run(subs, quickCfg(), o); err == nil || !strings.HasPrefix(err.Error(), "federated: options: Rounds") {
