@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -220,6 +221,19 @@ func TestFig2Smoke(t *testing.T) {
 	for _, want := range []string{"FIG 2(a)", "FIG 2(b)", "FIG 2(c)", "FIG 2(d)"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing section %s", want)
+		}
+	}
+	// Panels (a)/(b) must describe the very partitions (c)/(d) train on.
+	for _, kind := range bothSplits {
+		subs, err := MakeSplit("Cora", kind, tinyScale(), tinyScale().Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sub := range subs {
+			want := fmt.Sprintf("   client %2d: %v", i, sub.LabelDistribution())
+			if !strings.Contains(joined, want) {
+				t.Errorf("%v: panel (a) does not describe the trained split: missing %q", kind, want)
+			}
 		}
 	}
 }

@@ -14,12 +14,15 @@ import (
 // s.Clients clients: (a) per-client label distributions, (b) per-client
 // topology distributions, (c) round-accuracy curves, (d) per-client accuracy.
 func Fig2(s Scale) ([]string, error) {
-	g, comm, err := split("Cora", Community, nil, s, s.Seed)
-	if err != nil {
-		return nil, err
+	// All four panels look at the one split per kind the runner trains on.
+	splits := map[SplitKind][]*graph.Graph{}
+	for _, kind := range bothSplits {
+		subs, err := MakeSplit("Cora", kind, s, s.Seed)
+		if err != nil {
+			return nil, err
+		}
+		splits[kind] = subs
 	}
-	noniid := partition.StructureNonIIDSplit(g, s.Clients, partition.DefaultNonIID(), rand.New(rand.NewSource(s.Seed+102))).Subgraphs
-	splits := map[SplitKind][]*graph.Graph{Community: comm, NonIID: noniid}
 
 	out := []string{"FIG 2(a): per-client label distributions (rows=clients, cols=classes)"}
 	for _, kind := range bothSplits {
@@ -224,8 +227,8 @@ func Fig10(s Scale) ([]string, error) {
 // arxiv-year, Flickr and Reddit with twice the scale's client count (the
 // paper's 20 at its 10-client protocol).
 func Fig11(s Scale) ([]string, error) {
-	out := []string{"FIG 11: accuracy vs participation ratio (20-client split)"}
 	s.Clients *= 2
+	out := []string{fmt.Sprintf("FIG 11: accuracy vs participation ratio (%d-client split)", s.Clients)}
 	methods := []string{"FedGL", "FedSage+", "FED-PUB", "AdaFGL"}
 	ratios := []float64{0.2, 0.5, 1.0}
 	for _, d := range []string{"arxiv-year", "Flickr", "Reddit"} {
