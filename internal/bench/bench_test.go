@@ -213,7 +213,8 @@ func TestTable8Paradigms(t *testing.T) {
 }
 
 func TestFig2Smoke(t *testing.T) {
-	lines, err := Fig2(tinyScale())
+	s := tinyScale()
+	lines, err := Fig2(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestFig2Smoke(t *testing.T) {
 	}
 	// Panels (a)/(b) must describe the very partitions (c)/(d) train on.
 	for _, kind := range bothSplits {
-		subs, err := MakeSplit("Cora", kind, tinyScale(), tinyScale().Seed)
+		subs, err := MakeSplit("Cora", kind, s, s.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}

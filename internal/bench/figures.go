@@ -58,20 +58,9 @@ func Fig2(s Scale) ([]string, error) {
 
 	out = append(out, "", "FIG 2(d): per-client accuracy (GCN)")
 	for _, kind := range bothSplits {
-		out = append(out, fmt.Sprintf("  %-10s %v", kind.String(), fmtClientAccs(gcn[kind])))
+		out = append(out, fmt.Sprintf("  %-10s %v", kind.String(), fmtCurve(gcn[kind], 1)))
 	}
 	return out, nil
-}
-
-func fmtClientAccs(a []float64) string {
-	out := ""
-	for i, v := range a {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%.2f", v)
-	}
-	return out
 }
 
 // Fig5 regenerates the topology-heterogeneity sweep: accuracy vs injection
