@@ -98,8 +98,14 @@ func New(n int, edges [][2]int, x *matrix.Dense, labels []int, classes int) *Gra
 }
 
 // Canonicalize deduplicates an undirected edge list and orders endpoints
-// u <= v, dropping nothing else (self-loops are kept).
+// u <= v, dropping nothing else (self-loops are kept). A list that is already
+// canonical — u <= v, strictly ascending, which is every list a checkpoint
+// this repo wrote carries — is recognised in one pass and copied; anything
+// else is deduplicated and sorted, so no caller's input is ever trusted.
 func Canonicalize(edges [][2]int) [][2]int {
+	if isCanonical(edges) {
+		return append(make([][2]int, 0, len(edges)), edges...)
+	}
 	seen := make(map[[2]int]bool, len(edges))
 	out := make([][2]int, 0, len(edges))
 	for _, e := range edges {
@@ -120,6 +126,23 @@ func Canonicalize(edges [][2]int) [][2]int {
 		return out[i][1] < out[j][1]
 	})
 	return out
+}
+
+// isCanonical reports whether edges is exactly what Canonicalize would
+// return: every endpoint pair ordered u <= v, the list strictly ascending.
+func isCanonical(edges [][2]int) bool {
+	for i, e := range edges {
+		if e[0] > e[1] {
+			return false
+		}
+		if i > 0 {
+			p := edges[i-1]
+			if p[0] > e[0] || (p[0] == e[0] && p[1] >= e[1]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // M returns the number of undirected edges.

@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +30,79 @@ func TestCanonicalize(t *testing.T) {
 		if edges[i] != want[i] {
 			t.Fatalf("edge %d = %v, want %v", i, edges[i], want[i])
 		}
+	}
+}
+
+// canonicalizeRef is the map-and-sort definition of Canonicalize, kept here as
+// the reference its one-pass shortcut for canonical input is held to.
+func canonicalizeRef(edges [][2]int) [][2]int {
+	seen := make(map[[2]int]bool, len(edges))
+	out := make([][2]int, 0, len(edges))
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u > v {
+			u, v = v, u
+		}
+		if k := [2]int{u, v}; !seen[k] {
+			seen[k] = true
+			out = append(out, k)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i][0] != out[j][0] {
+			return out[i][0] < out[j][0]
+		}
+		return out[i][1] < out[j][1]
+	})
+	return out
+}
+
+// TestCanonicalizeMatchesReference: canonical input (which takes the one-pass
+// shortcut) and every way of not being canonical — a reversed endpoint pair, a
+// duplicate, a shuffle, nothing at all — come out as the reference says, and
+// the result never aliases the input.
+func TestCanonicalizeMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(12)
+		var raw [][2]int
+		for i := rng.Intn(40); i > 0; i-- {
+			raw = append(raw, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		canonical := canonicalizeRef(raw)
+		variants := map[string][][2]int{"canonical": canonical, "empty": nil}
+		if len(canonical) > 0 {
+			i := rng.Intn(len(canonical))
+			e := canonical[i]
+			reversed := append([][2]int(nil), canonical...)
+			reversed[i] = [2]int{e[1], e[0]}
+			variants["reversed"] = reversed
+			variants["duplicated"] = append(append([][2]int(nil), canonical[:i+1]...), canonical[i:]...)
+			shuffled := append([][2]int(nil), canonical...)
+			rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+			variants["shuffled"] = shuffled
+		}
+		for name, in := range variants {
+			before := append([][2]int(nil), in...)
+			got := Canonicalize(in)
+			if want := canonicalizeRef(in); !reflect.DeepEqual(got, want) {
+				t.Logf("%s %v: got %v, want %v", name, in, got, want)
+				return false
+			}
+			for i := range got {
+				got[i] = [2]int{-1, -1}
+			}
+			for i := range in {
+				if in[i] != before[i] {
+					t.Logf("%s: writing the result changed the input", name)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
