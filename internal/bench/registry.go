@@ -38,7 +38,7 @@ var Experiments = map[string]Experiment{
 	"serve":   {"serve", "Micro: single-request vs batched inference serving", Serve},
 	"zoo":     {"zoo", "Micro: multi-model registry serving, routing overhead + live A/B", Zoo},
 	"torture": {"torture", "Torture: HTTP serving resilience under overload/deadline/panic/corrupt scenarios", Torture},
-	"shard":   {"shard", "Scale: streamed million-node graph sharding, memory/throughput linearity + bit-identity", ShardExp},
+	"shard":   {"shard", "Scale: streamed million-node graph sharding, memory/propagation linearity + sharded-fill bit-identity", ShardExp},
 	"obs":     {"obs", "Micro: telemetry bit-identity (serve + federated) and hot-path overhead budget", Obs},
 }
 

@@ -17,13 +17,14 @@ import (
 // ShardMax shards and measures, per shard count, the largest shard's memory
 // footprint — what one process of a shard-per-process fleet provisions — the
 // fleet propagation wall-clock (the slowest shard's 2-hop time, since shards
-// propagate concurrently and synchronise only at halo exchanges), and the
-// routed serving throughput of the sharded Predictor. Memory linearity is
-// enforced (±25% of the balanced share, deterministic); timing linearity is
-// reported as the fleet speedup column. A final overlap-scale cross-check
-// rebuilds a smaller graph at 1 and ShardMax shards and fails the experiment
-// unless the sharded server's predictions are bit-identical to the unsharded
-// ones.
+// propagate concurrently and synchronise only at halo exchanges). Serving is
+// not in the sweep: the server is the same N×C logits table at every shard
+// count, and sharding bounds only what a process holds while filling it.
+// Memory linearity is enforced (±25% of the balanced share, deterministic);
+// timing linearity is reported as the fleet speedup column. A final
+// overlap-scale cross-check rebuilds a smaller graph at 1 and ShardMax shards
+// and fails the experiment unless the ShardMax-shard fill answers
+// bit-identically to the 1-shard fill.
 func ShardExp(s Scale) ([]string, error) {
 	nodes := s.ShardNodes
 	if nodes <= 0 {
@@ -42,7 +43,7 @@ func ShardExp(s Scale) ([]string, error) {
 
 	lines := []string{
 		fmt.Sprintf("Shard: streamed %d-node graph (avg degree %g) across shard counts, %d-hop windows", nodes, spec.AvgDegree, hops),
-		fmt.Sprintf("%7s %10s %10s %8s %10s %10s %9s %10s", "shards", "build", "max-shard", "mem-lin", "halo-frac", "fleet-prop", "fleet-spd", "routed-qps"),
+		fmt.Sprintf("%7s %10s %10s %8s %10s %10s %9s", "shards", "build", "max-shard", "mem-lin", "halo-frac", "fleet-prop", "fleet-spd"),
 	}
 
 	var totalOne int           // Bytes() of the 1-shard build: the memory baseline
@@ -98,56 +99,21 @@ func ShardExp(s Scale) ([]string, error) {
 			fleetOne = fleet
 		}
 
-		qps, err := routedThroughput(sh, spec)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, fmt.Sprintf("%7d %10v %9.1fM %7.2fx %9.3f%% %10v %8.2fx %10.0f",
+		lines = append(lines, fmt.Sprintf("%7d %10v %9.1fM %7.2fx %9.3f%% %10v %8.2fx",
 			shards, tBuild.Round(time.Millisecond), float64(maxBytes)/1e6, memLin,
 			100*float64(halo)/float64(cols), fleet.Round(time.Microsecond),
-			float64(fleetOne)/float64(fleet), qps))
+			float64(fleetOne)/float64(fleet)))
 	}
 
 	if err := shardOverlapCheck(s, maxShards); err != nil {
 		return nil, err
 	}
-	lines = append(lines, fmt.Sprintf("overlap check: %d-shard predictions bit-identical to unsharded ✓", maxShards))
+	lines = append(lines, fmt.Sprintf("overlap check: %d-shard fill bit-identical to the 1-shard fill ✓", maxShards))
 	return lines, nil
 }
 
-// routedThroughput serves the sharded build behind a fixed SGC-shaped head
-// and measures routed queries per second over a strided node sample.
-func routedThroughput(sh *shard.Sharded, spec datasets.StreamSpec) (float64, error) {
-	srv, err := shard.NewFromParts(sh, "SGC", shardBenchHead(spec), models.EmbeddingSpec{Hops: 2, Norm: sparse.NormSym}, serve.Options{})
-	if err != nil {
-		return 0, err
-	}
-	defer srv.Close()
-	const batch = 256
-	queries := spec.Nodes / 50
-	if queries < batch {
-		queries = batch
-	}
-	stride := spec.Nodes/queries | 1
-	nodes := make([]int, 0, batch)
-	served := 0
-	start := time.Now()
-	for v := 0; served < queries; v = (v + stride) % spec.Nodes {
-		nodes = append(nodes, v)
-		if len(nodes) == batch {
-			if _, err := srv.Predict(nodes); err != nil {
-				return 0, err
-			}
-			served += len(nodes)
-			nodes = nodes[:0]
-		}
-	}
-	return float64(served) / time.Since(start).Seconds(), nil
-}
-
-// shardBenchHead builds the deterministic single-layer head every shard
-// measurement serves behind, so throughput differences come from routing and
-// propagation, never from the head.
+// shardBenchHead builds the deterministic single-layer head both fills of the
+// overlap check run behind.
 func shardBenchHead(spec datasets.StreamSpec) []models.HeadLayer {
 	w := matrix.New(spec.Features, spec.Classes)
 	for i := range w.Data {
@@ -157,7 +123,7 @@ func shardBenchHead(spec datasets.StreamSpec) []models.HeadLayer {
 }
 
 // shardOverlapCheck rebuilds a smaller graph — one that fits a single shard —
-// at 1 and maxShards shards and verifies the two servers answer a strided
+// at 1 and maxShards shards and verifies the two fills answer a strided
 // sample bit-identically, anchoring the big sweep's correctness.
 func shardOverlapCheck(s Scale, maxShards int) error {
 	nodes := s.ShardNodes
@@ -168,7 +134,7 @@ func shardOverlapCheck(s Scale, maxShards int) error {
 	rec := models.EmbeddingSpec{Hops: 2, Norm: sparse.NormSym}
 	head := shardBenchHead(spec)
 
-	servers := make([]*shard.Server, 0, 2)
+	servers := make([]*serve.Server, 0, 2)
 	defer func() {
 		for _, srv := range servers {
 			srv.Close()
@@ -203,7 +169,7 @@ func shardOverlapCheck(s Scale, maxShards int) error {
 	}
 	for i := range a {
 		if a[i].Node != b[i].Node || a[i].Class != b[i].Class {
-			return fmt.Errorf("bench: shard overlap check: query %d routed to (%d,%d) sharded vs (%d,%d) unsharded",
+			return fmt.Errorf("bench: shard overlap check: query %d answered (%d,%d) sharded vs (%d,%d) unsharded",
 				i, b[i].Node, b[i].Class, a[i].Node, a[i].Class)
 		}
 		for j := range a[i].Logits {

@@ -20,14 +20,19 @@ type HeadLayer struct {
 // a fixed propagated embedding and a dense head: logits(v) depends only on
 // row v of the embedding. SGC, GAMLP and the MLP baseline qualify; message-
 // passing models (GCN, GCNII, ...) do not, because their logits couple all
-// nodes through per-forward propagation. The serving layer uses this to
-// propagate once at load time and answer queries with per-row dense GEMVs.
+// nodes through per-forward propagation. The serving layer fills its logits
+// table from the factors with a per-row dense head, so the same rows can be
+// computed shard by shard — from the embedding's recipe, never holding the
+// whole matrix — and land on the same bits.
 type Decoupled interface {
 	Model
 	// InferenceFactors returns the N×F propagated embedding and the head
 	// evaluated on its rows. Called after parameters are final (e.g. after
 	// nn.Unflatten); the embedding reflects the current parameter values.
 	InferenceFactors() (*matrix.Dense, []HeadLayer)
+	// EmbeddingSpec returns the embedding's recipe under the current
+	// parameter values.
+	EmbeddingSpec() EmbeddingSpec
 }
 
 // headFromMLP flattens an inference-time MLP into head layers (dropout is an
@@ -63,9 +68,9 @@ func (m *MLPModel) InferenceFactors() (*matrix.Dense, []HeadLayer) {
 // EmbeddingSpec is the *recipe* for a decoupled model's embedding — how many
 // propagation hops to run and how to combine them — as opposed to
 // InferenceFactors, which returns the embedding already materialised for the
-// whole graph. A sharded server uses the recipe to rebuild each shard's
-// slice of the embedding locally (with halo exchange at shard edges) without
-// ever holding the full matrix.
+// whole graph. A sharded fill uses the recipe to rebuild each shard's slice
+// of the embedding locally (with halo exchange at shard edges) without ever
+// holding the full matrix.
 type EmbeddingSpec struct {
 	// Hops is the propagation depth K.
 	Hops int
@@ -77,26 +82,18 @@ type EmbeddingSpec struct {
 	Norm sparse.NormKind
 }
 
-// ShardableDecoupled is a Decoupled model that can also describe its
-// embedding as a recipe, enabling shard-local cache construction.
-type ShardableDecoupled interface {
-	Decoupled
-	// EmbeddingSpec returns the recipe under the current parameter values.
-	EmbeddingSpec() EmbeddingSpec
-}
-
-// EmbeddingSpec implements ShardableDecoupled: SGC's embedding is the final
+// EmbeddingSpec implements Decoupled: SGC's embedding is the final
 // hop X^(K).
 func (m *SGC) EmbeddingSpec() EmbeddingSpec {
 	return EmbeddingSpec{Hops: m.hops, Norm: sparse.NormSym}
 }
 
-// EmbeddingSpec implements ShardableDecoupled: GAMLP combines all K+1 hops
+// EmbeddingSpec implements Decoupled: GAMLP combines all K+1 hops
 // under the current gate softmax.
 func (m *GAMLP) EmbeddingSpec() EmbeddingSpec {
 	return EmbeddingSpec{Hops: len(m.hops) - 1, HopWeights: softmaxVec(m.gate.Value.Data), Norm: sparse.NormSym}
 }
 
-// EmbeddingSpec implements ShardableDecoupled: the MLP baseline never
+// EmbeddingSpec implements Decoupled: the MLP baseline never
 // propagates, so its embedding is hop zero (the raw features).
 func (m *MLPModel) EmbeddingSpec() EmbeddingSpec { return EmbeddingSpec{Norm: sparse.NormSym} }

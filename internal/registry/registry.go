@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -69,13 +68,6 @@ type Options struct {
 	// whole scan. This is the self-healing startup mode of adafgl-serve: one
 	// bad file in the zoo directory must not keep every good model offline.
 	LenientScan bool
-	// Shards, when > 1, starts every instance through shard.NewServer: a
-	// decoupled architecture becomes a routed per-shard fleet, a
-	// message-passing one stays the single-process serve.Server.
-	// Predictions are bit-identical to unsharded serving for every
-	// architecture; only the memory/throughput scaling profile differs.
-	// 0 or 1 serves unsharded.
-	Shards int
 }
 
 // Registry is a concurrent, versioned index of checkpoint artifacts with
@@ -116,7 +108,7 @@ type entry struct {
 	path    string
 	hdr     *checkpoint.Header
 
-	srv     serve.Predictor
+	srv     *serve.Server
 	loading chan struct{} // non-nil while a goroutine starts the server
 	refs    int
 	last    uint64 // LRU tick of the most recent acquire
@@ -407,12 +399,12 @@ func (r *Registry) resolveLocked(name string, version int) (*model, *entry, erro
 type Handle struct {
 	r    *Registry
 	e    *entry
-	srv  serve.Predictor // pinned at acquire: stays valid across Close/evict
+	srv  *serve.Server // pinned at acquire: stays valid across Close/evict
 	once sync.Once
 }
 
 // Server returns the leased serving instance.
-func (h *Handle) Server() serve.Predictor { return h.srv }
+func (h *Handle) Server() *serve.Server { return h.srv }
 
 // Name returns the leased model's name.
 func (h *Handle) Name() string { return h.e.name }
@@ -521,16 +513,11 @@ func (r *Registry) acquire(name string, version int) (*Handle, error) {
 	}
 }
 
-// start loads the checkpoint at path and boots its serving instance —
-// single-process by default, a sharded fleet when Options.Shards asks for
-// one.
-func (r *Registry) start(path string) (serve.Predictor, error) {
+// start loads the checkpoint at path and boots its serving instance.
+func (r *Registry) start(path string) (*serve.Server, error) {
 	ck, err := checkpoint.Load(path)
 	if err != nil {
 		return nil, err
-	}
-	if r.opt.Shards > 1 {
-		return shard.NewServer(ck, r.opt.Shards, r.opt.Serve)
 	}
 	return serve.New(ck, r.opt.Serve)
 }
@@ -540,8 +527,8 @@ func (r *Registry) start(path string) (serve.Predictor, error) {
 // detaches their serving instances and returns them for the caller to drain
 // outside the lock. Acquired servers are never evicted; when everything is
 // acquired the bound is exceeded rather than failing the acquire.
-func (r *Registry) evictLocked() []serve.Predictor {
-	var victims []serve.Predictor
+func (r *Registry) evictLocked() []*serve.Server {
+	var victims []*serve.Server
 	for r.loaded+1 > r.opt.MaxLoaded {
 		var lru *entry
 		for _, m := range r.models {
@@ -641,7 +628,7 @@ func (r *Registry) Close() {
 		return
 	}
 	r.closed = true
-	var servers []serve.Predictor
+	var servers []*serve.Server
 	for _, m := range r.models {
 		for _, e := range m.versions {
 			if e.srv != nil {

@@ -98,7 +98,7 @@ func (r *Registry) Stats(name string) (*ModelStats, error) {
 		return nil, fmt.Errorf("registry: Stats: unknown model %q: %w", name, ErrNotFound)
 	}
 	st := &ModelStats{Name: name, ActiveVersion: m.active, Versions: make(map[string]ArmStats, len(m.versions))}
-	var activeSrv serve.Predictor
+	var activeSrv *serve.Server
 	for v, e := range m.versions {
 		st.Versions[fmt.Sprintf("%d", v)] = e.stats.view()
 		if v == m.active {
@@ -174,7 +174,7 @@ func (r *Registry) predictOn(ctx context.Context, name string, version int, node
 }
 
 // scorePreds counts labelled nodes and correct classifications among preds.
-func scorePreds(s serve.Predictor, preds []serve.Prediction) (labelled, correct int) {
+func scorePreds(s *serve.Server, preds []serve.Prediction) (labelled, correct int) {
 	for _, p := range preds {
 		if want, ok := s.Label(p.Node); ok {
 			labelled++

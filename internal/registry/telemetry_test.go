@@ -11,15 +11,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestTracePropagatesHandlerToShardRoute pins the tracing contract on the
-// sharded path: one trace ID, supplied by the HTTP caller, must annotate
-// every stage of a routed predict — the router's fan-out span, the owner
-// shards' per-request serving spans and their batchers' window spans. If any
-// layer dropped or re-minted the ID, the request could not be followed
+// TestTracePropagatesHandlerToServeWindow pins the tracing contract of a
+// predict: one trace ID, supplied by the HTTP caller, must annotate every
+// stage — the server's per-request span and its batcher's window span. If
+// any layer dropped or re-minted the ID, the request could not be followed
 // across the stack.
-func TestTracePropagatesHandlerToShardRoute(t *testing.T) {
+func TestTracePropagatesHandlerToServeWindow(t *testing.T) {
 	dir := zooDir(t, "m@1")
-	reg := New(Options{Serve: serve.Options{MaxBatch: 8, Seed: 1}, Shards: 2})
+	reg := New(Options{Serve: serve.Options{MaxBatch: 8, Seed: 1}})
 	defer reg.Close()
 	if _, err := reg.LoadDir(dir); err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func TestTracePropagatesHandlerToShardRoute(t *testing.T) {
 			stages[ev.Name] = true
 		}
 	}
-	for _, want := range []string{"shard.route", "serve.request", "serve.window"} {
+	for _, want := range []string{"serve.request", "serve.window"} {
 		if !stages[want] {
 			t.Errorf("no %s span carries trace %s (stages seen: %v)", want, wire, stages)
 		}

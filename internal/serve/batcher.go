@@ -30,11 +30,12 @@ type request struct {
 	done     chan struct{}
 }
 
-// dispatch is the batching loop: one goroutine owns the model and coalesces
-// queued requests into windows of at most MaxBatch queried nodes, waiting at
-// most MaxWait for a window to fill. Single ownership means the engine never
-// needs a lock around model state, and window boundaries can never change
-// results — every per-node answer is computed by a row-independent kernel.
+// dispatch is the batching loop: one goroutine owns the logits table (and,
+// until it has run, the fill) and coalesces queued requests into windows of
+// at most MaxBatch queried nodes, waiting at most MaxWait for a window to
+// fill. Single ownership means the table never needs a lock, and window
+// boundaries can never change results — every per-node answer is a copy of
+// its own table row.
 func (s *Server) dispatch() {
 	defer close(s.stopped)
 	for {
@@ -97,13 +98,12 @@ func (s *Server) failPending() {
 }
 
 // runBatch answers one window: requests whose deadline already lapsed are
-// failed with ErrDeadline without costing engine work, then a single logits
-// source is produced for the union of the surviving queried nodes — the
-// decoupled embedding head on gathered rows, or rows gathered from the
-// coupled logits table (filled by this window if it is the first) — and
-// scattered back per request. Dropping expired requests never changes
-// survivors' answers: every per-node result is computed by a row-independent
-// kernel, so window composition cannot leak between rows.
+// failed with ErrDeadline without costing engine work, then the rows of the
+// surviving queried nodes are gathered from the logits table (filled by this
+// window if it is the first) and scattered back per request. Dropping
+// expired requests never changes survivors' answers: every per-node result
+// is a copy of its own table row, so window composition cannot leak between
+// rows.
 // An engine panic (a model bug, or injected chaos) is recovered here and
 // fails only this window's live requests with ErrModelPanic — the
 // dispatcher, and with it the server, keeps running.
@@ -194,35 +194,27 @@ func (s *Server) safeLogitsFor(ids []int) (rows *matrix.Dense, err error) {
 	return s.logitsFor(ids), nil
 }
 
-// logitsFor computes the class-score rows for ids, in order.
+// logitsFor returns the class-score rows for ids, in order: a row gather from
+// the logits table, whatever the architecture. The full-graph logits of an
+// immutable checkpoint on an immutable graph are a constant (what Alg. 2
+// calls Ẑ and computes once), so the first window to get here runs the one
+// fill and keeps its N×C result. The table belongs to the dispatcher
+// goroutine — no lock — and is dropped with the server. A fill that panics
+// stores nothing and stays in place, so the next window retries.
 func (s *Server) logitsFor(ids []int) *matrix.Dense {
-	if s.emb == nil {
-		// Coupled path: the full-graph logits of an immutable checkpoint on an
-		// immutable graph are a constant (what Alg. 2 calls Ẑ and computes
-		// once), so the first window to get here runs the one engine pass and
-		// keeps its N×C result; every later window is a row gather from it.
-		// The table belongs to the dispatcher goroutine — no lock — and is
-		// dropped with the server. A pass that panics stores nothing, so the
-		// next window retries.
-		if s.full == nil {
-			if tel := s.metrics.tel; tel != nil {
-				tel.passes.Inc()
-			}
-			s.full = s.model.Logits(false)
+	if s.table == nil {
+		if tel := s.metrics.tel; tel != nil {
+			tel.passes.Inc()
 		}
-		return gatherRows(s.full, ids)
+		s.table = s.fill()
+		s.fill = nil
 	}
-	// Decoupled path: gather cached embedding rows and run the dense head
-	// row-wise. Each output row depends only on its own input row and the
-	// head weights, evaluated in a fixed sequential order — that is what
-	// makes predictions bit-identical across batch compositions and worker
-	// counts.
-	return ApplyHead(s.head, gatherRows(s.emb, ids))
+	return gatherRows(s.table, ids)
 }
 
 // gatherRows copies the rows of table named by ids, in order, into a fresh
-// matrix — the one way a window reads either long-lived table (the decoupled
-// embedding, the coupled logits), so no caller ever holds a view into them.
+// matrix — the one way a window reads the logits table, so no caller ever
+// holds a view into it.
 func gatherRows(table *matrix.Dense, ids []int) *matrix.Dense {
 	out := matrix.New(len(ids), table.Cols)
 	for i, id := range ids {
@@ -234,11 +226,11 @@ func gatherRows(table *matrix.Dense, ids []int) *matrix.Dense {
 // ApplyHead evaluates a dense head on every row of in: per row, a sequence
 // of GEMVs (out_j = b_j + Σ_k in_k·W_kj, bias first, k ascending) with
 // optional ReLU. Rows fan out over the bounded pool; within a row the
-// accumulation order is fixed, so results never depend on batching, worker
-// count — or, because each row is computed alone, on which row subset
-// (shard) it is evaluated in. That row-subset stability is what lets the
-// sharded serving path in internal/shard reuse this exact kernel and stay
-// bit-identical to the single-process server.
+// accumulation order is fixed, so results never depend on worker count — or,
+// because each row is computed alone, on which row subset (shard) it is
+// evaluated in. That row-subset stability is what lets internal/shard fill
+// the logits table one shard at a time with this exact kernel and land
+// bit-identical to the single-process fill.
 func ApplyHead(head []models.HeadLayer, in *matrix.Dense) *matrix.Dense {
 	cur := in
 	for _, l := range head {

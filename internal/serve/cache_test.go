@@ -3,10 +3,13 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/matrix"
+	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
@@ -40,6 +43,37 @@ func (m *countingModel) Logits(bool) *matrix.Dense {
 	return m.logits.Clone()
 }
 
+// countingDecoupled is countingModel in decoupled shape: its embedding is the
+// counted (and, on schedule, panicking) pass and its head the identity, so the
+// dense head over every row lands exactly on logits.
+type countingDecoupled struct{ countingModel }
+
+func (m *countingDecoupled) InferenceFactors() (*matrix.Dense, []models.HeadLayer) {
+	emb := m.Logits(false)
+	eye := matrix.New(emb.Cols, emb.Cols)
+	for j := 0; j < emb.Cols; j++ {
+		eye.Set(j, j, 1)
+	}
+	return emb, []models.HeadLayer{{W: eye, Bias: make([]float64, emb.Cols)}}
+}
+
+func (m *countingDecoupled) EmbeddingSpec() models.EmbeddingSpec { return models.EmbeddingSpec{} }
+
+// stubEngines returns one coupled and one decoupled stub over the same table,
+// each with the counter the test reads afterwards.
+func stubEngines(table *matrix.Dense, panics int) map[string]func() (models.Model, *countingModel) {
+	return map[string]func() (models.Model, *countingModel){
+		"Model": func() (models.Model, *countingModel) {
+			m := &countingModel{logits: table, panics: panics}
+			return m, m
+		},
+		"Decoupled": func() (models.Model, *countingModel) {
+			m := &countingDecoupled{countingModel{logits: table, panics: panics}}
+			return m, &m.countingModel
+		},
+	}
+}
+
 // stubLogits fills an n×c table with distinct, recognisable scores.
 func stubLogits(n, c int) *matrix.Dense {
 	lg := matrix.New(n, c)
@@ -49,8 +83,8 @@ func stubLogits(n, c int) *matrix.Dense {
 	return lg
 }
 
-// TestCoupledWindowsCostOneEnginePass: N windows over a coupled engine run
-// the full-graph forward exactly once, and every window's answers are the
+// TestCoupledWindowsCostOneEnginePass: N windows over an engine of either
+// shape run the table fill exactly once, and every window's answers are the
 // rows of that one pass.
 func TestCoupledWindowsCostOneEnginePass(t *testing.T) {
 	const n, c, windows = 20, 3, 25
@@ -75,55 +109,56 @@ func TestCoupledWindowsCostOneEnginePass(t *testing.T) {
 		return srv.Stats().Batches
 	}
 
-	t.Run("Model", func(t *testing.T) {
-		m := &countingModel{logits: table}
-		srv, err := NewFromModel(stubSource{n, c}, m, "stub-plain", Options{MaxBatch: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		if srv.Decoupled() {
-			t.Fatal("a plain models.Model must serve on the coupled path")
-		}
-		check(t, srv)
-		if got := ranWindows(srv); got != windows || m.passes != 1 {
-			t.Fatalf("%d windows ran %d engine passes, want %d and exactly 1", got, m.passes, windows)
-		}
-	})
+	for shape, engine := range stubEngines(table, 0) {
+		t.Run(shape, func(t *testing.T) {
+			m, count := engine()
+			srv, err := NewFromFill(stubSource{n, c}, "stub-plain", modelFill(m), Options{MaxBatch: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			check(t, srv)
+			if got := ranWindows(srv); got != windows || count.passes != 1 {
+				t.Fatalf("%d windows ran %d engine passes, want %d and exactly 1", got, count.passes, windows)
+			}
+		})
+	}
 }
 
-// TestPanickingPassStoresNothing: a first engine pass that panics fails only
-// its own window with ErrModelPanic; nothing is kept from it, the next window
-// runs the pass again and fills the table, and every window after that
-// gathers. Injected chaos panics fire before the engine and leave a filled
-// table alone.
+// TestPanickingPassStoresNothing: a first fill that panics — a coupled
+// engine's forward or a decoupled one's factors — fails only its own window
+// with ErrModelPanic; nothing is kept from it, the next window runs the fill
+// again and keeps the table, and every window after that gathers. Injected
+// chaos panics fire before the engine and leave a filled table alone.
 func TestPanickingPassStoresNothing(t *testing.T) {
 	const n, c = 12, 4
 	table := stubLogits(n, c)
 	want := denseRows(table)
-	m := &countingModel{logits: table, panics: 1}
-	srv, err := NewFromModel(stubSource{n, c}, m, "stub-panic", Options{MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	if _, err := srv.Predict([]int{1}); !errors.Is(err, ErrModelPanic) {
-		t.Fatalf("window 1: want ErrModelPanic, got %v", err)
-	}
-	for w := 2; w <= 6; w++ {
-		preds, err := srv.Predict([]int{w, 0})
+	for shape, engine := range stubEngines(table, 1) {
+		m, count := engine()
+		srv, err := NewFromFill(stubSource{n, c}, "stub-panic", modelFill(m), Options{MaxBatch: 1})
 		if err != nil {
-			t.Fatalf("window %d after the panic: %v", w, err)
+			t.Fatal(err)
 		}
-		checkPred(t, "after panic", preds[0], w, want, 0)
-		checkPred(t, "after panic", preds[1], 0, want, 0)
-	}
-	if m.passes != 2 {
-		t.Fatalf("engine ran %d passes, want 2 (the panicking one and the one that filled the table)", m.passes)
-	}
-	if st := srv.Stats(); st.Panics != 1 || st.Requests != 5 {
-		t.Fatalf("stats %+v: want 1 panicked and 5 answered requests", st)
+
+		if _, err := srv.Predict([]int{1}); !errors.Is(err, ErrModelPanic) {
+			t.Fatalf("%s window 1: want ErrModelPanic, got %v", shape, err)
+		}
+		for w := 2; w <= 6; w++ {
+			preds, err := srv.Predict([]int{w, 0})
+			if err != nil {
+				t.Fatalf("%s window %d after the panic: %v", shape, w, err)
+			}
+			checkPred(t, shape+" after panic", preds[0], w, want, 0)
+			checkPred(t, shape+" after panic", preds[1], 0, want, 0)
+		}
+		if count.passes != 2 {
+			t.Fatalf("%s engine ran %d passes, want 2 (the panicking one and the one that filled the table)", shape, count.passes)
+		}
+		if st := srv.Stats(); st.Panics != 1 || st.Requests != 5 {
+			t.Fatalf("%s stats %+v: want 1 panicked and 5 answered requests", shape, st)
+		}
+		srv.Close()
 	}
 
 	// Chaos on a real GCN: every second window is failed by injection. The
@@ -190,52 +225,80 @@ func TestReturnedLogitsDoNotAliasTheTable(t *testing.T) {
 	checkPred(t, "re-query", again[1], 3, ref, 0)
 }
 
+// headReference is the decoupled fill spelled out: the dense head over every
+// row of a fresh model's propagated embedding.
+func headReference(t testing.TB, ck *checkpoint.Checkpoint) [][]float64 {
+	t.Helper()
+	m, err := ck.Model(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emb, head := m.(models.Decoupled).InferenceFactors()
+	return denseRows(ApplyHead(head, emb))
+}
+
 // TestCoupledAnswersEqualFreshForward extends the determinism contract over
-// the life of a server: on the coupled path every answer of the 1st, the 2nd
-// and the 50th window — and of each one between — equals the row of a fresh
-// model.Logits(false), bit for bit, for single-node, node-set and full-graph
-// queries, at MaxBatch 1 and 64 and at 1 and 3 workers.
+// the life of a server, for every kind of architecture: every answer of the
+// 1st, the 2nd and the 50th window — and of each one between — equals the row
+// of a fresh fill, bit for bit, for single-node, node-set and full-graph
+// queries, at MaxBatch 1 and 64 and at 1 and 3 workers. For GCN the fresh fill
+// is model.Logits(false); for SGC, GAMLP and MLP it is ApplyHead over the full
+// embedding, which itself stays within the kernels' 1e-12 of Logits(false)
+// (matrix.Mul's size-dependent dispatch accumulates in another order).
 func TestCoupledAnswersEqualFreshForward(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(0))
-	ck := trainedCheckpoint(t, "GCN", 71)
-	n := ck.Graph.N
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	kinds := map[string]func(w int) []int{
-		"single":  func(w int) []int { return []int{(w * 37) % n} },
-		"nodeset": func(w int) []int { return []int{(w * 13) % n, (w * 7) % n, n - 1 - w, (w * 13) % n} },
-		"all":     func(int) []int { return all },
-	}
-	const windows = 50
-	for _, workers := range []int{1, 3} {
-		parallel.SetWorkers(workers)
-		ref := reference(t, ck) // a fresh forward at this worker count
-		for _, batch := range []int{1, 64} {
-			for kind, query := range kinds {
-				what := fmt.Sprintf("workers=%d batch=%d %s", workers, batch, kind)
-				// MaxWait 0 with one caller: every Predict is its own window.
-				srv, err := New(ck, Options{MaxBatch: batch, MaxWait: 0, Seed: 1})
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
+	for _, arch := range []string{"GCN", "SGC", "GAMLP", "MLP"} {
+		ck := trainedCheckpoint(t, arch, 71)
+		n := ck.Graph.N
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		kinds := map[string]func(w int) []int{
+			"single":  func(w int) []int { return []int{(w * 37) % n} },
+			"nodeset": func(w int) []int { return []int{(w * 13) % n, (w * 7) % n, n - 1 - w, (w * 13) % n} },
+			"all":     func(int) []int { return all },
+		}
+		const windows = 50
+		for _, workers := range []int{1, 3} {
+			parallel.SetWorkers(workers)
+			ref := reference(t, ck) // a fresh forward at this worker count
+			if arch != "GCN" {
+				forward := ref
+				ref = headReference(t, ck)
+				for v := range ref {
+					for j := range ref[v] {
+						if d := math.Abs(ref[v][j] - forward[v][j]); d > 1e-12 {
+							t.Fatalf("%s workers=%d: head over the embedding is %g from Logits(false) at node %d", arch, workers, d, v)
+						}
+					}
 				}
-				for w := 1; w <= windows; w++ {
-					nodes := query(w)
-					preds, err := srv.Predict(nodes)
+			}
+			for _, batch := range []int{1, 64} {
+				for kind, query := range kinds {
+					what := fmt.Sprintf("%s workers=%d batch=%d %s", arch, workers, batch, kind)
+					// MaxWait 0 with one caller: every Predict is its own window.
+					srv, err := New(ck, Options{MaxBatch: batch, MaxWait: 0, Seed: 1})
 					if err != nil {
-						t.Fatalf("%s window %d: %v", what, w, err)
+						t.Fatalf("%s: %v", what, err)
 					}
-					if len(preds) != len(nodes) {
-						t.Fatalf("%s window %d: %d answers for %d nodes", what, w, len(preds), len(nodes))
+					for w := 1; w <= windows; w++ {
+						nodes := query(w)
+						preds, err := srv.Predict(nodes)
+						if err != nil {
+							t.Fatalf("%s window %d: %v", what, w, err)
+						}
+						if len(preds) != len(nodes) {
+							t.Fatalf("%s window %d: %d answers for %d nodes", what, w, len(preds), len(nodes))
+						}
+						for i, p := range preds {
+							checkPred(t, fmt.Sprintf("%s window %d", what, w), p, nodes[i], ref, 0)
+						}
 					}
-					for i, p := range preds {
-						checkPred(t, fmt.Sprintf("%s window %d", what, w), p, nodes[i], ref, 0)
+					srv.Close() // before reading the count: it trails the answers
+					if got := srv.Stats().Batches; got != windows {
+						t.Fatalf("%s: ran %d windows, want %d", what, got, windows)
 					}
-				}
-				srv.Close() // before reading the count: it trails the answers
-				if got := srv.Stats().Batches; got != windows {
-					t.Fatalf("%s: ran %d windows, want %d", what, got, windows)
 				}
 			}
 		}
@@ -243,16 +306,16 @@ func TestCoupledAnswersEqualFreshForward(t *testing.T) {
 }
 
 // TestEnginePassCounterFollowsCacheFill: adafgl_serve_engine_passes_total
-// counts full-graph forwards, not windows — still zero after construction
-// (the pass is paid by the first window, not by New), one after the first
-// window and after every later one on a coupled server, and never moved by a
-// decoupled server — while adafgl_serve_batches_total keeps counting windows.
+// counts table fills, not windows — still zero after construction (the fill
+// is paid by the first window, not by New), one after the first window and
+// after every later one, for a coupled and a decoupled server alike — while
+// adafgl_serve_batches_total keeps counting windows.
 func TestEnginePassCounterFollowsCacheFill(t *testing.T) {
 	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
 	for _, tc := range []struct {
 		arch       string
 		wantPasses uint64
-	}{{"GCN", 1}, {"SGC", 0}} {
+	}{{"GCN", 1}, {"SGC", 1}} {
 		ck := trainedCheckpoint(t, tc.arch, 73)
 		passes, batches := telEnginePasses.With(tc.arch), telBatches.With(tc.arch)
 		passes0, batches0 := passes.Value(), batches.Value()

@@ -1,17 +1,16 @@
 // Package serve is the batched inference layer of the AdaFGL reproduction:
 // it rebuilds a trained model from a checkpoint and answers concurrent
 // node-classification queries by coalescing them into batch windows. One
-// server is one immutable checkpoint on one immutable graph, so everything
-// that depends only on those two is computed once per server, never per
-// request or per window: decoupled architectures (SGC, GAMLP, MLP) propagate
-// at load time and answer from a precomputed embedding table with per-row
-// dense GEMVs; message-passing architectures run their full-graph forward in
-// the first window that needs it, keep the N×C logits table, and answer every
-// later window by a row gather. Predictions are bit-identical for every
-// batch size, batch window and worker count. The server is a Go API
-// (Predict/PredictAll); its HTTP surface is the registry package's v1 API,
-// which this package supplies with the request decoders, the error envelope
-// and the panic-recovery middleware.
+// server is one immutable checkpoint on one immutable graph, so its answers
+// are a constant — the N×C logits table Alg. 2 calls Ẑ — and that table is
+// the server's whole answer state for every architecture: the first window
+// that needs it runs the one fill (a message-passing model's full-graph
+// forward; a decoupled model's dense head over every row of its propagated
+// embedding), the model is dropped, and every window is a row gather.
+// Predictions are bit-identical for every batch size, batch window and
+// worker count. The server is a Go API (Predict/PredictAll); its HTTP
+// surface is the registry package's v1 API, which this package supplies with
+// the request decoders, the error envelope and the panic-recovery middleware.
 package serve
 
 import (
@@ -111,55 +110,22 @@ type Prediction struct {
 	Logits []float64 `json:"logits"`
 }
 
-// Predictor is the serving surface shared by the single-process *Server and
-// the shard-routed server in internal/shard: everything the registry, the
-// HTTP handlers and the A/B splitter need from a model instance. The
-// registry stores Predictors, so a sharded fleet drops into the same swap /
-// LRU / circuit-breaker machinery as a single-graph server.
-type Predictor interface {
-	// Predict classifies nodes (see Server.Predict).
-	Predict(nodes []int) ([]Prediction, error)
-	// PredictCtx is Predict under a caller context (see Server.PredictCtx).
-	PredictCtx(ctx context.Context, nodes []int) ([]Prediction, error)
-	// PredictAll classifies every servable node.
-	PredictAll() ([]Prediction, error)
-	// Arch returns the served architecture's registry name.
-	Arch() string
-	// Nodes returns the number of servable nodes.
-	Nodes() int
-	// Classes returns the number of output classes.
-	Classes() int
-	// Decoupled reports whether queries ride an embedding fast path.
-	Decoupled() bool
-	// Label returns a node's ground-truth class when known.
-	Label(node int) (int, bool)
-	// Stats snapshots the latency/throughput metrics.
-	Stats() Snapshot
-	// Drain retires the instance gracefully (see Server.Drain).
-	Drain()
-	// Close stops the instance immediately (see Server.Close).
-	Close()
-}
-
 // Server is an embedded batched-inference server bound to one checkpointed
 // model. Concurrent Predict calls are coalesced by a single dispatcher into
 // batch windows; the numeric work of each window runs on the bounded
 // parallel pool. Create with New, release with Close.
 type Server struct {
-	src   graph.NodeSource
-	model models.Model
-	arch  string
+	src  graph.NodeSource
+	arch string
 
-	// Decoupled fast path: non-nil emb means queries are answered from this
-	// precomputed embedding via the dense head, one row at a time.
-	emb  *matrix.Dense
-	head []models.HeadLayer
-
-	// Coupled path: the full-graph logits of the first successful engine
-	// pass, nil until then. Owned by the dispatcher goroutine, never
-	// invalidated (checkpoint and graph are immutable), dropped with the
-	// server.
-	full *matrix.Dense
+	// table is the whole answer state: the N×C logits of the one successful
+	// fill, nil until the first window that needs it. fill produces it and is
+	// dropped once it has, releasing whatever it closes over (the model and
+	// its propagated embedding, a shard set). Both are owned by the
+	// dispatcher goroutine; the table is never invalidated (checkpoint and
+	// graph are immutable) and goes with the server.
+	table *matrix.Dense
+	fill  func() *matrix.Dense
 
 	opt     Options
 	queue   chan *request
@@ -204,8 +170,8 @@ func (opt Options) withDefaults() (Options, error) {
 }
 
 // New rebuilds the checkpointed model and starts the batching dispatcher.
-// Decoupled architectures pay their propagation exactly once here, so the
-// construction cost covers all future queries.
+// Decoupled architectures pay their propagation here, with the rebuild; the
+// logits table is filled by the first window that needs it.
 func New(ck *checkpoint.Checkpoint, opt Options) (*Server, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -215,56 +181,51 @@ func New(ck *checkpoint.Checkpoint, opt Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: New: %w", err)
 	}
-	return newServer(ck.Graph, m, ck.Arch, opt), nil
+	return newServer(ck.Graph, ck.Arch, modelFill(m), opt), nil
 }
 
-// NewFromModel starts a server over an already-built model bound to src.
-// shard.NewServer uses it to serve the model it built to choose a path, and
-// tests to put the dispatcher in front of a stub engine; single-process
-// callers normally go through New.
-func NewFromModel(src graph.NodeSource, m models.Model, arch string, opt Options) (*Server, error) {
+// NewFromFill starts a server whose logits table comes from fill: one row of
+// class scores per src node. fill runs at most once to completion, on the
+// dispatcher goroutine, in the first window that needs the table; a fill
+// that panics fails that window alone and is run again by the next.
+// shard.NewFromParts fills from a sharded graph this way, and tests put the
+// dispatcher in front of a stub engine; single-process callers go through
+// New.
+func NewFromFill(src graph.NodeSource, arch string, fill func() *matrix.Dense, opt Options) (*Server, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if src == nil || m == nil {
-		return nil, fmt.Errorf("serve: NewFromModel: nil source or model")
+	if src == nil || fill == nil {
+		return nil, fmt.Errorf("serve: NewFromFill: nil source or fill")
 	}
-	return newServer(src, m, arch, opt), nil
+	return newServer(src, arch, fill, opt), nil
 }
 
-// NewFromFactors starts a decoupled server directly from a precomputed
-// embedding and head — no checkpoint or model rebuild. Each shard of a
-// sharded graph serves its local embedding slab this way: emb holds one row
-// per src node (shard-local ids), and the head weights are shared across
-// shards.
-func NewFromFactors(src graph.NodeSource, emb *matrix.Dense, head []models.HeadLayer, arch string, opt Options) (*Server, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, err
+// modelFill is the table fill of a rebuilt model: the full-graph forward for
+// a message-passing architecture, the dense head over every row of the
+// propagated embedding for a decoupled one. The decoupled fill is ApplyHead,
+// not Logits: its fixed per-row accumulation order makes a row's answer
+// independent of which rows it is computed with, so a fill assembled shard
+// by shard lands on the same bits.
+func modelFill(m models.Model) func() *matrix.Dense {
+	if dec, ok := m.(models.Decoupled); ok {
+		return func() *matrix.Dense {
+			emb, head := dec.InferenceFactors()
+			return ApplyHead(head, emb)
+		}
 	}
-	if src == nil || emb == nil {
-		return nil, fmt.Errorf("serve: NewFromFactors: nil source or embedding")
-	}
-	if emb.Rows != src.NumNodes() {
-		return nil, fmt.Errorf("serve: NewFromFactors: embedding has %d rows for %d nodes", emb.Rows, src.NumNodes())
-	}
-	s := newServer(src, nil, arch, opt)
-	s.emb, s.head = emb, head
-	return s, nil
+	return func() *matrix.Dense { return m.Logits(false) }
 }
 
 // newServer assembles a server over resolved options and starts its
 // dispatcher.
-func newServer(src graph.NodeSource, m models.Model, arch string, opt Options) *Server {
+func newServer(src graph.NodeSource, arch string, fill func() *matrix.Dense, opt Options) *Server {
 	s := &Server{
-		src: src, model: m, arch: arch, opt: opt,
+		src: src, arch: arch, fill: fill, opt: opt,
 		queue:   make(chan *request, 4*opt.MaxBatch),
 		quit:    make(chan struct{}),
 		stopped: make(chan struct{}),
-	}
-	if dec, ok := m.(models.Decoupled); ok {
-		s.emb, s.head = dec.InferenceFactors()
 	}
 	s.metrics.tel = newTelSeries(arch)
 	s.metrics.reset()
@@ -280,11 +241,6 @@ func (s *Server) Nodes() int { return s.src.NumNodes() }
 
 // Classes returns the number of output classes.
 func (s *Server) Classes() int { return s.src.NumClasses() }
-
-// Decoupled reports whether queries ride the embedding table built at load
-// time plus a per-row dense head (true), or are gathered from the logits
-// table the first window's full-graph forward fills (false).
-func (s *Server) Decoupled() bool { return s.emb != nil }
 
 // Predict classifies the given nodes, blocking until the batch window
 // containing them has run. Node ids outside the graph yield a named-op

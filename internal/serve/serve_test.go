@@ -62,13 +62,13 @@ func denseRows(lg *matrix.Dense) [][]float64 {
 	return out
 }
 
-// TestPredictMatchesModel checks both engine paths answer what the
+// TestPredictMatchesModel checks both kinds of fill answer what the
 // underlying model computes, for single-node, node-set and full-graph
-// queries. The coupled path gathers the model's own logits, so it must match
-// bit for bit; the decoupled head evaluates rows in serve's fixed GEMV order
-// (chosen for cross-batch bit-identity, which matrix.Mul's size-dependent
-// dispatch cannot give), so it is held to the kernels' 1e-12 equivalence
-// bound instead.
+// queries. A message-passing table is the model's own logits, so it must
+// match bit for bit; a decoupled table is the head evaluated in serve's fixed
+// per-row GEMV order (chosen for row-subset bit-identity, which matrix.Mul's
+// size-dependent dispatch cannot give), so it is held to the kernels' 1e-12
+// equivalence bound instead.
 func TestPredictMatchesModel(t *testing.T) {
 	for _, arch := range []string{"GCN", "SGC", "GAMLP", "MLP"} {
 		ck := trainedCheckpoint(t, arch, 11)
@@ -77,12 +77,8 @@ func TestPredictMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", arch, err)
 		}
-		wantDecoupled := arch != "GCN"
-		if srv.Decoupled() != wantDecoupled {
-			t.Fatalf("%s: Decoupled() = %v, want %v", arch, srv.Decoupled(), wantDecoupled)
-		}
 		tol := 0.0
-		if wantDecoupled {
+		if arch != "GCN" {
 			tol = 1e-12
 		}
 
@@ -165,6 +161,15 @@ func TestPredictValidation(t *testing.T) {
 	srv.Close() // second Close must be safe
 	if _, err := New(ck, Options{MaxBatch: -3}); err == nil {
 		t.Fatal("negative MaxBatch must fail")
+	}
+	if _, err := NewFromFill(nil, "SGC", func() *matrix.Dense { return nil }, Options{}); err == nil {
+		t.Fatal("nil source must fail")
+	}
+	if _, err := NewFromFill(ck.Graph, "SGC", nil, Options{}); err == nil {
+		t.Fatal("nil fill must fail")
+	}
+	if _, err := NewFromFill(ck.Graph, "SGC", func() *matrix.Dense { return nil }, Options{RequestTimeout: -1}); err == nil {
+		t.Fatal("negative RequestTimeout must fail")
 	}
 }
 

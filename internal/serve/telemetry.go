@@ -14,7 +14,7 @@ var (
 	telBatches = telemetry.Default().CounterVec("adafgl_serve_batches_total",
 		"Executed batch windows.", "arch")
 	telEnginePasses = telemetry.Default().CounterVec("adafgl_serve_engine_passes_total",
-		"Full-graph forward passes started (coupled servers run one, then gather rows; decoupled servers none).", "arch")
+		"Logits-table fills started: one per server, run by its first window (a fill that panicked is started again).", "arch")
 	telShed = telemetry.Default().CounterVec("adafgl_serve_shed_total",
 		"Predict calls rejected by admission control.", "arch")
 	telDeadlines = telemetry.Default().CounterVec("adafgl_serve_deadline_total",

@@ -93,6 +93,17 @@ func (sh *Sharded) LocalRows(slabs []*matrix.Dense) []*matrix.Dense {
 	return out
 }
 
+// checkRecipe rejects an embedding recipe Embedding cannot run.
+func checkRecipe(hops int, weights []float64) error {
+	if hops < 0 {
+		return fmt.Errorf("shard: Embedding: %d hops < 0", hops)
+	}
+	if weights != nil && len(weights) != hops+1 {
+		return fmt.Errorf("shard: Embedding: %d weights for %d hops (want %d)", len(weights), hops, hops+1)
+	}
+	return nil
+}
+
 // Embedding materialises each shard's slice of a decoupled model's
 // propagated embedding (models.EmbeddingSpec): K hops of halo-exchanged
 // propagation, taking the final hop alone (weights nil) or combining all
@@ -100,11 +111,8 @@ func (sh *Sharded) LocalRows(slabs []*matrix.Dense) []*matrix.Dense {
 // order GAMLP's combine uses, so the shard rows are bit-equal to the
 // corresponding rows of the unsharded embedding.
 func (sh *Sharded) Embedding(hops int, weights []float64) ([]*matrix.Dense, error) {
-	if hops < 0 {
-		return nil, fmt.Errorf("shard: Embedding: %d hops < 0", hops)
-	}
-	if weights != nil && len(weights) != hops+1 {
-		return nil, fmt.Errorf("shard: Embedding: %d weights for %d hops (want %d)", len(weights), hops, hops+1)
+	if err := checkRecipe(hops, weights); err != nil {
+		return nil, err
 	}
 	slabs := sh.FeatureSlabs()
 	if weights == nil {

@@ -1,16 +1,16 @@
 // Package shard breaks the one-graph-per-process ceiling: it partitions a
 // graph — materialised or streamed — into per-shard CSR + feature slabs
 // with halo (boundary) tables, runs K-hop propagation across shard edges by
-// exchanging halo rows between hops, and serves predictions behind the same
-// Predictor surface as a single-process serve.Server, routing each queried
-// node id to its owner shard. Decoupled architectures (SGC, GAMLP, MLP) are
-// bit-identical to the unsharded server at every shard count; message-
-// passing architectures, whose whole serving state is one N×C logits table,
-// are served by the plain unsharded server at every shard count, so a
-// checkpoint has one answer however it is deployed. Construction is
-// partition-aware: ownership comes from internal/partition's METIS on the
-// graph (or on the community quotient of a streamed spec), so shard
-// boundaries cut few edges and halos stay small.
+// exchanging halo rows between hops, and fills a serve.Server's logits table
+// from the shards (NewFromParts): embedding and head per shard, rows
+// scattered to global ids. Sharding bounds what a process holds while
+// filling; the server itself is the same N×C table at every shard count, so
+// decoupled architectures (SGC, GAMLP, MLP) answer bit-identically to the
+// unsharded server however they were filled, and message-passing
+// architectures, whose whole serving state is that table, have nothing to
+// shard. Construction is partition-aware: ownership comes from
+// internal/partition's METIS on the graph (or on the community quotient of a
+// streamed spec), so shard boundaries cut few edges and halos stay small.
 package shard
 
 import (
@@ -27,8 +27,8 @@ import (
 // Plan assigns every node to exactly one shard and fixes the global↔local
 // id mapping: shard s owns the nodes {v : Owner(v) = s}, in ascending
 // global order, and LocalID(v) is v's rank within its owner. Plans are
-// immutable once built and serialisable (Encode/DecodePlan), so a router
-// and its shards can agree on the mapping across process boundaries.
+// immutable once built and serialisable (Encode/DecodePlan), so the shards
+// of a fleet can agree on the mapping across process boundaries.
 type Plan struct {
 	shards int
 	owner  []int32 // owner[v] = shard of global node v

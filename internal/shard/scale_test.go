@@ -13,8 +13,8 @@ import (
 // TestScaleSmoke is the CI-sized slice of the million-node story: a
 // 100k-node graph is stream-built into 4 shards without ever materialising
 // the full edge list, every shard stays within a balanced memory budget,
-// and the routed server answers bit-identically to the single-shard one on
-// the same seed. The 1M+ sweep lives in `adafgl-bench -exp shard`
+// and the server filled from them answers bit-identically to the one filled
+// from a single shard on the same seed. The 1M+ sweep lives in `adafgl-bench -exp shard`
 // (make shard-demo); this test keeps the invariant on every CI run.
 // Skipped in -short mode and under the race detector, where instrumented
 // 100k-node builds dominate the package's runtime.
@@ -69,7 +69,7 @@ func TestScaleSmoke(t *testing.T) {
 		}
 	}
 
-	// Serving path: both fleets behind the same head answer one strided
+	// Serving path: both fills behind the same head answer one strided
 	// sample of nodes bit-identically.
 	w := matrix.New(spec.Features, spec.Classes)
 	for i := range w.Data {

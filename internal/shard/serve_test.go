@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/federated"
 	"repro/internal/matrix"
 	"repro/internal/models"
+	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/serve"
 	"repro/internal/sparse"
@@ -47,8 +49,8 @@ func trainedCheckpoint(t testing.TB, arch string, seed int64) *checkpoint.Checkp
 	return ck
 }
 
-// predictAllLogits returns a Predictor's full-graph logits indexed by node.
-func predictAllLogits(t testing.TB, p serve.Predictor) [][]float64 {
+// predictAllLogits returns a server's full-graph logits indexed by node.
+func predictAllLogits(t testing.TB, p *serve.Server) [][]float64 {
 	t.Helper()
 	preds, err := p.PredictAll()
 	if err != nil {
@@ -88,148 +90,151 @@ func unshardedLogits(t *testing.T, ck *checkpoint.Checkpoint) [][]float64 {
 	return predictAllLogits(t, ref)
 }
 
-// TestEveryArchitectureServesSharded is the one-answer-per-checkpoint
-// contract: every architecture of the zoo starts under every shard count and
-// answers the unsharded server's bits.
-func TestEveryArchitectureServesSharded(t *testing.T) {
-	for arch := range models.Registry {
-		ck := trainedCheckpoint(t, arch, 29)
-		want := unshardedLogits(t, ck)
-		for _, shards := range []int{1, 2, 4} {
-			srv, err := NewServer(ck, shards, serve.Options{Seed: 1})
-			if err != nil {
-				t.Errorf("%s/%d shards: %v", arch, shards, err)
-				continue
-			}
-			sameLogits(t, fmt.Sprintf("%s/%d shards", arch, shards), predictAllLogits(t, srv), want)
-			srv.Close()
-		}
-	}
-}
-
-// TestDecoupledShardedBitIdentical is the serving half of the tentpole
-// claim: for every decoupled architecture, the shard-routed server answers
-// bit-identically to the single-process server at every shard count.
-func TestDecoupledShardedBitIdentical(t *testing.T) {
-	for _, arch := range []string{"SGC", "GAMLP", "MLP"} {
-		ck := trainedCheckpoint(t, arch, 23)
-		want := unshardedLogits(t, ck)
-		for _, shards := range []int{1, 2, 4} {
-			srv, err := NewServer(ck, shards, serve.Options{Seed: 1})
-			if err != nil {
-				t.Fatalf("%s/%d: %v", arch, shards, err)
-			}
-			if !srv.Decoupled() {
-				t.Fatalf("%s/%d: Decoupled() = false", arch, shards)
-			}
-			if _, routed := srv.(*Server); routed != (shards > 1) {
-				t.Fatalf("%s/%d shards: got a %T", arch, shards, srv)
-			}
-			sameLogits(t, fmt.Sprintf("%s/%d shards", arch, shards), predictAllLogits(t, srv), want)
-			srv.Close()
-		}
-	}
-}
-
-// TestCoupledShardedInvariantAndClose checks the message-passing path: at
-// every shard count a GCN checkpoint is served by the plain single-process
-// server and answers its bits.
-func TestCoupledShardedInvariantAndClose(t *testing.T) {
-	ck := trainedCheckpoint(t, "GCN", 37)
-	want := unshardedLogits(t, ck)
-	for _, shards := range []int{1, 2, 4} {
-		srv, err := NewServer(ck, shards, serve.Options{Seed: 1})
-		if err != nil {
-			t.Fatalf("%d shards: %v", shards, err)
-		}
-		if _, ok := srv.(*serve.Server); !ok || srv.Decoupled() {
-			t.Fatalf("%d shards: got %T (decoupled %v), want the plain coupled *serve.Server", shards, srv, srv.Decoupled())
-		}
-		sameLogits(t, fmt.Sprintf("%d shards", shards), predictAllLogits(t, srv), want)
-		srv.Close()
-	}
-}
-
-// TestCoupledShardedRepeatedWindows: a coupled model under a shard count
-// keeps one answer over the life of a server — thirty windows of
-// single-node, node-set and full-graph queries answer one bit pattern at 2
-// and at 4 shards — and, being the unsharded server, never runs a halo
-// exchange.
-func TestCoupledShardedRepeatedWindows(t *testing.T) {
-	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
-	ck := trainedCheckpoint(t, "GCN", 41)
-	n := ck.Graph.N
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	const windows = 30
-	query := func(w int) []int {
-		switch w % 3 {
-		case 0:
-			return []int{(w * 37) % n}
-		case 1:
-			return []int{(w * 13) % n, n - 1 - w, (w * 7) % n}
-		}
-		return all
-	}
-	var want [][]serve.Prediction
-	for _, shards := range []int{2, 4} {
-		before := telExchanges.Value()
-		srv, err := NewServer(ck, shards, serve.Options{MaxBatch: 4, MaxWait: 0, Seed: 1})
-		if err != nil {
-			t.Fatalf("%d shards: %v", shards, err)
-		}
-		var got [][]serve.Prediction
-		for w := 0; w < windows; w++ {
-			preds, err := srv.Predict(query(w))
-			if err != nil {
-				t.Fatalf("%d shards window %d: %v", shards, w+1, err)
-			}
-			got = append(got, preds)
-		}
-		if ran := telExchanges.Value() - before; ran != 0 {
-			t.Errorf("%d shards: %d halo exchanges for a coupled model, want none", shards, ran)
-		}
-		srv.Close()
-		if want == nil {
-			want = got
-			continue
-		}
-		for w := range want {
-			for i, p := range want[w] {
-				q := got[w][i]
-				if q.Node != p.Node || q.Class != p.Class {
-					t.Fatalf("%d shards window %d: answer %d is (%d,%d), 2 shards said (%d,%d)",
-						shards, w+1, i, q.Node, q.Class, p.Node, p.Class)
-				}
-				for j := range p.Logits {
-					if q.Logits[j] != p.Logits[j] {
-						t.Fatalf("%d shards window %d: node %d logit %d differs from the 2-shard answer", shards, w+1, p.Node, j)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestShardedRouting exercises the router surface: mixed-shard query order,
-// global ids in answers, validation, labels, metadata, stats aggregation
-// and context deadlines.
-func TestShardedRouting(t *testing.T) {
-	ck := trainedCheckpoint(t, "SGC", 41)
-	p, err := NewServer(ck, 3, serve.Options{Seed: 1})
+// shardedParts METIS-plans ck's graph into shards and returns what
+// NewFromParts needs to fill from them: the shard set, and the trained
+// model's own head and embedding recipe. ck must hold a decoupled model.
+func shardedParts(t testing.TB, ck *checkpoint.Checkpoint, shards int) (*Sharded, []models.HeadLayer, models.EmbeddingSpec) {
+	t.Helper()
+	m, err := ck.Model(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
-	srv := p.(*Server)
+	dec := m.(models.Decoupled)
+	plan, err := PlanFromGraph(ck.Graph, shards, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := dec.EmbeddingSpec()
+	sh, err := BuildFromGraph(ck.Graph, plan, spec.Norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, head := dec.InferenceFactors()
+	return sh, head, spec
+}
+
+// shardedServer starts ck's decoupled model behind a shards-way fill.
+func shardedServer(t testing.TB, ck *checkpoint.Checkpoint, shards int, opt serve.Options) *serve.Server {
+	t.Helper()
+	sh, head, spec := shardedParts(t, ck, shards)
+	srv, err := NewFromParts(sh, ck.Arch, head, spec, opt)
+	if err != nil {
+		t.Fatalf("%s/%d shards: %v", ck.Arch, shards, err)
+	}
+	return srv
+}
+
+// TestEveryArchitectureServesSharded is the one-answer-per-checkpoint
+// contract: every architecture of the zoo whose embedding can be built shard
+// by shard — models.Decoupled: SGC, GAMLP, MLP and nothing else — fills its
+// table from 1, 2 and 4 shards to the unsharded server's bits. For the rest
+// there is nothing to shard: the table is their whole serving state.
+func TestEveryArchitectureServesSharded(t *testing.T) {
+	var decoupled []string
+	for arch := range models.Registry {
+		ck := trainedCheckpoint(t, arch, 29)
+		m, err := ck.Model(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.(models.Decoupled); !ok {
+			continue
+		}
+		decoupled = append(decoupled, arch)
+		want := unshardedLogits(t, ck)
+		for _, shards := range []int{1, 2, 4} {
+			srv := shardedServer(t, ck, shards, serve.Options{Seed: 1})
+			sameLogits(t, fmt.Sprintf("%s/%d shards", arch, shards), predictAllLogits(t, srv), want)
+			srv.Close()
+		}
+	}
+	sort.Strings(decoupled)
+	if got := strings.Join(decoupled, " "); got != "GAMLP MLP SGC" {
+		t.Fatalf("decoupled architectures: %s, want GAMLP MLP SGC", got)
+	}
+}
+
+// TestDecoupledShardedBitIdentical is the serving half of the sharding
+// claim, over the life of a server: for every decoupled architecture, at 2
+// and 4 shards and at 1 and 3 workers, thirty windows of single-node,
+// node-set and full-graph queries answer the unsharded server's bits — and
+// the sharded fill runs once: the halo exchanges all belong to the first
+// window, later windows gather.
+func TestDecoupledShardedBitIdentical(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
+	defer parallel.SetWorkers(parallel.SetWorkers(0))
+	for _, arch := range []string{"SGC", "GAMLP", "MLP"} {
+		ck := trainedCheckpoint(t, arch, 23)
+		want := unshardedLogits(t, ck)
+		n := ck.Graph.N
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		const windows = 30
+		query := func(w int) []int {
+			switch w % 3 {
+			case 0:
+				return []int{(w * 37) % n}
+			case 1:
+				return []int{(w * 13) % n, n - 1 - w, (w * 7) % n}
+			}
+			return all
+		}
+		for _, workers := range []int{1, 3} {
+			parallel.SetWorkers(workers)
+			for _, shards := range []int{2, 4} {
+				what := fmt.Sprintf("%s workers=%d shards=%d", arch, workers, shards)
+				sh, head, spec := shardedParts(t, ck, shards)
+				srv, err := NewFromParts(sh, arch, head, spec, serve.Options{MaxBatch: 4, MaxWait: 0, Seed: 1})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				before := telExchanges.Value()
+				var filled uint64
+				for w := 0; w < windows; w++ {
+					nodes := query(w)
+					preds, err := srv.Predict(nodes)
+					if err != nil {
+						t.Fatalf("%s window %d: %v", what, w+1, err)
+					}
+					for i, p := range preds {
+						if p.Node != nodes[i] {
+							t.Fatalf("%s window %d: answer %d is node %d, want %d", what, w+1, i, p.Node, nodes[i])
+						}
+						for j, v := range want[p.Node] {
+							if p.Logits[j] != v {
+								t.Fatalf("%s window %d: node %d logit %d: %v != %v", what, w+1, p.Node, j, p.Logits[j], v)
+							}
+						}
+					}
+					if w == 0 {
+						filled = telExchanges.Value() - before
+					}
+				}
+				// One exchange fills the hop-zero halos, one more per hop.
+				if wantRuns := uint64(spec.Hops + 1); filled != wantRuns || telExchanges.Value()-before != wantRuns {
+					t.Errorf("%s: %d halo exchanges in the first window, %d over %d windows, want %d and no more",
+						what, filled, telExchanges.Value()-before, windows, wantRuns)
+				}
+				srv.Close()
+			}
+		}
+	}
+}
+
+// TestShardedRouting exercises the surface of a server filled from shards:
+// it speaks global node ids — a query striding across shards comes back in
+// query order — and validates, labels, reports metadata and stats and honours
+// context deadlines like any other serve.Server.
+func TestShardedRouting(t *testing.T) {
+	ck := trainedCheckpoint(t, "SGC", 41)
+	srv := shardedServer(t, ck, 3, serve.Options{Seed: 1})
+	defer srv.Close()
 
 	if srv.Arch() != "SGC" || srv.Nodes() != ck.Graph.N || srv.Classes() != ck.Graph.Classes {
 		t.Fatalf("metadata: %s %d/%d", srv.Arch(), srv.Nodes(), srv.Classes())
 	}
-	// A query striding across shards must come back in query order with
-	// global ids.
 	nodes := []int{srv.Nodes() - 1, 0, srv.Nodes() / 2, 1, srv.Nodes() / 3}
 	preds, err := srv.Predict(nodes)
 	if err != nil {
@@ -262,9 +267,8 @@ func TestShardedRouting(t *testing.T) {
 		t.Fatal("Label(N) should miss")
 	}
 
-	snap := srv.Stats()
-	if snap.Requests == 0 || snap.Nodes < uint64(len(nodes)) {
-		t.Fatalf("aggregated stats undercount: %+v", snap)
+	if snap := srv.Stats(); snap.Requests != 1 || snap.Nodes != uint64(len(nodes)) {
+		t.Fatalf("stats miscount: %+v", snap)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -272,16 +276,27 @@ func TestShardedRouting(t *testing.T) {
 	if _, err := srv.PredictCtx(ctx, []int{0}); !errors.Is(err, serve.ErrDeadline) {
 		t.Fatalf("cancelled context: %v", err)
 	}
-}
 
-// TestShardedDrain checks graceful retirement propagates to every shard:
-// new queries are turned away, the server unwinds cleanly.
-func TestShardedDrain(t *testing.T) {
-	ck := trainedCheckpoint(t, "MLP", 43)
-	p, err := NewServer(ck, 2, serve.Options{Seed: 1})
+	// Shards of an unlabelled graph serve no labels.
+	sh, head, spec := shardedParts(t, ck, 2)
+	for _, shd := range sh.Shards {
+		shd.Labels = nil
+	}
+	bare, err := NewFromParts(sh, "SGC", head, spec, serve.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer bare.Close()
+	if _, ok := bare.Label(0); ok {
+		t.Fatal("unlabelled shards must not answer labels")
+	}
+}
+
+// TestShardedDrain checks graceful retirement of a server filled from shards:
+// new queries are turned away, the server unwinds cleanly.
+func TestShardedDrain(t *testing.T) {
+	ck := trainedCheckpoint(t, "MLP", 43)
+	p := shardedServer(t, ck, 2, serve.Options{Seed: 1})
 	if _, err := p.Predict([]int{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -290,20 +305,6 @@ func TestShardedDrain(t *testing.T) {
 		t.Fatalf("post-drain predict: %v", err)
 	}
 	p.Close() // idempotent after Drain
-}
-
-// TestNewServerErrors covers the constructor validation paths.
-func TestNewServerErrors(t *testing.T) {
-	if _, err := NewServer(nil, 2, serve.Options{}); err == nil {
-		t.Fatal("expected nil-checkpoint error")
-	}
-	ck := trainedCheckpoint(t, "SGC", 47)
-	if _, err := NewServer(ck, ck.Graph.N+1, serve.Options{Seed: 1}); err == nil {
-		t.Fatal("expected oversized shard count error")
-	}
-	if _, err := NewServer(ck, 2, serve.Options{MaxBatch: -1}); err == nil {
-		t.Fatal("expected options error")
-	}
 }
 
 // TestNewFromPartsErrors covers the parts-constructor validation.

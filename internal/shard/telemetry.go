@@ -1,15 +1,9 @@
 package shard
 
-import (
-	"strconv"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Shard-layer metric families on the process-wide telemetry registry: the
-// cross-shard traffic of the slab protocol (halo exchanges) and the
-// per-owner fan-out of the routed decoupled server. Per-shard labels are
-// the shard index, bounded by the shard count.
+// cross-shard traffic of the slab protocol (halo exchanges).
 var (
 	telExchanges = telemetry.Default().Counter("adafgl_shard_exchange_total",
 		"Halo exchanges executed (one per propagation hop across all shards).")
@@ -17,28 +11,4 @@ var (
 		"Bytes of halo rows copied between shards.")
 	telExchangeSeconds = telemetry.Default().Histogram("adafgl_shard_exchange_seconds",
 		"Wall time of one halo exchange.", telemetry.LatencyBuckets)
-	telRouteRequests = telemetry.Default().CounterVec("adafgl_shard_requests_total",
-		"Sub-requests routed to an owner shard.", "shard")
-	telRouteNodes = telemetry.Default().CounterVec("adafgl_shard_fanout_nodes_total",
-		"Queried nodes routed to an owner shard.", "shard")
 )
-
-// routeSeries caches one owner shard's fan-out counters so the routing hot
-// path never pays a family map lookup.
-type routeSeries struct {
-	requests, nodes *telemetry.Counter
-}
-
-// newRouteSeries resolves the per-shard fan-out series once at server
-// construction.
-func newRouteSeries(shards int) []routeSeries {
-	out := make([]routeSeries, shards)
-	for o := range out {
-		lbl := strconv.Itoa(o)
-		out[o] = routeSeries{
-			requests: telRouteRequests.With(lbl),
-			nodes:    telRouteNodes.With(lbl),
-		}
-	}
-	return out
-}

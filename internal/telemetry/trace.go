@@ -68,8 +68,7 @@ func EnsureTrace(ctx context.Context) (context.Context, TraceID) {
 type SpanEvent struct {
 	// Trace is the request's trace ID.
 	Trace TraceID `json:"trace"`
-	// Name is the stage, e.g. "serve.request", "serve.window",
-	// "shard.route".
+	// Name is the stage: "serve.request" or "serve.window".
 	Name string `json:"span"`
 	// Start is the wall-clock start of the span.
 	Start time.Time `json:"start"`

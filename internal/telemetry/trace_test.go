@@ -104,9 +104,9 @@ func TestTracerLogger(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(4, 1)
 	tr.SetLogger(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
-	tr.Span(TraceID(7), "shard.route").Attr("bytes", 128).End()
+	tr.Span(TraceID(7), "serve.window").Attr("bytes", 128).End()
 	out := buf.String()
-	if !strings.Contains(out, `"span":"shard.route"`) || !strings.Contains(out, "0000000000000007") {
+	if !strings.Contains(out, `"span":"serve.window"`) || !strings.Contains(out, "0000000000000007") {
 		t.Fatalf("span log missing fields: %s", out)
 	}
 }
