@@ -34,16 +34,17 @@ test:
 # toolchain ever fuses the portable kernel (or any golden-pinned loop), in
 # which case pin it with the explicit float64(a*b) rounding core.evolveSigns
 # already uses. internal/bench rides along: its paper_tiny.golden pins every
-# table and figure line.
+# table and figure line; so do internal/serve and internal/shard, whose
+# TestGoldenServedLogits pins every architecture's served logits.
 test-fused:
-	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/core ./internal/federated ./internal/fgl ./internal/bench -run 'Golden|Property'
+	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/core ./internal/federated ./internal/fgl ./internal/bench ./internal/serve ./internal/shard -run 'Golden|Property'
 
 # Race-detector coverage of the concurrent paths (worker pool, graph caches
 # filled by several models at once, federated fan-out incl. fault injection,
 # the FGL baselines' evaluations on the pool, chaos scenarios, AdaFGL Step-2
 # fan-out, parallel kernels, serving batcher,
 # model registry swap/acquire, partition determinism across worker counts,
-# sharded routing fan-out, telemetry instruments under concurrent mutation),
+# sharded table fill, telemetry instruments under concurrent mutation),
 # matching the CI "race" job.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/graph/... ./internal/models/... ./internal/federated/... ./internal/fgl/... ./internal/scenario/... ./internal/core/... ./internal/matrix/... ./internal/sparse/... ./internal/checkpoint/... ./internal/serve/... ./internal/registry/... ./internal/partition/... ./internal/shard/... ./internal/telemetry/...
@@ -108,8 +109,9 @@ torture-demo:
 
 # Field check of the sharding layer at full scale: stream a million-node
 # graph into 1..8 shards, proving per-shard memory and fleet propagation
-# time scale ~linearly with the shard count and that sharded predictions
-# stay bit-identical to the unsharded server (overlap-scale cross-check).
+# time scale ~linearly with the shard count and that a server filled from 8
+# shards answers bit-identically to one filled from 1 (overlap-scale
+# cross-check).
 shard-demo:
 	$(GO) run ./cmd/adafgl-bench -exp shard
 

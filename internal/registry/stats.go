@@ -125,8 +125,8 @@ func (r *Registry) Predict(ref string, nodes []int) ([]serve.Prediction, error) 
 
 // PredictCtx is Predict under a caller context: deadlines apply to the
 // underlying serve call, and a telemetry trace ID carried by ctx (injected
-// by the TraceHTTP middleware) threads through the batching window into the
-// sharded engine's exchange spans.
+// by the TraceHTTP middleware) threads through the server's request span
+// into the batching window's.
 func (r *Registry) PredictCtx(ctx context.Context, ref string, nodes []int) ([]serve.Prediction, error) {
 	name, version, err := ParseRef(ref)
 	if err != nil {
