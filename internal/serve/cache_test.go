@@ -43,12 +43,12 @@ func (m *countingModel) Logits(bool) *matrix.Dense {
 	return m.logits.Clone()
 }
 
-// countingDecoupled is countingModel in decoupled shape: its embedding is the
-// counted (and, on schedule, panicking) pass and its head the identity, so the
-// dense head over every row lands exactly on logits.
-type countingDecoupled struct{ countingModel }
+// countingDecoupled is a countingModel in decoupled shape: its embedding is
+// the counted (and, on schedule, panicking) pass and its head the identity, so
+// the dense head over every row lands exactly on logits.
+type countingDecoupled struct{ *countingModel }
 
-func (m *countingDecoupled) InferenceFactors() (*matrix.Dense, []models.HeadLayer) {
+func (m countingDecoupled) InferenceFactors() (*matrix.Dense, []models.HeadLayer) {
 	emb := m.Logits(false)
 	eye := matrix.New(emb.Cols, emb.Cols)
 	for j := 0; j < emb.Cols; j++ {
@@ -57,21 +57,12 @@ func (m *countingDecoupled) InferenceFactors() (*matrix.Dense, []models.HeadLaye
 	return emb, []models.HeadLayer{{W: eye, Bias: make([]float64, emb.Cols)}}
 }
 
-func (m *countingDecoupled) EmbeddingSpec() models.EmbeddingSpec { return models.EmbeddingSpec{} }
+func (m countingDecoupled) EmbeddingSpec() models.EmbeddingSpec { return models.EmbeddingSpec{} }
 
-// stubEngines returns one coupled and one decoupled stub over the same table,
-// each with the counter the test reads afterwards.
-func stubEngines(table *matrix.Dense, panics int) map[string]func() (models.Model, *countingModel) {
-	return map[string]func() (models.Model, *countingModel){
-		"Model": func() (models.Model, *countingModel) {
-			m := &countingModel{logits: table, panics: panics}
-			return m, m
-		},
-		"Decoupled": func() (models.Model, *countingModel) {
-			m := &countingDecoupled{countingModel{logits: table, panics: panics}}
-			return m, &m.countingModel
-		},
-	}
+// stubShapes presents one countingModel to modelFill as each kind of engine.
+var stubShapes = map[string]func(*countingModel) models.Model{
+	"Model":     func(m *countingModel) models.Model { return m },
+	"Decoupled": func(m *countingModel) models.Model { return countingDecoupled{m} },
 }
 
 // stubLogits fills an n×c table with distinct, recognisable scores.
@@ -109,17 +100,17 @@ func TestCoupledWindowsCostOneEnginePass(t *testing.T) {
 		return srv.Stats().Batches
 	}
 
-	for shape, engine := range stubEngines(table, 0) {
-		t.Run(shape, func(t *testing.T) {
-			m, count := engine()
-			srv, err := NewFromFill(stubSource{n, c}, "stub-plain", modelFill(m), Options{MaxBatch: 1})
+	for name, shape := range stubShapes {
+		t.Run(name, func(t *testing.T) {
+			m := &countingModel{logits: table}
+			srv, err := NewFromFill(stubSource{n, c}, "stub-plain", modelFill(shape(m)), Options{MaxBatch: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
 			check(t, srv)
-			if got := ranWindows(srv); got != windows || count.passes != 1 {
-				t.Fatalf("%d windows ran %d engine passes, want %d and exactly 1", got, count.passes, windows)
+			if got := ranWindows(srv); got != windows || m.passes != 1 {
+				t.Fatalf("%d windows ran %d engine passes, want %d and exactly 1", got, m.passes, windows)
 			}
 		})
 	}
@@ -134,9 +125,9 @@ func TestPanickingPassStoresNothing(t *testing.T) {
 	const n, c = 12, 4
 	table := stubLogits(n, c)
 	want := denseRows(table)
-	for shape, engine := range stubEngines(table, 1) {
-		m, count := engine()
-		srv, err := NewFromFill(stubSource{n, c}, "stub-panic", modelFill(m), Options{MaxBatch: 1})
+	for shape, as := range stubShapes {
+		m := &countingModel{logits: table, panics: 1}
+		srv, err := NewFromFill(stubSource{n, c}, "stub-panic", modelFill(as(m)), Options{MaxBatch: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,8 +143,8 @@ func TestPanickingPassStoresNothing(t *testing.T) {
 			checkPred(t, shape+" after panic", preds[0], w, want, 0)
 			checkPred(t, shape+" after panic", preds[1], 0, want, 0)
 		}
-		if count.passes != 2 {
-			t.Fatalf("%s engine ran %d passes, want 2 (the panicking one and the one that filled the table)", shape, count.passes)
+		if m.passes != 2 {
+			t.Fatalf("%s engine ran %d passes, want 2 (the panicking one and the one that filled the table)", shape, m.passes)
 		}
 		if st := srv.Stats(); st.Panics != 1 || st.Requests != 5 {
 			t.Fatalf("%s stats %+v: want 1 panicked and 5 answered requests", shape, st)

@@ -112,8 +112,9 @@ type Prediction struct {
 
 // Server is an embedded batched-inference server bound to one checkpointed
 // model. Concurrent Predict calls are coalesced by a single dispatcher into
-// batch windows; the numeric work of each window runs on the bounded
-// parallel pool. Create with New, release with Close.
+// batch windows, each answered by a row gather from the server's logits
+// table; the one fill of that table runs on the bounded parallel pool.
+// Create with New, release with Close.
 type Server struct {
 	src  graph.NodeSource
 	arch string

@@ -47,14 +47,11 @@ func NewFromParts(sh *Sharded, arch string, head []models.HeadLayer, spec models
 	n := sh.Plan.N()
 	src := labelSource{n: n, classes: sh.Classes}
 	for _, shd := range sh.Shards {
-		if shd.Labels == nil {
-			continue
-		}
-		if src.labels == nil {
+		if shd.Labels != nil && src.labels == nil {
 			src.labels = make([]int, n)
 		}
-		for l, v := range shd.Nodes {
-			src.labels[v] = shd.Labels[l]
+		for l, c := range shd.Labels {
+			src.labels[shd.Nodes[l]] = c
 		}
 	}
 	fill := func() *matrix.Dense {
