@@ -62,14 +62,16 @@ cover:
 		{ echo "coverage $$total% below the 90% floor" >&2; exit 1; }
 
 # Bounded fuzz pass over the CSR construction, SpMM equivalence, checkpoint
-# round-trip, chaos scenario-spec and shard-plan round-trip targets, matching
-# the CI "fuzz" job (seed corpora in the packages' testdata/fuzz directories).
+# round-trip, chaos scenario-spec, shard-plan round-trip and edge-list
+# canonicalisation targets, matching the CI "fuzz" job (seed corpora in the
+# packages' testdata/fuzz directories).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCSRFromEdges$$' -fuzztime=15s ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzSpMMEquivalence$$' -fuzztime=15s ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointRoundTrip$$' -fuzztime=15s ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz='^FuzzScenarioConfig$$' -fuzztime=15s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzShardRoundTrip$$' -fuzztime=15s ./internal/shard
+	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalize$$' -fuzztime=15s ./internal/graph
 
 # Smoke bench: every benchmark once, output preserved as the BENCH artifact
 # in both raw (bench-smoke.txt) and machine-readable (BENCH_smoke.json, via

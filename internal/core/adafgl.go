@@ -189,10 +189,12 @@ type personal struct {
 	optimizer                nn.Optimizer
 
 	// n_i×n_i scratch of the learnable message-passing branch (Eq. 11), owned
-	// for the whole of train so an epoch allocates no n_i×n_i matrix: the Gram
-	// matrix H'H'ᵀ and the PoSign/NeSign halves of the evolved P̃^(1), all
-	// overwritten by every forward. Nil under DisableLM.
-	gram, pPos, pNeg *matrix.Dense
+	// for the whole of train so an epoch allocates no n_i×n_i matrix: the
+	// PoSign/NeSign halves of the evolved P̃^(1), both overwritten by every
+	// forward. pNeg first holds the row-normalised Gram matrix H'H'ᵀ, which
+	// evolveSigns consumes element by element as it writes the halves, so the
+	// Gram matrix needs no buffer of its own. Nil under DisableLM.
+	pPos, pNeg *matrix.Dense
 }
 
 func newPersonal(g *graph.Graph, extractor models.Model, cfg models.Config, opt Options, rng *rand.Rand) *personal {
@@ -234,7 +236,7 @@ func newPersonal(g *graph.Graph, extractor models.Model, cfg models.Config, opt 
 	p.feature = nn.NewMLP("ada.feature", []int{g.X.Cols, hidden, g.Classes}, 0, rng).MarkLeaf()
 	p.message = nn.NewMLP("ada.message", []int{g.Classes, hidden, g.Classes}, 0, rng)
 	if !opt.DisableLM {
-		p.gram, p.pPos, p.pNeg = matrix.New(g.N, g.N), matrix.New(g.N, g.N), matrix.New(g.N, g.N)
+		p.pPos, p.pNeg = matrix.New(g.N, g.N), matrix.New(g.N, g.N)
 	}
 
 	// HCS (Definition 2) drives the adaptive combination.
@@ -305,9 +307,9 @@ func (p *personal) forward() *matrix.Dense {
 		// and its signed parts are recomputed from the current (detached)
 		// message embeddings each forward pass.
 		p.hmPrime = p.message.Forward(p.hTilde)
-		matrix.MulTInto(p.gram, p.hmPrime, p.hmPrime)
-		matrix.NormalizeRowsL1(p.gram)
-		evolveSigns(p.pPos, p.pNeg, p.opt.Beta, p.ptilde, p.gram)
+		matrix.MulTInto(p.pNeg, p.hmPrime, p.hmPrime)
+		matrix.NormalizeRowsL1(p.pNeg)
+		evolveSigns(p.pPos, p.pNeg, p.opt.Beta, p.ptilde, p.pNeg)
 		// H_m^(1) = H' + P⁺H' − P⁻H'.
 		p.hm1 = matrix.Add(p.hmPrime, matrix.Sub(matrix.Mul(p.pPos, p.hmPrime), matrix.Mul(p.pNeg, p.hmPrime)))
 		p.sHM = matrix.SoftmaxRows(p.hm1)
@@ -343,6 +345,7 @@ func (p *personal) forward() *matrix.Dense {
 // compiler may fuse them into a multiply-add: every platform computes
 // round(round(β·p̃) + round((1−β)·g)). The halves are selected by mask, not by
 // a branch on the sign: pos = v where v > 0 else +0, neg = −v where not else +0.
+// gram may be neg itself: element i is read before neg's element i is written.
 func evolveSigns(pos, neg *matrix.Dense, beta float64, ptilde, gram *matrix.Dense) {
 	rest := 1 - beta
 	parallel.ForWork(len(ptilde.Data), len(ptilde.Data), func(lo, hi int) {

@@ -241,6 +241,16 @@ func TestSplitSigns(t *testing.T) {
 			t.Fatalf("element %d: pos %v neg %v, three-pass reference %v %v", i, pos.Data[i], neg.Data[i], wp, wn)
 		}
 	}
+
+	// forward keeps G in the NeSign buffer: the pass must give the same
+	// halves when gram and neg are one matrix.
+	pos2 := matrix.New(37, 37)
+	evolveSigns(pos2, gram, beta, ptilde, gram)
+	for i := range pos.Data {
+		if math.Float64bits(pos2.Data[i]) != math.Float64bits(pos.Data[i]) || math.Float64bits(gram.Data[i]) != math.Float64bits(neg.Data[i]) {
+			t.Fatalf("element %d: pos %v neg %v with gram aliasing neg, %v %v without", i, pos2.Data[i], gram.Data[i], pos.Data[i], neg.Data[i])
+		}
+	}
 }
 
 func adaSubgraphs(t testing.TB, name string, k int, nonIID bool, seed int64) []*graph.Graph {

@@ -6,8 +6,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -101,31 +103,59 @@ func New(n int, edges [][2]int, x *matrix.Dense, labels []int, classes int) *Gra
 // u <= v, dropping nothing else (self-loops are kept). A list that is already
 // canonical — u <= v, strictly ascending, which is every list a checkpoint
 // this repo wrote carries — is recognised in one pass and copied; anything
-// else is deduplicated and sorted, so no caller's input is ever trusted.
+// else is deduplicated and sorted, so no caller's input is ever trusted. It
+// allocates in proportion to len(edges) whatever ids the edges carry.
 func Canonicalize(edges [][2]int) [][2]int {
 	if isCanonical(edges) {
 		return append(make([][2]int, 0, len(edges)), edges...)
 	}
-	seen := make(map[[2]int]bool, len(edges))
-	out := make([][2]int, 0, len(edges))
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		if u > v {
-			u, v = v, u
+	out := make([][2]int, len(edges))
+	lo, hi := edges[0][0], edges[0][0]
+	for i, e := range edges {
+		if e[0] > e[1] {
+			e[0], e[1] = e[1], e[0]
 		}
-		k := [2]int{u, v}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
+		out[i] = e
+		lo, hi = min(lo, e[0]), max(hi, e[0])
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
+	// Node ids are dense in every graph this repo builds, so bucket by the
+	// smaller endpoint with a counting pass and sort only inside buckets. Ids
+	// spread wider than the list is long (the unsigned difference cannot
+	// overflow) would size the counts by the id, not the input: sort whole.
+	span := uint64(hi) - uint64(lo)
+	if span > uint64(2*len(edges)) {
+		slices.SortFunc(out, compareEdges)
+		return slices.Compact(out)
+	}
+	// next[k] is where bucket lo+k's next edge goes: the bucket's start
+	// before the scatter, its end after.
+	next := make([]int, span+2)
+	for _, e := range out {
+		next[e[0]-lo+1]++
+	}
+	for k := range next[1:] {
+		next[k+1] += next[k]
+	}
+	sorted := make([][2]int, len(out))
+	for _, e := range out {
+		k := e[0] - lo
+		sorted[next[k]] = e
+		next[k]++
+	}
+	start := 0
+	for _, end := range next[:span+1] {
+		slices.SortFunc(sorted[start:end], compareEdges)
+		start = end
+	}
+	return slices.Compact(sorted)
+}
+
+// compareEdges orders edges by first endpoint, then second.
+func compareEdges(a, b [2]int) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
 }
 
 // isCanonical reports whether edges is exactly what Canonicalize would

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -33,9 +34,10 @@ func TestCanonicalize(t *testing.T) {
 	}
 }
 
-// canonicalizeRef is the map-and-sort definition of Canonicalize, kept here as
-// the reference its one-pass shortcut for canonical input is held to.
-func canonicalizeRef(edges [][2]int) [][2]int {
+// referenceCanonicalize is the map-and-sort definition of Canonicalize, kept
+// here as the reference that its one-pass shortcut for canonical input, its
+// counting sort for dense ids and its plain sort for sparse ones are held to.
+func referenceCanonicalize(edges [][2]int) [][2]int {
 	seen := make(map[[2]int]bool, len(edges))
 	out := make([][2]int, 0, len(edges))
 	for _, e := range edges {
@@ -69,7 +71,7 @@ func TestCanonicalizeMatchesReference(t *testing.T) {
 		for i := rng.Intn(40); i > 0; i-- {
 			raw = append(raw, [2]int{rng.Intn(n), rng.Intn(n)})
 		}
-		canonical := canonicalizeRef(raw)
+		canonical := referenceCanonicalize(raw)
 		variants := map[string][][2]int{"canonical": canonical, "empty": nil}
 		if len(canonical) > 0 {
 			i := rng.Intn(len(canonical))
@@ -85,7 +87,7 @@ func TestCanonicalizeMatchesReference(t *testing.T) {
 		for name, in := range variants {
 			before := append([][2]int(nil), in...)
 			got := Canonicalize(in)
-			if want := canonicalizeRef(in); !reflect.DeepEqual(got, want) {
+			if want := referenceCanonicalize(in); !reflect.DeepEqual(got, want) {
 				t.Logf("%s %v: got %v, want %v", name, in, got, want)
 				return false
 			}
@@ -104,6 +106,77 @@ func TestCanonicalizeMatchesReference(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCanonicalizeHostileIDs: ids a caller controls — negative, 2^40-sized,
+// the two ends of the int range in one list — are canonicalised like any
+// other, without a panic and without memory in proportion to an id.
+func TestCanonicalizeHostileIDs(t *testing.T) {
+	const big = 1 << 40
+	cases := map[string][][2]int{
+		"negative":      {{-1, -5}, {3, -1}, {-5, -1}, {-1, -1}, {-1, 3}},
+		"huge":          {{big, 1}, {big + 7, big}, {1, big}, {big, big}, {0, 0}},
+		"huge span":     {{math.MaxInt, math.MinInt}, {math.MinInt, math.MaxInt}, {0, 0}, {math.MinInt, math.MinInt}},
+		"dense at 2^40": {{big + 2, big + 1}, {big + 1, big}, {big + 1, big + 2}, {big, big}, {big + 2, big + 2}, {big, big}},
+		"offset span":   {{-3, 2}, {2, -3}, {1, 1}, {-3, -3}, {0, -2}, {1, 1}, {2, 2}},
+	}
+	for name, in := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := Canonicalize(in)
+		runtime.ReadMemStats(&after)
+		if want := referenceCanonicalize(in); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %v, want %v", name, got, want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("%s: allocated %d bytes for %d edges", name, grew, len(in))
+		}
+	}
+}
+
+// decodeFuzzEdges turns fuzz bytes into an edge list: the first byte picks a
+// shift of 0, 20 or 40 bits, every following pair of bytes is one edge whose
+// signed endpoints are shifted by it, so ids run negative and up to 2^47.
+// Capped at 512 edges so adversarial inputs stay cheap.
+func decodeFuzzEdges(data []byte) [][2]int {
+	if len(data) == 0 {
+		return nil
+	}
+	shift := 20 * (uint(data[0]) % 3)
+	rest := data[1:]
+	if len(rest) > 1024 {
+		rest = rest[:1024]
+	}
+	var edges [][2]int
+	for i := 0; i+1 < len(rest); i += 2 {
+		edges = append(edges, [2]int{int(int8(rest[i])) << shift, int(int8(rest[i+1])) << shift})
+	}
+	return edges
+}
+
+// FuzzCanonicalize holds Canonicalize to its reference on arbitrary edge
+// lists, and its output to being canonical and a fixed point. The seed corpus
+// lives in testdata/fuzz/FuzzCanonicalize; CI runs the target for a bounded
+// window. Run locally with:
+//
+//	go test -run='^$' -fuzz='^FuzzCanonicalize$' -fuzztime=30s ./internal/graph
+func FuzzCanonicalize(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x02, 0x01, 0x01, 0x02, 0x00, 0x00, 0x03, 0x01})
+	f.Add([]byte{0x02, 0xff, 0x7f, 0x80, 0x80, 0x7f, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := decodeFuzzEdges(data)
+		got := Canonicalize(in)
+		if want := referenceCanonicalize(in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Canonicalize(%v) = %v, want %v", in, got, want)
+		}
+		if !isCanonical(got) {
+			t.Fatalf("Canonicalize(%v) = %v is not canonical", in, got)
+		}
+		if again := Canonicalize(got); !reflect.DeepEqual(again, got) {
+			t.Fatalf("Canonicalize is not idempotent on %v: %v", got, again)
+		}
+	})
 }
 
 func TestEdgeHomophily(t *testing.T) {

@@ -9,7 +9,7 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -18,84 +18,128 @@ import (
 // 2008) and returns a community id per node. The rng only breaks move ties
 // through node visiting order; the algorithm itself is standard.
 func Louvain(g *graph.Graph, rng *rand.Rand) []int {
-	// Work on a weighted graph that we coarsen level by level.
-	n := g.N
-	// adjacency as weighted maps for mutability during coarsening.
-	adj := make([]map[int]float64, n)
-	for i := range adj {
-		adj[i] = make(map[int]float64)
-	}
-	for _, e := range g.Edges {
-		if e[0] == e[1] {
-			continue
-		}
-		adj[e[0]][e[1]]++
-		adj[e[1]][e[0]]++
-	}
 	// membership maps original node -> current community label chain.
-	membership := make([]int, n)
+	membership := make([]int, g.N)
 	for i := range membership {
 		membership[i] = i
 	}
-
-	current := adj
+	// Work on a weighted graph that we coarsen level by level. Level 0 is the
+	// edge list with self-loops dropped and parallel edges summed, which is
+	// what coarsening under the identity assignment produces.
+	current := edgeRows(g.N, g.Edges).coarsen(membership, g.N)
 	for level := 0; level < 10; level++ {
 		comm, moved := louvainOnePass(current, rng)
 		if !moved {
 			break
 		}
-		// Relabel communities densely.
-		dense := make(map[int]int)
-		for _, c := range comm {
-			if _, ok := dense[c]; !ok {
-				dense[c] = len(dense)
-			}
+		// Relabel communities densely, in order of first appearance.
+		dense := make([]int, len(comm))
+		for i := range dense {
+			dense[i] = -1
 		}
-		for i := range comm {
-			comm[i] = dense[comm[i]]
+		nc := 0
+		for i, c := range comm {
+			if dense[c] < 0 {
+				dense[c] = nc
+				nc++
+			}
+			comm[i] = dense[c]
 		}
 		// Update membership of original nodes.
 		for i := range membership {
 			membership[i] = comm[membership[i]]
 		}
-		if len(dense) == len(current) {
+		if nc == len(comm) {
 			break // no coarsening progress
 		}
-		// Build coarsened graph: communities become super-nodes. Internal
-		// weight is kept as a self-loop (ordered-pair double counting gives
-		// the A_ii = 2·w_internal convention used by the degree sum).
-		next := make([]map[int]float64, len(dense))
-		for i := range next {
-			next[i] = make(map[int]float64)
-		}
-		for u, nbrs := range current {
-			cu := comm[u]
-			// Sorted neighbour order keeps float accumulation reproducible.
-			vs := make([]int, 0, len(nbrs))
-			for v := range nbrs {
-				vs = append(vs, v)
-			}
-			sort.Ints(vs)
-			for _, v := range vs {
-				next[cu][comm[v]] += nbrs[v]
-			}
-		}
-		current = next
+		current = current.coarsen(comm, nc)
 	}
 	return membership
+}
+
+// weighted is the weighted graph Louvain coarsens, in CSR form: node u's
+// neighbours are col[ptr[u]:ptr[u+1]], ascending and unique, with weights w.
+// A self-loop carries a super-node's internal weight.
+type weighted struct {
+	ptr, col []int
+	w        []float64
+}
+
+// edgeRows lays an undirected edge list out row by row, each edge under both
+// endpoints with weight 1, self-loops dropped. Rows come out unordered and
+// may repeat a neighbour; coarsen puts them in weighted's form.
+func edgeRows(n int, edges [][2]int) weighted {
+	ptr := make([]int, n+1)
+	for _, e := range edges {
+		if e[0] != e[1] {
+			ptr[e[0]+1]++
+			ptr[e[1]+1]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		ptr[u+1] += ptr[u]
+	}
+	g := weighted{ptr: ptr, col: make([]int, ptr[n]), w: make([]float64, ptr[n])}
+	next := append([]int(nil), ptr[:n]...)
+	for _, e := range edges {
+		if e[0] != e[1] {
+			g.col[next[e[0]]], g.col[next[e[1]]] = e[1], e[0]
+			next[e[0]]++
+			next[e[1]]++
+		}
+	}
+	for i := range g.w {
+		g.w[i] = 1
+	}
+	return g
+}
+
+// coarsen builds the graph whose nc super-nodes are the communities of comm.
+// Internal weight is kept as a self-loop (ordered-pair double counting gives
+// the A_ii = 2·w_internal convention used by the degree sum). Each community
+// accumulates its members' rows, in ascending member then stored order, into
+// dense scratch of which only the touched entries are reset, and emits its
+// row in ascending id order, so the float sums are reproducible.
+func (g weighted) coarsen(comm []int, nc int) weighted {
+	members := groupByPart(comm, nc)
+	out := weighted{ptr: make([]int, nc+1)}
+	acc := make([]float64, nc)
+	seen := make([]bool, nc)
+	var touched []int
+	for c := 0; c < nc; c++ {
+		for _, u := range members[c] {
+			for k := g.ptr[u]; k < g.ptr[u+1]; k++ {
+				d := comm[g.col[k]]
+				if !seen[d] {
+					seen[d] = true
+					touched = append(touched, d)
+				}
+				acc[d] += g.w[k]
+			}
+		}
+		slices.Sort(touched)
+		for _, d := range touched {
+			out.col = append(out.col, d)
+			out.w = append(out.w, acc[d])
+			acc[d], seen[d] = 0, false
+		}
+		touched = touched[:0]
+		out.ptr[c+1] = len(out.col)
+	}
+	return out
 }
 
 // louvainOnePass greedily moves nodes between communities until no move
 // improves modularity; returns the community assignment and whether any node
 // moved.
-func louvainOnePass(adj []map[int]float64, rng *rand.Rand) ([]int, bool) {
-	n := len(adj)
+func louvainOnePass(g weighted, rng *rand.Rand) ([]int, bool) {
+	n := len(g.ptr) - 1
 	comm := make([]int, n)
 	degree := make([]float64, n)
 	var m2 float64 // 2m = total weighted degree
-	for i := range adj {
+	for i := range comm {
 		comm[i] = i
-		for _, w := range adj[i] {
+		for _, w := range g.w[g.ptr[i]:g.ptr[i+1]] {
 			degree[i] += w
 		}
 		m2 += degree[i]
@@ -106,6 +150,13 @@ func louvainOnePass(adj []map[int]float64, rng *rand.Rand) ([]int, bool) {
 	commDegree := make([]float64, n) // Σ degrees of community members
 	copy(commDegree, degree)
 
+	// Scratch shared by every node visit: toComm[c] is the weight from the
+	// visited node to community c, cands the communities it touches. Only
+	// those entries are reset after a visit.
+	toComm := make([]float64, n)
+	seen := make([]bool, n)
+	var cands []int
+
 	order := rng.Perm(n)
 	movedAny := false
 	for pass := 0; pass < 8; pass++ {
@@ -114,22 +165,23 @@ func louvainOnePass(adj []map[int]float64, rng *rand.Rand) ([]int, bool) {
 			cu := comm[u]
 			// Weight from u to each neighbouring community. Self-loops move
 			// with u, so they are constant across candidates and skipped.
-			toComm := make(map[int]float64)
-			for v, w := range adj[u] {
+			for k := g.ptr[u]; k < g.ptr[u+1]; k++ {
+				v := g.col[k]
 				if v == u {
 					continue
 				}
-				toComm[comm[v]] += w
+				c := comm[v]
+				if !seen[c] {
+					seen[c] = true
+					cands = append(cands, c)
+				}
+				toComm[c] += g.w[k]
 			}
 			// Remove u from its community.
 			commDegree[cu] -= degree[u]
-			// Deterministic candidate order: map iteration order must not
-			// influence tie-breaking (reproducible experiments).
-			cands := make([]int, 0, len(toComm))
-			for c := range toComm {
-				cands = append(cands, c)
-			}
-			sort.Ints(cands)
+			// Deterministic candidate order: ties go to the lowest id
+			// (reproducible experiments).
+			slices.Sort(cands)
 			bestC, bestGain := cu, 0.0
 			base := toComm[cu] - degree[u]*commDegree[cu]/m2
 			for _, c := range cands {
@@ -141,6 +193,10 @@ func louvainOnePass(adj []map[int]float64, rng *rand.Rand) ([]int, bool) {
 					bestC = c
 				}
 			}
+			for _, c := range cands {
+				toComm[c], seen[c] = 0, false
+			}
+			cands = cands[:0]
 			commDegree[bestC] += degree[u]
 			if bestC != cu {
 				comm[u] = bestC
@@ -156,25 +212,26 @@ func louvainOnePass(adj []map[int]float64, rng *rand.Rand) ([]int, bool) {
 }
 
 // Modularity computes the Newman modularity of the given assignment on g,
-// used to validate Louvain quality in tests.
+// used to validate Louvain quality in tests. Community ids are non-negative.
 func Modularity(g *graph.Graph, comm []int) float64 {
 	m := float64(g.M())
 	if m == 0 {
 		return 0
 	}
-	deg := g.Degrees()
-	var q float64
-	// Σ_c (e_c/m - (d_c/2m)²)
-	internal := make(map[int]float64)
-	degSum := make(map[int]float64)
+	// Σ_c (e_c/m - (d_c/2m)²), both sums taken in community-id order so the
+	// last bits do not depend on anything but the assignment.
+	nc := slices.Max(comm) + 1 // m > 0, so there are nodes
+	internal := make([]float64, nc)
+	degSum := make([]float64, nc)
 	for _, e := range g.Edges {
 		if comm[e[0]] == comm[e[1]] {
 			internal[comm[e[0]]]++
 		}
 	}
-	for i, d := range deg {
+	for i, d := range g.Degrees() {
 		degSum[comm[i]] += float64(d)
 	}
+	var q float64
 	for _, ec := range internal {
 		q += ec / m
 	}

@@ -25,13 +25,12 @@ type ClientData struct {
 // the global graph's topology within every client.
 func CommunitySplit(g *graph.Graph, k int, rng *rand.Rand) *ClientData {
 	comm := Louvain(g, rng)
-	groups := map[int][]int{}
-	for v, c := range comm {
-		groups[c] = append(groups[c], v)
-	}
-	ids := make([]int, 0, len(groups))
-	for c := range groups {
-		ids = append(ids, c)
+	groups := groupByPart(comm, g.N) // a community per node at most
+	ids := make([]int, 0, g.N)
+	for c, members := range groups {
+		if len(members) > 0 {
+			ids = append(ids, c)
+		}
 	}
 	// Largest-first for balanced greedy assignment; ties broken by id for
 	// determinism.

@@ -34,39 +34,80 @@ type Coord struct {
 }
 
 // FromCoords builds an nRows x nCols CSR matrix from coordinate entries.
-// Duplicate (row, col) pairs are summed. Entries summing to exactly zero are
-// kept (callers that want pruning can use Prune).
+// Duplicate (row, col) pairs are summed in input order. Entries summing to
+// exactly zero are kept (callers that want pruning can use Prune).
 func FromCoords(nRows, nCols int, entries []Coord) *CSR {
+	// Bucket by row with a counting pass, which keeps input order within a
+	// row; then order each row by column, stably, and fold duplicates.
+	m := &CSR{NRows: nRows, NCols: nCols, RowPtr: make([]int, nRows+1)}
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= nRows || e.Col < 0 || e.Col >= nCols {
 			panic(fmt.Sprintf("sparse: FromCoords entry (%d,%d) outside %dx%d", e.Row, e.Col, nRows, nCols))
 		}
+		m.RowPtr[e.Row+1]++
 	}
-	sorted := make([]Coord, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	m := &CSR{NRows: nRows, NCols: nCols, RowPtr: make([]int, nRows+1)}
-	for i := 0; i < len(sorted); {
-		j := i
-		v := 0.0
-		for j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col {
-			v += sorted[j].Val
-			j++
-		}
-		m.ColIdx = append(m.ColIdx, sorted[i].Col)
-		m.Val = append(m.Val, v)
-		m.RowPtr[sorted[i].Row+1]++
-		i = j
+	if len(entries) == 0 {
+		return m // ColIdx and Val stay nil
 	}
 	for r := 0; r < nRows; r++ {
 		m.RowPtr[r+1] += m.RowPtr[r]
 	}
+	cols, vals := make([]int, len(entries)), make([]float64, len(entries))
+	next := append([]int(nil), m.RowPtr[:nRows]...)
+	for _, e := range entries {
+		k := next[e.Row]
+		cols[k], vals[k] = e.Col, e.Val
+		next[e.Row]++
+	}
+	// Fold in place: the write index never passes the read index.
+	nnz := 0
+	for r := 0; r < nRows; r++ {
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		sortRow(cols[lo:hi], vals[lo:hi])
+		m.RowPtr[r] = nnz
+		for i := lo; i < hi; {
+			c, v := cols[i], 0.0
+			for ; i < hi && cols[i] == c; i++ {
+				v += vals[i]
+			}
+			cols[nnz], vals[nnz] = c, v
+			nnz++
+		}
+	}
+	m.RowPtr[nRows] = nnz
+	m.ColIdx, m.Val = cols[:nnz], vals[:nnz]
 	return m
+}
+
+// sortRow orders one row's entries by column, equal columns staying in input
+// order. Rows are short (a node's degree), so insertion does it; a long row
+// goes to the library's stable sort, which is never quadratic.
+func sortRow(cols []int, vals []float64) {
+	if len(cols) > 32 {
+		sort.Stable(byCol{cols, vals})
+		return
+	}
+	for i := 1; i < len(cols); i++ {
+		c, v := cols[i], vals[i]
+		j := i
+		for ; j > 0 && cols[j-1] > c; j-- {
+			cols[j], vals[j] = cols[j-1], vals[j-1]
+		}
+		cols[j], vals[j] = c, v
+	}
+}
+
+// byCol sorts a row's parallel column and value slices by column.
+type byCol struct {
+	cols []int
+	vals []float64
+}
+
+func (r byCol) Len() int           { return len(r.cols) }
+func (r byCol) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
+func (r byCol) Swap(i, j int) {
+	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
+	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }
 
 // FromEdges builds an n x n unweighted adjacency CSR from an undirected edge
@@ -74,22 +115,19 @@ func FromCoords(nRows, nCols int, entries []Coord) *CSR {
 // self-loops contribute a single diagonal 1. Duplicate edges collapse to a
 // single unit entry.
 func FromEdges(n int, edges [][2]int) *CSR {
-	seen := make(map[[2]int]bool, 2*len(edges))
 	coords := make([]Coord, 0, 2*len(edges))
-	add := func(u, v int) {
-		k := [2]int{u, v}
-		if !seen[k] {
-			seen[k] = true
-			coords = append(coords, Coord{u, v, 1})
-		}
-	}
 	for _, e := range edges {
-		add(e[0], e[1])
+		coords = append(coords, Coord{e[0], e[1], 1})
 		if e[0] != e[1] {
-			add(e[1], e[0])
+			coords = append(coords, Coord{e[1], e[0], 1})
 		}
 	}
-	return FromCoords(n, n, coords)
+	// FromCoords folds a repeated edge into one entry holding its count.
+	m := FromCoords(n, n, coords)
+	for i := range m.Val {
+		m.Val[i] = 1
+	}
+	return m
 }
 
 // Clone returns a deep copy.
