@@ -17,8 +17,9 @@ lint:
 
 # Documentation gate, matching the CI "docs-lint" job: every internal
 # package needs a package comment, the substrate packages (federated,
-# sparse, matrix, parallel) need docs on every exported identifier
-# (cmd/docslint), ARCHITECTURE.md must exist and be linked from README.
+# sparse, matrix, parallel) need docs on every exported identifier, serve
+# and shard keep their import layering (cmd/docslint), ARCHITECTURE.md must
+# exist and be linked from README.
 docs-lint:
 	$(GO) run ./cmd/docslint
 	@test -f ARCHITECTURE.md || { echo "ARCHITECTURE.md missing" >&2; exit 1; }

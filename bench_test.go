@@ -194,7 +194,7 @@ func BenchmarkGEMM(b *testing.B) {
 			})
 		}
 	}
-	tilings := []string{"default", "32,128,64", "128,512,256"}
+	tilings := []matrix.Tiling{matrix.DefaultTiling(), {MC: 32, KC: 128, NC: 64}, {MC: 128, KC: 512, NC: 256}}
 	for _, n := range []int{128, 256, 512} {
 		x := matrix.New(n, n)
 		y := matrix.New(n, n)
@@ -214,13 +214,10 @@ func BenchmarkGEMM(b *testing.B) {
 					_ = matrix.MulNaive(x, y)
 				}
 			})
-			for _, spec := range tilings {
-				tile := matrix.DefaultTiling()
-				if spec != "default" {
-					var err error
-					if tile, err = matrix.ParseTiling(spec); err != nil {
-						b.Fatal(err)
-					}
+			for i, tile := range tilings {
+				spec := "default"
+				if i > 0 {
+					spec = fmt.Sprintf("%d,%d,%d", tile.MC, tile.KC, tile.NC)
 				}
 				b.Run(fmt.Sprintf("n=%d/path=blocked/tiles=%s/workers=%d", n, spec, w), func(b *testing.B) {
 					orig := parallel.SetWorkers(w)

@@ -19,9 +19,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/federated"
-	"repro/internal/matrix"
 	"repro/internal/parallel"
-	"repro/internal/sparse"
 )
 
 func main() {
@@ -49,8 +47,6 @@ func main() {
 		noiseSeed = flag.Int64("dp-noise-seed", 0, "noise stream seed (0 = derived from the run seed)")
 	)
 	parallel.RegisterFlag(flag.CommandLine)
-	matrix.RegisterFlag(flag.CommandLine)
-	sparse.RegisterFlag(flag.CommandLine)
 	flag.Parse()
 
 	if *list {

@@ -12,6 +12,11 @@
 //     top-level identifier — funcs, methods with exported receivers,
 //     types, consts and vars.
 //
+// It also enforces the import layering of the serving stack (importBans):
+// internal/serve answers from a filled logits table and may not import
+// models, nn, parallel or graph; internal/shard exports tables and may not
+// import serve. The rule covers non-test files only.
+//
 // Violations are printed one per line as file:line: message and the exit
 // status is 1; a clean tree prints nothing and exits 0.
 //
@@ -32,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -49,6 +55,16 @@ var strictDirs = map[string]bool{
 	"internal/partition":  true,
 	"internal/shard":      true,
 	"internal/telemetry":  true,
+}
+
+// importBans lists, per package directory relative to the repository root,
+// the import paths its non-test files may not take. A server is born with
+// its logits table (checkpoint.Table fills it), so serve never sees a model,
+// a graph or the worker pool; a sharded table reaches a server through
+// serve.NewFromTable, so shard never constructs one.
+var importBans = map[string][]string{
+	"internal/serve": {"repro/internal/models", "repro/internal/nn", "repro/internal/parallel", "repro/internal/graph"},
+	"internal/shard": {"repro/internal/serve"},
 }
 
 func main() {
@@ -110,9 +126,9 @@ func goPackageDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// lintDir parses one package directory and reports its documentation
-// violations. rel is the root-relative path used in messages; strict adds
-// the exported-identifier tier.
+// lintDir parses one package directory and reports its documentation and
+// import-layering violations. rel is the root-relative path that keys
+// importBans; strict adds the exported-identifier tier.
 func lintDir(dir, rel string, strict bool) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -133,9 +149,6 @@ func lintDir(dir, rel string, strict bool) ([]string, error) {
 		if !hasPkgDoc {
 			problems = append(problems, fmt.Sprintf("%s: package %s has no package comment (\"// Package %s ...\")", rel, name, name))
 		}
-		if !strict {
-			continue
-		}
 		// Deterministic file order for stable output.
 		files := make([]string, 0, len(pkg.Files))
 		for fname := range pkg.Files {
@@ -143,10 +156,28 @@ func lintDir(dir, rel string, strict bool) ([]string, error) {
 		}
 		sort.Strings(files)
 		for _, fname := range files {
-			problems = append(problems, lintFile(fset, pkg.Files[fname])...)
+			problems = append(problems, lintImports(fset, pkg.Files[fname], importBans[rel])...)
+			if strict {
+				problems = append(problems, lintFile(fset, pkg.Files[fname])...)
+			}
 		}
 	}
 	return problems, nil
+}
+
+// lintImports reports every import of f whose path is in banned.
+func lintImports(fset *token.FileSet, f *ast.File, banned []string) []string {
+	var problems []string
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		for _, b := range banned {
+			if path == b {
+				p := fset.Position(imp.Pos())
+				problems = append(problems, fmt.Sprintf("%s:%d: package %s may not import %s", filepath.ToSlash(p.Filename), p.Line, f.Name.Name, path))
+			}
+		}
+	}
+	return problems
 }
 
 // lintFile reports every exported top-level identifier of f that lacks a

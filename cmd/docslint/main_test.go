@@ -1,0 +1,72 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// writePkg writes one Go file into dir/rel and returns the directory.
+func writePkg(t *testing.T, root, rel, name, src string) string {
+	t.Helper()
+	dir := filepath.Join(root, rel)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestImportLayering: a serve file importing graph, or a shard file
+// importing serve, fails the rule with its file and line; the same imports
+// in a test file, or in a package without bans, pass.
+func TestImportLayering(t *testing.T) {
+	root := t.TempDir()
+	serveDir := writePkg(t, root, "internal/serve", "serve.go",
+		"// Package serve is a fixture.\npackage serve\n\nimport (\n\t\"fmt\"\n\t\"repro/internal/graph\"\n)\n\nvar _ = fmt.Sprint\nvar _ graph.Graph\n")
+	writePkg(t, root, "internal/serve", "serve_test.go",
+		"package serve\n\nimport _ \"repro/internal/models\"\n")
+	shardDir := writePkg(t, root, "internal/shard", "shard.go",
+		"// Package shard is a fixture.\npackage shard\n\nimport _ \"repro/internal/serve\"\n")
+	freeDir := writePkg(t, root, "internal/bench", "bench.go",
+		"// Package bench is a fixture.\npackage bench\n\nimport _ \"repro/internal/serve\"\n")
+
+	for _, tc := range []struct {
+		dir, rel, want string
+	}{
+		{serveDir, "internal/serve", "serve.go:6: package serve may not import repro/internal/graph"},
+		{shardDir, "internal/shard", "shard.go:4: package shard may not import repro/internal/serve"},
+		{freeDir, "internal/bench", ""},
+	} {
+		problems, err := lintDir(tc.dir, tc.rel, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.want == "" {
+			if len(problems) != 0 {
+				t.Fatalf("%s: unexpected problems %q", tc.rel, problems)
+			}
+			continue
+		}
+		if len(problems) != 1 || !strings.HasSuffix(problems[0], tc.want) {
+			t.Fatalf("%s: problems %q, want one ending in %q", tc.rel, problems, tc.want)
+		}
+	}
+}
+
+// TestRepositoryLayering holds the repository's own serve and shard
+// packages to the rule.
+func TestRepositoryLayering(t *testing.T) {
+	for _, rel := range []string{"internal/serve", "internal/shard"} {
+		problems, err := lintDir(filepath.Join("..", "..", rel), rel, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(problems) != 0 {
+			t.Fatalf("%s: %q", rel, problems)
+		}
+	}
+}

@@ -15,17 +15,13 @@ import (
 	"repro/internal/federated"
 	"repro/internal/fgl"
 	"repro/internal/graph"
-	"repro/internal/matrix"
 	"repro/internal/models"
 	"repro/internal/parallel"
 	"repro/internal/partition"
-	"repro/internal/sparse"
 )
 
 func main() {
 	parallel.RegisterFlag(flag.CommandLine)
-	matrix.RegisterFlag(flag.CommandLine)
-	sparse.RegisterFlag(flag.CommandLine)
 	flag.Parse()
 
 	cfg := models.DefaultConfig()

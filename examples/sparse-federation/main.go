@@ -14,17 +14,13 @@ import (
 	"repro/internal/federated"
 	"repro/internal/fgl"
 	"repro/internal/graph"
-	"repro/internal/matrix"
 	"repro/internal/models"
 	"repro/internal/parallel"
 	"repro/internal/partition"
-	"repro/internal/sparse"
 )
 
 func main() {
 	parallel.RegisterFlag(flag.CommandLine)
-	matrix.RegisterFlag(flag.CommandLine)
-	sparse.RegisterFlag(flag.CommandLine)
 	asyncK := flag.Int("async-k", 0, "commit threshold K: aggregate once K client updates are buffered (0 or >= participants = synchronous FedAvg)")
 	asyncStaleness := flag.Float64("async-staleness", 0, "staleness discount α: updates s rounds stale weigh α/(1+s) (0 = 1.0)")
 	flag.Parse()

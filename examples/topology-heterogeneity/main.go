@@ -14,17 +14,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/federated"
-	"repro/internal/matrix"
 	"repro/internal/models"
 	"repro/internal/parallel"
 	"repro/internal/partition"
-	"repro/internal/sparse"
 )
 
 func main() {
 	parallel.RegisterFlag(flag.CommandLine)
-	matrix.RegisterFlag(flag.CommandLine)
-	sparse.RegisterFlag(flag.CommandLine)
 	flag.Parse()
 
 	spec, err := datasets.ByName("Cora")

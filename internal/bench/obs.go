@@ -38,7 +38,6 @@ const obsMaxOverheadPct = 3.0
 var obsCoreFamilies = []string{
 	"adafgl_serve_requests_total",
 	"adafgl_serve_request_latency_seconds",
-	"adafgl_serve_engine_passes_total",
 	"adafgl_registry_cold_starts_total",
 	"adafgl_shard_exchange_total",
 	"adafgl_federated_rounds_total",

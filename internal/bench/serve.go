@@ -24,11 +24,11 @@ const serveQueriesPerWorker = 16
 // disabled (every request is its own window) and once with a 64-node batch
 // window — under 64-way concurrent single-node query load. Reported are
 // queries/sec, p50/p99 latency and the achieved batch size, with the batched
-// predictions cross-checked bit-identical to the unbatched ones. Both engine
-// paths run: GCN (one full-graph forward in the server's first window, a row
-// gather from its logits table in every other) and SGC (embedding table
-// built at load, one dense GEMV per queried row). Neither path does per-window
-// work that grows with the graph any more, so what the two rows compare is
+// predictions cross-checked bit-identical to the unbatched ones. Both kinds
+// of architecture run: GCN (a full-graph forward) and SGC (the dense head
+// over its propagated embedding) each fill their logits table once, in
+// serve.New, and every window is a row gather from it. Neither does
+// per-window work that grows with the graph, so what the two rows compare is
 // the dispatcher's per-window overhead against the MaxWait a window spends
 // collecting company — the "speedup" column reads below 1 whenever the
 // clients cannot fill a window faster than that wait.

@@ -149,7 +149,11 @@ func shardOverlapCheck(s Scale, maxShards int) error {
 		if err != nil {
 			return err
 		}
-		srv, err := shard.NewFromParts(sh, "SGC", head, rec, serve.Options{})
+		table, err := shard.Table(sh, head, rec)
+		if err != nil {
+			return err
+		}
+		srv, err := serve.NewFromTable("SGC", table, sh.Labels(), serve.Options{})
 		if err != nil {
 			return err
 		}

@@ -181,8 +181,7 @@ func zooOverhead(reg *registry.Registry) (string, error) {
 	direct := func(i int) ([]serve.Prediction, error) { return srv.Predict(zooBatch(i, n)) }
 	routed := func(i int) ([]serve.Prediction, error) { return reg.Predict("fedsgc", zooBatch(i, n)) }
 
-	// Warm both paths (lazily started server, its table fill) and
-	// cross-check bit-identity on the way.
+	// Warm both paths and cross-check bit-identity on the way.
 	for i := 0; i < 4; i++ {
 		dp, err := direct(i)
 		if err != nil {

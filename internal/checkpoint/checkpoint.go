@@ -125,6 +125,26 @@ func (c *Checkpoint) Model(seed int64) (models.Model, error) {
 	return m, nil
 }
 
+// Table is the checkpoint's served answer: the N×C logits table Alg. 2 calls
+// Ẑ, one row of class scores per graph node. It rebuilds the model (Model)
+// and runs its full-graph inference once: the forward Logits(false) for a
+// message-passing architecture, models.ApplyHead over every row of the
+// propagated embedding for a models.Decoupled one. The decoupled table is
+// ApplyHead, not Logits: its fixed per-row accumulation order makes a row's
+// answer independent of which rows it is computed with, so a table assembled
+// shard by shard (shard.Table) lands on the same bits.
+func (c *Checkpoint) Table(seed int64) (*matrix.Dense, error) {
+	m, err := c.Model(seed)
+	if err != nil {
+		return nil, err
+	}
+	if dec, ok := m.(models.Decoupled); ok {
+		emb, head := dec.InferenceFactors()
+		return models.ApplyHead(head, emb), nil
+	}
+	return m.Logits(false), nil
+}
+
 // Encode serialises the checkpoint into the versioned binary container.
 // Encoding is deterministic: equal checkpoints produce equal bytes.
 func (c *Checkpoint) Encode() ([]byte, error) {

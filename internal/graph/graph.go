@@ -52,37 +52,6 @@ type propagated struct {
 	x, ax *matrix.Dense
 }
 
-// NodeSource is the shard-aware read surface of a serving graph: the node
-// and class counts plus ground-truth label lookups — everything the serving
-// layer needs to validate queries and score online accuracy, and nothing
-// that assumes the topology or features are resident in this process.
-// *Graph implements it for the single-process path; internal/shard
-// implements it per shard so a serve.Server can be bound to a slice of a
-// graph that never exists whole in memory.
-type NodeSource interface {
-	// NumNodes returns the number of servable nodes.
-	NumNodes() int
-	// NumClasses returns the number of output classes.
-	NumClasses() int
-	// Label returns node's ground-truth class and whether one is known.
-	Label(node int) (int, bool)
-}
-
-// NumNodes implements NodeSource.
-func (g *Graph) NumNodes() int { return g.N }
-
-// NumClasses implements NodeSource.
-func (g *Graph) NumClasses() int { return g.Classes }
-
-// Label implements NodeSource: node's ground-truth class, with ok=false for
-// unlabelled graphs and out-of-range ids.
-func (g *Graph) Label(node int) (int, bool) {
-	if g.Labels == nil || node < 0 || node >= len(g.Labels) {
-		return 0, false
-	}
-	return g.Labels[node], true
-}
-
 // New assembles a graph, canonicalising the edge list (deduplicated, u <= v).
 func New(n int, edges [][2]int, x *matrix.Dense, labels []int, classes int) *Graph {
 	if x != nil && x.Rows != n {

@@ -31,10 +31,7 @@
 package matrix
 
 import (
-	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -98,46 +95,6 @@ func CurrentTiling() Tiling {
 		return *t
 	}
 	return DefaultTiling()
-}
-
-// ParseTiling parses a "MC,KC,NC" spec (e.g. "64,256,128") as passed to the
-// -gemm-tiles flag of cmd/adafgl-bench and the examples. A zero field keeps
-// that tile's default.
-func ParseTiling(s string) (Tiling, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return Tiling{}, fmt.Errorf("matrix: tiling spec %q, want \"MC,KC,NC\"", s)
-	}
-	var vals [3]int
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 0 {
-			return Tiling{}, fmt.Errorf("matrix: tiling spec %q: bad field %q", s, p)
-		}
-		vals[i] = v
-	}
-	return Tiling{MC: vals[0], KC: vals[1], NC: vals[2]}, nil
-}
-
-// SetTilingSpec parses and applies a "MC,KC,NC" spec; the empty string is a
-// no-op. It is the value parser of the -gemm-tiles flag (RegisterFlag).
-func SetTilingSpec(s string) error {
-	if s == "" {
-		return nil
-	}
-	t, err := ParseTiling(s)
-	if err != nil {
-		return err
-	}
-	SetTiling(t)
-	return nil
-}
-
-// RegisterFlag declares the -gemm-tiles flag on fs — its one declaration for
-// every binary and example. The flag applies itself: parsing it calls
-// SetTilingSpec, and a malformed spec is a flag parse error.
-func RegisterFlag(fs *flag.FlagSet) {
-	fs.Func("gemm-tiles", "blocked GEMM tile sizes \"MC,KC,NC\" (empty = engine defaults); affects speed only (outputs stay within 1e-12)", SetTilingSpec)
 }
 
 // Mul returns a*b (matrix product).

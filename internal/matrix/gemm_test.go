@@ -1,68 +1,9 @@
 package matrix
 
 import (
-	"flag"
-	"io"
 	"math/rand"
 	"testing"
 )
-
-func TestParseTiling(t *testing.T) {
-	got, err := ParseTiling("64, 256,128")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != (Tiling{MC: 64, KC: 256, NC: 128}) {
-		t.Fatalf("ParseTiling = %+v", got)
-	}
-	for _, bad := range []string{"", "64", "64,256", "64,256,128,1", "a,b,c", "64,-1,128"} {
-		if _, err := ParseTiling(bad); err == nil {
-			t.Fatalf("ParseTiling(%q) accepted", bad)
-		}
-	}
-	// Zero fields keep that tile's default after SetTiling.
-	z, err := ParseTiling("0,0,0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetTiling(SetTiling(DefaultTiling()))
-	SetTiling(z)
-	if CurrentTiling() != DefaultTiling() {
-		t.Fatalf("SetTiling(zero) = %+v, want defaults", CurrentTiling())
-	}
-}
-
-func TestSetTilingSpec(t *testing.T) {
-	orig := CurrentTiling()
-	defer SetTiling(orig)
-
-	if err := SetTilingSpec(""); err != nil {
-		t.Fatalf("empty spec must be a no-op, got %v", err)
-	}
-	if CurrentTiling() != orig {
-		t.Fatal("empty spec changed the tiling")
-	}
-	if err := SetTilingSpec("16,32,16"); err != nil {
-		t.Fatal(err)
-	}
-	if CurrentTiling() != (Tiling{MC: 16, KC: 32, NC: 16}) {
-		t.Fatalf("tiling = %+v after spec", CurrentTiling())
-	}
-	if err := SetTilingSpec("nope"); err == nil {
-		t.Fatal("bad spec must error")
-	}
-
-	// The -gemm-tiles flag applies itself at parse through the same parser.
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	RegisterFlag(fs)
-	if err := fs.Parse([]string{"-gemm-tiles", "8,64,8"}); err != nil || CurrentTiling() != (Tiling{MC: 8, KC: 64, NC: 8}) {
-		t.Fatalf("-gemm-tiles 8,64,8: err %v, tiling %+v", err, CurrentTiling())
-	}
-	if err := fs.Parse([]string{"-gemm-tiles", "nope"}); err == nil {
-		t.Fatal("-gemm-tiles nope must fail the parse")
-	}
-}
 
 func TestSetTilingClampsAndRestores(t *testing.T) {
 	orig := CurrentTiling()
@@ -76,6 +17,11 @@ func TestSetTilingClampsAndRestores(t *testing.T) {
 	// MC and NC round up to micro-kernel multiples; KC is free.
 	if got.MC != 8 || got.KC != 10 || got.NC != 8 {
 		t.Fatalf("clamped tiling = %+v, want {8 10 8}", got)
+	}
+	// Zero fields keep that tile's default.
+	SetTiling(Tiling{})
+	if CurrentTiling() != DefaultTiling() {
+		t.Fatalf("SetTiling(zero) = %+v, want defaults", CurrentTiling())
 	}
 }
 

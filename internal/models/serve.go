@@ -3,6 +3,7 @@ package models
 import (
 	"repro/internal/matrix"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -16,12 +17,50 @@ type HeadLayer struct {
 	ReLU bool          // apply ReLU after the affine map
 }
 
+// ApplyHead evaluates a dense head on every row of in: per row, a sequence
+// of GEMVs (out_j = b_j + Σ_k in_k·W_kj, bias first, k ascending) with
+// optional ReLU. Rows fan out over the bounded pool; within a row the
+// accumulation order is fixed, so results never depend on worker count — or,
+// because each row is computed alone, on which row subset (shard) it is
+// evaluated in. That row-subset stability is what lets internal/shard fill
+// the logits table one shard at a time with this exact kernel and land
+// bit-identical to the single-process fill.
+func ApplyHead(head []HeadLayer, in *matrix.Dense) *matrix.Dense {
+	cur := in
+	for _, l := range head {
+		out := matrix.New(cur.Rows, l.W.Cols)
+		src, w := cur, l
+		parallel.For(cur.Rows, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				row := src.Row(i)
+				orow := out.Row(i)
+				copy(orow, w.Bias)
+				for k, x := range row {
+					wrow := w.W.Row(k)
+					for j, wv := range wrow {
+						orow[j] += x * wv
+					}
+				}
+				if w.ReLU {
+					for j, v := range orow {
+						if v < 0 {
+							orow[j] = 0
+						}
+					}
+				}
+			}
+		})
+		cur = out
+	}
+	return cur
+}
+
 // Decoupled is implemented by architectures whose inference factorises into
 // a fixed propagated embedding and a dense head: logits(v) depends only on
 // row v of the embedding. SGC, GAMLP and the MLP baseline qualify; message-
 // passing models (GCN, GCNII, ...) do not, because their logits couple all
-// nodes through per-forward propagation. The serving layer fills its logits
-// table from the factors with a per-row dense head, so the same rows can be
+// nodes through per-forward propagation. The served logits table is filled
+// from the factors with ApplyHead, a per-row dense head, so the same rows can be
 // computed shard by shard — from the embedding's recipe, never holding the
 // whole matrix — and land on the same bits.
 type Decoupled interface {

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +10,9 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/graph"
+	"repro/internal/matrix"
+	"repro/internal/models"
 	"repro/internal/serve"
 )
 
@@ -118,6 +122,83 @@ func TestBreakerTripsOnPanics(t *testing.T) {
 	}
 	if rd := r.Readiness(); rd.Ready || rd.Tripped != 1 {
 		t.Fatalf("readiness with sole model tripped = %+v, want not ready", rd)
+	}
+}
+
+// panickyModel is a trained model whose forward — and with it the logits
+// table fill of a cold start — announces itself on entered, waits for gate
+// to close, then panics.
+type panickyModel struct {
+	models.Model
+	entered chan<- struct{}
+	gate    <-chan struct{}
+}
+
+func (m panickyModel) Logits(bool) *matrix.Dense {
+	m.entered <- struct{}{}
+	<-m.gate
+	panic("panickyModel: injected table fill failure")
+}
+
+// TestFillPanicFailsAcquire: a cold start whose table fill panics fails that
+// acquire with ErrModelPanic and records exactly one breaker failure (the
+// model is degraded, not tripped). It never wedges the model's loading
+// state: an acquire that waited on the failing fill returns too.
+func TestFillPanicFailsAcquire(t *testing.T) {
+	entered := make(chan struct{}, 8)
+	gate := make(chan struct{})
+	close(gate)
+	models.Registry["panicky"] = func(g *graph.Graph, c models.Config, r *rand.Rand) models.Model {
+		return panickyModel{Model: models.Registry["GCN"](g, c, r), entered: entered, gate: gate}
+	}
+	defer delete(models.Registry, "panicky")
+	ck := makeCkpt(t, "GCN", 3, 100)
+	ck.Arch = "panicky"
+	path := saveCkpt(t, t.TempDir(), "m@1.ckpt", ck)
+
+	r := New(Options{Serve: serve.Options{MaxBatch: 8, Seed: 1}, Breaker: fastBreaker()})
+	defer r.Close()
+	if _, err := r.AddFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Acquire("m"); !errors.Is(err, serve.ErrModelPanic) {
+		t.Fatalf("acquire over a panicking fill: want ErrModelPanic, got %v", err)
+	}
+	if info := r.List()[0]; info.Health != "degraded" || info.Loaded {
+		t.Fatalf("after one failed fill: %+v, want degraded (exactly one breaker failure) and not loaded", info)
+	}
+	<-entered // that acquire's one fill
+
+	// Two concurrent acquires on a fresh registry: the second finds the
+	// first's fill in progress and waits on it.
+	r2 := New(Options{Serve: serve.Options{MaxBatch: 8, Seed: 1}})
+	defer r2.Close()
+	if _, err := r2.AddFile(path); err != nil {
+		t.Fatal(err)
+	}
+	gate = make(chan struct{})
+	errs := make(chan error, 2)
+	acquire := func() {
+		h, err := r2.Acquire("m")
+		if err == nil {
+			h.Release()
+		}
+		errs <- err
+	}
+	go acquire()
+	<-entered
+	go acquire()
+	time.Sleep(20 * time.Millisecond)
+	close(gate)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, serve.ErrModelPanic) {
+				t.Fatalf("concurrent acquire %d: want ErrModelPanic, got %v", i+1, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("an acquire waiting on a failed fill never returned")
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/matrix"
-	"repro/internal/models"
-	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -30,12 +28,10 @@ type request struct {
 	done     chan struct{}
 }
 
-// dispatch is the batching loop: one goroutine owns the logits table (and,
-// until it has run, the fill) and coalesces queued requests into windows of
-// at most MaxBatch queried nodes, waiting at most MaxWait for a window to
-// fill. Single ownership means the table never needs a lock, and window
-// boundaries can never change results — every per-node answer is a copy of
-// its own table row.
+// dispatch is the batching loop: one goroutine coalesces queued requests
+// into windows of at most MaxBatch queried nodes, waiting at most MaxWait for
+// a window to fill. Window boundaries can never change results — every
+// per-node answer is a copy of its own row of the immutable table.
 func (s *Server) dispatch() {
 	defer close(s.stopped)
 	for {
@@ -99,14 +95,12 @@ func (s *Server) failPending() {
 
 // runBatch answers one window: requests whose deadline already lapsed are
 // failed with ErrDeadline without costing engine work, then the rows of the
-// surviving queried nodes are gathered from the logits table (filled by this
-// window if it is the first) and scattered back per request. Dropping
-// expired requests never changes survivors' answers: every per-node result
-// is a copy of its own table row, so window composition cannot leak between
-// rows.
-// An engine panic (a model bug, or injected chaos) is recovered here and
-// fails only this window's live requests with ErrModelPanic — the
-// dispatcher, and with it the server, keeps running.
+// surviving queried nodes are gathered from the logits table and scattered
+// back per request. Dropping expired requests never changes survivors'
+// answers: every per-node result is a copy of its own table row, so window
+// composition cannot leak between rows. A panic in the window (injected
+// chaos) is recovered here and fails only this window's live requests with
+// ErrModelPanic — the dispatcher, and with it the server, keeps running.
 func (s *Server) runBatch(batch []*request) {
 	s.windows++
 	now := time.Now()
@@ -171,9 +165,11 @@ func (s *Server) runBatch(batch []*request) {
 	}
 }
 
-// safeLogitsFor runs the model engine for one window behind a recover
-// barrier, converting a panic — and the chaos schedule's injected faults —
-// into an ErrModelPanic the window's requests fail with. The fault schedule
+// safeLogitsFor returns the class-score rows for ids, in order: a row gather
+// from the logits table, whatever the architecture, copied into a fresh
+// matrix so no caller ever holds a view into the table. It runs behind a
+// recover barrier, converting a panic — the chaos schedule's injected faults
+// — into an ErrModelPanic the window's requests fail with. The fault schedule
 // keys off s.windows, owned by this (the dispatcher's) goroutine, so a
 // seeded scenario injects the same faults at the same windows on every run.
 func (s *Server) safeLogitsFor(ids []int) (rows *matrix.Dense, err error) {
@@ -191,74 +187,11 @@ func (s *Server) safeLogitsFor(ids []int) (rows *matrix.Dense, err error) {
 			panic(fmt.Sprintf("chaos: injected engine panic at window %d", s.windows))
 		}
 	}
-	return s.logitsFor(ids), nil
-}
-
-// logitsFor returns the class-score rows for ids, in order: a row gather from
-// the logits table, whatever the architecture. The full-graph logits of an
-// immutable checkpoint on an immutable graph are a constant (what Alg. 2
-// calls Ẑ and computes once), so the first window to get here runs the one
-// fill and keeps its N×C result. The table belongs to the dispatcher
-// goroutine — no lock — and is dropped with the server. A fill that panics
-// stores nothing and stays in place, so the next window retries.
-func (s *Server) logitsFor(ids []int) *matrix.Dense {
-	if s.table == nil {
-		if tel := s.metrics.tel; tel != nil {
-			tel.passes.Inc()
-		}
-		s.table = s.fill()
-		s.fill = nil
-	}
-	return gatherRows(s.table, ids)
-}
-
-// gatherRows copies the rows of table named by ids, in order, into a fresh
-// matrix — the one way a window reads the logits table, so no caller ever
-// holds a view into it.
-func gatherRows(table *matrix.Dense, ids []int) *matrix.Dense {
-	out := matrix.New(len(ids), table.Cols)
+	rows = matrix.New(len(ids), s.table.Cols)
 	for i, id := range ids {
-		copy(out.Row(i), table.Row(id))
+		copy(rows.Row(i), s.table.Row(id))
 	}
-	return out
-}
-
-// ApplyHead evaluates a dense head on every row of in: per row, a sequence
-// of GEMVs (out_j = b_j + Σ_k in_k·W_kj, bias first, k ascending) with
-// optional ReLU. Rows fan out over the bounded pool; within a row the
-// accumulation order is fixed, so results never depend on worker count — or,
-// because each row is computed alone, on which row subset (shard) it is
-// evaluated in. That row-subset stability is what lets internal/shard fill
-// the logits table one shard at a time with this exact kernel and land
-// bit-identical to the single-process fill.
-func ApplyHead(head []models.HeadLayer, in *matrix.Dense) *matrix.Dense {
-	cur := in
-	for _, l := range head {
-		out := matrix.New(cur.Rows, l.W.Cols)
-		src, w := cur, l
-		parallel.For(cur.Rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				row := src.Row(i)
-				orow := out.Row(i)
-				copy(orow, w.Bias)
-				for k, x := range row {
-					wrow := w.W.Row(k)
-					for j, wv := range wrow {
-						orow[j] += x * wv
-					}
-				}
-				if w.ReLU {
-					for j, v := range orow {
-						if v < 0 {
-							orow[j] = 0
-						}
-					}
-				}
-			}
-		})
-		cur = out
-	}
-	return cur
+	return rows, nil
 }
 
 // rowArgmax returns the first index of the row maximum (the tie rule of

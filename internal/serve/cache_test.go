@@ -4,28 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/parallel"
-	"repro/internal/telemetry"
 )
-
-// stubSource is a label-free node universe of n nodes and c classes.
-type stubSource struct{ n, c int }
-
-func (s stubSource) NumNodes() int         { return s.n }
-func (s stubSource) NumClasses() int       { return s.c }
-func (s stubSource) Label(int) (int, bool) { return 0, false }
 
 // countingModel is a coupled engine that counts its full-graph passes and
 // panics on the first panics of them. Every successful pass returns a fresh
-// copy of logits, as a real forward does. Only the dispatcher goroutine calls
-// it; tests read the counters after Predict has returned.
+// copy of logits, as a real forward does. Only New's goroutine calls it —
+// the table is filled before the dispatcher starts — and tests read the
+// counters after New has returned.
 type countingModel struct {
 	logits *matrix.Dense
 	passes int
@@ -59,10 +55,22 @@ func (m countingDecoupled) InferenceFactors() (*matrix.Dense, []models.HeadLayer
 
 func (m countingDecoupled) EmbeddingSpec() models.EmbeddingSpec { return models.EmbeddingSpec{} }
 
-// stubShapes presents one countingModel to modelFill as each kind of engine.
+// stubShapes presents one countingModel to the table fill as each kind of
+// engine.
 var stubShapes = map[string]func(*countingModel) models.Model{
 	"Model":     func(m *countingModel) models.Model { return m },
 	"Decoupled": func(m *countingModel) models.Model { return countingDecoupled{m} },
+}
+
+// stubCheckpoint registers the test-only architecture arch, whose builder
+// hands out m whatever graph it is bound to, until t ends, and returns a
+// checkpoint of it on an unlabelled, featureless n-node, c-class graph: all
+// a stub's table fill reads.
+func stubCheckpoint(t *testing.T, arch string, n, c int, m models.Model) *checkpoint.Checkpoint {
+	t.Helper()
+	models.Registry[arch] = func(*graph.Graph, models.Config, *rand.Rand) models.Model { return m }
+	t.Cleanup(func() { delete(models.Registry, arch) })
+	return &checkpoint.Checkpoint{Arch: arch, Graph: graph.New(n, nil, nil, nil, c)}
 }
 
 // stubLogits fills an n×c table with distinct, recognisable scores.
@@ -74,68 +82,77 @@ func stubLogits(n, c int) *matrix.Dense {
 	return lg
 }
 
-// TestCoupledWindowsCostOneEnginePass: N windows over an engine of either
-// shape run the table fill exactly once, and every window's answers are the
-// rows of that one pass.
+// TestCoupledWindowsCostOneEnginePass: a server over an engine of either
+// shape runs the table fill exactly once, in New — before any request — and
+// its windows run none: every window's answers are rows of that one pass.
 func TestCoupledWindowsCostOneEnginePass(t *testing.T) {
 	const n, c, windows = 20, 3, 25
 	table := stubLogits(n, c)
 	want := denseRows(table)
-	check := func(t *testing.T, srv *Server) {
-		for w := 0; w < windows; w++ {
-			nodes := []int{w % n, (3*w + 1) % n}
-			preds, err := srv.Predict(nodes)
-			if err != nil {
-				t.Fatalf("window %d: %v", w+1, err)
-			}
-			for i, p := range preds {
-				checkPred(t, fmt.Sprintf("window %d", w+1), p, nodes[i], want, 0)
-			}
-		}
-	}
-	// ranWindows stops the dispatcher first: a window is counted after its
-	// callers are released, so a live server's count may trail by one.
-	ranWindows := func(srv *Server) uint64 {
-		srv.Close()
-		return srv.Stats().Batches
-	}
-
 	for name, shape := range stubShapes {
 		t.Run(name, func(t *testing.T) {
 			m := &countingModel{logits: table}
-			srv, err := NewFromFill(stubSource{n, c}, "stub-plain", modelFill(shape(m)), Options{MaxBatch: 1})
+			srv, err := New(stubCheckpoint(t, "stub-plain", n, c, shape(m)), Options{MaxBatch: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			check(t, srv)
-			if got := ranWindows(srv); got != windows || m.passes != 1 {
-				t.Fatalf("%d windows ran %d engine passes, want %d and exactly 1", got, m.passes, windows)
+			if m.passes != 1 {
+				t.Fatalf("New ran %d engine passes, want exactly 1", m.passes)
+			}
+			if srv.Nodes() != n || srv.Classes() != c {
+				t.Fatalf("server is %d×%d, want the %d×%d table", srv.Nodes(), srv.Classes(), n, c)
+			}
+			for w := 0; w < windows; w++ {
+				nodes := []int{w % n, (3*w + 1) % n}
+				preds, err := srv.Predict(nodes)
+				if err != nil {
+					t.Fatalf("window %d: %v", w+1, err)
+				}
+				for i, p := range preds {
+					checkPred(t, fmt.Sprintf("window %d", w+1), p, nodes[i], want, 0)
+				}
+			}
+			// Stop the dispatcher before reading the count: a window is
+			// counted after its callers are released.
+			srv.Close()
+			if got := srv.Stats().Batches; got != windows || m.passes != 1 {
+				t.Fatalf("%d windows ran %d engine passes, want %d and still exactly 1", got, m.passes, windows)
 			}
 		})
 	}
 }
 
-// TestPanickingPassStoresNothing: a first fill that panics — a coupled
-// engine's forward or a decoupled one's factors — fails only its own window
-// with ErrModelPanic; nothing is kept from it, the next window runs the fill
-// again and keeps the table, and every window after that gathers. Injected
-// chaos panics fire before the engine and leave a filled table alone.
+// TestPanickingPassStoresNothing: a table fill that panics — a coupled
+// engine's forward or a decoupled one's factors — makes New return
+// ErrModelPanic and start nothing: the goroutine count stays flat. Nothing
+// is kept from it, so the next New runs the fill again and serves that
+// pass's rows. Injected chaos panics fire in windows, after the fill, and
+// leave the table alone.
 func TestPanickingPassStoresNothing(t *testing.T) {
 	const n, c = 12, 4
 	table := stubLogits(n, c)
 	want := denseRows(table)
 	for shape, as := range stubShapes {
 		m := &countingModel{logits: table, panics: 1}
-		srv, err := NewFromFill(stubSource{n, c}, "stub-panic", modelFill(as(m)), Options{MaxBatch: 1})
-		if err != nil {
-			t.Fatal(err)
+		ck := stubCheckpoint(t, "stub-panic", n, c, as(m))
+		before := runtime.NumGoroutine()
+		if srv, err := New(ck, Options{MaxBatch: 1}); !errors.Is(err, ErrModelPanic) || srv != nil {
+			t.Fatalf("%s: New over a panicking fill: server %v, err %v; want no server and ErrModelPanic", shape, srv, err)
+		}
+		// Goroutines of earlier tests may still be exiting; a dispatcher
+		// started by the failed New would never exit.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the failed New, %d before", shape, runtime.NumGoroutine(), before)
+			}
 		}
 
-		if _, err := srv.Predict([]int{1}); !errors.Is(err, ErrModelPanic) {
-			t.Fatalf("%s window 1: want ErrModelPanic, got %v", shape, err)
+		srv, err := New(ck, Options{MaxBatch: 1})
+		if err != nil {
+			t.Fatalf("%s: New after the panic: %v", shape, err)
 		}
-		for w := 2; w <= 6; w++ {
+		for w := 1; w <= 5; w++ {
 			preds, err := srv.Predict([]int{w, 0})
 			if err != nil {
 				t.Fatalf("%s window %d after the panic: %v", shape, w, err)
@@ -146,8 +163,8 @@ func TestPanickingPassStoresNothing(t *testing.T) {
 		if m.passes != 2 {
 			t.Fatalf("%s engine ran %d passes, want 2 (the panicking one and the one that filled the table)", shape, m.passes)
 		}
-		if st := srv.Stats(); st.Panics != 1 || st.Requests != 5 {
-			t.Fatalf("%s stats %+v: want 1 panicked and 5 answered requests", shape, st)
+		if st := srv.Stats(); st.Panics != 0 || st.Requests != 5 {
+			t.Fatalf("%s stats %+v: want 5 answered requests and no panicked one", shape, st)
 		}
 		srv.Close()
 	}
@@ -225,7 +242,7 @@ func headReference(t testing.TB, ck *checkpoint.Checkpoint) [][]float64 {
 		t.Fatal(err)
 	}
 	emb, head := m.(models.Decoupled).InferenceFactors()
-	return denseRows(ApplyHead(head, emb))
+	return denseRows(models.ApplyHead(head, emb))
 }
 
 // TestCoupledAnswersEqualFreshForward extends the determinism contract over
@@ -292,43 +309,6 @@ func TestCoupledAnswersEqualFreshForward(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestEnginePassCounterFollowsCacheFill: adafgl_serve_engine_passes_total
-// counts table fills, not windows — still zero after construction (the fill
-// is paid by the first window, not by New), one after the first window and
-// after every later one, for a coupled and a decoupled server alike — while
-// adafgl_serve_batches_total keeps counting windows.
-func TestEnginePassCounterFollowsCacheFill(t *testing.T) {
-	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
-	for _, tc := range []struct {
-		arch       string
-		wantPasses uint64
-	}{{"GCN", 1}, {"SGC", 1}} {
-		ck := trainedCheckpoint(t, tc.arch, 73)
-		passes, batches := telEnginePasses.With(tc.arch), telBatches.With(tc.arch)
-		passes0, batches0 := passes.Value(), batches.Value()
-		srv, err := New(ck, Options{MaxBatch: 4, MaxWait: time.Millisecond, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := passes.Value() - passes0; got != 0 {
-			t.Fatalf("%s: %d engine passes counted before any request", tc.arch, got)
-		}
-		const windows = 9
-		for w := 1; w <= windows; w++ {
-			if _, err := srv.Predict([]int{w, w + 1}); err != nil {
-				t.Fatal(err)
-			}
-			if got := passes.Value() - passes0; got != tc.wantPasses {
-				t.Fatalf("%s: %d engine passes after window %d, want %d", tc.arch, got, w, tc.wantPasses)
-			}
-		}
-		srv.Close()
-		if got := batches.Value() - batches0; got != windows {
-			t.Fatalf("%s: %d windows counted, want %d", tc.arch, got, windows)
 		}
 	}
 }

@@ -1,16 +1,15 @@
 // Package serve is the batched inference layer of the AdaFGL reproduction:
-// it rebuilds a trained model from a checkpoint and answers concurrent
-// node-classification queries by coalescing them into batch windows. One
-// server is one immutable checkpoint on one immutable graph, so its answers
-// are a constant — the N×C logits table Alg. 2 calls Ẑ — and that table is
-// the server's whole answer state for every architecture: the first window
-// that needs it runs the one fill (a message-passing model's full-graph
-// forward; a decoupled model's dense head over every row of its propagated
-// embedding), the model is dropped, and every window is a row gather.
-// Predictions are bit-identical for every batch size, batch window and
-// worker count. The server is a Go API (Predict/PredictAll); its HTTP
-// surface is the registry package's v1 API, which this package supplies with
-// the request decoders, the error envelope and the panic-recovery middleware.
+// it answers concurrent node-classification queries against a trained
+// model's logits by coalescing them into batch windows. One server is one
+// immutable checkpoint on one immutable graph, so its answers are a
+// constant — the N×C logits table Alg. 2 calls Ẑ — and that table is the
+// server's whole answer state for every architecture. A server is born with
+// it: New fills it once (checkpoint.Table), before the dispatcher starts,
+// and every window is a row gather. Predictions are bit-identical for every
+// batch size, batch window and worker count. The server is a Go API
+// (Predict/PredictAll); its HTTP surface is the registry package's v1 API,
+// which this package supplies with the request decoders, the error envelope
+// and the panic-recovery middleware.
 package serve
 
 import (
@@ -22,9 +21,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/graph"
 	"repro/internal/matrix"
-	"repro/internal/models"
 	"repro/internal/telemetry"
 )
 
@@ -94,10 +91,12 @@ var ErrOverloaded = errors.New("serve: Predict: overloaded: pending-node budget 
 // window ran. The HTTP layer maps it to 504; test with errors.Is.
 var ErrDeadline = errors.New("serve: Predict: request deadline exceeded")
 
-// ErrModelPanic marks a batch window whose model engine panicked. The
-// dispatcher recovers, fails only that window's requests with this error
-// (HTTP 500) and keeps serving; the registry's circuit breaker counts these
-// toward tripping the model. Test with errors.Is.
+// ErrModelPanic marks a model engine that panicked: a table fill, which New
+// recovers and returns as its error (no server is started), or a batch
+// window, which the dispatcher recovers by failing only that window's
+// requests with this error (HTTP 500) while it keeps serving. The registry's
+// circuit breaker counts both toward tripping the model. Test with
+// errors.Is.
 var ErrModelPanic = errors.New("serve: Predict: model engine panicked")
 
 // Prediction is the answer for one queried node.
@@ -113,20 +112,17 @@ type Prediction struct {
 // Server is an embedded batched-inference server bound to one checkpointed
 // model. Concurrent Predict calls are coalesced by a single dispatcher into
 // batch windows, each answered by a row gather from the server's logits
-// table; the one fill of that table runs on the bounded parallel pool.
-// Create with New, release with Close.
+// table. Create with New (or NewFromTable), release with Close.
 type Server struct {
-	src  graph.NodeSource
 	arch string
 
-	// table is the whole answer state: the N×C logits of the one successful
-	// fill, nil until the first window that needs it. fill produces it and is
-	// dropped once it has, releasing whatever it closes over (the model and
-	// its propagated embedding, a shard set). Both are owned by the
-	// dispatcher goroutine; the table is never invalidated (checkpoint and
-	// graph are immutable) and goes with the server.
-	table *matrix.Dense
-	fill  func() *matrix.Dense
+	// table is the whole answer state: the N×C logits, filled before the
+	// server existed and never written again (checkpoint and graph are
+	// immutable), so windows read it without a lock. labels are the nodes'
+	// ground-truth classes for online-accuracy accounting, nil when the
+	// graph is unlabelled.
+	table  *matrix.Dense
+	labels []int
 
 	opt     Options
 	queue   chan *request
@@ -170,60 +166,59 @@ func (opt Options) withDefaults() (Options, error) {
 	return opt, nil
 }
 
-// New rebuilds the checkpointed model and starts the batching dispatcher.
-// Decoupled architectures pay their propagation here, with the rebuild; the
-// logits table is filled by the first window that needs it.
+// New fills the checkpoint's logits table (checkpoint.Table: the model
+// rebuild, and the one full-graph inference) and starts the batching
+// dispatcher over it. A fill that panics is recovered: New returns an error
+// wrapping ErrModelPanic and starts nothing.
 func New(ck *checkpoint.Checkpoint, opt Options) (*Server, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	m, err := ck.Model(opt.Seed)
+	table, err := fillTable(ck, opt.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("serve: New: %w", err)
 	}
-	return newServer(ck.Graph, ck.Arch, modelFill(m), opt), nil
+	return newServer(ck.Arch, table, ck.Graph.Labels, opt), nil
 }
 
-// NewFromFill starts a server whose logits table comes from fill: one row of
-// class scores per src node. fill runs at most once to completion, on the
-// dispatcher goroutine, in the first window that needs the table; a fill
-// that panics fails that window alone and is run again by the next.
-// shard.NewFromParts fills from a sharded graph this way, and tests put the
-// dispatcher in front of a stub engine; single-process callers go through
-// New.
-func NewFromFill(src graph.NodeSource, arch string, fill func() *matrix.Dense, opt Options) (*Server, error) {
+// fillTable runs ck.Table behind a recover barrier. The barrier is what keeps
+// a model bug an error: a fill that panicked on a registry cold start would
+// otherwise unwind through the acquire that owns the model's loading state
+// and wedge every later acquire of that model.
+func fillTable(ck *checkpoint.Checkpoint, seed int64) (table *matrix.Dense, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			table = nil
+			err = fmt.Errorf("table fill panic: %v: %w", rec, ErrModelPanic)
+		}
+	}()
+	return ck.Table(seed)
+}
+
+// NewFromTable starts a server over an already-filled logits table: one row
+// of class scores per node, labels (nil for an unlabelled graph) one class
+// per row. shard.Table fills one from a sharded graph; New fills one from a
+// checkpoint. The server keeps table and labels and never writes them.
+func NewFromTable(arch string, table *matrix.Dense, labels []int, opt Options) (*Server, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if src == nil || fill == nil {
-		return nil, fmt.Errorf("serve: NewFromFill: nil source or fill")
+	if table == nil {
+		return nil, fmt.Errorf("serve: NewFromTable: nil table")
 	}
-	return newServer(src, arch, fill, opt), nil
-}
-
-// modelFill is the table fill of a rebuilt model: the full-graph forward for
-// a message-passing architecture, the dense head over every row of the
-// propagated embedding for a decoupled one. The decoupled fill is ApplyHead,
-// not Logits: its fixed per-row accumulation order makes a row's answer
-// independent of which rows it is computed with, so a fill assembled shard
-// by shard lands on the same bits.
-func modelFill(m models.Model) func() *matrix.Dense {
-	if dec, ok := m.(models.Decoupled); ok {
-		return func() *matrix.Dense {
-			emb, head := dec.InferenceFactors()
-			return ApplyHead(head, emb)
-		}
+	if labels != nil && len(labels) != table.Rows {
+		return nil, fmt.Errorf("serve: NewFromTable: %d labels for %d table rows", len(labels), table.Rows)
 	}
-	return func() *matrix.Dense { return m.Logits(false) }
+	return newServer(arch, table, labels, opt), nil
 }
 
 // newServer assembles a server over resolved options and starts its
 // dispatcher.
-func newServer(src graph.NodeSource, arch string, fill func() *matrix.Dense, opt Options) *Server {
+func newServer(arch string, table *matrix.Dense, labels []int, opt Options) *Server {
 	s := &Server{
-		src: src, arch: arch, fill: fill, opt: opt,
+		arch: arch, table: table, labels: labels, opt: opt,
 		queue:   make(chan *request, 4*opt.MaxBatch),
 		quit:    make(chan struct{}),
 		stopped: make(chan struct{}),
@@ -237,11 +232,11 @@ func newServer(src graph.NodeSource, arch string, fill func() *matrix.Dense, opt
 // Arch returns the served architecture's registry name.
 func (s *Server) Arch() string { return s.arch }
 
-// Nodes returns the number of servable nodes (the graph size).
-func (s *Server) Nodes() int { return s.src.NumNodes() }
+// Nodes returns the number of servable nodes (the table's rows).
+func (s *Server) Nodes() int { return s.table.Rows }
 
-// Classes returns the number of output classes.
-func (s *Server) Classes() int { return s.src.NumClasses() }
+// Classes returns the number of output classes (the table's columns).
+func (s *Server) Classes() int { return s.table.Cols }
 
 // Predict classifies the given nodes, blocking until the batch window
 // containing them has run. Node ids outside the graph yield a named-op
@@ -283,8 +278,8 @@ func (s *Server) predictCtx(ctx context.Context, nodes []int) ([]Prediction, err
 		return nil, fmt.Errorf("serve: Predict: empty node list")
 	}
 	for _, v := range nodes {
-		if v < 0 || v >= s.src.NumNodes() {
-			return nil, fmt.Errorf("serve: Predict: node %d outside graph of %d nodes", v, s.src.NumNodes())
+		if v < 0 || v >= s.Nodes() {
+			return nil, fmt.Errorf("serve: Predict: node %d outside graph of %d nodes", v, s.Nodes())
 		}
 	}
 	// Admission control for Drain: the inflight increment must precede the
@@ -379,7 +374,7 @@ func (s *Server) predictCtx(ctx context.Context, nodes []int) ([]Prediction, err
 
 // PredictAll classifies every node of the graph — the full-graph warm path.
 func (s *Server) PredictAll() ([]Prediction, error) {
-	nodes := make([]int, s.src.NumNodes())
+	nodes := make([]int, s.Nodes())
 	for i := range nodes {
 		nodes[i] = i
 	}
@@ -392,7 +387,12 @@ func (s *Server) Stats() Snapshot { return s.metrics.snapshot() }
 // Label returns node's ground-truth class and whether the serving graph
 // carries a label for it. The registry layer uses it for online-accuracy
 // accounting (per-model stats, A/B reports) without reaching into the graph.
-func (s *Server) Label(node int) (int, bool) { return s.src.Label(node) }
+func (s *Server) Label(node int) (int, bool) {
+	if node < 0 || node >= len(s.labels) {
+		return 0, false
+	}
+	return s.labels[node], true
+}
 
 // Drain gracefully retires the server: new Predict calls are turned away
 // with ErrDraining (which wraps ErrClosed) immediately, every

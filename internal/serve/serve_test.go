@@ -162,14 +162,26 @@ func TestPredictValidation(t *testing.T) {
 	if _, err := New(ck, Options{MaxBatch: -3}); err == nil {
 		t.Fatal("negative MaxBatch must fail")
 	}
-	if _, err := NewFromFill(nil, "SGC", func() *matrix.Dense { return nil }, Options{}); err == nil {
-		t.Fatal("nil source must fail")
+	if _, err := New(&checkpoint.Checkpoint{Arch: "SGC"}, Options{}); err == nil {
+		t.Fatal("a checkpoint without a graph must fail")
 	}
-	if _, err := NewFromFill(ck.Graph, "SGC", nil, Options{}); err == nil {
-		t.Fatal("nil fill must fail")
+	table := matrix.New(ck.Graph.N, ck.Graph.Classes)
+	if _, err := NewFromTable("SGC", nil, nil, Options{}); err == nil {
+		t.Fatal("nil table must fail")
 	}
-	if _, err := NewFromFill(ck.Graph, "SGC", func() *matrix.Dense { return nil }, Options{RequestTimeout: -1}); err == nil {
+	if _, err := NewFromTable("SGC", table, ck.Graph.Labels[1:], Options{}); err == nil {
+		t.Fatal("labels of the wrong length must fail")
+	}
+	if _, err := NewFromTable("SGC", table, nil, Options{RequestTimeout: -1}); err == nil {
 		t.Fatal("negative RequestTimeout must fail")
+	}
+	bare, err := NewFromTable("SGC", table, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	if _, ok := bare.Label(0); ok {
+		t.Fatal("a server without labels must not answer one")
 	}
 }
 

@@ -3,9 +3,9 @@ package serve
 import "repro/internal/telemetry"
 
 // Serving-layer metric families on the process-wide telemetry registry.
-// One series per served architecture; every counter but the engine-pass one
-// mirrors a field of the bit-compatible Snapshot, so /stats and /v1/metrics
-// can never disagree on what they count.
+// One series per served architecture; every counter mirrors a field of the
+// bit-compatible Snapshot, so /stats and /v1/metrics can never disagree on
+// what they count.
 var (
 	telRequests = telemetry.Default().CounterVec("adafgl_serve_requests_total",
 		"Completed Predict calls.", "arch")
@@ -13,8 +13,6 @@ var (
 		"Node queries answered.", "arch")
 	telBatches = telemetry.Default().CounterVec("adafgl_serve_batches_total",
 		"Executed batch windows.", "arch")
-	telEnginePasses = telemetry.Default().CounterVec("adafgl_serve_engine_passes_total",
-		"Logits-table fills started: one per server, run by its first window (a fill that panicked is started again).", "arch")
 	telShed = telemetry.Default().CounterVec("adafgl_serve_shed_total",
 		"Predict calls rejected by admission control.", "arch")
 	telDeadlines = telemetry.Default().CounterVec("adafgl_serve_deadline_total",
@@ -31,11 +29,10 @@ var (
 // never pays a family map lookup. A nil *telSeries (zero-value Metrics
 // outside a server) records nothing.
 type telSeries struct {
-	requests, nodes         *telemetry.Counter
-	batches, passes         *telemetry.Counter
-	shed, deadlines, panics *telemetry.Counter
-	latency                 *telemetry.Histogram
-	pending                 *telemetry.Gauge
+	requests, nodes, batches *telemetry.Counter
+	shed, deadlines, panics  *telemetry.Counter
+	latency                  *telemetry.Histogram
+	pending                  *telemetry.Gauge
 }
 
 // newTelSeries resolves the per-arch series once at server construction.
@@ -44,7 +41,6 @@ func newTelSeries(arch string) *telSeries {
 		requests:  telRequests.With(arch),
 		nodes:     telNodes.With(arch),
 		batches:   telBatches.With(arch),
-		passes:    telEnginePasses.With(arch),
 		shed:      telShed.With(arch),
 		deadlines: telDeadlines.With(arch),
 		panics:    telPanics.With(arch),

@@ -1,10 +1,10 @@
 // Package shard breaks the one-graph-per-process ceiling: it partitions a
 // graph — materialised or streamed — into per-shard CSR + feature slabs
 // with halo (boundary) tables, runs K-hop propagation across shard edges by
-// exchanging halo rows between hops, and fills a serve.Server's logits table
-// from the shards (NewFromParts): embedding and head per shard, rows
+// exchanging halo rows between hops, and exports a model's served logits
+// table from the shards (Table): embedding and head per shard, rows
 // scattered to global ids. Sharding bounds what a process holds while
-// filling; the server itself is the same N×C table at every shard count, so
+// filling; the table itself is the same N×C matrix at every shard count, so
 // decoupled architectures (SGC, GAMLP, MLP) answer bit-identically to the
 // unsharded server however they were filled, and message-passing
 // architectures, whose whole serving state is that table, have nothing to

@@ -77,15 +77,9 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	head := []models.HeadLayer{{W: w, Bias: make([]float64, spec.Classes)}}
 	rec := models.EmbeddingSpec{Hops: 2, Norm: sparse.NormSym}
-	srv, err := NewFromParts(sh, "SGC", head, rec, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := tableServer(t, sh, "SGC", head, rec, serve.Options{})
 	defer srv.Close()
-	ref, err := NewFromParts(whole, "SGC", head, rec, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := tableServer(t, whole, "SGC", head, rec, serve.Options{})
 	defer ref.Close()
 	var nodes []int
 	for v := 0; v < spec.Nodes; v += 97 {

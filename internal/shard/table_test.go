@@ -90,9 +90,9 @@ func unshardedLogits(t *testing.T, ck *checkpoint.Checkpoint) [][]float64 {
 	return predictAllLogits(t, ref)
 }
 
-// shardedParts METIS-plans ck's graph into shards and returns what
-// NewFromParts needs to fill from them: the shard set, and the trained
-// model's own head and embedding recipe. ck must hold a decoupled model.
+// shardedParts METIS-plans ck's graph into shards and returns what Table
+// needs to fill from them: the shard set, and the trained model's own head
+// and embedding recipe. ck must hold a decoupled model.
 func shardedParts(t testing.TB, ck *checkpoint.Checkpoint, shards int) (*Sharded, []models.HeadLayer, models.EmbeddingSpec) {
 	t.Helper()
 	m, err := ck.Model(1)
@@ -113,15 +113,25 @@ func shardedParts(t testing.TB, ck *checkpoint.Checkpoint, shards int) (*Sharded
 	return sh, head, spec
 }
 
+// tableServer serves the table Table fills from sh, with the shards' labels.
+func tableServer(t testing.TB, sh *Sharded, arch string, head []models.HeadLayer, spec models.EmbeddingSpec, opt serve.Options) *serve.Server {
+	t.Helper()
+	table, err := Table(sh, head, spec)
+	if err != nil {
+		t.Fatalf("%s/%d shards: %v", arch, len(sh.Shards), err)
+	}
+	srv, err := serve.NewFromTable(arch, table, sh.Labels(), opt)
+	if err != nil {
+		t.Fatalf("%s/%d shards: %v", arch, len(sh.Shards), err)
+	}
+	return srv
+}
+
 // shardedServer starts ck's decoupled model behind a shards-way fill.
 func shardedServer(t testing.TB, ck *checkpoint.Checkpoint, shards int, opt serve.Options) *serve.Server {
 	t.Helper()
 	sh, head, spec := shardedParts(t, ck, shards)
-	srv, err := NewFromParts(sh, ck.Arch, head, spec, opt)
-	if err != nil {
-		t.Fatalf("%s/%d shards: %v", ck.Arch, shards, err)
-	}
-	return srv
+	return tableServer(t, sh, ck.Arch, head, spec, opt)
 }
 
 // TestEveryArchitectureServesSharded is the one-answer-per-checkpoint
@@ -158,8 +168,8 @@ func TestEveryArchitectureServesSharded(t *testing.T) {
 // claim, over the life of a server: for every decoupled architecture, at 2
 // and 4 shards and at 1 and 3 workers, thirty windows of single-node,
 // node-set and full-graph queries answer the unsharded server's bits — and
-// the sharded fill runs once: the halo exchanges all belong to the first
-// window, later windows gather.
+// the sharded fill runs once: the halo exchanges all belong to construction,
+// windows only gather.
 func TestDecoupledShardedBitIdentical(t *testing.T) {
 	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
 	defer parallel.SetWorkers(parallel.SetWorkers(0))
@@ -186,12 +196,9 @@ func TestDecoupledShardedBitIdentical(t *testing.T) {
 			for _, shards := range []int{2, 4} {
 				what := fmt.Sprintf("%s workers=%d shards=%d", arch, workers, shards)
 				sh, head, spec := shardedParts(t, ck, shards)
-				srv, err := NewFromParts(sh, arch, head, spec, serve.Options{MaxBatch: 4, MaxWait: 0, Seed: 1})
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
 				before := telExchanges.Value()
-				var filled uint64
+				srv := tableServer(t, sh, arch, head, spec, serve.Options{MaxBatch: 4, MaxWait: 0, Seed: 1})
+				filled := telExchanges.Value() - before
 				for w := 0; w < windows; w++ {
 					nodes := query(w)
 					preds, err := srv.Predict(nodes)
@@ -208,13 +215,10 @@ func TestDecoupledShardedBitIdentical(t *testing.T) {
 							}
 						}
 					}
-					if w == 0 {
-						filled = telExchanges.Value() - before
-					}
 				}
 				// One exchange fills the hop-zero halos, one more per hop.
 				if wantRuns := uint64(spec.Hops + 1); filled != wantRuns || telExchanges.Value()-before != wantRuns {
-					t.Errorf("%s: %d halo exchanges in the first window, %d over %d windows, want %d and no more",
+					t.Errorf("%s: %d halo exchanges in construction, %d after %d windows, want %d and no more",
 						what, filled, telExchanges.Value()-before, windows, wantRuns)
 				}
 				srv.Close()
@@ -282,10 +286,10 @@ func TestShardedRouting(t *testing.T) {
 	for _, shd := range sh.Shards {
 		shd.Labels = nil
 	}
-	bare, err := NewFromParts(sh, "SGC", head, spec, serve.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	if sh.Labels() != nil {
+		t.Fatal("unlabelled shards gathered labels")
 	}
+	bare := tableServer(t, sh, "SGC", head, spec, serve.Options{Seed: 1})
 	defer bare.Close()
 	if _, ok := bare.Label(0); ok {
 		t.Fatal("unlabelled shards must not answer labels")
@@ -307,9 +311,9 @@ func TestShardedDrain(t *testing.T) {
 	p.Close() // idempotent after Drain
 }
 
-// TestNewFromPartsErrors covers the parts-constructor validation.
-func TestNewFromPartsErrors(t *testing.T) {
-	if _, err := NewFromParts(nil, "SGC", nil, models.EmbeddingSpec{}, serve.Options{}); err == nil {
+// TestTableErrors covers the exporter's validation.
+func TestTableErrors(t *testing.T) {
+	if _, err := Table(nil, nil, models.EmbeddingSpec{}); err == nil {
 		t.Fatal("expected nil shard set error")
 	}
 	spec := datasets.DefaultStream(120, 7)
@@ -321,7 +325,7 @@ func TestNewFromPartsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFromParts(sh, "SGC", nil, models.EmbeddingSpec{Norm: sparse.NormSym}, serve.Options{}); err == nil ||
+	if _, err := Table(sh, nil, models.EmbeddingSpec{Norm: sparse.NormSym}); err == nil ||
 		!strings.Contains(err.Error(), "norm") {
 		t.Fatalf("norm mismatch: %v", err)
 	}
@@ -329,11 +333,8 @@ func TestNewFromPartsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFromParts(sh2, "SGC", nil, models.EmbeddingSpec{Hops: 1, HopWeights: []float64{1}}, serve.Options{}); err == nil {
+	if _, err := Table(sh2, nil, models.EmbeddingSpec{Hops: 1, HopWeights: []float64{1}}); err == nil {
 		t.Fatal("expected embedding recipe error")
-	}
-	if _, err := NewFromParts(sh2, "SGC", nil, models.EmbeddingSpec{}, serve.Options{MaxBatch: -2}); err == nil {
-		t.Fatal("expected options error")
 	}
 }
 
@@ -349,15 +350,9 @@ func TestStreamServeMatchesGraphServe(t *testing.T) {
 	}
 	head := []models.HeadLayer{{W: w, Bias: make([]float64, spec.Classes)}}
 	rec := models.EmbeddingSpec{Hops: 2, Norm: sparse.NormSym}
-	a, err := NewFromParts(st, "SGC", head, rec, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := tableServer(t, st, "SGC", head, rec, serve.Options{})
 	defer a.Close()
-	b, err := NewFromParts(gr, "SGC", head, rec, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := tableServer(t, gr, "SGC", head, rec, serve.Options{})
 	defer b.Close()
 	ga, gb := predictAllLogits(t, a), predictAllLogits(t, b)
 	for v := range ga {

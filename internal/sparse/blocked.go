@@ -18,10 +18,8 @@
 package sparse
 
 import (
-	"flag"
 	"fmt"
 	"math"
-	"strconv"
 	"sync/atomic"
 
 	"repro/internal/matrix"
@@ -67,20 +65,6 @@ func CurrentBlocking() Blocking {
 		return *b
 	}
 	return DefaultBlocking()
-}
-
-// RegisterFlag declares the -spmm-panel flag on fs — its one declaration for
-// every binary and example. The flag applies itself: parsing "-spmm-panel N"
-// calls SetBlocking with that panel width (0 = engine default).
-func RegisterFlag(fs *flag.FlagSet) {
-	fs.Func("spmm-panel", "blocked SpMM panel width in sparse columns (0 = engine default); affects speed only (results are bit-identical)", func(s string) error {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return err
-		}
-		SetBlocking(Blocking{Panel: n})
-		return nil
-	})
 }
 
 // blockedCSR is the column-panel layout: panel i covers sparse columns

@@ -1,8 +1,6 @@
 package sparse
 
 import (
-	"flag"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -185,17 +183,6 @@ func TestBlockingConfig(t *testing.T) {
 	SetBlocking(Blocking{Panel: 0}) // falls back to the default
 	if got, want := CurrentBlocking().Panel, DefaultBlocking().Panel; got != want {
 		t.Fatalf("Panel = %d after reset, want default %d", got, want)
-	}
-
-	// The -spmm-panel flag applies itself at parse and refuses non-integers.
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	RegisterFlag(fs)
-	if err := fs.Parse([]string{"-spmm-panel", "512"}); err != nil || CurrentBlocking().Panel != 512 {
-		t.Fatalf("-spmm-panel 512: err %v, panel %d", err, CurrentBlocking().Panel)
-	}
-	if err := fs.Parse([]string{"-spmm-panel", "wide"}); err == nil {
-		t.Fatal("-spmm-panel wide must fail the parse")
 	}
 }
 
