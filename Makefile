@@ -18,8 +18,9 @@ lint:
 # Documentation gate, matching the CI "docs-lint" job: every internal
 # package needs a package comment, the substrate packages (federated,
 # sparse, matrix, parallel) need docs on every exported identifier, serve
-# and shard keep their import layering (cmd/docslint), ARCHITECTURE.md must
-# exist and be linked from README.
+# and shard keep their import layering, the set-up packages (graph, sparse,
+# partition, datasets, shard) declare no int- or [2]int-keyed map
+# (cmd/docslint), ARCHITECTURE.md must exist and be linked from README.
 docs-lint:
 	$(GO) run ./cmd/docslint
 	@test -f ARCHITECTURE.md || { echo "ARCHITECTURE.md missing" >&2; exit 1; }
@@ -36,9 +37,12 @@ test:
 # which case pin it with the explicit float64(a*b) rounding core.evolveSigns
 # already uses. internal/bench rides along: its paper_tiny.golden pins every
 # table and figure line; so do internal/serve and internal/shard, whose
-# TestGoldenServedLogits pins every architecture's served logits.
+# TestGoldenServedLogits pins every architecture's served logits. The set-up
+# path's reference and property suites run too: Louvain's visit rule skips
+# the sort by comparing floats, and must still match the always-sort fold.
 test-fused:
 	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/core ./internal/federated ./internal/fgl ./internal/bench ./internal/serve ./internal/shard -run 'Golden|Property'
+	GOAMD64=v3 $(GO) test ./internal/partition ./internal/datasets ./internal/graph -run 'Reference|Property'
 
 # Race-detector coverage of the concurrent paths (worker pool, graph caches
 # filled by several models at once, federated fan-out incl. fault injection,

@@ -15,7 +15,10 @@
 // It also enforces the import layering of the serving stack (importBans):
 // internal/serve answers from a filled logits table and may not import
 // models, nn, parallel or graph; internal/shard exports tables and may not
-// import serve. The rule covers non-test files only.
+// import serve. And it keeps node- and edge-keyed maps off the set-up path
+// (denseDirs): internal/graph, sparse, partition, datasets and shard may not
+// declare a map keyed by int, int32, int64 or [2]int. Both rules cover
+// non-test files only.
 //
 // Violations are printed one per line as file:line: message and the exit
 // status is 1; a clean tree prints nothing and exits 0.
@@ -65,6 +68,17 @@ var strictDirs = map[string]bool{
 var importBans = map[string][]string{
 	"internal/serve": {"repro/internal/models", "repro/internal/nn", "repro/internal/parallel", "repro/internal/graph"},
 	"internal/shard": {"repro/internal/serve"},
+}
+
+// denseDirs lists the set-up path's packages, relative to the repository
+// root. Node ids there are dense, so a node-, community- or edge-keyed table
+// is a slice indexed by id, a dense remap or a graph.EdgeSet, never a map.
+var denseDirs = map[string]bool{
+	"internal/graph":     true,
+	"internal/sparse":    true,
+	"internal/partition": true,
+	"internal/datasets":  true,
+	"internal/shard":     true,
 }
 
 func main() {
@@ -126,9 +140,9 @@ func goPackageDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// lintDir parses one package directory and reports its documentation and
-// import-layering violations. rel is the root-relative path that keys
-// importBans; strict adds the exported-identifier tier.
+// lintDir parses one package directory and reports its documentation,
+// import-layering and map-key violations. rel is the root-relative path that
+// keys importBans and denseDirs; strict adds the exported-identifier tier.
 func lintDir(dir, rel string, strict bool) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -157,6 +171,9 @@ func lintDir(dir, rel string, strict bool) ([]string, error) {
 		sort.Strings(files)
 		for _, fname := range files {
 			problems = append(problems, lintImports(fset, pkg.Files[fname], importBans[rel])...)
+			if denseDirs[rel] {
+				problems = append(problems, lintMapKeys(fset, pkg.Files[fname])...)
+			}
 			if strict {
 				problems = append(problems, lintFile(fset, pkg.Files[fname])...)
 			}
@@ -178,6 +195,41 @@ func lintImports(fset *token.FileSet, f *ast.File, banned []string) []string {
 		}
 	}
 	return problems
+}
+
+// lintMapKeys reports every map type in f keyed by int, int32, int64 or
+// [2]int.
+func lintMapKeys(fset *token.FileSet, f *ast.File) []string {
+	var problems []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		m, ok := n.(*ast.MapType)
+		if !ok {
+			return true
+		}
+		if key := idKey(m.Key); key != "" {
+			p := fset.Position(m.Pos())
+			problems = append(problems, fmt.Sprintf("%s:%d: map keyed by %s on the set-up path; use a dense slice or graph.EdgeSet", filepath.ToSlash(p.Filename), p.Line, key))
+		}
+		return true
+	})
+	return problems
+}
+
+// idKey returns the banned key type's spelling, or "" for any other key.
+func idKey(key ast.Expr) string {
+	switch k := key.(type) {
+	case *ast.Ident:
+		switch k.Name {
+		case "int", "int32", "int64":
+			return k.Name
+		}
+	case *ast.ArrayType:
+		lit, ok := k.Len.(*ast.BasicLit)
+		if elt, isIdent := k.Elt.(*ast.Ident); ok && isIdent && lit.Value == "2" && elt.Name == "int" {
+			return "[2]int"
+		}
+	}
+	return ""
 }
 
 // lintFile reports every exported top-level identifier of f that lacks a

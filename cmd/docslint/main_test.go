@@ -57,10 +57,57 @@ func TestImportLayering(t *testing.T) {
 	}
 }
 
-// TestRepositoryLayering holds the repository's own serve and shard
-// packages to the rule.
+// TestMapKeys: a set-up package declaring a map keyed by int, int32, int64
+// or [2]int — as a type, in a make, a literal or a signature — fails the
+// rule once per map with its file and line; a string-keyed map, the same
+// maps in a test file, or in a package outside the rule, pass.
+func TestMapKeys(t *testing.T) {
+	root := t.TempDir()
+	graphDir := writePkg(t, root, "internal/graph", "graph.go", `// Package graph is a fixture.
+package graph
+
+type remap map[int]int
+
+var names = map[string]int{}
+
+func edges(n int) map[[2]int]bool {
+	deg := make(map[int32]float64, n)
+	_ = map[int64][]int{1: nil}
+	_ = deg
+	return nil
+}
+`)
+	writePkg(t, root, "internal/graph", "graph_test.go", "package graph\n\nvar seen = map[[2]int]bool{}\n")
+	freeDir := writePkg(t, root, "internal/registry", "registry.go",
+		"// Package registry is a fixture.\npackage registry\n\nvar versions = map[int]string{}\n")
+
+	problems, err := lintDir(graphDir, "internal/graph", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"graph.go:4: map keyed by int on",
+		"graph.go:8: map keyed by [2]int on",
+		"graph.go:9: map keyed by int32 on",
+		"graph.go:10: map keyed by int64 on",
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("problems %q, want %d", problems, len(want))
+	}
+	for i, w := range want {
+		if !strings.Contains(problems[i], w) {
+			t.Errorf("problem %q, want one containing %q", problems[i], w)
+		}
+	}
+	if problems, err := lintDir(freeDir, "internal/registry", false); err != nil || len(problems) != 0 {
+		t.Fatalf("registry: problems %q, err %v", problems, err)
+	}
+}
+
+// TestRepositoryLayering holds the repository's own packages to the import
+// and map-key rules.
 func TestRepositoryLayering(t *testing.T) {
-	for _, rel := range []string{"internal/serve", "internal/shard"} {
+	for _, rel := range []string{"internal/serve", "internal/shard", "internal/graph", "internal/sparse", "internal/partition", "internal/datasets"} {
 		problems, err := lintDir(filepath.Join("..", "..", rel), rel, false)
 		if err != nil {
 			t.Fatal(err)

@@ -111,7 +111,7 @@ func Generate(s Spec, seed int64) *graph.Graph {
 		community[i] = labels[i]*commPerClass + rng.Intn(commPerClass)
 	}
 	byClass := make([][]int, s.Classes)
-	byComm := make(map[int][]int)
+	byComm := make([][]int, s.Classes*commPerClass)
 	for i, c := range labels {
 		byClass[c] = append(byClass[c], i)
 		byComm[community[i]] = append(byComm[community[i]], i)
@@ -119,20 +119,12 @@ func Generate(s Spec, seed int64) *graph.Graph {
 
 	target := int(float64(n) * s.AvgDegree / 2)
 	edges := make([][2]int, 0, target)
-	seen := make(map[[2]int]bool, target)
+	seen := graph.NewEdgeSet(target)
 	addEdge := func(u, v int) bool {
-		if u == v {
+		if u == v || !seen.Add(u, v) {
 			return false
 		}
-		if u > v {
-			u, v = v, u
-		}
-		k := [2]int{u, v}
-		if seen[k] {
-			return false
-		}
-		seen[k] = true
-		edges = append(edges, k)
+		edges = append(edges, [2]int{min(u, v), max(u, v)})
 		return true
 	}
 	// Degree-biased sampling pool: start uniform, append endpoints of placed

@@ -355,19 +355,22 @@ func (g *Graph) NodeHomophily() float64 {
 	return total / float64(counted)
 }
 
-// Subgraph returns the node-induced subgraph on idx (order defines new ids),
-// copying features, labels and masks. The mapping old->new is also returned.
-func (g *Graph) Subgraph(idx []int) (*Graph, map[int]int) {
-	remap := make(map[int]int, len(idx))
+// Subgraph returns the node-induced subgraph on idx, copying features, labels
+// and masks: new node i is old node idx[i]. Old ids map to new ones through a
+// dense array of length N, -1 for the nodes left out.
+func (g *Graph) Subgraph(idx []int) *Graph {
+	remap := make([]int32, g.N)
+	for i := range remap {
+		remap[i] = -1
+	}
 	for newID, old := range idx {
-		remap[old] = newID
+		remap[old] = int32(newID)
 	}
 	var edges [][2]int
 	for _, e := range g.Edges {
-		nu, okU := remap[e[0]]
-		nv, okV := remap[e[1]]
-		if okU && okV {
-			edges = append(edges, [2]int{nu, nv})
+		nu, nv := remap[e[0]], remap[e[1]]
+		if nu >= 0 && nv >= 0 {
+			edges = append(edges, [2]int{int(nu), int(nv)})
 		}
 	}
 	var x *matrix.Dense
@@ -382,7 +385,7 @@ func (g *Graph) Subgraph(idx []int) (*Graph, map[int]int) {
 		sub.ValMask[newID] = g.ValMask[old]
 		sub.TestMask[newID] = g.TestMask[old]
 	}
-	return sub, remap
+	return sub
 }
 
 // Clone deep-copies the graph (including the inductive Eval graph, if any).
@@ -416,7 +419,7 @@ func MakeInductive(g *Graph) *Graph {
 			keep = append(keep, v)
 		}
 	}
-	observed, _ := g.Subgraph(keep)
+	observed := g.Subgraph(keep)
 	observed.Eval = g
 	return observed
 }
@@ -437,17 +440,17 @@ func (g *Graph) RemoveEdges(edges [][2]int) {
 	if len(edges) == 0 {
 		return
 	}
-	drop := make(map[[2]int]bool, len(edges))
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		if u > v {
-			u, v = v, u
+	drop := make([][2]int, len(edges))
+	for i, e := range edges {
+		if e[0] > e[1] {
+			e[0], e[1] = e[1], e[0]
 		}
-		drop[[2]int{u, v}] = true
+		drop[i] = e
 	}
+	slices.SortFunc(drop, compareEdges)
 	kept := g.Edges[:0]
 	for _, e := range g.Edges {
-		if !drop[e] {
+		if _, found := slices.BinarySearchFunc(drop, e, compareEdges); !found {
 			kept = append(kept, e)
 		}
 	}
@@ -531,20 +534,14 @@ func (g *Graph) LabelDistribution() []int {
 // stratified per class so every class appears in training (matching the
 // 20/40/40 and 60/20/20 protocols of Table I).
 func (g *Graph) SplitTransductive(trainFrac, valFrac float64, rng *rand.Rand) {
-	byClass := make(map[int][]int)
+	byClass := make([][]int, g.Classes)
 	for i, c := range g.Labels {
 		byClass[c] = append(byClass[c], i)
 	}
 	for i := range g.TrainMask {
 		g.TrainMask[i], g.ValMask[i], g.TestMask[i] = false, false, false
 	}
-	classes := make([]int, 0, len(byClass))
-	for c := range byClass {
-		classes = append(classes, c)
-	}
-	sort.Ints(classes)
-	for _, c := range classes {
-		nodes := byClass[c]
+	for _, nodes := range byClass {
 		rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
 		nTrain := int(float64(len(nodes)) * trainFrac)
 		if nTrain == 0 && len(nodes) > 0 {

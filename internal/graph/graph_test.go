@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -253,14 +254,15 @@ func TestOneHotLabels(t *testing.T) {
 func TestSubgraph(t *testing.T) {
 	g := twoBlocks()
 	g.TrainMask[3] = true
-	sub, remap := g.Subgraph([]int{3, 4, 5})
+	idx := []int{3, 4, 5}
+	sub := g.Subgraph(idx)
 	if sub.N != 3 || sub.M() != 3 {
 		t.Fatalf("subgraph %d nodes %d edges, want 3/3", sub.N, sub.M())
 	}
 	if sub.Labels[0] != 1 {
 		t.Fatal("labels not remapped")
 	}
-	if !sub.TrainMask[remap[3]] {
+	if !sub.TrainMask[slices.Index(idx, 3)] {
 		t.Fatal("train mask not carried over")
 	}
 	if got := sub.EdgeHomophily(); got != 1 {
@@ -270,7 +272,7 @@ func TestSubgraph(t *testing.T) {
 
 func TestSubgraphDropsCrossEdges(t *testing.T) {
 	g := twoBlocks()
-	sub, _ := g.Subgraph([]int{2, 3})
+	sub := g.Subgraph([]int{2, 3})
 	if sub.M() != 1 {
 		t.Fatalf("bridge-only subgraph has %d edges, want 1", sub.M())
 	}
@@ -424,7 +426,7 @@ func TestQuickSingleClassSubgraphHomophily(t *testing.T) {
 		for i := 0; i < n/2; i++ {
 			idx = append(idx, i)
 		}
-		sub, _ := g.Subgraph(idx)
+		sub := g.Subgraph(idx)
 		if sub.M() == 0 {
 			return true
 		}

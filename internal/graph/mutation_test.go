@@ -212,15 +212,16 @@ func TestPropagatedXConcurrentColdFill(t *testing.T) {
 func TestSubgraphMatchesScratchRebuild(t *testing.T) {
 	g := mutationFixture(50, 3)
 	idx := []int{41, 3, 17, 8, 29, 0, 45, 12, 33, 21, 5}
-	sub, remap := g.Subgraph(idx)
+	sub := g.Subgraph(idx)
+	remap := make(map[int]int, len(idx)) // old id -> new id, inverted from idx
+	for newID, old := range idx {
+		remap[old] = newID
+	}
 
 	if sub.N != len(idx) || sub.Classes != g.Classes {
 		t.Fatalf("subgraph shape %d/%d", sub.N, sub.Classes)
 	}
 	for newID, old := range idx {
-		if remap[old] != newID {
-			t.Fatalf("remap[%d] = %d, want %d", old, remap[old], newID)
-		}
 		if sub.Labels[newID] != g.Labels[old] {
 			t.Fatalf("label of new %d (old %d) is %d, want %d", newID, old, sub.Labels[newID], g.Labels[old])
 		}

@@ -8,6 +8,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 
@@ -179,20 +180,7 @@ func louvainOnePass(g weighted, rng *rand.Rand) ([]int, bool) {
 			}
 			// Remove u from its community.
 			commDegree[cu] -= degree[u]
-			// Deterministic candidate order: ties go to the lowest id
-			// (reproducible experiments).
-			slices.Sort(cands)
-			bestC, bestGain := cu, 0.0
-			base := toComm[cu] - degree[u]*commDegree[cu]/m2
-			for _, c := range cands {
-				// Modularity gain of joining c:
-				// ΔQ ∝ w - degree[u]*commDegree[c]/2m.
-				gain := toComm[c] - degree[u]*commDegree[c]/m2
-				if gain-base > bestGain+1e-12 {
-					bestGain = gain - base
-					bestC = c
-				}
-			}
+			bestC := bestCommunity(cu, cands, toComm, commDegree, degree[u], m2)
 			for _, c := range cands {
 				toComm[c], seen[c] = 0, false
 			}
@@ -209,6 +197,55 @@ func louvainOnePass(g weighted, rng *rand.Rand) ([]int, bool) {
 		}
 	}
 	return comm, movedAny
+}
+
+// bestCommunity returns the community a node of degree du, already removed
+// from cu, joins: the result of sortedFold, found in one unsorted pass unless
+// two gains lie within the fold's 1e-12 tie margin of each other. The pass
+// takes the top gain and the runner-up over the candidates, with the fold's
+// own expressions so every value rounds as there. If the top does not clear
+// the fold's first threshold, no candidate can, and u stays. If it clears the
+// runner-up by the margin, the fold takes it wherever it sits in ascending
+// order: everything before it is at most the runner-up, everything after at
+// most the top, and floating-point addition is monotone. Otherwise the fold
+// itself decides.
+func bestCommunity(cu int, cands []int, toComm, commDegree []float64, du, m2 float64) int {
+	base := toComm[cu] - du*commDegree[cu]/m2
+	top, runnerUp, topC := math.Inf(-1), math.Inf(-1), cu
+	for _, c := range cands {
+		gain := toComm[c] - du*commDegree[c]/m2
+		if d := gain - base; d > top {
+			top, runnerUp, topC = d, top, c
+		} else if d > runnerUp {
+			runnerUp = d
+		}
+	}
+	switch {
+	case !(top > 0+1e-12):
+		return cu
+	case top > runnerUp+1e-12:
+		return topC
+	}
+	return sortedFold(cu, cands, toComm, commDegree, du, m2)
+}
+
+// sortedFold is the local-moving rule: candidates in ascending id order, a
+// move only for a gain above the best so far by more than 1e-12, so ties go
+// to the lowest id (reproducible experiments). It sorts cands in place.
+func sortedFold(cu int, cands []int, toComm, commDegree []float64, du, m2 float64) int {
+	slices.Sort(cands)
+	bestC, bestGain := cu, 0.0
+	base := toComm[cu] - du*commDegree[cu]/m2
+	for _, c := range cands {
+		// Modularity gain of joining c:
+		// ΔQ ∝ w - du*commDegree[c]/2m.
+		gain := toComm[c] - du*commDegree[c]/m2
+		if gain-base > bestGain+1e-12 {
+			bestGain = gain - base
+			bestC = c
+		}
+	}
+	return bestC
 }
 
 // Modularity computes the Newman modularity of the given assignment on g,

@@ -2,9 +2,11 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/sparse"
 )
 
 // Metis partitions g into k balanced parts with a multilevel-flavoured
@@ -114,44 +116,64 @@ func spreadSeeds(g *graph.Graph, k int, rng *rand.Rand) []int {
 }
 
 // klRefine performs greedy boundary moves that reduce the edge cut while
-// respecting the balance cap.
+// respecting the balance cap: up to three passes, each over a fresh random
+// node order.
 func klRefine(g *graph.Graph, part, sizes []int, cap1 int, rng *rand.Rand) {
+	adj := g.Adj()
+	count := make([]int, len(sizes))
+	touched := make([]int, 0, len(sizes))
 	for pass := 0; pass < 3; pass++ {
-		moved := 0
-		order := rng.Perm(g.N)
-		for _, v := range order {
-			pv := part[v]
-			// Gain of moving v to each neighbouring part.
-			nbrCount := map[int]int{}
-			for _, u := range g.Neighbors(v) {
-				nbrCount[part[u]]++
-			}
-			cands := make([]int, 0, len(nbrCount))
-			for p := range nbrCount {
-				cands = append(cands, p)
-			}
-			sort.Ints(cands)
-			bestP, bestGain := pv, 0
-			for _, p := range cands {
-				if p == pv || sizes[p] >= cap1 {
-					continue
-				}
-				gain := nbrCount[p] - nbrCount[pv]
-				if gain > bestGain {
-					bestGain, bestP = gain, p
-				}
-			}
-			if bestP != pv && sizes[pv] > 1 {
-				sizes[pv]--
-				sizes[bestP]++
-				part[v] = bestP
-				moved++
-			}
-		}
-		if moved == 0 {
+		if klPass(adj, part, sizes, cap1, rng.Perm(g.N), count, touched) == 0 {
 			break
 		}
 	}
+}
+
+// klPass visits the nodes in order and moves each, cap permitting, to the
+// neighbouring part where it has the most more neighbours than in its own,
+// if any; returns the number of moves. count (one zeroed entry per part) and
+// touched (capacity for every part) are scratch: count[p] is the visited
+// node's neighbours in part p, touched the parts it has any in, and only
+// those entries are reset.
+func klPass(adj *sparse.CSR, part, sizes []int, cap1 int, order, count, touched []int) int {
+	moved := 0
+	for _, v := range order {
+		pv := part[v]
+		cols, _ := adj.Row(v)
+		for _, u := range cols {
+			if u == v {
+				continue
+			}
+			p := part[u]
+			if count[p] == 0 {
+				touched = append(touched, p)
+			}
+			count[p]++
+		}
+		// Gain of moving v to each neighbouring part, in ascending part
+		// order so ties go to the lowest id.
+		slices.Sort(touched)
+		bestP, bestGain := pv, 0
+		for _, p := range touched {
+			if p == pv || sizes[p] >= cap1 {
+				continue
+			}
+			if gain := count[p] - count[pv]; gain > bestGain {
+				bestGain, bestP = gain, p
+			}
+		}
+		for _, p := range touched {
+			count[p] = 0
+		}
+		touched = touched[:0]
+		if bestP != pv && sizes[pv] > 1 {
+			sizes[pv]--
+			sizes[bestP]++
+			part[v] = bestP
+			moved++
+		}
+	}
+	return moved
 }
 
 // EdgeCut counts edges crossing part boundaries.

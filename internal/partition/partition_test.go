@@ -392,6 +392,32 @@ func BenchmarkCommunitySplit(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerate times the generation of setupShape's graph.
+func BenchmarkGenerate(b *testing.B) {
+	s, err := datasets.ByName("Physics")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		datasets.GenerateScaled(s, 8, 1)
+	}
+}
+
+// BenchmarkSubgraph times the induction of the ten client subgraphs of
+// setupShape's community split.
+func BenchmarkSubgraph(b *testing.B) {
+	g := setupShape(b)
+	groups := groupByPart(CommunitySplit(g, 10, rand.New(rand.NewSource(1))).Assignment, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, idx := range groups {
+			g.Subgraph(idx)
+		}
+	}
+}
+
 func BenchmarkFromEdges(b *testing.B) {
 	g := setupShape(b)
 	b.ResetTimer()
@@ -426,5 +452,29 @@ func BenchmarkMetis(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Metis(g, 10, rng)
+	}
+}
+
+// TestKLPassAllocations holds one Kernighan–Lin refinement pass to a constant
+// number of allocations whatever the graph's size: the random visiting order,
+// and nothing per node visit.
+func TestKLPassAllocations(t *testing.T) {
+	for _, sz := range []int{10, 200} {
+		g := plantedGraph(4, sz, 31)
+		const k = 4
+		rng := rand.New(rand.NewSource(32))
+		part, sizes := make([]int, g.N), make([]int, k)
+		for v := range part {
+			part[v] = rng.Intn(k)
+			sizes[part[v]]++
+		}
+		adj := g.Adj()
+		count, touched := make([]int, k), make([]int, 0, k)
+		allocs := testing.AllocsPerRun(5, func() {
+			klPass(adj, part, sizes, g.N, rng.Perm(g.N), count, touched)
+		})
+		if allocs != 1 {
+			t.Errorf("%d nodes: %v allocations per pass, want 1 (the visiting order)", g.N, allocs)
+		}
 	}
 }

@@ -116,8 +116,7 @@ func buildClients(g *graph.Graph, assign []int, k int, _ *rand.Rand) *ClientData
 	groups := groupByPart(assign, k)
 	cd := &ClientData{Assignment: assign}
 	for p := 0; p < k; p++ {
-		sub, _ := g.Subgraph(groups[p])
-		cd.Subgraphs = append(cd.Subgraphs, sub)
+		cd.Subgraphs = append(cd.Subgraphs, g.Subgraph(groups[p]))
 	}
 	return cd
 }
@@ -132,7 +131,7 @@ func RandomInject(g *graph.Graph, ratio float64, homophilous bool, rng *rand.Ran
 		return 0
 	}
 	var added [][2]int
-	batch := map[[2]int]bool{}
+	batch := graph.NewEdgeSet(target)
 	tries := 0
 	maxTries := target * 50
 	for len(added) < target && tries < maxTries {
@@ -144,16 +143,11 @@ func RandomInject(g *graph.Graph, ratio float64, homophilous bool, rng *rand.Ran
 		if u > v {
 			u, v = v, u
 		}
-		key := [2]int{u, v}
-		if batch[key] || g.HasEdge(u, v) {
-			continue
-		}
 		same := g.Labels[u] == g.Labels[v]
-		if same != homophilous {
+		if same != homophilous || g.HasEdge(u, v) || !batch.Add(u, v) {
 			continue
 		}
-		batch[key] = true
-		added = append(added, key)
+		added = append(added, [2]int{u, v})
 	}
 	g.AddEdges(added)
 	return len(added)
@@ -176,7 +170,7 @@ func MetaInject(g *graph.Graph, budget float64, rng *rand.Rand) int {
 	}
 	deg := g.Degrees()
 	// Hub list per class: highest-degree nodes, used as attack sources.
-	hubs := make(map[int][]int)
+	hubs := make([][]int, g.Classes)
 	order := make([]int, g.N)
 	for i := range order {
 		order[i] = i
@@ -210,7 +204,7 @@ func MetaInject(g *graph.Graph, budget float64, rng *rand.Rand) int {
 	})
 
 	var adds, dels [][2]int
-	seenAdd := map[[2]int]bool{}
+	seenAdd := graph.NewEdgeSet(target)
 	spent := 0
 	for _, victim := range victims {
 		if spent >= target {
@@ -249,6 +243,8 @@ func MetaInject(g *graph.Graph, budget float64, rng *rand.Rand) int {
 				cands = append(cands, cand{h, float64(deg[h]+1) * (1 - sim)})
 			}
 		}
+		// (score, node) is a total order: the result does not depend on
+		// the order hubs were walked in.
 		sort.Slice(cands, func(a, b int) bool {
 			if cands[a].score != cands[b].score {
 				return cands[a].score > cands[b].score
@@ -267,12 +263,10 @@ func MetaInject(g *graph.Graph, budget float64, rng *rand.Rand) int {
 			if a > b {
 				a, b = b, a
 			}
-			k := [2]int{a, b}
-			if seenAdd[k] || g.HasEdge(a, b) {
+			if g.HasEdge(a, b) || !seenAdd.Add(a, b) {
 				continue
 			}
-			seenAdd[k] = true
-			adds = append(adds, k)
+			adds = append(adds, [2]int{a, b})
 			added++
 			spent++
 		}

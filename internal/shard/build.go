@@ -119,6 +119,10 @@ func BuildFromGraph(g *graph.Graph, p *Plan, kind sparse.NormKind) (*Sharded, er
 		Features: g.X.Cols, Classes: g.Classes, Norm: kind,
 	}
 	nodesByShard := p.NodesByShard()
+	// pos maps a global id to its position in the current shard's Cols. Each
+	// shard writes the entries of its own Cols, the only ones it reads, so
+	// entries left by earlier shards need no reset.
+	pos := make([]int32, g.N)
 	for s := range sh.Shards {
 		nodes := nodesByShard[s]
 		var cols []int
@@ -127,7 +131,6 @@ func BuildFromGraph(g *graph.Graph, p *Plan, kind sparse.NormKind) (*Sharded, er
 			cols = append(cols, cs...)
 		}
 		cols = sortedUnique(cols)
-		pos := make(map[int]int32, len(cols))
 		for i, c := range cols {
 			pos[c] = int32(i)
 		}
@@ -190,6 +193,7 @@ func BuildFromStream(spec datasets.StreamSpec, p *Plan, kind sparse.NormKind) (*
 	}
 	// Round two: rebuild each shard's rows and emit its normalised CSR,
 	// feature slab and labels.
+	pos := make([]int32, spec.Nodes) // as in BuildFromGraph
 	for s := range sh.Shards {
 		nodes := nodesByShard[s]
 		rows := streamRows(spec, p, s, nodes)
@@ -200,7 +204,6 @@ func BuildFromStream(spec datasets.StreamSpec, p *Plan, kind sparse.NormKind) (*
 			}
 		}
 		cols = sortedUnique(cols)
-		pos := make(map[int]int32, len(cols))
 		for i, c := range cols {
 			pos[c] = int32(i)
 		}
@@ -208,7 +211,7 @@ func BuildFromStream(spec datasets.StreamSpec, p *Plan, kind sparse.NormKind) (*
 		for i, row := range rows {
 			u := nodes[i]
 			for _, c := range row {
-				adj.ColIdx = append(adj.ColIdx, int(pos[int(c)]))
+				adj.ColIdx = append(adj.ColIdx, int(pos[c]))
 				adj.Val = append(adj.Val, normValue(kind, float64(deg[u]), float64(deg[c])))
 			}
 			adj.RowPtr[i+1] = len(adj.ColIdx)

@@ -416,16 +416,19 @@ func (m *CSR) Submatrix(idx []int) *CSR {
 	if m.NRows != m.NCols {
 		panic(fmt.Sprintf("sparse: Submatrix requires a square matrix, got %dx%d", m.NRows, m.NCols))
 	}
-	remap := make(map[int]int, len(idx))
+	remap := make([]int32, m.NCols) // old id -> new id, -1 when dropped
+	for i := range remap {
+		remap[i] = -1
+	}
 	for newID, old := range idx {
-		remap[old] = newID
+		remap[old] = int32(newID)
 	}
 	coords := make([]Coord, 0)
 	for newRow, old := range idx {
 		cols, vals := m.Row(old)
 		for k, c := range cols {
-			if nc, ok := remap[c]; ok {
-				coords = append(coords, Coord{newRow, nc, vals[k]})
+			if nc := remap[c]; nc >= 0 {
+				coords = append(coords, Coord{newRow, int(nc), vals[k]})
 			}
 		}
 	}
