@@ -19,8 +19,9 @@ lint:
 # package needs a package comment, the substrate packages (federated,
 # sparse, matrix, parallel) need docs on every exported identifier, serve
 # and shard keep their import layering, the set-up packages (graph, sparse,
-# partition, datasets, shard) declare no int- or [2]int-keyed map
-# (cmd/docslint), ARCHITECTURE.md must exist and be linked from README.
+# partition, datasets, shard) declare no int- or [2]int-keyed map, serve
+# names no sync.Mutex or sync.RWMutex (cmd/docslint), ARCHITECTURE.md must
+# exist and be linked from README.
 docs-lint:
 	$(GO) run ./cmd/docslint
 	@test -f ARCHITECTURE.md || { echo "ARCHITECTURE.md missing" >&2; exit 1; }

@@ -15,10 +15,11 @@
 // It also enforces the import layering of the serving stack (importBans):
 // internal/serve answers from a filled logits table and may not import
 // models, nn, parallel or graph; internal/shard exports tables and may not
-// import serve. And it keeps node- and edge-keyed maps off the set-up path
+// import serve. It keeps node- and edge-keyed maps off the set-up path
 // (denseDirs): internal/graph, sparse, partition, datasets and shard may not
-// declare a map keyed by int, int32, int64 or [2]int. Both rules cover
-// non-test files only.
+// declare a map keyed by int, int32, int64 or [2]int. And it keeps the
+// serving layer lock-free (lockFreeDirs): internal/serve may not name
+// sync.Mutex or sync.RWMutex. All three rules cover non-test files only.
 //
 // Violations are printed one per line as file:line: message and the exit
 // status is 1; a clean tree prints nothing and exits 0.
@@ -81,6 +82,14 @@ var denseDirs = map[string]bool{
 	"internal/shard":     true,
 }
 
+// lockFreeDirs lists the packages, relative to the repository root, whose
+// non-test files may not name sync.Mutex or sync.RWMutex. A server answers
+// from an immutable table and counts into atomic telemetry series, so a lock
+// there would put a second stats store back on the per-request path.
+var lockFreeDirs = map[string]bool{
+	"internal/serve": true,
+}
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -141,8 +150,9 @@ func goPackageDirs(root string) ([]string, error) {
 }
 
 // lintDir parses one package directory and reports its documentation,
-// import-layering and map-key violations. rel is the root-relative path that
-// keys importBans and denseDirs; strict adds the exported-identifier tier.
+// import-layering, map-key and lock violations. rel is the root-relative
+// path that keys importBans, denseDirs and lockFreeDirs; strict adds the
+// exported-identifier tier.
 func lintDir(dir, rel string, strict bool) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -173,6 +183,9 @@ func lintDir(dir, rel string, strict bool) ([]string, error) {
 			problems = append(problems, lintImports(fset, pkg.Files[fname], importBans[rel])...)
 			if denseDirs[rel] {
 				problems = append(problems, lintMapKeys(fset, pkg.Files[fname])...)
+			}
+			if lockFreeDirs[rel] {
+				problems = append(problems, lintMutexes(fset, pkg.Files[fname])...)
 			}
 			if strict {
 				problems = append(problems, lintFile(fset, pkg.Files[fname])...)
@@ -209,6 +222,36 @@ func lintMapKeys(fset *token.FileSet, f *ast.File) []string {
 		if key := idKey(m.Key); key != "" {
 			p := fset.Position(m.Pos())
 			problems = append(problems, fmt.Sprintf("%s:%d: map keyed by %s on the set-up path; use a dense slice or graph.EdgeSet", filepath.ToSlash(p.Filename), p.Line, key))
+		}
+		return true
+	})
+	return problems
+}
+
+// lintMutexes reports every use of sync.Mutex or sync.RWMutex in f, under
+// whatever name f imports sync.
+func lintMutexes(fset *token.FileSet, f *ast.File) []string {
+	syncName := ""
+	for _, imp := range f.Imports {
+		if path, _ := strconv.Unquote(imp.Path.Value); path == "sync" {
+			syncName = "sync"
+			if imp.Name != nil {
+				syncName = imp.Name.Name
+			}
+		}
+	}
+	if syncName == "" {
+		return nil
+	}
+	var problems []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, isIdent := sel.X.(*ast.Ident); isIdent && pkg.Name == syncName && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
+			p := fset.Position(sel.Pos())
+			problems = append(problems, fmt.Sprintf("%s:%d: sync.%s in a lock-free package; count with atomics or telemetry series", filepath.ToSlash(p.Filename), p.Line, sel.Sel.Name))
 		}
 		return true
 	})

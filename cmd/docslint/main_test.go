@@ -104,8 +104,61 @@ func edges(n int) map[[2]int]bool {
 	}
 }
 
-// TestRepositoryLayering holds the repository's own packages to the import
-// and map-key rules.
+// TestMutexes: a serve file naming sync.Mutex or sync.RWMutex — as a field,
+// a var, a composite type or under an import alias — fails the rule once per
+// use with its file and line; sync.Once and atomics, the same locks in a
+// test file, or in a package outside the rule, pass.
+func TestMutexes(t *testing.T) {
+	root := t.TempDir()
+	serveDir := writePkg(t, root, "internal/serve", "serve.go", `// Package serve is a fixture.
+package serve
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+type server struct {
+	mu   sync.Mutex
+	once sync.Once
+	n    atomic.Int64
+}
+
+var shards []sync.RWMutex
+
+func lock() *sync.Mutex { return new(sync.Mutex) }
+`)
+	writePkg(t, root, "internal/serve", "other.go", "package serve\n\nimport s \"sync\"\n\nvar guard s.RWMutex\n")
+	writePkg(t, root, "internal/serve", "serve_test.go", "package serve\n\nimport \"sync\"\n\nvar testMu sync.Mutex\n")
+	freeDir := writePkg(t, root, "internal/registry", "registry.go",
+		"// Package registry is a fixture.\npackage registry\n\nimport \"sync\"\n\nvar mu sync.Mutex\n")
+
+	problems, err := lintDir(serveDir, "internal/serve", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"other.go:5: sync.RWMutex in a lock-free package",
+		"serve.go:10: sync.Mutex in a lock-free package",
+		"serve.go:15: sync.RWMutex in a lock-free package",
+		"serve.go:17: sync.Mutex in a lock-free package",
+		"serve.go:17: sync.Mutex in a lock-free package",
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("problems %q, want %d", problems, len(want))
+	}
+	for i, w := range want {
+		if !strings.Contains(problems[i], w) {
+			t.Errorf("problem %q, want one containing %q", problems[i], w)
+		}
+	}
+	if problems, err := lintDir(freeDir, "internal/registry", false); err != nil || len(problems) != 0 {
+		t.Fatalf("registry: problems %q, err %v", problems, err)
+	}
+}
+
+// TestRepositoryLayering holds the repository's own packages to the import,
+// map-key and lock rules.
 func TestRepositoryLayering(t *testing.T) {
 	for _, rel := range []string{"internal/serve", "internal/shard", "internal/graph", "internal/sparse", "internal/partition", "internal/datasets"} {
 		problems, err := lintDir(filepath.Join("..", "..", rel), rel, false)

@@ -160,11 +160,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := srv.Stats()
+	stats, err := reg.Stats("model")
+	if err != nil {
+		log.Fatal(err)
+	}
+	st := stats.Versions["1"]
 	fmt.Printf("%d concurrent HTTP queries in %v (%.0f q/s end-to-end)\n",
 		queries, elapsed.Round(time.Millisecond), float64(queries)/elapsed.Seconds())
-	fmt.Printf("server metrics: %d requests / %d batches (mean batch %.1f), p50 %v, p99 %v\n",
-		st.Requests, st.Batches, st.MeanBatch, st.P50.Round(time.Microsecond), st.P99.Round(time.Microsecond))
+	fmt.Printf("registry stats model@1: %d requests / %d nodes, accuracy %.3f, p50 %v, p99 %v\n",
+		st.Requests, st.Nodes, st.Accuracy, st.P50.Round(time.Microsecond), st.P99.Round(time.Microsecond))
+	if st.Requests != queries {
+		log.Fatalf("registry counted %d requests, want the storm's %d", st.Requests, queries)
+	}
 	fmt.Println("all HTTP answers bit-identical to the in-process API: ok")
 
 	// 5. Scrape /v1/metrics after the storm: the exposition must parse as

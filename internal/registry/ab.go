@@ -201,16 +201,19 @@ type ABReport struct {
 }
 
 // ABReportNow assembles the current A/B report; it errors when no experiment
-// is configured.
+// is configured. The arm counters are copied under Registry.mu and rendered
+// after it is released.
 func (r *Registry) ABReportNow() (*ABReport, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.ab == nil {
+		r.mu.Unlock()
 		return nil, fmt.Errorf("registry: ABReportNow: no A/B experiment configured: %w", ErrNotFound)
 	}
+	cfg, control, candidate := r.ab.cfg, r.ab.control.copyLocked(), r.ab.candidate.copyLocked()
+	r.mu.Unlock()
 	return &ABReport{
-		Config:    r.ab.cfg,
-		Control:   ABArmReport{Model: r.ab.cfg.Control, Stats: r.ab.control.view()},
-		Candidate: ABArmReport{Model: r.ab.cfg.Candidate, Stats: r.ab.candidate.view()},
+		Config:    cfg,
+		Control:   ABArmReport{Model: cfg.Control, Stats: control.view()},
+		Candidate: ABArmReport{Model: cfg.Candidate, Stats: candidate.view()},
 	}, nil
 }

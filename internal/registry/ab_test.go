@@ -164,6 +164,46 @@ func TestABCountersMatchSerialAccounting(t *testing.T) {
 	}
 }
 
+// TestConfigureABResetsArms: installing an experiment again, even the same
+// one, starts both arms at zero, while the per-version counters keep what
+// they counted.
+func TestConfigureABResetsArms(t *testing.T) {
+	dir, ref := abZoo(t)
+	r, cfg := abRegistry(t, dir, serve.Options{MaxBatch: 8, Seed: 1})
+	n := len(ref["base@1"])
+	mixed := append(splitNodes(cfg, n, 4, false), splitNodes(cfg, n, 4, true)...)
+	if _, err := r.Predict("base", mixed); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.ABReportNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Control.Stats.Requests != 1 || rep.Candidate.Stats.Requests != 1 {
+		t.Fatalf("arms counted %d / %d requests before the reset, want 1 / 1",
+			rep.Control.Stats.Requests, rep.Candidate.Stats.Requests)
+	}
+	if err := r.ConfigureAB(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = r.ABReportNow(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Control.Stats != (ArmStats{}) || rep.Candidate.Stats != (ArmStats{}) {
+		t.Fatalf("arms after a second ConfigureAB: control %+v, candidate %+v; want both zero",
+			rep.Control.Stats, rep.Candidate.Stats)
+	}
+	for _, name := range []string{"base", "ada"} {
+		st, err := r.Stats(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Versions["1"]; got.Requests != 1 || got.Nodes != 4 {
+			t.Fatalf("%s@1 after the reset: %+v, want the 1 request / 4 nodes it answered", name, got)
+		}
+	}
+}
+
 // labelOf reads node's label through model's serving instance.
 func labelOf(t *testing.T, r *Registry, model string, node int) (int, bool) {
 	t.Helper()

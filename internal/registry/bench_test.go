@@ -83,3 +83,60 @@ func BenchmarkZooRouting(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRegistryStats guards the stats-path lock contract over full
+// reservoirs: Stats and ABReportNow copy the counters under Registry.mu but
+// sort the latency samples outside it, so a stats poller never stalls the
+// record every predict makes under that lock. The timed loop is that record
+// — one version's and one arm's — while a poller renders both reports
+// concurrently. If a sort moves back under the lock, ns/op about doubles on
+// two cores (not more: Go's mutex hands the lock to a waiter starved for
+// 1 ms, which bounds how often the poller can stall the loop).
+func BenchmarkRegistryStats(b *testing.B) {
+	dir := zooDir(b, "base@1", "ada@1")
+	r := New(Options{Serve: serve.Options{MaxBatch: 8, Seed: 1}})
+	defer r.Close()
+	if _, err := r.LoadDir(dir); err != nil {
+		b.Fatal(err)
+	}
+	if err := r.ConfigureAB(ABConfig{Control: "base", Candidate: "ada", Fraction: 0.5}); err != nil {
+		b.Fatal(err)
+	}
+	e := r.models["base"].versions[1]
+	record := func(i int) {
+		lat := time.Duration(i%2048) * time.Microsecond
+		r.mu.Lock()
+		e.stats.record(1, 1, 1, lat)
+		r.ab.control.record(1, 1, 1, lat)
+		r.mu.Unlock()
+	}
+	for i := 0; i < statsWindow; i++ {
+		record(i)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				if _, err := r.Stats("base"); err != nil {
+					b.Error(err)
+				}
+				if _, err := r.ABReportNow(); err != nil {
+					b.Error(err)
+				}
+			}
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		record(i)
+	}
+	b.StopTimer()
+	close(done)
+	wg.Wait()
+}

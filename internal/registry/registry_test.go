@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/datasets"
@@ -236,11 +237,67 @@ func TestPredictRecordsStats(t *testing.T) {
 	if v2.Requests != 1 || v2.Nodes != 1 {
 		t.Fatalf("v2 stats = %+v", v2)
 	}
-	if st.ActiveVersion != 2 || st.Server == nil {
+	if st.Name != "m" || st.ActiveVersion != 2 || len(st.Versions) != 2 {
 		t.Fatalf("stats header = %+v", st)
 	}
 	if _, err := r.Stats("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Stats(ghost) = %v", err)
+	}
+}
+
+// TestStatsSurviveEviction: a version's counters outlive its server. With
+// MaxLoaded 1, acquiring another model evicts m@1, and the predict after it
+// cold-starts a new server whose request adds to the same counters.
+func TestStatsSurviveEviction(t *testing.T) {
+	dir := zooDir(t, "m@1", "x@1")
+	r := New(Options{Serve: serve.Options{MaxBatch: 8, Seed: 1}, MaxLoaded: 1})
+	defer r.Close()
+	if _, err := r.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Predict("m@1", []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	h, err := r.Acquire("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	for _, info := range r.List() {
+		if info.Name == "m" && info.Loaded {
+			t.Fatal("m@1 still loaded after x was acquired under MaxLoaded 1")
+		}
+	}
+	if _, err := r.Predict("m@1", []int{2}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Stats("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1 := st.Versions["1"]; v1.Requests != 2 || v1.Nodes != 3 || v1.Labelled != 3 {
+		t.Fatalf("m@1 stats across an eviction = %+v, want 2 requests / 3 nodes / 3 labelled", v1)
+	}
+}
+
+// TestLatencyWindow pins the registry's reservoir: it keeps the most recent
+// capacity samples, and the percentiles are the nearest-rank p50/p99 of what
+// it holds (zero when empty).
+func TestLatencyWindow(t *testing.T) {
+	w := newLatencyWindow(4)
+	if p50, p99 := latencyPercentiles(w.samples()); p50 != 0 || p99 != 0 {
+		t.Fatalf("empty window percentiles = %v %v", p50, p99)
+	}
+	for i := 1; i <= 6; i++ {
+		w.record(time.Duration(i))
+	}
+	got := w.samples()
+	p50, p99 := latencyPercentiles(got)
+	if len(got) != 4 || got[0] != 3 || got[3] != 6 {
+		t.Fatalf("window holds %v, want the last four samples 3..6", got)
+	}
+	if p50 != 5 || p99 != 6 {
+		t.Fatalf("percentiles = %v %v, want 5 6", p50, p99)
 	}
 }
 

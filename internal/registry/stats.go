@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/serve"
@@ -13,6 +14,46 @@ import (
 // most recent statsWindow requests of that model.
 const statsWindow = 1 << 12
 
+// latencyWindow is a ring of the most recent request latencies, the
+// reservoir behind every p50/p99 the registry reports (per version and per
+// A/B arm). It is not safe for concurrent use; Registry.mu guards it.
+type latencyWindow struct {
+	lat      []time.Duration
+	next     int
+	capacity int
+}
+
+// newLatencyWindow returns an empty window over the last capacity samples.
+func newLatencyWindow(capacity int) latencyWindow {
+	return latencyWindow{capacity: capacity}
+}
+
+// record adds one sample, overwriting the oldest once the window is full.
+func (w *latencyWindow) record(lat time.Duration) {
+	if len(w.lat) < w.capacity {
+		w.lat = append(w.lat, lat)
+		return
+	}
+	w.lat[w.next] = lat
+	w.next = (w.next + 1) % w.capacity
+}
+
+// samples returns a copy of the window's samples in no particular order, so
+// the caller can release Registry.mu before paying for latencyPercentiles.
+func (w *latencyWindow) samples() []time.Duration {
+	return append([]time.Duration(nil), w.lat...)
+}
+
+// latencyPercentiles sorts samples in place and returns their median and
+// 99th percentile; both are 0 for an empty slice.
+func latencyPercentiles(samples []time.Duration) (p50, p99 time.Duration) {
+	if len(samples) == 0 {
+		return 0, 0
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	return samples[len(samples)/2], samples[(len(samples)*99)/100]
+}
+
 // modelStats accumulates the per-model (name@version) serving counters that
 // survive swaps and server restarts: request/node totals, online accuracy
 // against the serving graph's labels, and a recent-latency reservoir.
@@ -20,13 +61,13 @@ const statsWindow = 1 << 12
 type modelStats struct {
 	requests, nodes   uint64
 	labelled, correct uint64
-	lat               serve.LatencyWindow
+	lat               latencyWindow
 	totalLat          time.Duration
 }
 
 // newModelStats returns zeroed counters over an empty statsWindow reservoir.
 func newModelStats() modelStats {
-	return modelStats{lat: serve.NewLatencyWindow(statsWindow)}
+	return modelStats{lat: newLatencyWindow(statsWindow)}
 }
 
 // record accounts one completed predict of n nodes, of which labelled
@@ -37,7 +78,17 @@ func (s *modelStats) record(n, labelled, correct int, lat time.Duration) {
 	s.labelled += uint64(labelled)
 	s.correct += uint64(correct)
 	s.totalLat += lat
-	s.lat.Record(lat)
+	s.lat.record(lat)
+}
+
+// copyLocked returns the counters with a private copy of the latency
+// samples; Registry.mu must be held. Render the copy with view after
+// unlocking: every predict takes Registry.mu twice, so sorting a full
+// reservoir under it would stall the traffic of every model.
+func (s *modelStats) copyLocked() modelStats {
+	c := *s
+	c.lat.lat = s.lat.samples()
+	return c
 }
 
 // ArmStats is the JSON view of one model's cumulative serving counters —
@@ -59,7 +110,8 @@ type ArmStats struct {
 	P99     time.Duration `json:"p99_ns"`
 }
 
-// view renders the counters; Registry.mu must be held.
+// view renders the counters, sorting the latency samples in place: call it
+// on a copyLocked copy, outside Registry.mu.
 func (s *modelStats) view() ArmStats {
 	a := ArmStats{
 		Requests: s.requests, Nodes: s.nodes,
@@ -71,13 +123,12 @@ func (s *modelStats) view() ArmStats {
 	if s.requests > 0 {
 		a.MeanLat = s.totalLat / time.Duration(s.requests)
 	}
-	a.P50, a.P99 = serve.LatencyPercentiles(s.lat.Samples())
+	a.P50, a.P99 = latencyPercentiles(s.lat.lat)
 	return a
 }
 
 // ModelStats is the full v1 stats payload for one model name: the active
-// version, cumulative per-version counters, and the live snapshot of the
-// active serving instance when started.
+// version and cumulative per-version counters.
 type ModelStats struct {
 	// Name is the model line; ActiveVersion the version answering bare-name
 	// requests.
@@ -85,11 +136,10 @@ type ModelStats struct {
 	ActiveVersion int    `json:"active_version"`
 	// Versions maps "version" to that artifact's cumulative counters.
 	Versions map[string]ArmStats `json:"versions"`
-	// Server, when non-nil, is the active instance's live batching snapshot.
-	Server *serve.Snapshot `json:"server,omitempty"`
 }
 
-// Stats assembles the v1 stats payload for name.
+// Stats assembles the v1 stats payload for name. The counters are copied
+// under Registry.mu and rendered after it is released.
 func (r *Registry) Stats(name string) (*ModelStats, error) {
 	r.mu.Lock()
 	m := r.models[name]
@@ -98,17 +148,13 @@ func (r *Registry) Stats(name string) (*ModelStats, error) {
 		return nil, fmt.Errorf("registry: Stats: unknown model %q: %w", name, ErrNotFound)
 	}
 	st := &ModelStats{Name: name, ActiveVersion: m.active, Versions: make(map[string]ArmStats, len(m.versions))}
-	var activeSrv *serve.Server
+	copies := make(map[int]modelStats, len(m.versions))
 	for v, e := range m.versions {
-		st.Versions[fmt.Sprintf("%d", v)] = e.stats.view()
-		if v == m.active {
-			activeSrv = e.srv
-		}
+		copies[v] = e.stats.copyLocked()
 	}
 	r.mu.Unlock()
-	if activeSrv != nil {
-		snap := activeSrv.Stats()
-		st.Server = &snap
+	for v, c := range copies {
+		st.Versions[fmt.Sprintf("%d", v)] = c.view()
 	}
 	return st, nil
 }

@@ -152,16 +152,18 @@ func (s *Server) runBatch(batch []*request) {
 			r.preds[i] = Prediction{Node: node, Class: rowArgmax(row), Logits: logits}
 		}
 		off += len(r.nodes)
-		s.metrics.record(len(r.nodes), time.Since(r.enq))
+		s.tel.requests.Inc()
+		s.tel.nodes.Add(uint64(len(r.nodes)))
+		s.tel.latency.Observe(time.Since(r.enq).Seconds())
 		close(r.done)
 	}
-	s.metrics.recordBatch()
+	s.tel.batches.Inc()
 	// The pending gauge is sampled every 64th window (from the admission
 	// counter the budget is enforced against) instead of updated on every
 	// Predict: the gauge is a load indicator, and sampling it keeps the
 	// per-request path free of gauge traffic.
-	if tel := s.metrics.tel; tel != nil && s.windows%64 == 0 {
-		tel.pending.Set(float64(s.pending.Load()))
+	if s.windows%64 == 0 {
+		s.tel.pending.Set(float64(s.pending.Load()))
 	}
 }
 

@@ -61,53 +61,3 @@ func BenchmarkServeBatching(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkMetricsSnapshot guards the stats-path lock contract with the
-// latency ring at its full 16K capacity: snapshot() must copy the ring under
-// the lock but sort OUTSIDE it, so a stats poller never stalls the
-// dispatcher's record() path. snapshot-full-ring prices one percentile
-// computation; record-under-polling times record() while a poller hammers
-// snapshot() concurrently — if the sort ever moves back under the lock,
-// record's ns/op jumps by orders of magnitude and this benchmark is the
-// regression alarm.
-func BenchmarkMetricsSnapshot(b *testing.B) {
-	newFullRing := func() *Metrics {
-		var m Metrics
-		m.reset()
-		for i := 0; i < latWindow; i++ {
-			m.record(1, time.Duration(i%2048)*time.Microsecond)
-		}
-		return &m
-	}
-	b.Run("snapshot-full-ring", func(b *testing.B) {
-		m := newFullRing()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = m.snapshot()
-		}
-	})
-	b.Run("record-under-polling", func(b *testing.B) {
-		m := newFullRing()
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-					_ = m.snapshot()
-				}
-			}
-		}()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.record(1, time.Duration(i%2048)*time.Microsecond)
-		}
-		b.StopTimer()
-		close(done)
-		wg.Wait()
-	})
-}

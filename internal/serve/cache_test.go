@@ -97,6 +97,7 @@ func TestCoupledWindowsCostOneEnginePass(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
+			count := countServed(t, srv.tel)
 			if m.passes != 1 {
 				t.Fatalf("New ran %d engine passes, want exactly 1", m.passes)
 			}
@@ -116,7 +117,7 @@ func TestCoupledWindowsCostOneEnginePass(t *testing.T) {
 			// Stop the dispatcher before reading the count: a window is
 			// counted after its callers are released.
 			srv.Close()
-			if got := srv.Stats().Batches; got != windows || m.passes != 1 {
+			if got := count().batches; got != windows || m.passes != 1 {
 				t.Fatalf("%d windows ran %d engine passes, want %d and still exactly 1", got, m.passes, windows)
 			}
 		})
@@ -152,6 +153,7 @@ func TestPanickingPassStoresNothing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: New after the panic: %v", shape, err)
 		}
+		count := countServed(t, srv.tel)
 		for w := 1; w <= 5; w++ {
 			preds, err := srv.Predict([]int{w, 0})
 			if err != nil {
@@ -163,8 +165,8 @@ func TestPanickingPassStoresNothing(t *testing.T) {
 		if m.passes != 2 {
 			t.Fatalf("%s engine ran %d passes, want 2 (the panicking one and the one that filled the table)", shape, m.passes)
 		}
-		if st := srv.Stats(); st.Panics != 0 || st.Requests != 5 {
-			t.Fatalf("%s stats %+v: want 5 answered requests and no panicked one", shape, st)
+		if got := count(); got.panics != 0 || got.requests != 5 {
+			t.Fatalf("%s counts %+v: want 5 answered requests and no panicked one", shape, got)
 		}
 		srv.Close()
 	}
@@ -290,6 +292,7 @@ func TestCoupledAnswersEqualFreshForward(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
+					count := countServed(t, srv.tel)
 					for w := 1; w <= windows; w++ {
 						nodes := query(w)
 						preds, err := srv.Predict(nodes)
@@ -304,7 +307,7 @@ func TestCoupledAnswersEqualFreshForward(t *testing.T) {
 						}
 					}
 					srv.Close() // before reading the count: it trails the answers
-					if got := srv.Stats().Batches; got != windows {
+					if got := count().batches; got != windows {
 						t.Fatalf("%s: ran %d windows, want %d", what, got, windows)
 					}
 				}

@@ -34,6 +34,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	count := countServed(t, srv.tel)
 
 	// Fill the budget with a slow 4-node request...
 	first := make(chan error, 1)
@@ -50,8 +51,8 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatalf("admitted request failed: %v", err)
 	}
-	if got := srv.Stats().Shed; got != 1 {
-		t.Fatalf("Shed = %d, want 1", got)
+	if got := count().shed; got != 1 {
+		t.Fatalf("shed = %d, want 1", got)
 	}
 
 	// Oversized single request with nothing pending: admitted, answered.
@@ -93,11 +94,12 @@ func TestRequestDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	count := countServed(t, srv.tel)
 	if _, err := srv.Predict([]int{0}); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("RequestTimeout: want ErrDeadline, got %v", err)
 	}
-	if got := srv.Stats().Deadlines; got != 1 {
-		t.Fatalf("Deadlines = %d, want 1 (deadline double-counted?)", got)
+	if got := count().deadlines; got != 1 {
+		t.Fatalf("deadlines = %d, want 1 (deadline double-counted?)", got)
 	}
 
 	// Caller context deadline wins over the (absent) server timeout.
@@ -176,6 +178,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	count := countServed(t, srv.tel)
 
 	before, err := srv.Predict([]int{3}) // window 1: clean
 	if err != nil {
@@ -193,8 +196,8 @@ func TestPanicIsolation(t *testing.T) {
 			t.Fatalf("post-panic logit %d differs bitwise", j)
 		}
 	}
-	if got := srv.Stats().Panics; got != 1 {
-		t.Fatalf("Panics = %d, want 1", got)
+	if got := count().panics; got != 1 {
+		t.Fatalf("panics = %d, want 1", got)
 	}
 }
 

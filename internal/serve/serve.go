@@ -143,7 +143,9 @@ type Server struct {
 	pending atomic.Int64
 	windows int
 
-	metrics Metrics
+	// tel is the server's per-arch telemetry series, the one place a served
+	// request, window or failure is counted.
+	tel *telSeries
 }
 
 // withDefaults resolves the Options defaults shared by every constructor.
@@ -222,9 +224,8 @@ func newServer(arch string, table *matrix.Dense, labels []int, opt Options) *Ser
 		queue:   make(chan *request, 4*opt.MaxBatch),
 		quit:    make(chan struct{}),
 		stopped: make(chan struct{}),
+		tel:     newTelSeries(arch),
 	}
-	s.metrics.tel = newTelSeries(arch)
-	s.metrics.reset()
 	go s.dispatch()
 	return s
 }
@@ -258,16 +259,16 @@ func (s *Server) Predict(nodes []int) ([]Prediction, error) {
 // predictions, or with exactly one of ErrDeadline/ErrModelPanic/ErrClosed.
 func (s *Server) PredictCtx(ctx context.Context, nodes []int) ([]Prediction, error) {
 	preds, err := s.predictCtx(ctx, nodes)
-	// Metrics for the failure modes are counted here, at the single point
-	// every Predict outcome funnels through, so a request shed or expired on
-	// either side (caller or dispatcher) is counted exactly once.
+	// The failure modes are counted here, at the single point every Predict
+	// outcome funnels through, so a request shed or expired on either side
+	// (caller or dispatcher) is counted exactly once.
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		s.metrics.recordShed()
+		s.tel.shed.Inc()
 	case errors.Is(err, ErrDeadline):
-		s.metrics.recordDeadline()
+		s.tel.deadlines.Inc()
 	case errors.Is(err, ErrModelPanic):
-		s.metrics.recordPanic()
+		s.tel.panics.Inc()
 	}
 	return preds, err
 }
@@ -380,9 +381,6 @@ func (s *Server) PredictAll() ([]Prediction, error) {
 	}
 	return s.Predict(nodes)
 }
-
-// Stats returns a snapshot of the server's latency/throughput metrics.
-func (s *Server) Stats() Snapshot { return s.metrics.snapshot() }
 
 // Label returns node's ground-truth class and whether the serving graph
 // carries a label for it. The registry layer uses it for online-accuracy

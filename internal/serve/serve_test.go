@@ -185,55 +185,33 @@ func TestPredictValidation(t *testing.T) {
 	}
 }
 
-// TestStats checks the metrics pipeline counts requests, nodes and batches
-// and produces sane latency percentiles.
+// TestStats checks the serving counts: every request and node once, one
+// latency sample per request, and at least one and at most one window per
+// request.
 func TestStats(t *testing.T) {
 	ck := trainedCheckpoint(t, "SGC", 17)
 	srv, err := New(ck, Options{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	count := countServed(t, srv.tel)
 	for i := 0; i < 10; i++ {
 		if _, err := srv.Predict([]int{i % srv.Nodes()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := srv.Stats()
-	if st.Requests != 10 || st.Nodes != 10 {
-		t.Fatalf("counted %d requests / %d nodes, want 10/10", st.Requests, st.Nodes)
+	srv.Close() // a window is counted after its callers are released
+	st := count()
+	if st.requests != 10 || st.nodes != 10 {
+		t.Fatalf("counted %d requests / %d nodes, want 10/10", st.requests, st.nodes)
 	}
-	if st.Batches == 0 || st.Batches > 10 {
-		t.Fatalf("batches %d out of range", st.Batches)
+	if st.batches == 0 || st.batches > 10 {
+		t.Fatalf("batches %d out of range", st.batches)
 	}
-	if st.MeanBatch <= 0 {
-		t.Fatalf("mean batch %v", st.MeanBatch)
+	if st.latency != 10 {
+		t.Fatalf("latency histogram holds %d samples, want 10", st.latency)
 	}
-	if st.P50 < 0 || st.P99 < st.P50 {
-		t.Fatalf("latency percentiles inconsistent: p50 %v p99 %v", st.P50, st.P99)
-	}
-	if st.QueriesPerSec <= 0 {
-		t.Fatalf("qps %v", st.QueriesPerSec)
-	}
-}
-
-// TestLatencyWindow pins the shared reservoir: it keeps the most recent
-// capacity samples, and the percentiles are the nearest-rank p50/p99 of what
-// it holds (zero when empty).
-func TestLatencyWindow(t *testing.T) {
-	w := NewLatencyWindow(4)
-	if p50, p99 := LatencyPercentiles(w.Samples()); p50 != 0 || p99 != 0 {
-		t.Fatalf("empty window percentiles = %v %v", p50, p99)
-	}
-	for i := 1; i <= 6; i++ {
-		w.Record(time.Duration(i))
-	}
-	got := w.Samples()
-	p50, p99 := LatencyPercentiles(got)
-	if len(got) != 4 || got[0] != 3 || got[3] != 6 {
-		t.Fatalf("window holds %v, want the last four samples 3..6", got)
-	}
-	if p50 != 5 || p99 != 6 {
-		t.Fatalf("percentiles = %v %v, want 5 6", p50, p99)
+	if st.shed != 0 || st.deadlines != 0 || st.panics != 0 {
+		t.Fatalf("failures counted for ten answered requests: %+v", st)
 	}
 }

@@ -2,10 +2,10 @@ package serve
 
 import "repro/internal/telemetry"
 
-// Serving-layer metric families on the process-wide telemetry registry.
-// One series per served architecture; every counter mirrors a field of the
-// bit-compatible Snapshot, so /stats and /v1/metrics can never disagree on
-// what they count.
+// Serving-layer metric families on the process-wide telemetry registry, one
+// series per served architecture. They are the serving layer's only count of
+// its requests, windows and failures: per-model and per-arm stats live in the
+// registry package, which counts what it routes.
 var (
 	telRequests = telemetry.Default().CounterVec("adafgl_serve_requests_total",
 		"Completed Predict calls.", "arch")
@@ -26,8 +26,7 @@ var (
 )
 
 // telSeries caches one server's resolved telemetry series so the hot path
-// never pays a family map lookup. A nil *telSeries (zero-value Metrics
-// outside a server) records nothing.
+// never pays a family map lookup.
 type telSeries struct {
 	requests, nodes, batches *telemetry.Counter
 	shed, deadlines, panics  *telemetry.Counter

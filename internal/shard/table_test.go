@@ -227,14 +227,23 @@ func TestDecoupledShardedBitIdentical(t *testing.T) {
 	}
 }
 
+// serveCounter returns arch's series of the process-wide serving counter
+// adafgl_serve_<name>_total, the serving layer's one count of what it
+// answered. Series are per architecture, so a test asserts their deltas.
+func serveCounter(name, arch string) *telemetry.Counter {
+	return telemetry.Default().CounterVec("adafgl_serve_"+name+"_total", "", "arch").With(arch)
+}
+
 // TestShardedRouting exercises the surface of a server filled from shards:
 // it speaks global node ids — a query striding across shards comes back in
-// query order — and validates, labels, reports metadata and stats and honours
-// context deadlines like any other serve.Server.
+// query order — and validates, labels, reports metadata, is counted and
+// honours context deadlines like any other serve.Server.
 func TestShardedRouting(t *testing.T) {
 	ck := trainedCheckpoint(t, "SGC", 41)
 	srv := shardedServer(t, ck, 3, serve.Options{Seed: 1})
 	defer srv.Close()
+	requests, nodesServed := serveCounter("requests", "SGC"), serveCounter("nodes", "SGC")
+	requests0, nodes0 := requests.Value(), nodesServed.Value()
 
 	if srv.Arch() != "SGC" || srv.Nodes() != ck.Graph.N || srv.Classes() != ck.Graph.Classes {
 		t.Fatalf("metadata: %s %d/%d", srv.Arch(), srv.Nodes(), srv.Classes())
@@ -271,8 +280,8 @@ func TestShardedRouting(t *testing.T) {
 		t.Fatal("Label(N) should miss")
 	}
 
-	if snap := srv.Stats(); snap.Requests != 1 || snap.Nodes != uint64(len(nodes)) {
-		t.Fatalf("stats miscount: %+v", snap)
+	if r, n := requests.Value()-requests0, nodesServed.Value()-nodes0; r != 1 || n != uint64(len(nodes)) {
+		t.Fatalf("serving counts: %d requests / %d nodes, want 1 / %d", r, n, len(nodes))
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
