@@ -127,11 +127,10 @@ func (a *AdaFGL) Run(subgraphs []*graph.Graph, cfg models.Config, fedOpt federat
 				if err := nn.Unflatten(evalExtractor, fedRes.GlobalParams); err != nil {
 					return err
 				}
-				pe := newPersonal(c.Graph.Eval, evalExtractor, cfg, a.Opt, rand.New(rand.NewSource(fedOpt.Seed*7919+int64(ci)+900)))
-				if err := nn.Unflatten(pe.modules(), nn.Flatten(p.modules())); err != nil {
+				pe, err := newEvaluator(p, c.Graph.Eval, evalExtractor, cfg, rand.New(rand.NewSource(fedOpt.Seed*7919+int64(ci)+900)))
+				if err != nil {
 					return err
 				}
-				pe.hcs = p.hcs // the observed topology decided the combination
 				o.acc = pe.testAccuracy()
 				o.w = float64(graph.CountMask(c.Graph.Eval.TestMask))
 			} else {
@@ -169,24 +168,33 @@ type personal struct {
 	g   *graph.Graph
 	opt Options
 
-	// Step-1 artifacts.
+	// Step-1 artifacts. The smoothed features [X̃(1) || … || X̃(K)] of Eq. (7)
+	// are not kept row-major: Θ_knowledge's first layer holds them packed
+	// (nn.Linear.BindInput), as Θ_feature's holds X.
 	extLogits *matrix.Dense // knowledge extractor logits Ẑ
 	phat      *matrix.Dense // P̂ = softmax(Ẑ)
 	ptilde    *matrix.Dense // optimized propagation matrix P̃ (Eq. 5–6)
-	propX     *matrix.Dense // [X̃(1) || … || X̃(K)] (Eq. 7)
 
-	// Trainable modules.
+	// Trainable modules, and their parameters collected once.
 	knowledge *nn.MLP // MessageUpdater Θ_knowledge → H̃ logits
 	feature   *nn.MLP // Θ_feature (Eq. 10) → Hf logits
 	message   *nn.MLP // Θ_message (Eq. 11) → Hm' logits
+	params    nn.Module
+	optimizer nn.Optimizer
 
 	hcs float64
 
-	// forward caches
-	hTilde, hf, hmPrime, hm1 *matrix.Dense
-	sHT, sHF, sHM            *matrix.Dense
-	yhat                     *matrix.Dense
-	optimizer                nn.Optimizer
+	// Module outputs of the last forward, owned by the modules.
+	hTilde, hf, hmPrime *matrix.Dense
+
+	// Per-epoch scratch, every one n_i×C and owned by personal: allocated on
+	// first use, then overwritten — a value is valid until the next forward
+	// (forward results) or backward (gradients). posH and negH hold P⁺H' and
+	// P⁻H' in forward and P⁺ᵀdH, P⁻ᵀdH in backward; dS and dZ serve each
+	// softmax head of backward in turn.
+	sHT, sHF, sHM, hm1, posH, negH *matrix.Dense
+	yho, yhe, yhat                 *matrix.Dense
+	dY, dS, dZ, dHT, dKP           *matrix.Dense
 
 	// n_i×n_i scratch of the learnable message-passing branch (Eq. 11), owned
 	// for the whole of train so an epoch allocates no n_i×n_i matrix: the
@@ -197,7 +205,40 @@ type personal struct {
 	pPos, pNeg *matrix.Dense
 }
 
+// newPersonal builds a client's Step-2 state for training: the shared
+// preparation, then HCS and the optimiser.
 func newPersonal(g *graph.Graph, extractor models.Model, cfg models.Config, opt Options, rng *rand.Rand) *personal {
+	p := prepare(g, extractor, cfg, opt, rng, true)
+	// HCS (Definition 2) drives the adaptive combination.
+	if opt.DisableHCS {
+		p.hcs = 0.5
+	} else {
+		p.hcs = HCS(g, opt.Kappa, opt.LPSteps, opt.MaskProb, rng)
+	}
+	p.params = nn.ParamList(p.modules().Params())
+	p.optimizer = cfg.NewOptimizer()
+	return p
+}
+
+// newEvaluator builds the evaluation-only twin of the trained client p on g
+// (the inductive protocol's full graph) and transplants p's module
+// parameters and HCS: the observed topology decided the combination. It
+// packs no gradient operand and runs no HCS of its own — HCS is the last
+// draw from rng, so skipping a score the transplant would overwrite moves
+// nothing.
+func newEvaluator(p *personal, g *graph.Graph, extractor models.Model, cfg models.Config, rng *rand.Rand) (*personal, error) {
+	pe := prepare(g, extractor, cfg, p.opt, rng, false)
+	if err := nn.Unflatten(pe.modules(), nn.Flatten(p.modules())); err != nil {
+		return nil, err
+	}
+	pe.hcs = p.hcs
+	return pe, nil
+}
+
+// prepare computes the Step-1 artifacts and builds the three modules, with
+// their constant inputs packed for training when train is set and for
+// evaluation only otherwise.
+func prepare(g *graph.Graph, extractor models.Model, cfg models.Config, opt Options, rng *rand.Rand, train bool) *personal {
 	p := &personal{g: g, opt: opt}
 
 	// Knowledge extractor outputs on the local subgraph.
@@ -227,41 +268,55 @@ func newPersonal(g *graph.Graph, extractor models.Model, cfg models.Config, opt 
 			hops = append(hops, cur)
 		}
 	}
-	p.propX = matrix.ConcatCols(hops...)
+	propX := matrix.ConcatCols(hops...)
 
 	hidden := cfg.Hidden
-	// knowledge and feature are fed constants (propX, X), so their first layers
-	// are leaves; message is fed H̃ and must hand its input gradient back.
-	p.knowledge = nn.NewMLP("ada.knowledge", []int{p.propX.Cols, hidden, g.Classes}, 0, rng).MarkLeaf()
-	p.feature = nn.NewMLP("ada.feature", []int{g.X.Cols, hidden, g.Classes}, 0, rng).MarkLeaf()
-	p.message = nn.NewMLP("ada.message", []int{g.Classes, hidden, g.Classes}, 0, rng)
+	// knowledge and feature are fed constants (propX, X), bound — and packed —
+	// here, so their first layers are leaves; message is fed H̃ and must hand
+	// its input gradient back. All three own their buffers.
+	p.knowledge = nn.NewMLP("ada.knowledge", []int{propX.Cols, hidden, g.Classes}, 0, rng).BindInput(propX, train).OwnBuffers()
+	p.feature = nn.NewMLP("ada.feature", []int{g.X.Cols, hidden, g.Classes}, 0, rng).MarkLeaf().OwnBuffers()
+	if !opt.DisableTF {
+		p.feature.BindInput(g.X, train)
+	}
+	p.message = nn.NewMLP("ada.message", []int{g.Classes, hidden, g.Classes}, 0, rng).OwnBuffers()
 	if !opt.DisableLM {
 		p.pPos, p.pNeg = matrix.New(g.N, g.N), matrix.New(g.N, g.N)
 	}
-
-	// HCS (Definition 2) drives the adaptive combination.
-	if opt.DisableHCS {
-		p.hcs = 0.5
-	} else {
-		p.hcs = HCS(g, opt.Kappa, opt.LPSteps, opt.MaskProb, rng)
-	}
-
-	p.optimizer = cfg.NewOptimizer()
 	return p
 }
 
 // OptimizedPropagation computes P̃ of Eq. (5)–(6): blend the local adjacency
 // with the knowledge extractor's prediction-similarity matrix, zero the
-// diagonal and degree-normalise symmetrically.
+// diagonal and degree-normalise symmetrically. P̃ is built inside the
+// P̂P̂ᵀ product's own buffer, so the n_i×n_i matrix is the only one allocated.
 func OptimizedPropagation(g *graph.Graph, phat *matrix.Dense, alpha float64) *matrix.Dense {
 	n := g.N
-	// The α·Ã term reuses the graph's cached normalised adjacency (shared
-	// with the Step-1 extractor and the LP/HCS propagation plans).
-	adense := g.NormAdjPlan(sparse.NormSym).Matrix().Dense()
-	// P = α·A + (1-α)·P̂P̂ᵀ.
-	pp := matrix.MulT(phat, phat)
-	p := matrix.Scale(alpha, adense)
-	matrix.AddScaled(p, 1-alpha, pp)
+	// The α·Ã term reads the graph's cached normalised adjacency (shared
+	// with the Step-1 extractor and the LP/HCS propagation plans) one row at
+	// a time, scattered into a dense row.
+	adj := g.NormAdjPlan(sparse.NormSym).Matrix()
+	// P = α·A + (1-α)·P̂P̂ᵀ, element by element in place of P̂P̂ᵀ. Every
+	// element — those where Ã is zero too — takes round(α·a) plus (1−α)·pp:
+	// the explicit float64 rounds α·a before the sum, so a build allowed to
+	// fuse multiply-adds fuses only the (1−α)·pp term, as it does in
+	// AddScaled(α·A, 1−α, P̂P̂ᵀ).
+	p := matrix.MulT(phat, phat)
+	rest := 1 - alpha
+	arow := make([]float64, n)
+	for i := 0; i < n; i++ {
+		cols, vals := adj.Row(i)
+		for k, c := range cols {
+			arow[c] = vals[k]
+		}
+		row := p.Row(i)
+		for j, a := range arow {
+			row[j] = float64(alpha*a) + rest*row[j]
+		}
+		for _, c := range cols {
+			arow[c] = 0
+		}
+	}
 	// Eq. (6): remove self-aggregation and scale by the induced degrees.
 	for i := 0; i < n; i++ {
 		p.Set(i, i, 0)
@@ -291,16 +346,37 @@ func (p *personal) modules() nn.ParamGroup {
 	return nn.ParamGroup{p.knowledge, p.feature, p.message}
 }
 
-// forward computes Ŷ of Eq. (17) and caches intermediates for backward.
+// buf returns the n_i×C scratch matrix *m, allocating it on first use.
+func (p *personal) buf(m **matrix.Dense) *matrix.Dense {
+	if *m == nil {
+		*m = matrix.New(p.g.N, p.g.Classes)
+	}
+	return *m
+}
+
+// heads counts the heterophilous heads Ŷ_he averages (Eq. 13).
+func (p *personal) heads() int {
+	n := 1
+	if !p.opt.DisableTF {
+		n++
+	}
+	if !p.opt.DisableLM {
+		n++
+	}
+	return n
+}
+
+// forward computes Ŷ of Eq. (17) and caches intermediates for backward. The
+// result is p's own buffer, valid until the next forward.
 func (p *personal) forward() *matrix.Dense {
 	// Homophilous branch: H̃ from knowledge-guided smoothing.
-	p.hTilde = p.knowledge.Forward(p.propX)
-	p.sHT = matrix.SoftmaxRows(p.hTilde)
+	p.hTilde = p.knowledge.Forward(nil)
+	matrix.SoftmaxRowsInto(p.buf(&p.sHT), p.hTilde)
 
 	// Heterophilous branch.
 	if !p.opt.DisableTF {
-		p.hf = p.feature.Forward(p.g.X)
-		p.sHF = matrix.SoftmaxRows(p.hf)
+		p.hf = p.feature.Forward(nil)
+		matrix.SoftmaxRowsInto(p.buf(&p.sHF), p.hf)
 	}
 	if !p.opt.DisableLM {
 		// Eq. (11)–(12) with one learnable message layer. The evolved P̃^(1)
@@ -310,30 +386,34 @@ func (p *personal) forward() *matrix.Dense {
 		matrix.MulTInto(p.pNeg, p.hmPrime, p.hmPrime)
 		matrix.NormalizeRowsL1(p.pNeg)
 		evolveSigns(p.pPos, p.pNeg, p.opt.Beta, p.ptilde, p.pNeg)
-		// H_m^(1) = H' + P⁺H' − P⁻H'.
-		p.hm1 = matrix.Add(p.hmPrime, matrix.Sub(matrix.Mul(p.pPos, p.hmPrime), matrix.Mul(p.pNeg, p.hmPrime)))
-		p.sHM = matrix.SoftmaxRows(p.hm1)
+		// H_m^(1) = H' + (P⁺H' − P⁻H').
+		posH, negH := p.buf(&p.posH), p.buf(&p.negH)
+		matrix.MulInto(posH, p.pPos, p.hmPrime)
+		matrix.MulInto(negH, p.pNeg, p.hmPrime)
+		matrix.SubInto(posH, posH, negH)
+		matrix.AddInto(p.buf(&p.hm1), p.hmPrime, posH)
+		matrix.SoftmaxRowsInto(p.buf(&p.sHM), p.hm1)
 	}
 
 	// Eq. (9): Ŷ_ho = (softmax(H̃) + P̂)/2.
-	yho := matrix.Scale(0.5, p.sHT)
+	yho := p.buf(&p.yho)
+	matrix.ScaleInto(yho, 0.5, p.sHT)
 	matrix.AddScaled(yho, 0.5, p.phat)
 
 	// Eq. (13): Ŷ_he = mean of available heterophilous heads.
-	heads := []*matrix.Dense{p.sHT}
+	yhe := p.buf(&p.yhe)
+	yhe.Zero()
+	w := 1 / float64(p.heads())
+	matrix.AddScaled(yhe, w, p.sHT)
 	if !p.opt.DisableTF {
-		heads = append(heads, p.sHF)
+		matrix.AddScaled(yhe, w, p.sHF)
 	}
 	if !p.opt.DisableLM {
-		heads = append(heads, p.sHM)
-	}
-	yhe := matrix.New(p.g.N, p.g.Classes)
-	for _, h := range heads {
-		matrix.AddScaled(yhe, 1/float64(len(heads)), h)
+		matrix.AddScaled(yhe, w, p.sHM)
 	}
 
 	// Eq. (17).
-	p.yhat = matrix.Scale(p.hcs, yho)
+	matrix.ScaleInto(p.buf(&p.yhat), p.hcs, yho)
 	matrix.AddScaled(p.yhat, 1-p.hcs, yhe)
 	return p.yhat
 }
@@ -361,11 +441,10 @@ func evolveSigns(pos, neg *matrix.Dense, beta float64, ptilde, gram *matrix.Dens
 
 // train runs Step-2 epochs minimising Eq. (14): L = L_CE + L_knowledge.
 func (p *personal) train(epochs int) {
-	group := p.modules()
 	for e := 0; e < epochs; e++ {
-		nn.ZeroGrads(group)
+		nn.ZeroGrads(p.params)
 		p.lossGrad()
-		p.optimizer.Step(group)
+		p.optimizer.Step(p.params)
 	}
 }
 
@@ -373,45 +452,47 @@ func (p *personal) train(epochs int) {
 // modules' gradients and returns L.
 func (p *personal) lossGrad() float64 {
 	// CE on the combined probability matrix.
-	loss, dY := probCrossEntropyGrad(p.forward(), p.g.Labels, p.g.TrainMask)
+	dY := p.buf(&p.dY)
+	loss := probCrossEntropyGradInto(dY, p.forward(), p.g.Labels, p.g.TrainMask)
 	p.backward(dY)
 
-	// Eq. (8): knowledge preserving on the homophilous branch.
+	// Eq. (8): knowledge preserving on the homophilous branch. H̃ is still
+	// the last forward's: backward runs no forward.
 	if !p.opt.DisableKP {
-		kp, dKP := nn.MSELoss(p.hTilde, p.extLogits)
+		dKP := p.buf(&p.dKP)
+		loss += nn.MSELossInto(dKP, p.hTilde, p.extLogits)
 		p.knowledge.Backward(dKP)
-		loss += kp
 	}
 	return loss
 }
 
 // backward routes dL/dŶ through every branch of forward.
 func (p *personal) backward(dY *matrix.Dense) {
-	nHeads := 1
-	if !p.opt.DisableTF {
-		nHeads++
-	}
-	if !p.opt.DisableLM {
-		nHeads++
-	}
-	heWeight := (1 - p.hcs) / float64(nHeads)
+	heWeight := (1 - p.hcs) / float64(p.heads())
+	dS, dZ := p.buf(&p.dS), p.buf(&p.dZ)
 
 	// d softmax(H̃): from Ŷ_ho (weight hcs·½) and Ŷ_he (weight heWeight).
-	dSHT := matrix.Scale(p.hcs*0.5+heWeight, dY)
-	dHT := softmaxBackward(p.sHT, dSHT)
+	matrix.ScaleInto(dS, p.hcs*0.5+heWeight, dY)
+	dHT := p.buf(&p.dHT)
+	softmaxBackwardInto(dHT, p.sHT, dS)
 
 	if !p.opt.DisableLM {
-		dSHM := matrix.Scale(heWeight, dY)
-		dHM1 := softmaxBackward(p.sHM, dSHM)
-		// H_m^(1) = (I + P⁺ − P⁻)·H' ⇒ dH' = (I + P⁺ᵀ − P⁻ᵀ)·dH_m.
-		dHP := matrix.Add(dHM1, matrix.Sub(matrix.TMul(p.pPos, dHM1), matrix.TMul(p.pNeg, dHM1)))
-		matrix.AddInPlace(dHT, p.message.Backward(dHP))
+		matrix.ScaleInto(dS, heWeight, dY)
+		softmaxBackwardInto(dZ, p.sHM, dS)
+		// H_m^(1) = (I + P⁺ − P⁻)·H' ⇒ dH' = dH_m + (P⁺ᵀ·dH_m − P⁻ᵀ·dH_m).
+		posH, negH := p.buf(&p.posH), p.buf(&p.negH)
+		matrix.TMulInto(posH, p.pPos, dZ)
+		matrix.TMulInto(negH, p.pNeg, dZ)
+		matrix.SubInto(posH, posH, negH)
+		matrix.AddInto(posH, dZ, posH)
+		matrix.AddInPlace(dHT, p.message.Backward(posH))
 	}
 	p.knowledge.Backward(dHT)
 
 	if !p.opt.DisableTF {
-		dSHF := matrix.Scale(heWeight, dY)
-		p.feature.Backward(softmaxBackward(p.sHF, dSHF))
+		matrix.ScaleInto(dS, heWeight, dY)
+		softmaxBackwardInto(dZ, p.sHF, dS)
+		p.feature.Backward(dZ)
 	}
 }
 
@@ -421,10 +502,10 @@ func (p *personal) testAccuracy() float64 {
 	return models.AccuracyFromLogits(yhat, p.g.Labels, p.g.TestMask)
 }
 
-// probCrossEntropyGrad computes masked mean NLL on a probability matrix and
-// its gradient dL/dP.
-func probCrossEntropyGrad(probs *matrix.Dense, labels []int, mask []bool) (float64, *matrix.Dense) {
-	grad := matrix.New(probs.Rows, probs.Cols)
+// probCrossEntropyGradInto computes masked mean NLL on a probability matrix
+// and writes its gradient dL/dP into grad (probs' shape).
+func probCrossEntropyGradInto(grad, probs *matrix.Dense, labels []int, mask []bool) float64 {
+	grad.Zero()
 	count := 0
 	var loss float64
 	for i := 0; i < probs.Rows; i++ {
@@ -440,16 +521,15 @@ func probCrossEntropyGrad(probs *matrix.Dense, labels []int, mask []bool) (float
 		grad.Set(i, labels[i], -1/pv)
 	}
 	if count == 0 {
-		return 0, grad
+		return 0
 	}
 	inv := 1 / float64(count)
 	matrix.ScaleInPlace(grad, inv)
-	return loss * inv, grad
+	return loss * inv
 }
 
-// softmaxBackward computes dL/dZ from S = softmax(Z) and dL/dS.
-func softmaxBackward(s, dS *matrix.Dense) *matrix.Dense {
-	out := matrix.New(s.Rows, s.Cols)
+// softmaxBackwardInto writes dL/dZ into out from S = softmax(Z) and dL/dS.
+func softmaxBackwardInto(out, s, dS *matrix.Dense) {
 	for i := 0; i < s.Rows; i++ {
 		srow, drow, orow := s.Row(i), dS.Row(i), out.Row(i)
 		var dot float64
@@ -460,5 +540,4 @@ func softmaxBackward(s, dS *matrix.Dense) *matrix.Dense {
 			orow[j] = srow[j] * (drow[j] - dot)
 		}
 	}
-	return out
 }

@@ -144,7 +144,9 @@ func TestSoftmaxBackwardMatchesNumeric(t *testing.T) {
 	dS := matrix.New(3, 4)
 	matrix.RandomNormal(dS, 0, 1, rng)
 	s := matrix.SoftmaxRows(z)
-	got := softmaxBackward(s, dS)
+	got := matrix.New(3, 4)
+	got.Fill(math.NaN()) // an owned buffer arrives holding anything
+	softmaxBackwardInto(got, s, dS)
 	// numeric: L = <softmax(z), dS>.
 	loss := func() float64 {
 		sm := matrix.SoftmaxRows(z)
@@ -173,7 +175,9 @@ func TestProbCrossEntropyGrad(t *testing.T) {
 	probs, _ := matrix.FromRows([][]float64{{0.9, 0.1}, {0.2, 0.8}})
 	labels := []int{0, 0}
 	mask := []bool{true, true}
-	loss, grad := probCrossEntropyGrad(probs, labels, mask)
+	grad := matrix.New(2, 2)
+	grad.Fill(math.NaN()) // an owned buffer arrives holding anything
+	loss := probCrossEntropyGradInto(grad, probs, labels, mask)
 	want := -(math.Log(0.9) + math.Log(0.2)) / 2
 	if math.Abs(loss-want) > 1e-12 {
 		t.Fatalf("loss = %v, want %v", loss, want)

@@ -18,11 +18,11 @@ import (
 // detached in training — backward treats its signed halves as constants — so
 // the reference takes them frozen (nil under DisableLM).
 func referenceLoss(p *personal, pPos, pNeg *matrix.Dense) float64 {
-	hT := p.knowledge.Forward(p.propX)
+	hT := p.knowledge.Forward(nil) // the bound smoothed features
 	sHT := matrix.SoftmaxRows(hT)
 	heads := []*matrix.Dense{sHT}
 	if !p.opt.DisableTF {
-		heads = append(heads, matrix.SoftmaxRows(p.feature.Forward(p.g.X)))
+		heads = append(heads, matrix.SoftmaxRows(p.feature.Forward(nil))) // bound X
 	}
 	if !p.opt.DisableLM {
 		hm := p.message.Forward(hT)

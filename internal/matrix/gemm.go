@@ -12,6 +12,17 @@
 // Products below the cutover keep the naive kernels: for small operands the
 // packing traffic costs more than the cache misses it avoids.
 //
+// A left operand that is constant across many products — a leaf layer's
+// input, multiplied by a new weight every epoch — can be handed to the engine
+// packed: PackMul / PackTMul pack A (or Aᵀ) once at full depth in the same
+// mr-interleaved layout packA writes, panel g at g·k·mr and element (kk, r)
+// at kk·mr + r, so a KC slice is the offset kc·mr into a panel and the layout
+// does not depend on the tiling. The engine then reads those panels where it
+// would have called packA; the micro-kernels see the same values in the same
+// order, so (*Packed).MulInto is Mul's (or TMul's) result bit for bit. A pack
+// is bound to its product width, knows which kernel Mul would have picked,
+// and below the cutover keeps A itself for the naive kernel instead.
+//
 // On amd64 with AVX2+FMA every tile runs a vector kernel (gemm_amd64.s), and
 // which rounding a dst element gets is a pure function of the product's shape
 // (n mod 4, p mod 4), never of workers or tile sizes. Full 4x4 tiles fuse each
@@ -34,6 +45,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/parallel"
 )
@@ -102,20 +114,19 @@ func Mul(a, b *Dense) *Dense {
 	shapeCheck(a.Cols == b.Rows, "Mul", a, b)
 	out := New(a.Rows, b.Cols)
 	if gemmFlops(a.Rows, a.Cols, b.Cols) >= BlockedCutover {
-		blockedGEMM(out, a, false, b, false)
+		blockedGEMM(out, lhsOf(a, false), b, false)
 		return out
 	}
 	naiveMulInto(out, a, b)
 	return out
 }
 
-// MulInto computes dst = a*b. dst must be a.Rows x b.Cols and must not alias
-// a or b.
+// MulInto computes dst = a*b. dst must be a.Rows x b.Cols and must not
+// overlap a or b (it panics if it does).
 func MulInto(dst, a, b *Dense) {
 	shapeCheck(a.Cols == b.Rows, "MulInto", a, b)
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("matrix: MulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
+	dstCheck("MulInto", dst, a.Rows, b.Cols)
+	noAlias("MulInto", dst, a, b)
 	if gemmFlops(a.Rows, a.Cols, b.Cols) >= BlockedCutover {
 		blockedMulInto(dst, a, b)
 		return
@@ -130,7 +141,7 @@ func MulT(a, b *Dense) *Dense {
 	shapeCheck(a.Cols == b.Cols, "MulT", a, b)
 	out := New(a.Rows, b.Rows)
 	if gemmFlops(a.Rows, a.Cols, b.Rows) >= BlockedCutover {
-		blockedGEMM(out, a, false, b, true)
+		blockedGEMM(out, lhsOf(a, false), b, true)
 		return out
 	}
 	naiveMulTInto(out, a, b)
@@ -139,15 +150,15 @@ func MulT(a, b *Dense) *Dense {
 
 // MulTInto computes dst = a * bᵀ into a caller-owned matrix, for loops that
 // form the same-shaped product every step (AdaFGL Step 2's Gram matrix). dst
-// must be a.Rows x b.Rows and must not alias a or b. The bits are MulT's.
+// must be a.Rows x b.Rows and must not overlap a or b (it panics if it does).
+// The bits are MulT's.
 func MulTInto(dst, a, b *Dense) {
 	shapeCheck(a.Cols == b.Cols, "MulTInto", a, b)
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("matrix: MulTInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
+	dstCheck("MulTInto", dst, a.Rows, b.Rows)
+	noAlias("MulTInto", dst, a, b)
 	if gemmFlops(a.Rows, a.Cols, b.Rows) >= BlockedCutover {
 		dst.Zero()
-		blockedGEMM(dst, a, false, b, true)
+		blockedGEMM(dst, lhsOf(a, false), b, true)
 		return
 	}
 	naiveMulTInto(dst, a, b)
@@ -160,11 +171,116 @@ func TMul(a, b *Dense) *Dense {
 	shapeCheck(a.Rows == b.Rows, "TMul", a, b)
 	out := New(a.Cols, b.Cols)
 	if gemmFlops(a.Cols, a.Rows, b.Cols) >= BlockedCutover {
-		blockedGEMM(out, a, true, b, false)
+		blockedGEMM(out, lhsOf(a, true), b, false)
 		return out
 	}
 	naiveTMulInto(out, a, b)
 	return out
+}
+
+// TMulInto computes dst = aᵀ * b into a caller-owned matrix. dst must be
+// a.Cols x b.Cols and must not overlap a or b (it panics if it does). The
+// bits are TMul's.
+func TMulInto(dst, a, b *Dense) {
+	shapeCheck(a.Rows == b.Rows, "TMulInto", a, b)
+	dstCheck("TMulInto", dst, a.Cols, b.Cols)
+	noAlias("TMulInto", dst, a, b)
+	if gemmFlops(a.Cols, a.Rows, b.Cols) >= BlockedCutover {
+		dst.Zero()
+		blockedGEMM(dst, lhsOf(a, true), b, false)
+		return
+	}
+	naiveTMulInto(dst, a, b)
+}
+
+// Packed is a constant left operand packed once for every product of one
+// width: A of A·B (PackMul) or Aᵀ of Aᵀ·B (PackTMul), for any B with the
+// width it was packed for. Above BlockedCutover it holds only the blocked
+// engine's full-depth panels — no row-major copy — and below it holds A
+// itself for the naive kernel, so MulInto computes exactly what Mul (or
+// TMul) computes from A, on the kernel they would pick. The panels are a
+// copy: writes into A after packing are not seen by an above-cutover pack,
+// so a caller must treat A as immutable once packed.
+type Packed struct {
+	rows, depth, width int
+	trans              bool
+	a                  *Dense    // below the cutover: A, read by the naive kernel
+	panels             []float64 // above it: every mr-row panel of op(A), full depth
+}
+
+// PackMul packs a as the left operand of a·B for every B with p columns.
+func PackMul(a *Dense, p int) *Packed { return pack(a, false, p) }
+
+// PackTMul packs a as the left operand of aᵀ·B for every B with p columns.
+func PackTMul(a *Dense, p int) *Packed { return pack(a, true, p) }
+
+func pack(a *Dense, t bool, p int) *Packed {
+	n, k := a.Rows, a.Cols
+	if t {
+		n, k = k, n
+	}
+	pk := &Packed{rows: n, depth: k, width: p, trans: t}
+	if gemmFlops(n, k, p) < BlockedCutover {
+		pk.a = a
+		return pk
+	}
+	pk.panels = make([]float64, roundUp(n, mr)*k)
+	packA(pk.panels, a, t, 0, n, roundUp(n, mr), 0, k)
+	return pk
+}
+
+// Rows returns the row count of the products pk takes part in: a.Rows for
+// PackMul, a.Cols for PackTMul.
+func (pk *Packed) Rows() int { return pk.rows }
+
+// MulInto computes dst = op(A)·b, where op(A) is A (PackMul) or Aᵀ
+// (PackTMul), bit for bit what Mul(A, b) or TMul(A, b) returns. b must have
+// the width pk was packed for, dst must be pk.Rows() x that width, and dst
+// must not overlap b or A (it panics if it does).
+func (pk *Packed) MulInto(dst, b *Dense) {
+	if b.Rows != pk.depth || b.Cols != pk.width {
+		panic(fmt.Sprintf("matrix: Packed.MulInto operand %dx%d, packed for %dx%d", b.Rows, b.Cols, pk.depth, pk.width))
+	}
+	dstCheck("Packed.MulInto", dst, pk.rows, pk.width)
+	noAlias("Packed.MulInto", dst, b, pk.a)
+	switch {
+	case pk.panels != nil:
+		dst.Zero()
+		blockedGEMM(dst, lhs{panels: pk.panels, n: pk.rows, k: pk.depth}, b, false)
+	case pk.trans:
+		naiveTMulInto(dst, pk.a, b)
+	default:
+		naiveMulInto(dst, pk.a, b)
+	}
+}
+
+// dstCheck panics unless dst is rows x cols.
+func dstCheck(op string, dst *Dense, rows, cols int) {
+	if dst.Rows != rows || dst.Cols != cols {
+		panic(fmt.Sprintf("matrix: %s dst %dx%d, want %dx%d", op, dst.Rows, dst.Cols, rows, cols))
+	}
+}
+
+// noAlias panics when dst's elements share memory with a's or b's (either
+// may be nil). A product reads its operands after it has started writing
+// dst, so an overlap would silently return a wrong answer (MulInto(a, a, I)
+// would zero a before reading it).
+func noAlias(op string, dst, a, b *Dense) {
+	for _, m := range [2]*Dense{a, b} {
+		if m != nil && overlaps(dst.Data, m.Data) {
+			panic(fmt.Sprintf("matrix: %s dst overlaps an operand", op))
+		}
+	}
+}
+
+// overlaps reports whether x and y share at least one element of memory.
+func overlaps(x, y []float64) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	x0, x1 := uintptr(unsafe.Pointer(&x[0])), uintptr(unsafe.Pointer(&x[len(x)-1]))
+	y0, y1 := uintptr(unsafe.Pointer(&y[0])), uintptr(unsafe.Pointer(&y[len(y)-1]))
+	return x0 <= y1 && y0 <= x1
 }
 
 // MulNaive computes a*b on the naive kernel regardless of size. It is the
@@ -293,13 +409,34 @@ func getPackBuffer(n int) *[]float64 {
 // directly.
 func blockedMulInto(dst, a, b *Dense) {
 	dst.Zero()
-	blockedGEMM(dst, a, false, b, false)
+	blockedGEMM(dst, lhsOf(a, false), b, false)
+}
+
+// lhs is the left operand as the blocked engine reads it: a matrix it packs
+// one MC x KC panel at a time (transposed when t is set), or — panels set —
+// every mr-row panel of an n x k operand packed once at full depth by pack.
+type lhs struct {
+	a      *Dense
+	t      bool
+	panels []float64
+	n, k   int // op(a) is n x k
+}
+
+// lhsOf hands a (aᵀ when t is set) to the engine unpacked.
+func lhsOf(a *Dense, t bool) lhs {
+	if t {
+		return lhs{a: a, t: true, n: a.Cols, k: a.Rows}
+	}
+	return lhs{a: a, n: a.Rows, k: a.Cols}
 }
 
 // blockedGEMM accumulates op(a)·op(b) into dst with panel packing and the
 // mr x nr micro-kernel; dst must arrive zeroed (a fresh New, or a reused
 // buffer the caller cleared — never both), and op transposes the operand
-// when its flag is set. Loop structure (GotoBLAS order, NC/KC/rows):
+// when its flag is set. An operand handed packed (a.panels) is read in
+// place of packing it: its KC slice of the panel holding rows i0+ir is the
+// same kw·mr values packA would have written. Loop structure (GotoBLAS
+// order, NC/KC/rows):
 //
 //	for each NC-wide column panel of B:
 //	  for each KC-deep slice:                       // ascending, serial
@@ -315,11 +452,8 @@ func blockedMulInto(dst, a, b *Dense) {
 // read the operand with the appropriate stride — so no transposed temporary
 // is ever materialised and the tile/micro-kernel structure (and with it the
 // determinism contract) is identical for all four variants.
-func blockedGEMM(dst *Dense, a *Dense, aT bool, b *Dense, bT bool) {
-	n, k := a.Rows, a.Cols
-	if aT {
-		n, k = a.Cols, a.Rows
-	}
+func blockedGEMM(dst *Dense, a lhs, b *Dense, bT bool) {
+	n, k := a.n, a.k
 	p := b.Cols
 	if bT {
 		p = b.Rows
@@ -340,16 +474,26 @@ func blockedGEMM(dst *Dense, a *Dense, aT bool, b *Dense, bT bool) {
 			kw := min(kcT, k-kc)
 			packB(bp, b, bT, kc, kw, jc, jw, jwR)
 			parallel.ForWorkGrain(n, gemmFlops(n, kw, jw), mr, func(lo, hi int) {
-				apBuf := getPackBuffer(mc * kw)
-				defer packBuffers.Put(apBuf)
-				ap := *apBuf
+				var ap []float64
+				if a.panels == nil {
+					apBuf := getPackBuffer(mc * kw)
+					defer packBuffers.Put(apBuf)
+					ap = *apBuf
+				}
 				for i0 := lo; i0 < hi; i0 += mc {
 					iw := min(mc, hi-i0)
 					iwR := roundUp(iw, mr)
-					packA(ap, a, aT, i0, iw, iwR, kc, kw)
+					if a.panels == nil {
+						packA(ap, a.a, a.t, i0, iw, iwR, kc, kw)
+					}
 					for ir := 0; ir < iwR; ir += mr {
 						vr := min(mr, iw-ir)
-						apn := ap[(ir/mr)*kw*mr:]
+						var apn []float64
+						if a.panels != nil {
+							apn = a.panels[((i0+ir)/mr)*k*mr+kc*mr:]
+						} else {
+							apn = ap[(ir/mr)*kw*mr:]
+						}
 						for jr := 0; jr < jwR; jr += nr {
 							vc := min(nr, jw-jr)
 							bpn := bp[(jr/nr)*kw*nr:]

@@ -122,14 +122,21 @@ func Transpose(m *Dense) *Dense {
 
 // Add returns a+b.
 func Add(a, b *Dense) *Dense {
-	shapeCheck(SameShape(a, b), "Add", a, b)
 	out := New(a.Rows, a.Cols)
+	AddInto(out, a, b)
+	return out
+}
+
+// AddInto computes dst = a+b. dst must have a's shape; it may be a or b
+// (element i is read before it is written).
+func AddInto(dst, a, b *Dense) {
+	shapeCheck(SameShape(a, b), "AddInto", a, b)
+	shapeCheck(SameShape(dst, a), "AddInto", dst, a)
 	parallel.ForWork(len(a.Data), len(a.Data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] + b.Data[i]
+			dst.Data[i] = a.Data[i] + b.Data[i]
 		}
 	})
-	return out
 }
 
 // AddInPlace computes a += b.
@@ -154,14 +161,20 @@ func AddScaled(a *Dense, s float64, b *Dense) {
 
 // Sub returns a-b.
 func Sub(a, b *Dense) *Dense {
-	shapeCheck(SameShape(a, b), "Sub", a, b)
 	out := New(a.Rows, a.Cols)
+	SubInto(out, a, b)
+	return out
+}
+
+// SubInto computes dst = a-b. dst must have a's shape; it may be a or b.
+func SubInto(dst, a, b *Dense) {
+	shapeCheck(SameShape(a, b), "SubInto", a, b)
+	shapeCheck(SameShape(dst, a), "SubInto", dst, a)
 	parallel.ForWork(len(a.Data), len(a.Data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] - b.Data[i]
+			dst.Data[i] = a.Data[i] - b.Data[i]
 		}
 	})
-	return out
 }
 
 // Hadamard returns the elementwise product a⊙b.
@@ -179,12 +192,18 @@ func Hadamard(a, b *Dense) *Dense {
 // Scale returns s*m as a new matrix.
 func Scale(s float64, m *Dense) *Dense {
 	out := New(m.Rows, m.Cols)
+	ScaleInto(out, s, m)
+	return out
+}
+
+// ScaleInto computes dst = s*m. dst must have m's shape; it may be m.
+func ScaleInto(dst *Dense, s float64, m *Dense) {
+	shapeCheck(SameShape(dst, m), "ScaleInto", dst, m)
 	parallel.ForWork(len(m.Data), len(m.Data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out.Data[i] = s * m.Data[i]
+			dst.Data[i] = s * m.Data[i]
 		}
 	})
-	return out
 }
 
 // ScaleInPlace multiplies every element of m by s.
@@ -211,13 +230,22 @@ func AddRowVector(m *Dense, v []float64) {
 // ColSums returns the per-column sums of m (used for bias gradients).
 func ColSums(m *Dense) []float64 {
 	out := make([]float64, m.Cols)
+	ColSumsInto(out, m)
+	return out
+}
+
+// ColSumsInto writes the per-column sums of m into dst (len m.Cols).
+func ColSumsInto(dst []float64, m *Dense) {
+	if len(dst) != m.Cols {
+		panic(fmt.Sprintf("matrix: ColSumsInto len %d, want %d", len(dst), m.Cols))
+	}
+	clear(dst)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
-			out[j] += v
+			dst[j] += v
 		}
 	}
-	return out
 }
 
 // RowSums returns the per-row sums of m.
@@ -237,14 +265,21 @@ func RowSums(m *Dense) []float64 {
 // subtracting the row max.
 func SoftmaxRows(m *Dense) *Dense {
 	out := New(m.Rows, m.Cols)
+	SoftmaxRowsInto(out, m)
+	return out
+}
+
+// SoftmaxRowsInto writes the row-wise softmax of m into dst, which must have
+// m's shape; it may be m (each row is read before it is written).
+func SoftmaxRowsInto(dst, m *Dense) {
+	shapeCheck(SameShape(dst, m), "SoftmaxRowsInto", dst, m)
 	// exp is expensive relative to a flop; weight the work estimate so
 	// moderately sized logit matrices still parallelize.
 	parallel.ForWork(m.Rows, 8*len(m.Data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			softmaxRow(m.Row(i), out.Row(i), m.Cols)
+			softmaxRow(m.Row(i), dst.Row(i), m.Cols)
 		}
 	})
-	return out
 }
 
 // softmaxRow writes the stabilised softmax of row into orow.

@@ -259,7 +259,7 @@ func TestPropertyBlockedOrientationsAtTrainingShapes(t *testing.T) {
 				}
 				product := func() *Dense {
 					out := New(n, p)
-					blockedGEMM(out, a, aT, b, bT)
+					blockedGEMM(out, lhsOf(a, aT), b, bT)
 					return out
 				}
 				name := fmt.Sprintf("blocked(aT=%v,bT=%v) n=%d p=%d", aT, bT, n, p)

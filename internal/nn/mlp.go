@@ -42,6 +42,57 @@ func (m *MLP) MarkLeaf() *MLP {
 	return m
 }
 
+// BindInput binds the first layer to the constant input x (see
+// Linear.BindInput: packed once, for the weight gradient too when train is
+// set) and returns m; Forward(nil) then runs the network on x and Backward
+// returns nil.
+func (m *MLP) BindInput(x *matrix.Dense, train bool) *MLP {
+	m.Layers[0].BindInput(x, train)
+	return m
+}
+
+// OwnBuffers makes every layer of m own its activations and gradients, and
+// returns m. A training loop that runs the same shapes every epoch then
+// allocates no matrix in m, under one rule: a layer's output is valid until
+// its next Forward and its input gradient until its next Backward, so a
+// caller must be done with what Forward returned before the next Forward,
+// and with what Backward returned before the next Backward. By default each
+// pass returns fresh matrices the caller may keep.
+func (m *MLP) OwnBuffers() *MLP {
+	for i, l := range m.Layers {
+		l.own = true
+		if i < len(m.acts) {
+			m.acts[i].own = true
+			m.drops[i].own = true
+		}
+	}
+	return m
+}
+
+// Scratch returns the data of every buffer m's layers own and have
+// allocated (see OwnBuffers): what a test overwrites between passes to prove
+// no caller reads a buffer past the ownership rule.
+func (m *MLP) Scratch() [][]float64 {
+	var out [][]float64
+	add := func(ms ...*matrix.Dense) {
+		for _, d := range ms {
+			if d != nil {
+				out = append(out, d.Data)
+			}
+		}
+	}
+	for i, l := range m.Layers {
+		add(l.out, l.dW, l.dx)
+		if l.db != nil {
+			out = append(out, l.db)
+		}
+		if i < len(m.acts) {
+			add(m.acts[i].out, m.acts[i].dx, m.drops[i].out, m.drops[i].dx)
+		}
+	}
+	return out
+}
+
 // Params implements Module.
 func (m *MLP) Params() []*Parameter {
 	var out []*Parameter
@@ -54,7 +105,8 @@ func (m *MLP) Params() []*Parameter {
 // SetTraining toggles dropout.
 func (m *MLP) SetTraining(train bool) { m.training = train }
 
-// Forward runs the network, caching activations for Backward.
+// Forward runs the network, caching activations for Backward; x nil means
+// the input bound by BindInput.
 func (m *MLP) Forward(x *matrix.Dense) *matrix.Dense {
 	h := x
 	for i, l := range m.Layers {

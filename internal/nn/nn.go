@@ -82,7 +82,16 @@ type Linear struct {
 	B *Parameter // 1 x out
 
 	leaf      bool
-	lastInput *matrix.Dense
+	forwarded bool
+	lastInput *matrix.Dense // nil after a Forward on the bound input
+
+	// The constant input bound by BindInput, packed for x·W and (training
+	// layers only) for the weight gradient xᵀ·gradOut; nil otherwise.
+	fwd, grad *matrix.Packed
+
+	buffers
+	out, dW, dx *matrix.Dense
+	db          []float64
 }
 
 // NewLinear creates a Linear layer with Xavier-uniform weights.
@@ -106,37 +115,120 @@ func (l *Linear) MarkLeaf() *Linear {
 	return l
 }
 
+// BindInput makes l a leaf (see MarkLeaf) fed the constant x for the rest of
+// its life, and returns l. x is packed once for x·W and, when train is set,
+// once more for the weight gradient xᵀ·gradOut (an evaluation-only layer
+// never runs Backward and skips that pack); Forward(nil) then runs on the
+// packs and no epoch packs x again. Above the blocked-GEMM cutover the packs
+// are copies and l keeps no reference to x, so x must not change after it
+// is bound — bind a new input instead. Bind where the model is built, as
+// with MarkLeaf; the bits are those of Forward(x) and Backward on x.
+func (l *Linear) BindInput(x *matrix.Dense, train bool) *Linear {
+	out := l.W.Value.Cols
+	l.fwd, l.grad = matrix.PackMul(x, out), nil
+	if train {
+		l.grad = matrix.PackTMul(x, out)
+	}
+	return l.MarkLeaf()
+}
+
 // Params implements Module.
 func (l *Linear) Params() []*Parameter { return []*Parameter{l.W, l.B} }
 
-// Forward computes x·W + b, caching x for Backward.
+// Forward computes x·W + b, caching x for Backward; x nil means the input
+// bound by BindInput. The result is a fresh matrix, or l's own buffer when
+// l owns its buffers (valid until l's next Forward).
 func (l *Linear) Forward(x *matrix.Dense) *matrix.Dense {
-	l.lastInput = x
-	out := matrix.Mul(x, l.W.Value)
+	w := l.W.Value
+	var out *matrix.Dense
+	if x == nil {
+		if l.fwd == nil {
+			panic("nn: Linear.Forward(nil) on a layer with no bound input")
+		}
+		out = l.buffer(&l.out, l.fwd.Rows(), w.Cols)
+		l.fwd.MulInto(out, w)
+	} else {
+		out = l.buffer(&l.out, x.Rows, w.Cols)
+		matrix.MulInto(out, x, w)
+	}
+	l.lastInput, l.forwarded = x, true
 	matrix.AddRowVector(out, l.B.Value.Data)
 	return out
 }
 
 // Backward accumulates dL/dW and dL/db from dL/dy and returns dL/dx (nil for
-// a leaf layer, see MarkLeaf).
+// a leaf layer, see MarkLeaf): a fresh matrix, or l's own buffer when l owns
+// its buffers (valid until l's next Backward).
 func (l *Linear) Backward(gradOut *matrix.Dense) *matrix.Dense {
-	if l.lastInput == nil {
+	if !l.forwarded {
 		panic("nn: Linear.Backward before Forward")
 	}
-	matrix.AddInPlace(l.W.Grad, matrix.TMul(l.lastInput, gradOut))
-	bias := matrix.ColSums(gradOut)
-	for j, v := range bias {
+	w := l.W.Value
+	dW := l.buffer(&l.dW, w.Rows, w.Cols)
+	if l.lastInput == nil {
+		if l.grad == nil {
+			panic("nn: Linear.Backward on an input bound without its gradient pack")
+		}
+		l.grad.MulInto(dW, gradOut)
+	} else {
+		matrix.TMulInto(dW, l.lastInput, gradOut)
+	}
+	matrix.AddInPlace(l.W.Grad, dW)
+	db := l.floats(&l.db, gradOut.Cols)
+	matrix.ColSumsInto(db, gradOut)
+	for j, v := range db {
 		l.B.Grad.Data[j] += v
 	}
 	if l.leaf {
 		return nil
 	}
-	return matrix.MulT(gradOut, l.W.Value) // gradOut · Wᵀ
+	dx := l.buffer(&l.dx, gradOut.Rows, w.Rows)
+	matrix.MulTInto(dx, gradOut, w) // gradOut · Wᵀ
+	return dx
+}
+
+// buffers decides who owns a layer's outputs and gradients. By default every
+// pass returns a fresh matrix the caller owns. A layer that owns its buffers
+// (MLP.OwnBuffers) allocates each on first use and overwrites it on every
+// later pass, so a result is valid only until the layer's next Forward (for
+// outputs) or Backward (for gradients).
+type buffers struct{ own bool }
+
+// buffer returns *m sized rows x cols when the layer owns its buffers —
+// reallocated only when the shape changes — and a fresh matrix otherwise.
+func (b buffers) buffer(m **matrix.Dense, rows, cols int) *matrix.Dense {
+	if !b.own {
+		return matrix.New(rows, cols)
+	}
+	if *m == nil || (*m).Rows != rows || (*m).Cols != cols {
+		*m = matrix.New(rows, cols)
+	}
+	return *m
+}
+
+// floats is buffer for a vector of length n.
+func (b buffers) floats(s *[]float64, n int) []float64 {
+	if !b.own {
+		return make([]float64, n)
+	}
+	*s = resize(*s, n)
+	return *s
+}
+
+// resize returns s with length n, reallocating only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ReLU is the rectified linear activation with cached mask.
 type ReLU struct {
 	mask []bool
+
+	buffers
+	out, dx *matrix.Dense
 }
 
 // PositiveMask returns all ones when bits is the pattern of a float64 v > 0
@@ -157,11 +249,8 @@ func PositiveMask(bits uint64) uint64 {
 // Forward returns max(x, 0) elementwise: x where x > 0, +0 elsewhere (NaN
 // included).
 func (r *ReLU) Forward(x *matrix.Dense) *matrix.Dense {
-	out := matrix.New(x.Rows, x.Cols)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
+	out := r.buffer(&r.out, x.Rows, x.Cols)
+	r.mask = resize(r.mask, len(x.Data))
 	mask, dst := r.mask, out.Data[:len(x.Data)]
 	for i, v := range x.Data {
 		bits := math.Float64bits(v)
@@ -175,7 +264,7 @@ func (r *ReLU) Forward(x *matrix.Dense) *matrix.Dense {
 // Backward zeroes gradient where the forward input was non-positive (a
 // select on the cached mask, not a branch).
 func (r *ReLU) Backward(gradOut *matrix.Dense) *matrix.Dense {
-	out := matrix.New(gradOut.Rows, gradOut.Cols)
+	out := r.buffer(&r.dx, gradOut.Rows, gradOut.Cols)
 	mask, dst := r.mask[:len(gradOut.Data)], out.Data[:len(gradOut.Data)]
 	for i, v := range gradOut.Data {
 		var m uint64
@@ -193,6 +282,9 @@ type Dropout struct {
 	P    float64
 	rng  *rand.Rand
 	mask []float64
+
+	buffers
+	out, dx *matrix.Dense
 }
 
 // NewDropout creates a Dropout layer; p outside (0,1) disables it.
@@ -204,15 +296,13 @@ func (d *Dropout) Forward(x *matrix.Dense, train bool) *matrix.Dense {
 		d.mask = nil
 		return x
 	}
-	out := matrix.New(x.Rows, x.Cols)
-	if cap(d.mask) < len(x.Data) {
-		d.mask = make([]float64, len(x.Data))
-	}
-	d.mask = d.mask[:len(x.Data)]
+	out := d.buffer(&d.out, x.Rows, x.Cols)
+	d.mask = resize(d.mask, len(x.Data))
 	scale := 1 / (1 - d.P)
 	for i, v := range x.Data {
 		if d.rng.Float64() < d.P {
 			d.mask[i] = 0
+			out.Data[i] = 0 // an owned buffer holds the last pass's values
 		} else {
 			d.mask[i] = scale
 			out.Data[i] = v * scale
@@ -226,7 +316,7 @@ func (d *Dropout) Backward(gradOut *matrix.Dense) *matrix.Dense {
 	if d.mask == nil {
 		return gradOut
 	}
-	out := matrix.New(gradOut.Rows, gradOut.Cols)
+	out := d.buffer(&d.dx, gradOut.Rows, gradOut.Cols)
 	for i, v := range gradOut.Data {
 		out.Data[i] = v * d.mask[i]
 	}
@@ -269,21 +359,26 @@ func SoftmaxCrossEntropy(logits *matrix.Dense, labels []int, mask []bool) (float
 
 // MSELoss computes mean squared error ‖a-b‖²/(n) and dL/da.
 func MSELoss(a, b *matrix.Dense) (float64, *matrix.Dense) {
-	if !matrix.SameShape(a, b) {
+	grad := matrix.New(a.Rows, a.Cols)
+	return MSELossInto(grad, a, b), grad
+}
+
+// MSELossInto is MSELoss writing dL/da into grad, which must have a's shape.
+func MSELossInto(grad, a, b *matrix.Dense) float64 {
+	if !matrix.SameShape(a, b) || !matrix.SameShape(grad, a) {
 		panic("nn: MSELoss shape mismatch")
 	}
 	n := float64(len(a.Data))
 	if n == 0 {
-		return 0, matrix.New(a.Rows, a.Cols)
+		return 0
 	}
-	grad := matrix.New(a.Rows, a.Cols)
 	var loss float64
 	for i, v := range a.Data {
 		d := v - b.Data[i]
 		loss += d * d
 		grad.Data[i] = 2 * d / n
 	}
-	return loss / n, grad
+	return loss / n
 }
 
 // Optimizer updates module parameters from their accumulated gradients.
@@ -368,6 +463,14 @@ func ClipGradNorm(m Module, maxNorm float64) float64 {
 	}
 	return norm
 }
+
+// ParamList is a parameter list collected once; it implements Module by
+// returning itself, so a training loop that zeroes and steps the same
+// parameters every epoch need not rebuild the list each time.
+type ParamList []*Parameter
+
+// Params implements Module.
+func (l ParamList) Params() []*Parameter { return l }
 
 // ParamGroup aggregates several modules into one Module (for joint
 // optimisation of decoupled components, e.g. AdaFGL Step 2).
