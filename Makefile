@@ -39,12 +39,14 @@ test:
 # already uses. internal/bench rides along: its paper_tiny.golden pins every
 # table and figure line; so do internal/serve and internal/shard, whose
 # TestGoldenServedLogits pins every architecture's served logits, and
-# internal/nn's property holds a bound, buffer-owning layer to the
+# internal/checkpoint, whose export property holds every architecture's
+# exported artifact, table section included, byte for byte across worker
+# counts; internal/nn's property holds a bound, buffer-owning layer to the
 # fresh-output one bit for bit. The set-up path's reference and property
 # suites run too: Louvain's visit rule skips the sort by comparing floats,
 # and must still match the always-sort fold.
 test-fused:
-	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/nn ./internal/core ./internal/federated ./internal/fgl ./internal/bench ./internal/serve ./internal/shard -run 'Golden|Property'
+	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/nn ./internal/core ./internal/federated ./internal/fgl ./internal/bench ./internal/serve ./internal/shard ./internal/checkpoint -run 'Golden|Property'
 	GOAMD64=v3 $(GO) test ./internal/partition ./internal/datasets ./internal/graph -run 'Reference|Property'
 
 # Race-detector coverage of the concurrent paths (worker pool, graph caches
@@ -57,14 +59,14 @@ test-fused:
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/graph/... ./internal/models/... ./internal/nn/... ./internal/federated/... ./internal/fgl/... ./internal/scenario/... ./internal/core/... ./internal/matrix/... ./internal/sparse/... ./internal/checkpoint/... ./internal/serve/... ./internal/registry/... ./internal/partition/... ./internal/shard/... ./internal/telemetry/...
 
-# Coverage floor on the numeric kernel, training, federation, serving,
-# sharding and telemetry packages, matching the CI "coverage" job:
+# Coverage floor on the numeric kernel, training, federation, artifact,
+# serving, sharding and telemetry packages, matching the CI "coverage" job:
 # internal/matrix + internal/nn + internal/core + internal/sparse +
-# internal/federated + internal/scenario + internal/serve +
-# internal/registry + internal/partition + internal/shard +
+# internal/federated + internal/scenario + internal/checkpoint +
+# internal/serve + internal/registry + internal/partition + internal/shard +
 # internal/telemetry must stay at >= 90% statements.
 cover:
-	@$(GO) test -coverprofile=cover.out ./internal/matrix ./internal/nn ./internal/core ./internal/sparse ./internal/federated ./internal/scenario ./internal/serve ./internal/registry ./internal/partition ./internal/shard ./internal/telemetry
+	@$(GO) test -coverprofile=cover.out ./internal/matrix ./internal/nn ./internal/core ./internal/sparse ./internal/federated ./internal/scenario ./internal/checkpoint ./internal/serve ./internal/registry ./internal/partition ./internal/shard ./internal/telemetry
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 	echo "kernel coverage: $$total%"; \
 	awk -v t="$$total" 'BEGIN { exit (t+0 < 90) ? 1 : 0 }' || \

@@ -18,6 +18,13 @@
 // startup, listed under "quarantined" in GET /v1/models) and the healthy rest
 // serve; -strict-scan restores fail-fast startup.
 //
+// An artifact carries its answer: checkpoint format version 2 stores the
+// model's full-graph logits table, filled once when the artifact was
+// exported, and a model's cold start reads that table and runs no model
+// code — so -workers, kept for symmetry with the other binaries, changes
+// nothing here. An artifact of format version 1 has no table and is refused
+// as corrupt; re-export it from its training run (checkpoint.FromResult).
+//
 // Resilience knobs: -max-pending bounds the per-model admission queue (excess
 // requests shed with 503 + Retry-After), -request-timeout enforces a
 // server-side deadline (504), and -breaker-threshold/-breaker-backoff/

@@ -63,7 +63,7 @@ var strictDirs = map[string]bool{
 
 // importBans lists, per package directory relative to the repository root,
 // the import paths its non-test files may not take. A server is born with
-// its logits table (checkpoint.Table fills it), so serve never sees a model,
+// its logits table (the checkpoint carries it), so serve never sees a model,
 // a graph or the worker pool; a sharded table reaches a server through
 // serve.NewFromTable, so shard never constructs one.
 var importBans = map[string][]string{

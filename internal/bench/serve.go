@@ -28,7 +28,8 @@ const serveQueriesPerWorker = 16
 // batched predictions cross-checked bit-identical to the unbatched ones.
 // Both kinds of architecture run: GCN (a full-graph forward) and SGC (the
 // dense head over its propagated embedding) each fill their logits table
-// once, in serve.New, and every window is a row gather from it. Neither does
+// once, at export (checkpoint.FromResult), and every window is a row gather
+// from it. Neither does
 // per-window work that grows with the graph, so what the two rows compare is
 // the dispatcher's per-window overhead against the MaxWait a window spends
 // collecting company — the "speedup" column reads below 1 whenever the

@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/federated"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/sparse"
 )
 
 // BenchmarkDecode times Decode on a checkpoint of the shape the repo
 // benchmark's serving workloads load at every cold start and swap: a GCN
-// bound to Cora ×4 (5.6k nodes) with the normalised adjacency embedded. The
-// parameters are untrained — Decode's cost depends on the byte layout only.
+// bound to Cora ×4 (5.6k nodes) with the normalised adjacency and the
+// 5.6k×7 logits table embedded. The parameters are untrained — Decode's cost
+// depends on the byte layout only.
 func BenchmarkDecode(b *testing.B) {
 	spec, err := datasets.ByName("Cora")
 	if err != nil {
@@ -22,9 +23,9 @@ func BenchmarkDecode(b *testing.B) {
 	g := datasets.GenerateScaled(spec, 4, 7)
 	cfg := models.DefaultConfig()
 	m := models.Registry["GCN"](g, cfg, rand.New(rand.NewSource(7)))
-	ck := &Checkpoint{
-		Arch: "GCN", Config: cfg, Norm: sparse.NormSym,
-		Params: nn.Flatten(m), Graph: g, Adj: g.NormAdj(sparse.NormSym),
+	ck, err := FromResult(&federated.Result{GlobalParams: nn.Flatten(m)}, "GCN", cfg, g)
+	if err != nil {
+		b.Fatal(err)
 	}
 	enc, err := ck.Encode()
 	if err != nil {

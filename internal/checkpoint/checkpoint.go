@@ -4,10 +4,12 @@
 // model's architecture, hyperparameters, normalisation kind and flattened
 // parameters together with the graph it serves — topology, features, labels,
 // masks, and optionally the precomputed normalised adjacency in CSR form so
-// loading skips the normalisation pass. Save→Load round-trips are
-// bit-identical (enforced by unit tests and FuzzCheckpointRoundTrip), models
-// self-describe through the models.Registry architecture names, and
-// federated training results become servable artifacts via FromResult.
+// loading skips the normalisation pass — and the model's answer on that
+// graph, the N×C logits table, filled once at export so that serving it runs
+// no model code. Save→Load round-trips are bit-identical (enforced by unit
+// tests and FuzzCheckpointRoundTrip), models self-describe through the
+// models.Registry architecture names, and federated training results become
+// servable artifacts via FromResult.
 package checkpoint
 
 import (
@@ -52,10 +54,11 @@ func corrupt(err error) error {
 }
 
 // Checkpoint is one persisted model+graph artifact: everything needed to
-// rebuild a servable node classifier. Arch names a models.Registry builder
-// (the self-description hook shared by core and fgl training paths), Params
-// is the nn.Flatten layout of that architecture, and Graph is the graph the
-// model is bound to. Adj, when non-nil, is the cached
+// rebuild a node classifier, and the answer it serves. Arch names a
+// models.Registry builder (the self-description hook shared by core and fgl
+// training paths), Params is the nn.Flatten layout of that architecture,
+// Graph is the graph the model is bound to and Logits the model's full-graph
+// answer on it. Adj, when non-nil, is the cached
 // WithSelfLoops().Normalized(Norm) adjacency of Graph, letting Model() seed
 // the propagation-plan cache instead of renormalising at load.
 type Checkpoint struct {
@@ -72,6 +75,9 @@ type Checkpoint struct {
 	Graph *graph.Graph
 	// Adj optionally caches Graph's normalised adjacency (CSR) for Norm.
 	Adj *sparse.CSR
+	// Logits is the served answer: the Graph.N × Graph.Classes logits table
+	// FromResult filled and Decode reads back. Table returns it.
+	Logits *matrix.Dense
 }
 
 // FromResult packages a federated training result as a servable checkpoint:
@@ -79,9 +85,10 @@ type Checkpoint struct {
 // architecture they were trained as, bound to g (typically the full graph
 // when clients trained on subgraphs of it — the transductive serving
 // surface). The graph's symmetric-normalised adjacency is embedded in CSR
-// form so loading skips normalisation. Both core.AdaFGL (whose Result carries
-// the Step-1 knowledge extractor) and the fgl wrappers produce a compatible
-// Result.
+// form so loading skips normalisation, and the model's logits table is filled
+// here, once (fillTable), so that serving the artifact never runs the model.
+// Both core.AdaFGL (whose Result carries the Step-1 knowledge extractor) and
+// the fgl wrappers produce a compatible Result.
 func FromResult(res *federated.Result, arch string, cfg models.Config, g *graph.Graph) (*Checkpoint, error) {
 	if res == nil || len(res.GlobalParams) == 0 {
 		return nil, fmt.Errorf("checkpoint: FromResult: result has no global parameters")
@@ -93,16 +100,52 @@ func FromResult(res *federated.Result, arch string, cfg models.Config, g *graph.
 		return nil, fmt.Errorf("checkpoint: FromResult: %w", err)
 	}
 	params := append([]float64(nil), res.GlobalParams...)
-	return &Checkpoint{
+	c := &Checkpoint{
 		Arch: arch, Config: cfg, Norm: sparse.NormSym,
 		Params: params, Graph: g, Adj: g.NormAdj(sparse.NormSym),
-	}, nil
+	}
+	table, err := c.fillTable()
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: FromResult: %w", err)
+	}
+	c.Logits = table
+	return c, nil
+}
+
+// fillTable is the one fill recipe for the N×C logits table Alg. 2 calls Ẑ,
+// one row of class scores per graph node. It rebuilds the model (Model) and
+// runs its full-graph inference once: the forward Logits(false) for a
+// message-passing architecture, models.ApplyHead over every row of the
+// propagated embedding for a models.Decoupled one. The decoupled table is
+// ApplyHead, not Logits: its fixed per-row accumulation order makes a row's
+// answer independent of which rows it is computed with, so a table assembled
+// shard by shard (shard.Table) lands on the same bits. A fill that panics is
+// recovered and returned as an error, so a model bug fails the export instead
+// of the process that runs it.
+func (c *Checkpoint) fillTable() (table *matrix.Dense, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			table, err = nil, fmt.Errorf("table fill panicked: %v", rec)
+		}
+	}()
+	// The builder's RNG only draws initial weights, which Unflatten
+	// overwrites, and training-time dropout: the seed cannot reach the table.
+	m, err := c.Model(1)
+	if err != nil {
+		return nil, err
+	}
+	if dec, ok := m.(models.Decoupled); ok {
+		emb, head := dec.InferenceFactors()
+		return models.ApplyHead(head, emb), nil
+	}
+	return m.Logits(false), nil
 }
 
 // Model rebuilds the trained model: the registry builder for Arch is bound
 // to Graph (seeding its propagation-plan cache from Adj when present) and
 // loaded with Params. seed drives the builder's RNG; it only affects
-// training-time dropout, never inference outputs.
+// training-time dropout, never inference outputs. Serving does not call it:
+// the answer is the stored table (Table).
 func (c *Checkpoint) Model(seed int64) (models.Model, error) {
 	build, err := models.BuilderFor(c.Arch)
 	if err != nil {
@@ -125,31 +168,37 @@ func (c *Checkpoint) Model(seed int64) (models.Model, error) {
 	return m, nil
 }
 
-// Table is the checkpoint's served answer: the N×C logits table Alg. 2 calls
-// Ẑ, one row of class scores per graph node. It rebuilds the model (Model)
-// and runs its full-graph inference once: the forward Logits(false) for a
-// message-passing architecture, models.ApplyHead over every row of the
-// propagated embedding for a models.Decoupled one. The decoupled table is
-// ApplyHead, not Logits: its fixed per-row accumulation order makes a row's
-// answer independent of which rows it is computed with, so a table assembled
-// shard by shard (shard.Table) lands on the same bits.
-func (c *Checkpoint) Table(seed int64) (*matrix.Dense, error) {
-	m, err := c.Model(seed)
-	if err != nil {
-		return nil, err
+// Table is the checkpoint's served answer: the N×C logits table, one row of
+// class scores per graph node, that FromResult filled at export and Decode
+// read back from the table section. It runs no model code. The caller must
+// not write the table; a server keeps it as its whole answer state.
+func (c *Checkpoint) Table() (*matrix.Dense, error) {
+	if err := c.checkTable(); err != nil {
+		return nil, fmt.Errorf("checkpoint: Table: %w", err)
 	}
-	if dec, ok := m.(models.Decoupled); ok {
-		emb, head := dec.InferenceFactors()
-		return models.ApplyHead(head, emb), nil
+	return c.Logits, nil
+}
+
+// checkTable reports whether the checkpoint carries a logits table of its
+// graph's shape.
+func (c *Checkpoint) checkTable() error {
+	switch {
+	case c.Graph == nil:
+		return errors.New("checkpoint has no graph")
+	case c.Logits == nil:
+		return errors.New("checkpoint has no logits table")
+	case c.Logits.Rows != c.Graph.N || c.Logits.Cols != c.Graph.Classes:
+		return fmt.Errorf("logits table is %dx%d for a %d-node, %d-class graph",
+			c.Logits.Rows, c.Logits.Cols, c.Graph.N, c.Graph.Classes)
 	}
-	return m.Logits(false), nil
+	return nil
 }
 
 // Encode serialises the checkpoint into the versioned binary container.
 // Encoding is deterministic: equal checkpoints produce equal bytes.
 func (c *Checkpoint) Encode() ([]byte, error) {
-	if c.Graph == nil {
-		return nil, fmt.Errorf("checkpoint: Encode: nil graph")
+	if err := c.checkTable(); err != nil {
+		return nil, fmt.Errorf("checkpoint: Encode: %w", err)
 	}
 	if c.Graph.X != nil && c.Graph.X.Rows != c.Graph.N {
 		return nil, fmt.Errorf("checkpoint: Encode: features have %d rows for %d nodes", c.Graph.X.Rows, c.Graph.N)
@@ -157,7 +206,7 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	var w writer
 	w.buf = append(w.buf, Magic...)
 	w.u32(Version)
-	sections := uint32(2)
+	sections := uint32(3)
 	if c.Adj != nil {
 		sections++
 	}
@@ -210,6 +259,11 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 			p.f64s(c.Adj.Val)
 		})
 	}
+	w.section(secTable, func(p *writer) {
+		p.u64(uint64(c.Logits.Rows))
+		p.u64(uint64(c.Logits.Cols))
+		p.f64s(c.Logits.Data)
+	})
 	return w.buf, nil
 }
 
@@ -264,6 +318,8 @@ func decode(data []byte) (*Checkpoint, error) {
 			seenGraph = true
 		case secAdj:
 			decodeAdj(p, c)
+		case secTable:
+			decodeTable(p, c)
 		default:
 			return nil, fmt.Errorf("checkpoint: Decode: unknown section kind %d", kind)
 		}
@@ -286,6 +342,9 @@ func decode(data []byte) (*Checkpoint, error) {
 	if c.Adj != nil && (c.Adj.NRows != c.Graph.N || c.Adj.NCols != c.Graph.N) {
 		return nil, fmt.Errorf("checkpoint: Decode: adjacency section is %dx%d for a %d-node graph",
 			c.Adj.NRows, c.Adj.NCols, c.Graph.N)
+	}
+	if err := c.checkTable(); err != nil {
+		return nil, fmt.Errorf("checkpoint: Decode: %w", err)
 	}
 	return c, nil
 }
@@ -444,6 +503,22 @@ func decodeAdj(p *reader, c *Checkpoint) {
 		}
 	}
 	c.Adj = &sparse.CSR{NRows: nRows, NCols: nCols, RowPtr: rowPtr, ColIdx: colIdx, Val: vals}
+}
+
+// decodeTable parses the logits-table section into c. The value count is
+// bounded by the payload before anything is allocated, and it must equal
+// rows·cols, which the dimension caps keep far from overflow.
+func decodeTable(p *reader, c *Checkpoint) {
+	rows, cols := p.dim("table rows"), p.dim("table cols")
+	vals := p.f64s("table value")
+	if p.err != nil {
+		return
+	}
+	if uint64(len(vals)) != uint64(rows)*uint64(cols) {
+		p.fail("table %dx%d carries %d values", rows, cols, len(vals))
+		return
+	}
+	c.Logits = matrix.FromSlice(rows, cols, vals)
 }
 
 // Save writes the checkpoint to path atomically (temp file + rename), so a

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,15 +14,16 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/federated"
 	"repro/internal/graph"
+	"repro/internal/matrix"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
-// trained runs a tiny federation and returns its checkpoint plus the global
-// graph it serves.
-func trained(t testing.TB, arch string, seed int64) (*Checkpoint, *graph.Graph) {
+// trainedResult runs a tiny federation of arch and returns its result, the
+// model configuration it trained with and the global graph it serves.
+func trainedResult(t testing.TB, arch string, seed int64) (*federated.Result, models.Config, *graph.Graph) {
 	t.Helper()
 	spec, err := datasets.ByName("Cora")
 	if err != nil {
@@ -40,6 +42,14 @@ func trained(t testing.TB, arch string, seed int64) (*Checkpoint, *graph.Graph) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res, cfg, g
+}
+
+// trained runs a tiny federation and returns its checkpoint plus the global
+// graph it serves.
+func trained(t testing.TB, arch string, seed int64) (*Checkpoint, *graph.Graph) {
+	t.Helper()
+	res, cfg, g := trainedResult(t, arch, seed)
 	ck, err := FromResult(res, arch, cfg, g)
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +106,18 @@ func TestRoundTripBitIdentical(t *testing.T) {
 		}
 		if dec.Adj == nil || dec.Adj.NNZ() != ck.Adj.NNZ() {
 			t.Fatalf("%s: adjacency section lost", arch)
+		}
+		table, err := dec.Table()
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		if table.Rows != g.N || table.Cols != g.Classes {
+			t.Fatalf("%s: table is %dx%d for a %d-node, %d-class graph", arch, table.Rows, table.Cols, g.N, g.Classes)
+		}
+		for i, v := range ck.Logits.Data {
+			if table.Data[i] != v {
+				t.Fatalf("%s: table value %d: %v != %v", arch, i, table.Data[i], v)
+			}
 		}
 	}
 }
@@ -218,10 +240,6 @@ func TestDecodeHostileHyperparams(t *testing.T) {
 	for name, mutate := range map[string]func(*Checkpoint){
 		"hidden": func(c *Checkpoint) { c.Config.Hidden = maxHidden + 1 },
 		"hops":   func(c *Checkpoint) { c.Config.Hops = maxHops + 1 },
-		"classes": func(c *Checkpoint) {
-			c.Graph = c.Graph.Clone()
-			c.Graph.Classes = maxHidden + 1
-		},
 	} {
 		ck := miniCheckpoint(1, false)
 		mutate(ck)
@@ -234,6 +252,20 @@ func TestDecodeHostileHyperparams(t *testing.T) {
 		} else if got := err.Error(); got[:11] != "checkpoint:" {
 			t.Fatalf("%s: error not named-op: %q", name, got)
 		}
+	}
+
+	// A class count past the cap, forged into the graph section (whose
+	// second field it is): Encode would refuse the table that goes with it.
+	enc, err := miniCheckpoint(1, false).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := splitSections(t, enc)
+	graphSec := clone(secs[1].payload)
+	binary.LittleEndian.PutUint64(graphSec[8:], maxHidden+1)
+	secs[1].payload = graphSec
+	if _, err := Decode(assemble(Version, secs)); err == nil || !strings.Contains(err.Error(), "class count") {
+		t.Fatalf("class count past the cap: got %v", err)
 	}
 }
 
@@ -263,20 +295,60 @@ func TestDecodeHostileGraphPayload(t *testing.T) {
 	}
 
 	// A mask byte that is neither 0 nor 1, re-framed under a valid CRC: the
-	// graph section is the last one, its final payload byte the last test-mask
-	// entry.
+	// graph section's final payload byte is the last test-mask entry.
 	enc, err := miniCheckpoint(1, false).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := len(Magic) + 8
-	off += 4 + 8 + int(binary.LittleEndian.Uint64(enc[off+4:])) + 4 // skip the model section
-	payload := enc[off+12 : len(enc)-4]
-	payload[len(payload)-1] = 2
-	binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.ChecksumIEEE(payload))
-	if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "mask byte") {
+	secs := splitSections(t, enc)
+	graphSec := clone(secs[1].payload)
+	graphSec[len(graphSec)-1] = 2
+	secs[1].payload = graphSec
+	if _, err := Decode(assemble(Version, secs)); err == nil || !strings.Contains(err.Error(), "mask byte") {
 		t.Fatalf("mask byte 2 under a valid CRC: got %v", err)
 	}
+}
+
+// section is one decoded section frame of an encoded artifact.
+type section struct {
+	kind    uint32
+	payload []byte
+}
+
+// splitSections cuts a well-formed encoding into its section frames, in file
+// order.
+func splitSections(t testing.TB, enc []byte) []section {
+	t.Helper()
+	off := len(Magic) + 4
+	n := binary.LittleEndian.Uint32(enc[off:])
+	off += 4
+	secs := make([]section, n)
+	for i := range secs {
+		secs[i].kind = binary.LittleEndian.Uint32(enc[off:])
+		size := int(binary.LittleEndian.Uint64(enc[off+4:]))
+		secs[i].payload = enc[off+12 : off+12+size]
+		off += 12 + size + 4
+	}
+	if off != len(enc) {
+		t.Fatalf("splitSections: %d bytes after the last section", len(enc)-off)
+	}
+	return secs
+}
+
+// assemble frames sections into a container of the given version, each under
+// a valid CRC, so a test can forge an artifact only the decoder's structural
+// checks can refuse.
+func assemble(version uint32, secs []section) []byte {
+	out := append([]byte(Magic), make([]byte, 8)...)
+	binary.LittleEndian.PutUint32(out[len(Magic):], version)
+	binary.LittleEndian.PutUint32(out[len(Magic)+4:], uint32(len(secs)))
+	for _, s := range secs {
+		out = binary.LittleEndian.AppendUint32(out, s.kind)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.payload)))
+		out = append(out, s.payload...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(s.payload))
+	}
+	return out
 }
 
 // TestModelValidation covers Model's defence against inconsistent artifacts.
@@ -300,3 +372,126 @@ func TestModelValidation(t *testing.T) {
 }
 
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
+
+// TestDecodeHostileSections: CRC-valid graph and adjacency sections that
+// break a structural invariant — shapes that disagree with the node count, a
+// labelled graph without classes, a CSR that is not one — and model fields
+// past their caps fail Decode and Peek with ErrCorrupt, never a panic.
+func TestDecodeHostileSections(t *testing.T) {
+	csr := func(c *Checkpoint, rowPtr, colIdx []int) {
+		c.Adj = &sparse.CSR{NRows: c.Graph.N, NCols: c.Graph.N, RowPtr: rowPtr, ColIdx: colIdx, Val: make([]float64, len(colIdx))}
+	}
+	rowPtr := func(n int, last int) []int {
+		p := make([]int, n+1)
+		p[n] = last
+		return p
+	}
+	decodeOnly := map[string]func(*Checkpoint){
+		"labels-short": func(c *Checkpoint) { c.Graph.Labels = c.Graph.Labels[:5] },
+		"mask-short":   func(c *Checkpoint) { c.Graph.ValMask = c.Graph.ValMask[1:] },
+		"labels-no-classes": func(c *Checkpoint) {
+			c.Graph.Classes = 0
+			c.Logits = matrix.New(c.Graph.N, 0)
+		},
+		"adj-framing":    func(c *Checkpoint) { csr(c, []int{0, 1}, []int{0}) },
+		"adj-decreasing": func(c *Checkpoint) { p := rowPtr(c.Graph.N, 1); p[1] = 2; csr(c, p, []int{0, 1}) },
+		"adj-column":     func(c *Checkpoint) { csr(c, rowPtr(c.Graph.N, 1), []int{c.Graph.N}) },
+		"adj-unsorted":   func(c *Checkpoint) { csr(c, rowPtr(c.Graph.N, 2), []int{1, 0}) },
+		"adj-shape": func(c *Checkpoint) {
+			c.Adj = &sparse.CSR{NRows: 1, NCols: 1, RowPtr: []int{0, 0}}
+		},
+	}
+	peekToo := map[string]func(*Checkpoint){
+		"norm-unknown": func(c *Checkpoint) { c.Norm = sparse.NormReverse + 1 },
+		"hidden-cap":   func(c *Checkpoint) { c.Config.Hidden = maxHidden + 1 },
+		"hops-cap":     func(c *Checkpoint) { c.Config.Hops = maxHops + 1 },
+		"arch-long":    func(c *Checkpoint) { c.Arch = strings.Repeat("x", 1<<10+1) },
+	}
+	dir := t.TempDir()
+	for _, set := range []struct {
+		cases map[string]func(*Checkpoint)
+		peek  bool
+	}{{decodeOnly, false}, {peekToo, true}} {
+		for name, mutate := range set.cases {
+			ck := miniCheckpoint(1, true)
+			ck.Graph = ck.Graph.Clone()
+			mutate(ck)
+			enc, err := ck.Encode()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if name == "arch-long" {
+				// Decode takes any name length; only Peek bounds it.
+			} else if _, err := Decode(enc); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: Decode error %v, want ErrCorrupt", name, err)
+			}
+			if !set.peek {
+				continue
+			}
+			path := filepath.Join(dir, name+".ckpt")
+			if err := os.WriteFile(path, enc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Peek(path); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: Peek error %v, want ErrCorrupt", name, err)
+			}
+		}
+	}
+
+	// The feature matrix's row count, forged past the node count: Encode
+	// refuses to write it, so the bytes are patched under a fresh CRC.
+	ck := miniCheckpoint(1, false)
+	enc, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := splitSections(t, enc)
+	graphSec := clone(secs[1].payload)
+	xAt := 24 + 16*len(ck.Graph.Edges) + 1 // N, classes, edge count, edges, present flag
+	binary.LittleEndian.PutUint64(graphSec[xAt:], uint64(ck.Graph.N+1))
+	secs[1].payload = graphSec
+	if _, err := Decode(assemble(Version, secs)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "feature matrix") {
+		t.Fatalf("feature rows past the node count: got %v", err)
+	}
+}
+
+// TestCorruptUnwraps: a corruption error keeps the decoder's message and
+// unwraps to it, so callers can both classify and report it.
+func TestCorruptUnwraps(t *testing.T) {
+	_, err := Decode([]byte("ADFGLCK1"))
+	if !errors.Is(err, ErrCorrupt) || errors.Unwrap(err) == nil || errors.Unwrap(err).Error() != err.Error() {
+		t.Fatalf("Decode of a bare magic: %v", err)
+	}
+	if corrupt(nil) != nil {
+		t.Fatal("corrupt(nil) must stay nil")
+	}
+}
+
+// TestSaveLoadErrors: filesystem failures are reported by Save and Load as
+// named-op errors that are not ErrCorrupt, and Save writes nothing for a
+// checkpoint it cannot encode.
+func TestSaveLoadErrors(t *testing.T) {
+	dir := t.TempDir()
+	ck := miniCheckpoint(2, false)
+	if err := Save(filepath.Join(dir, "missing", "a.ckpt"), ck); err == nil {
+		t.Fatal("Save into a missing directory must fail")
+	}
+	tableless := *ck
+	tableless.Logits = nil
+	path := filepath.Join(dir, "b.ckpt")
+	if err := Save(path, &tableless); err == nil {
+		t.Fatal("Save of a checkpoint without a table must fail")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a failed Save left %s behind: %v", path, err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(path, ck); err == nil {
+		t.Fatal("Save over a directory must fail")
+	}
+	if _, err := Load(filepath.Join(dir, "absent.ckpt")); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Load of a missing file: %v, want a non-corrupt error", err)
+	}
+}

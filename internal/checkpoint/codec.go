@@ -10,7 +10,7 @@ import (
 // The container layout is fixed and fully little-endian:
 //
 //	magic   [8]byte  "ADFGLCK1"
-//	version uint32   (currently 1)
+//	version uint32   (currently 2)
 //	count   uint32   number of sections
 //	count × section:
 //	    kind    uint32   (strictly increasing across sections)
@@ -26,14 +26,17 @@ import (
 // Magic is the 8-byte file signature opening every checkpoint.
 const Magic = "ADFGLCK1"
 
-// Version is the current container format version.
-const Version = 1
+// Version is the current container format version. Version 2 added the
+// logits-table section; a version-1 artifact carries no answer and is
+// refused.
+const Version = 2
 
 // Section kinds, written in strictly increasing order.
 const (
 	secModel = 1 // arch, hyperparams, NormKind, flattened parameters
 	secGraph = 2 // topology, features, labels, masks
 	secAdj   = 3 // optional cached normalised adjacency (CSR)
+	secTable = 4 // the N×C logits table the model answers with
 )
 
 // writer accumulates the little-endian encoding of one checkpoint.

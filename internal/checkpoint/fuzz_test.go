@@ -12,8 +12,10 @@ import (
 )
 
 // miniCheckpoint builds a small seeded checkpoint by hand (a 12-node ring
-// with features, labels and masks) so fuzz seeds stay ~1 KB — large trained
-// graphs would slow every mutation to a crawl.
+// with features, labels and masks, and a seeded logits table) so fuzz seeds
+// stay ~1 KB — large trained graphs would slow every mutation to a crawl.
+// Nothing here runs a model: the parameters and the table are arbitrary
+// values, which is all the codec reads.
 func miniCheckpoint(seed int64, withAdj bool) *Checkpoint {
 	rng := rand.New(rand.NewSource(seed))
 	const n = 12
@@ -41,7 +43,11 @@ func miniCheckpoint(seed int64, withAdj bool) *Checkpoint {
 	for i := range params {
 		params[i] = rng.NormFloat64()
 	}
-	ck := &Checkpoint{Arch: "GCN", Config: cfg, Norm: sparse.NormSym, Params: params, Graph: g}
+	logits := matrix.New(n, 3)
+	for i := range logits.Data {
+		logits.Data[i] = rng.NormFloat64()
+	}
+	ck := &Checkpoint{Arch: "GCN", Config: cfg, Norm: sparse.NormSym, Params: params, Graph: g, Logits: logits}
 	if withAdj {
 		ck.Adj = g.NormAdj(sparse.NormSym)
 	}

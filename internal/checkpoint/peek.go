@@ -14,8 +14,8 @@ import (
 // Header is the cheap metadata view of a checkpoint file: everything a model
 // registry needs to list and route artifacts — architecture, hyperparameters,
 // parameter/graph dimensions — without materializing the parameter vector,
-// features or adjacency. Peek produces it by reading only section prefixes
-// and seeking past the bulk payloads.
+// features, adjacency or logits table. Peek produces it by reading only
+// section prefixes and seeking past the bulk payloads.
 type Header struct {
 	// Arch is the models.Registry architecture name.
 	Arch string
@@ -110,13 +110,15 @@ func (p *peeker) seekTo(off, size int64) {
 // Peek reads only the metadata of the checkpoint at path: magic, version and
 // per-section headers, the model section's architecture/hyperparameters and
 // parameter count, and the graph section's dimensions. Bulk payloads
-// (parameters, features, adjacency) are seeked over, not read, so peeking a
-// multi-megabyte artifact costs a few kilobytes of IO — this is what lets a
-// registry list a model-zoo directory without loading every model. Peek
-// validates framing and field ranges but not section CRCs; a full Load still
-// performs every integrity check before a model is served. Failures caused
-// by the artifact's bytes (bad magic, framing violations, truncation) wrap
-// ErrCorrupt; filesystem failures (open, stat) do not.
+// (parameters, features, adjacency, logits) are seeked over, not read, so
+// peeking a multi-megabyte artifact costs a few kilobytes of IO — this is
+// what lets a registry list a model-zoo directory without loading every
+// model. Peek validates framing, field ranges and the table section's shape
+// (it must match the graph's dimensions and fill its section exactly) but not
+// section CRCs; a full Load still performs every integrity check before a
+// model is served. Failures caused by the artifact's bytes (bad magic,
+// framing violations, truncation) wrap ErrCorrupt; filesystem failures
+// (open, stat) do not.
 func Peek(path string) (*Header, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -152,7 +154,7 @@ func peek(f *os.File, size int64) (*Header, error) {
 	}
 
 	h := &Header{Bytes: size}
-	var seenModel, seenGraph bool
+	var seenModel, seenGraph, seenTable bool
 	lastKind := uint32(0)
 	for i := uint32(0); i < nSec; i++ {
 		kind := p.u32()
@@ -182,6 +184,9 @@ func peek(f *os.File, size int64) (*Header, error) {
 			seenGraph = true
 		case secAdj:
 			h.HasAdj = true
+		case secTable:
+			peekTable(p, h, length)
+			seenTable = true
 		default:
 			return nil, fmt.Errorf("checkpoint: Peek: unknown section kind %d", kind)
 		}
@@ -200,7 +205,35 @@ func peek(f *os.File, size int64) (*Header, error) {
 	if !seenGraph {
 		return nil, fmt.Errorf("checkpoint: Peek: missing graph section")
 	}
+	if !seenTable {
+		return nil, fmt.Errorf("checkpoint: Peek: missing table section")
+	}
+	end, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: Peek: %w", err)
+	}
+	if end != size {
+		return nil, fmt.Errorf("checkpoint: Peek: %d trailing bytes after last section", size-end)
+	}
 	return h, nil
+}
+
+// peekTable reads the table section's dimensions and value count and checks
+// them against the graph section (which precedes it) and the section length.
+func peekTable(p *peeker, h *Header, length uint64) {
+	rows, cols := p.dim("table rows"), p.dim("table cols")
+	n := p.u64()
+	if p.err != nil {
+		return
+	}
+	if rows != h.Nodes || cols != h.Classes {
+		p.fail("logits table is %dx%d for a %d-node, %d-class graph", rows, cols, h.Nodes, h.Classes)
+		return
+	}
+	// Compared by division: 8·n may overflow for a hostile n.
+	if n != uint64(rows)*uint64(cols) || length < 24 || (length-24)%8 != 0 || (length-24)/8 != n {
+		p.fail("table %dx%d carries %d values in a %d-byte section", rows, cols, n, length)
+	}
 }
 
 // peekModel reads the model section prefix up to and including the parameter

@@ -53,9 +53,9 @@ const (
 )
 
 // BreakerOptions configures the registry's per-model circuit breaker.
-// Consecutive load failures (unreadable or corrupt artifact, model rebuild
-// errors) and engine panics (serve.ErrModelPanic) count toward Threshold;
-// any success resets the run. A tripped model fails acquires fast with
+// Consecutive load failures (unreadable or corrupt artifact) and engine
+// panics (serve.ErrModelPanic) count toward Threshold; any success resets
+// the run. A tripped model fails acquires fast with
 // TrippedError until its backoff window — Backoff doubled per consecutive
 // trip, capped at MaxBackoff, stretched by up to 20% seeded jitter — lapses;
 // the next acquire after that is the half-open probe whose outcome either

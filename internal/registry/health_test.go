@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"os"
@@ -11,7 +12,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/graph"
-	"repro/internal/matrix"
 	"repro/internal/models"
 	"repro/internal/serve"
 )
@@ -125,80 +125,75 @@ func TestBreakerTripsOnPanics(t *testing.T) {
 	}
 }
 
-// panickyModel is a trained model whose forward — and with it the logits
-// table fill of a cold start — announces itself on entered, waits for gate
-// to close, then panics.
-type panickyModel struct {
-	models.Model
-	entered chan<- struct{}
-	gate    <-chan struct{}
-}
-
-func (m panickyModel) Logits(bool) *matrix.Dense {
-	m.entered <- struct{}{}
-	<-m.gate
-	panic("panickyModel: injected table fill failure")
-}
-
-// TestFillPanicFailsAcquire: a cold start whose table fill panics fails that
-// acquire with ErrModelPanic and records exactly one breaker failure (the
-// model is degraded, not tripped). It never wedges the model's loading
-// state: an acquire that waited on the failing fill returns too.
-func TestFillPanicFailsAcquire(t *testing.T) {
-	entered := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	close(gate)
-	models.Registry["panicky"] = func(g *graph.Graph, c models.Config, r *rand.Rand) models.Model {
-		return panickyModel{Model: models.Registry["GCN"](g, c, r), entered: entered, gate: gate}
+// TestColdStartRunsNoModel: a cold start reads the artifact's logits table
+// and runs no model code. Artifacts whose parameters no longer fit their
+// architecture, or whose architecture's builder panics on sight, still come
+// up through serve.New and through a registry acquire, and answer the stored
+// table bit for bit.
+func TestColdStartRunsNoModel(t *testing.T) {
+	models.Registry["unbuildable"] = func(*graph.Graph, models.Config, *rand.Rand) models.Model {
+		panic("unbuildable: a cold start built a model")
 	}
-	defer delete(models.Registry, "panicky")
-	ck := makeCkpt(t, "GCN", 3, 100)
-	ck.Arch = "panicky"
-	path := saveCkpt(t, t.TempDir(), "m@1.ckpt", ck)
-
-	r := New(Options{Serve: serve.Options{MaxBatch: 8, Seed: 1}, Breaker: fastBreaker()})
-	defer r.Close()
-	if _, err := r.AddFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Acquire("m"); !errors.Is(err, serve.ErrModelPanic) {
-		t.Fatalf("acquire over a panicking fill: want ErrModelPanic, got %v", err)
-	}
-	if info := r.List()[0]; info.Health != "degraded" || info.Loaded {
-		t.Fatalf("after one failed fill: %+v, want degraded (exactly one breaker failure) and not loaded", info)
-	}
-	<-entered // that acquire's one fill
-
-	// Two concurrent acquires on a fresh registry: the second finds the
-	// first's fill in progress and waits on it.
-	r2 := New(Options{Serve: serve.Options{MaxBatch: 8, Seed: 1}})
-	defer r2.Close()
-	if _, err := r2.AddFile(path); err != nil {
-		t.Fatal(err)
-	}
-	gate = make(chan struct{})
-	errs := make(chan error, 2)
-	acquire := func() {
-		h, err := r2.Acquire("m")
-		if err == nil {
-			h.Release()
+	defer delete(models.Registry, "unbuildable")
+	for name, mutate := range map[string]func(*checkpoint.Checkpoint){
+		"params-do-not-fit": func(ck *checkpoint.Checkpoint) { ck.Params = ck.Params[:1] },
+		"builder-panics":    func(ck *checkpoint.Checkpoint) { ck.Arch = "unbuildable" },
+	} {
+		ck := makeCkpt(t, "GCN", 3, 100)
+		want, err := ck.Table()
+		if err != nil {
+			t.Fatal(err)
 		}
-		errs <- err
-	}
-	go acquire()
-	<-entered
-	go acquire()
-	time.Sleep(20 * time.Millisecond)
-	close(gate)
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-errs:
-			if !errors.Is(err, serve.ErrModelPanic) {
-				t.Fatalf("concurrent acquire %d: want ErrModelPanic, got %v", i+1, err)
+		mutate(ck)
+		path := saveCkpt(t, t.TempDir(), "m@1.ckpt", ck)
+		loaded, err := checkpoint.Load(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if name == "params-do-not-fit" {
+			if _, err := loaded.Model(1); err == nil {
+				t.Fatalf("%s: the artifact still rebuilds its model", name)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("an acquire waiting on a failed fill never returned")
 		}
+		check := func(via string, preds []serve.Prediction) {
+			t.Helper()
+			for _, p := range preds {
+				for j, v := range want.Row(p.Node) {
+					if math.Float64bits(p.Logits[j]) != math.Float64bits(v) {
+						t.Fatalf("%s via %s: node %d logit %d is %v, stored %v", name, via, p.Node, j, p.Logits[j], v)
+					}
+				}
+			}
+		}
+
+		srv, err := serve.New(loaded, serve.Options{MaxBatch: 8})
+		if err != nil {
+			t.Fatalf("%s: serve.New: %v", name, err)
+		}
+		preds, err := srv.PredictAll()
+		srv.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check("serve.New", preds)
+
+		r := New(Options{Serve: serve.Options{MaxBatch: 8}})
+		if _, err := r.AddFile(path); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		nodes := make([]int, want.Rows)
+		for i := range nodes {
+			nodes[i] = i
+		}
+		preds, err = r.Predict("m", nodes)
+		if err != nil {
+			t.Fatalf("%s: registry cold start: %v", name, err)
+		}
+		check("registry", preds)
+		if info := r.List()[0]; info.Health != "ok" || !info.Loaded {
+			t.Fatalf("%s: after the cold start: %+v, want ok and loaded", name, info)
+		}
+		r.Close()
 	}
 }
 

@@ -494,7 +494,7 @@ func (r *Registry) acquire(name string, version int) (*Handle, error) {
 			return nil, fmt.Errorf("registry: Acquire: %w", ErrRegistryClosed)
 		}
 		if err != nil {
-			// A failed load (unreadable file, corrupt bytes, rebuild error)
+			// A failed load (unreadable file, corrupt bytes)
 			// counts toward tripping the model's breaker.
 			r.recordFailureLocked(e, err)
 			r.mu.Unlock()

@@ -4,12 +4,13 @@
 // immutable checkpoint on one immutable graph, so its answers are a
 // constant — the N×C logits table Alg. 2 calls Ẑ — and that table is the
 // server's whole answer state for every architecture. A server is born with
-// it: New fills it once (checkpoint.Table), before the dispatcher starts,
-// and every window is a row gather. Predictions are bit-identical for every
-// batch size, batch window and worker count. The server is a Go API
-// (Predict/PredictAll); its HTTP surface is the registry package's v1 API,
-// which this package supplies with the request decoders, the error envelope
-// and the panic-recovery middleware.
+// it: the checkpoint carries it (checkpoint.FromResult filled it at export),
+// New reads it without running any model code, and every window is a row
+// gather. Predictions are bit-identical for every batch size, batch window
+// and worker count. The server is a Go API (Predict/PredictAll); its HTTP
+// surface is the registry package's v1 API, which this package supplies with
+// the request decoders, the error envelope and the panic-recovery
+// middleware.
 package serve
 
 import (
@@ -50,8 +51,9 @@ type Options struct {
 	// of the window completes normally — survivors' answers stay
 	// bit-identical. 0 disables the server-side deadline.
 	RequestTimeout time.Duration
-	// Seed drives the model-rebuild RNG. It only affects training-time
-	// dropout streams, never inference outputs.
+	// Seed is inert: nothing reads it, since a server runs no model code
+	// (the checkpoint carries its logits table). It stays only because the
+	// repository benchmark sets it; ROADMAP item 1(b) deletes it.
 	Seed int64
 	// Chaos injects deterministic faults into the batch engine for the
 	// torture harness and resilience tests. The zero value injects nothing.
@@ -91,12 +93,10 @@ var ErrOverloaded = errors.New("serve: Predict: overloaded: pending-node budget 
 // window ran. The HTTP layer maps it to 504; test with errors.Is.
 var ErrDeadline = errors.New("serve: Predict: request deadline exceeded")
 
-// ErrModelPanic marks a model engine that panicked: a table fill, which New
-// recovers and returns as its error (no server is started), or a batch
-// window, which the dispatcher recovers by failing only that window's
-// requests with this error (HTTP 500) while it keeps serving. The registry's
-// circuit breaker counts both toward tripping the model. Test with
-// errors.Is.
+// ErrModelPanic marks a batch window that panicked, which the dispatcher
+// recovers by failing only that window's requests with this error (HTTP 500)
+// while it keeps serving. The registry's circuit breaker counts it toward
+// tripping the model. Test with errors.Is.
 var ErrModelPanic = errors.New("serve: Predict: model engine panicked")
 
 // Prediction is the answer for one queried node.
@@ -148,7 +148,7 @@ type Server struct {
 	tel *telSeries
 }
 
-// withDefaults resolves the Options defaults shared by every constructor.
+// withDefaults resolves the Options defaults.
 func (opt Options) withDefaults() (Options, error) {
 	if opt.MaxBatch == 0 {
 		opt.MaxBatch = DefaultMaxBatch
@@ -168,40 +168,21 @@ func (opt Options) withDefaults() (Options, error) {
 	return opt, nil
 }
 
-// New fills the checkpoint's logits table (checkpoint.Table: the model
-// rebuild, and the one full-graph inference) and starts the batching
-// dispatcher over it. A fill that panics is recovered: New returns an error
-// wrapping ErrModelPanic and starts nothing.
+// New starts a server over the checkpoint's logits table (checkpoint.Table:
+// the table FromResult filled at export and Decode read back). It runs no
+// model code.
 func New(ck *checkpoint.Checkpoint, opt Options) (*Server, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	table, err := fillTable(ck, opt.Seed)
+	table, err := ck.Table()
 	if err != nil {
 		return nil, fmt.Errorf("serve: New: %w", err)
 	}
-	return newServer(ck.Arch, table, ck.Graph.Labels, opt), nil
-}
-
-// fillTable runs ck.Table behind a recover barrier. The barrier is what keeps
-// a model bug an error: a fill that panicked on a registry cold start would
-// otherwise unwind through the acquire that owns the model's loading state
-// and wedge every later acquire of that model.
-func fillTable(ck *checkpoint.Checkpoint, seed int64) (table *matrix.Dense, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			table = nil
-			err = fmt.Errorf("table fill panic: %v: %w", rec, ErrModelPanic)
-		}
-	}()
-	return ck.Table(seed)
+	return NewFromTable(ck.Arch, table, ck.Graph.Labels, opt)
 }
 
 // NewFromTable starts a server over an already-filled logits table: one row
 // of class scores per node, labels (nil for an unlabelled graph) one class
-// per row. shard.Table fills one from a sharded graph; New fills one from a
-// checkpoint. The server keeps table and labels and never writes them.
+// per row. New passes a checkpoint's table; shard.Table fills one from a
+// sharded graph. The server keeps table and labels and never writes them.
 func NewFromTable(arch string, table *matrix.Dense, labels []int, opt Options) (*Server, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -213,12 +194,6 @@ func NewFromTable(arch string, table *matrix.Dense, labels []int, opt Options) (
 	if labels != nil && len(labels) != table.Rows {
 		return nil, fmt.Errorf("serve: NewFromTable: %d labels for %d table rows", len(labels), table.Rows)
 	}
-	return newServer(arch, table, labels, opt), nil
-}
-
-// newServer assembles a server over resolved options and starts its
-// dispatcher.
-func newServer(arch string, table *matrix.Dense, labels []int, opt Options) *Server {
 	s := &Server{
 		arch: arch, table: table, labels: labels, opt: opt,
 		queue:   make(chan *request, 4*opt.MaxBatch),
@@ -227,7 +202,7 @@ func newServer(arch string, table *matrix.Dense, labels []int, opt Options) *Ser
 		tel:     newTelSeries(arch),
 	}
 	go s.dispatch()
-	return s
+	return s, nil
 }
 
 // Arch returns the served architecture's registry name.

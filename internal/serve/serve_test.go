@@ -165,6 +165,9 @@ func TestPredictValidation(t *testing.T) {
 	if _, err := New(&checkpoint.Checkpoint{Arch: "SGC"}, Options{}); err == nil {
 		t.Fatal("a checkpoint without a graph must fail")
 	}
+	if _, err := New(&checkpoint.Checkpoint{Arch: "SGC", Graph: ck.Graph}, Options{}); err == nil {
+		t.Fatal("a checkpoint without a logits table must fail")
+	}
 	table := matrix.New(ck.Graph.N, ck.Graph.Classes)
 	if _, err := NewFromTable("SGC", nil, nil, Options{}); err == nil {
 		t.Fatal("nil table must fail")

@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 
+	"repro/internal/checkpoint"
+	"repro/internal/federated"
 	"repro/internal/parallel"
 	"repro/internal/serve"
 )
@@ -18,10 +21,12 @@ import (
 // digests were recorded on the commit before serving became one logits table
 // for every architecture — against serve.New and the routed per-shard fleet
 // that commit still had, at 1, 2 and 4 shards — identical at workers 1 and 3,
-// on the portable build and under GOAMD64=v3. They are held now by serve.New
-// and, for the decoupled architectures, by a 2- and a 4-shard fill, so a
-// serving refactor that moves one answered bit fails here, and an intended
-// numeric change is an explicit edit of this table.
+// on the portable build and under GOAMD64=v3. They are held now by the
+// artifact's table section as Load decodes it, by serve.New over the loaded
+// artifact and over a fresh export at each worker count, and, for the
+// decoupled architectures, by a 2- and a 4-shard fill, so a serving or export
+// refactor that moves one answered bit fails here, and an intended numeric
+// change is an explicit edit of this table.
 var goldenServedLogits = map[string]string{
 	"GAMLP":  "64f1f3fafdf132465ee47c6cc71b30951d0c0f47601f0275090b8efd9781729c",
 	"GCN":    "5341d5bff1d981ca4b56cd25fa7bc11f7adb07c808040e54d119ac20a160dabd",
@@ -51,11 +56,45 @@ func TestGoldenServedLogits(t *testing.T) {
 		t.Skipf("golden digests are recorded for amd64 kernels (GOARCH=%s)", runtime.GOARCH)
 	}
 	defer parallel.SetWorkers(parallel.SetWorkers(0))
-	opt := serve.Options{MaxBatch: 16, Seed: 1}
+	opt := serve.Options{MaxBatch: 16}
+	dir := t.TempDir()
 	for arch, want := range goldenServedLogits {
-		ck := trainedCheckpoint(t, arch, 23)
+		trained := trainedCheckpoint(t, arch, 23)
+
+		// The artifact: Save, Load, and the decoded table section is the
+		// pinned answer, which is what serve.New serves.
+		path := filepath.Join(dir, arch+".ckpt")
+		if err := checkpoint.Save(path, trained); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := checkpoint.Load(path)
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		table, err := loaded.Table()
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		if got := logitsDigest([][]float64{table.Data}); got != want {
+			t.Errorf("%s: decoded table section digest %s, want %s", arch, got, want)
+		}
+		fromFile, err := serve.New(loaded, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		if got := logitsDigest(predictAllLogits(t, fromFile)); got != want {
+			t.Errorf("%s: served-from-file logits digest %s, want %s", arch, got, want)
+		}
+		fromFile.Close()
+
 		for _, workers := range []int{1, 3} {
 			parallel.SetWorkers(workers)
+			// A fresh export at this worker count, on a graph with no
+			// propagation plan cached, so the fill itself runs here.
+			ck, err := checkpoint.FromResult(&federated.Result{GlobalParams: trained.Params}, arch, trained.Config, trained.Graph.Clone())
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", arch, workers, err)
+			}
 			plain, err := serve.New(ck, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", arch, err)

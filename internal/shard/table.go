@@ -11,8 +11,8 @@ import (
 // already-built shard set, indexed by global node id: the embedding recipe
 // is replayed shard-locally (halo exchange at the boundaries), the shared
 // head runs over each shard's slab (models.ApplyHead), and the rows are
-// scattered to their global ids. It is bit-identical to checkpoint.Table on
-// the whole graph at every shard count; serve.NewFromTable serves it, with
+// scattered to their global ids. It is bit-identical to the table
+// checkpoint.FromResult fills on the whole graph, at every shard count; serve.NewFromTable serves it, with
 // sh.Labels(), and sh need live no longer than this call.
 func Table(sh *Sharded, head []models.HeadLayer, spec models.EmbeddingSpec) (*matrix.Dense, error) {
 	if sh == nil {
