@@ -33,18 +33,19 @@ test:
 # The pinned-bits suites again on a GOAMD64=v3 build, where the compiler may
 # contract x*y + z into a fused multiply-add, matching the CI "test" job's
 # second step. The AVX edge-tile kernel multiplies and adds separately because
-# that is what the portable microKernel computes; this run fails if a
-# toolchain ever fuses the portable kernel (or any golden-pinned loop), in
-# which case pin it with the explicit float64(a*b) rounding core.evolveSigns
-# already uses. internal/bench rides along: its paper_tiny.golden pins every
-# table and figure line; so do internal/serve and internal/shard, whose
-# TestGoldenServedLogits pins every architecture's served logits, and
-# internal/checkpoint, whose export property holds every architecture's
-# exported artifact, table section included, byte for byte across worker
-# counts; internal/nn's property holds a bound, buffer-owning layer to the
-# fresh-output one bit for bit. The set-up path's reference and property
-# suites run too: Louvain's visit rule skips the sort by comparing floats,
-# and must still match the always-sort fold.
+# that is what the portable microKernel computes, and the naive kernels' AVX
+# group kernel does what their scalar loops do; those scalar kernels pin every
+# product with an explicit float64(a*b) rounding (as core.evolveSigns does),
+# so a toolchain may not fuse them, and this run fails if a kernel loses that
+# rounding (or a golden-pinned loop gets fused). internal/bench rides along:
+# its paper_tiny.golden pins every table and figure line; so do internal/serve
+# and internal/shard, whose TestGoldenServedLogits pins every architecture's
+# served logits, and internal/checkpoint, whose export property holds every
+# architecture's exported artifact, table section included, byte for byte
+# across worker counts; internal/nn's property holds a bound, buffer-owning
+# layer to the fresh-output one bit for bit. The set-up path's reference and
+# property suites run too: Louvain's visit rule skips the sort by comparing
+# floats, and must still match the always-sort fold.
 test-fused:
 	GOAMD64=v3 $(GO) test ./internal/matrix ./internal/nn ./internal/core ./internal/federated ./internal/fgl ./internal/bench ./internal/serve ./internal/shard ./internal/checkpoint -run 'Golden|Property'
 	GOAMD64=v3 $(GO) test ./internal/partition ./internal/datasets ./internal/graph -run 'Reference|Property'
@@ -73,9 +74,9 @@ cover:
 		{ echo "coverage $$total% below the 90% floor" >&2; exit 1; }
 
 # Bounded fuzz pass over the CSR construction, SpMM equivalence, checkpoint
-# round-trip, chaos scenario-spec, shard-plan round-trip and edge-list
-# canonicalisation targets, matching the CI "fuzz" job (seed corpora in the
-# packages' testdata/fuzz directories).
+# round-trip, chaos scenario-spec, shard-plan round-trip, edge-list
+# canonicalisation and small dense product (vector ≡ scalar) targets, matching
+# the CI "fuzz" job (seed corpora in the packages' testdata/fuzz directories).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCSRFromEdges$$' -fuzztime=15s ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzSpMMEquivalence$$' -fuzztime=15s ./internal/sparse
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzScenarioConfig$$' -fuzztime=15s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzShardRoundTrip$$' -fuzztime=15s ./internal/shard
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalize$$' -fuzztime=15s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzSmallGEMMEquivalence$$' -fuzztime=15s ./internal/matrix
 
 # Smoke bench: every benchmark once, output preserved as the BENCH artifact
 # in both raw (bench-smoke.txt) and machine-readable (BENCH_smoke.json, via

@@ -21,9 +21,10 @@ type GEMMShape struct {
 // none of them a multiple of the 4x4 register tile in every dimension: Step 2
 // at the adafgl-noniid client size (n_i = 280, C = 7 classes, hidden 32), the
 // weight gradients of its first layers and of a fed-step1 client (1760 nodes,
-// 96 features), and the two small products every C-wide output layer runs
-// below the blocked cutover. The square sweep beside them only ever touches
-// full tiles and untransposed packing.
+// 96 features), and the small products below the blocked cutover: the three
+// every C-wide output layer runs and Θ_message's C-wide input layer. The
+// square sweep beside them only ever touches full tiles and untransposed
+// packing.
 func TrainingGEMMShapes() []GEMMShape {
 	return []GEMMShape{
 		{Name: "step2-PH", N: 280, K: 280, P: 7},             // P·H, Eqs. 9-13 forward
@@ -33,6 +34,8 @@ func TrainingGEMMShapes() []GEMMShape {
 		{Name: "gram-HHT", N: 280, K: 7, P: 280, BT: true},   // H·Hᵀ, Eq. 11's Gram matrix
 		{Name: "out-fwd", N: 280, K: 32, P: 7},               // h·W₂, below the cutover
 		{Name: "out-bwd-gWT", N: 280, K: 7, P: 32, BT: true}, // g·W₂ᵀ, below the cutover
+		{Name: "wgrad-out", N: 32, K: 280, P: 7, AT: true},   // hᵀ·g, W₂'s gradient, below the cutover
+		{Name: "msg-fwd", N: 280, K: 7, P: 32},               // H̃·W₁ of Θ_message (Eq. 11), below the cutover
 	}
 }
 

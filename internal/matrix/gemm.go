@@ -10,7 +10,11 @@
 // contract the naive kernels already satisfy.
 //
 // Products below the cutover keep the naive kernels: for small operands the
-// packing traffic costs more than the cache misses it avoids.
+// packing traffic costs more than the cache misses it avoids. On amd64 with
+// AVX2 their whole 4-row groups run one masked vector kernel
+// (groupKernelAVX) that performs each dst element's scalar operations — a
+// rounded product, then an add, from +0 in ascending order — in vector
+// lanes, so a naive product has the same bits on every machine.
 //
 // A left operand that is constant across many products — a leaf layer's
 // input, multiplied by a new weight every epoch — can be handed to the engine
@@ -26,19 +30,22 @@
 // On amd64 with AVX2+FMA every tile runs a vector kernel (gemm_amd64.s), and
 // which rounding a dst element gets is a pure function of the product's shape
 // (n mod 4, p mod 4), never of workers or tile sizes. Full 4x4 tiles fuse each
-// step (VFMADD231PD, one rounding). Partial tiles — the last tile row when
-// n is not a multiple of 4, the last tile column when p is not, which with
-// C = 7 classes is half of all tiles in training — multiply, round, then add
-// (VMULPD, VADDPD): that is what the portable microKernel computes, which
-// served those tiles before they had a vector kernel, so recorded results did
-// not move when they got one. The portable kernel is the whole engine
-// elsewhere (useSIMD false) and the reference the edge kernel is tested
-// against bit for bit.
+// step (VFMADD231PD, one rounding); two full tiles side by side in a row panel
+// run as one pair that shares the A broadcasts across eight independent
+// chains, each of them the single tile's chain. Partial tiles — the last tile
+// row when n is not a multiple of 4, the last tile column when p is not,
+// which with C = 7 classes is half of all tiles in training — multiply,
+// round, then add (VMULPD, VADDPD): that is what the portable microKernel
+// computes, which served those tiles before they had a vector kernel, so
+// recorded results did not move when they got one. The portable kernel is the
+// whole engine elsewhere (useSIMD false) and the reference the edge kernel is
+// tested against bit for bit.
 //
 // The two paths agree to 1e-12 on finite inputs (enforced by the property
 // suite). Non-finite operands are outside that contract: the naive kernels
-// skip exact-zero A terms (a measurable win on post-ReLU activations), so
-// 0·Inf contributes nothing there but NaN on the blocked path.
+// skip exact-zero A terms, a semantic of theirs that the vector kernel
+// reproduces with a lane mask, so 0·Inf contributes nothing there but NaN on
+// the blocked path.
 package matrix
 
 import (
@@ -52,6 +59,7 @@ import (
 
 // mr x nr is the register tile of the micro-kernel: 16 independent
 // accumulator chains, enough ILP to keep a scalar FPU busy without spilling.
+// It is also the naive kernels' vector row group and column group.
 const (
 	mr = 4
 	nr = 4
@@ -299,17 +307,42 @@ func gemmFlops(n, k, p int) int { return n * k * p }
 
 // ---- Naive kernels (reference path, small operands) ----
 
+// The naive kernels sum every dst element over the shared dimension in
+// ascending order, each term a product rounded to float64 and then added
+// (the explicit float64 conversions forbid the compiler to fuse them), from
+// +0. On SIMD machines whole 4-row groups of a worker block run
+// groupKernelAVX, which performs those same operations in vector lanes, and
+// the fewer than four rows left over run the scalar loop: a row's bits do not
+// depend on which of the two computed it, so results stay the same for every
+// worker count and on machines without SIMD.
+
+// vectorRows runs groupKernelAVX over the whole 4-row groups of dst rows
+// [lo, hi) and returns the first row it left to the scalar loop. Row i of
+// op(A) starts at a[i*rowStride] and steps by stepStride; b is row-major
+// k x p with k*p == len(b).
+func vectorRows(dst []float64, p, lo, hi int, a []float64, rowStride, stepStride int, b []float64, k int, skipZero bool) int {
+	if !useSIMD || len(b) == 0 {
+		return lo
+	}
+	for ; lo+mr <= hi; lo += mr {
+		groupKernelAVX(&dst[lo*p], &a[lo*rowStride], rowStride, stepStride, &b[0], k, p, skipZero)
+	}
+	return lo
+}
+
 // naiveMulInto is the unblocked i-k-j product: streams b and dst rows for
 // locality; row blocks write disjoint dst rows, so the parallel path is
-// exact.
+// exact. An exact-zero A term is skipped — 0·Inf and 0·NaN in b contribute
+// nothing — and the group kernel reproduces the skip with a lane mask.
 func naiveMulInto(dst, a, b *Dense) {
 	telGEMMNaive.Inc()
-	dst.Zero()
 	n, k, p := a.Rows, a.Cols, b.Cols
 	parallel.ForWork(n, gemmFlops(n, k, p), func(lo, hi int) {
+		lo = vectorRows(dst.Data, p, lo, hi, a.Data, k, 1, b.Data, k, true)
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			drow := dst.Data[i*p : (i+1)*p]
+			clear(drow)
 			for kk := 0; kk < k; kk++ {
 				av := arow[kk]
 				if av == 0 {
@@ -317,7 +350,7 @@ func naiveMulInto(dst, a, b *Dense) {
 				}
 				brow := b.Data[kk*p : (kk+1)*p]
 				for j, bv := range brow {
-					drow[j] += av * bv
+					drow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -327,10 +360,25 @@ func naiveMulInto(dst, a, b *Dense) {
 // naiveMulTInto computes dst = a * bᵀ by row dot products, four rows of b at
 // a time: the four sums are independent chains, so the adds overlap instead
 // of each waiting out the previous one's latency, and every chain still
-// accumulates its own dot product in ascending order.
+// accumulates its own dot product in ascending order. Nothing is skipped.
+// The group kernel runs it as a·(bᵀ) on a transposed copy of b from the pack
+// buffer pool, with the zero mask off.
 func naiveMulTInto(dst, a, b *Dense) {
 	telGEMMNaive.Inc()
-	parallel.ForWork(a.Rows, gemmFlops(a.Rows, a.Cols, b.Rows), func(lo, hi int) {
+	n, k, p := a.Rows, a.Cols, b.Rows
+	var bt []float64
+	if useSIMD && n >= mr && k*p > 0 {
+		buf := getPackBuffer(k * p)
+		defer packBuffers.Put(buf)
+		bt = *buf
+		for j := 0; j < p; j++ {
+			for t, v := range b.Data[j*k : (j+1)*k] {
+				bt[t*p+j] = v
+			}
+		}
+	}
+	parallel.ForWork(n, gemmFlops(n, k, p), func(lo, hi int) {
+		lo = vectorRows(dst.Data, p, lo, hi, a.Data, k, 1, bt, k, false)
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			orow := dst.Row(i)
@@ -341,10 +389,10 @@ func naiveMulTInto(dst, a, b *Dense) {
 				b2, b3 := b.Row(j + 2)[:len(arow)], b.Row(j + 3)[:len(arow)]
 				var s0, s1, s2, s3 float64
 				for t, av := range arow {
-					s0 += av * b0[t]
-					s1 += av * b1[t]
-					s2 += av * b2[t]
-					s3 += av * b3[t]
+					s0 += float64(av * b0[t])
+					s1 += float64(av * b1[t])
+					s2 += float64(av * b2[t])
+					s3 += float64(av * b3[t])
 				}
 				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 			}
@@ -352,7 +400,7 @@ func naiveMulTInto(dst, a, b *Dense) {
 				brow := b.Row(j)
 				var s float64
 				for t, av := range arow {
-					s += av * brow[t]
+					s += float64(av * brow[t])
 				}
 				orow[j] = s
 			}
@@ -363,12 +411,18 @@ func naiveMulTInto(dst, a, b *Dense) {
 // naiveTMulInto computes dst = aᵀ * b. Parallelized over dst rows (a's
 // columns): each block owns a disjoint stripe of dst, and for a fixed t the
 // accumulation order over i is the same ascending order as the serial loop,
-// keeping results exact.
+// keeping results exact. Exact-zero A terms are skipped as in naiveMulInto;
+// the group kernel reads column t of a as row t of aᵀ (row stride 1, step
+// stride a.Cols).
 func naiveTMulInto(dst, a, b *Dense) {
 	telGEMMNaive.Inc()
-	dst.Zero()
 	p := b.Cols
 	parallel.ForWork(a.Cols, gemmFlops(a.Cols, a.Rows, b.Cols), func(tlo, thi int) {
+		tlo = vectorRows(dst.Data, p, tlo, thi, a.Data, 1, a.Cols, b.Data, a.Rows, true)
+		if tlo == thi {
+			return
+		}
+		clear(dst.Data[tlo*p : thi*p])
 		for i := 0; i < a.Rows; i++ {
 			arow := a.Row(i)
 			brow := b.Row(i)
@@ -379,7 +433,7 @@ func naiveTMulInto(dst, a, b *Dense) {
 				}
 				orow := dst.Data[t*p : (t+1)*p]
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -498,9 +552,12 @@ func blockedGEMM(dst *Dense, a lhs, b *Dense, bT bool) {
 							vc := min(nr, jw-jr)
 							bpn := bp[(jr/nr)*kw*nr:]
 							d := dst.Data[(i0+ir)*p+jc+jr:]
-							switch tileKernel(useSIMD, vr, vc) {
+							switch tileKernel(useSIMD, vr, vc, jw-jr-nr) {
 							case tilePortable:
 								microKernel(d, p, vr, vc, kw, apn, bpn)
+							case tilePairAVX:
+								microKernel2AVX(&d[0], p, kw, &apn[0], &bpn[0])
+								jr += nr
 							case tileFullAVX:
 								microKernelAVX(&d[0], p, kw, &apn[0], &bpn[0])
 							case tileEdgeAVX:
@@ -517,17 +574,23 @@ func blockedGEMM(dst *Dense, a lhs, b *Dense, bT bool) {
 // The kernels a vr x vc tile can run on.
 const (
 	tilePortable = iota // microKernel, any tile, machines without SIMD
+	tilePairAVX         // microKernel2AVX, fused, a full tile and the full one after it
 	tileFullAVX         // microKernelAVX, fused, full tiles
 	tileEdgeAVX         // edgeTileAVX, multiply-then-add, partial tiles
 )
 
-// tileKernel picks the kernel of a vr x vc tile: on a SIMD machine every
-// tile, full or partial, runs a vector kernel, and the portable microKernel
-// is the fallback of machines without one — never a second path beside them.
-func tileKernel(simd bool, vr, vc int) int {
+// tileKernel picks the kernel of a vr x vc tile followed in its row panel by
+// next valid columns (next <= 0 when it is the panel's last tile): on a SIMD
+// machine every tile, full or partial, runs a vector kernel — a full tile
+// followed by another full tile runs both as a pair, which the caller then
+// steps over — and the portable microKernel is the fallback of machines
+// without one, never a second path beside them.
+func tileKernel(simd bool, vr, vc, next int) int {
 	switch {
 	case !simd:
 		return tilePortable
+	case vr == mr && vc == nr && next >= nr:
+		return tilePairAVX
 	case vr == mr && vc == nr:
 		return tileFullAVX
 	default:
@@ -656,22 +719,22 @@ func microKernel(dst []float64, stride, vr, vc, kw int, ap, bp []float64) {
 		ao, bo := kk*mr, kk*nr
 		a0, a1, a2, a3 := ap[ao], ap[ao+1], ap[ao+2], ap[ao+3]
 		b0, b1, b2, b3 := bp[bo], bp[bo+1], bp[bo+2], bp[bo+3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
+		c00 += float64(a0 * b0)
+		c01 += float64(a0 * b1)
+		c02 += float64(a0 * b2)
+		c03 += float64(a0 * b3)
+		c10 += float64(a1 * b0)
+		c11 += float64(a1 * b1)
+		c12 += float64(a1 * b2)
+		c13 += float64(a1 * b3)
+		c20 += float64(a2 * b0)
+		c21 += float64(a2 * b1)
+		c22 += float64(a2 * b2)
+		c23 += float64(a2 * b3)
+		c30 += float64(a3 * b0)
+		c31 += float64(a3 * b1)
+		c32 += float64(a3 * b2)
+		c33 += float64(a3 * b3)
 	}
 	if vr == mr && vc == nr {
 		d := dst[0:4]

@@ -13,6 +13,15 @@ func hasAVX2FMA() bool
 //go:noescape
 func microKernelAVX(dst *float64, stride, kw int, ap, bp *float64)
 
+// microKernel2AVX is microKernelAVX for two adjacent full tiles of one row
+// panel (gemm_amd64.s): bp is the first tile's B micro-panel, the second
+// follows it, and dst's columns 4..7 are the second tile. Each of the 32
+// cells gets microKernelAVX's fused chain bit for bit. Only when useSIMD is
+// true.
+//
+//go:noescape
+func microKernel2AVX(dst *float64, stride, kw int, ap, bp *float64)
+
 // microKernelEdgeAVX is the AVX tile kernel for partial tiles
 // (gemm_amd64.s): it overwrites tile with the whole 4x4 partial sum, computed
 // with a rounded multiply and a separate add per step — the portable
@@ -21,6 +30,16 @@ func microKernelAVX(dst *float64, stride, kw int, ap, bp *float64)
 //
 //go:noescape
 func microKernelEdgeAVX(tile *[mr * nr]float64, kw int, ap, bp *float64)
+
+// groupKernelAVX is the naive kernels' vector body (gemm_amd64.s): it
+// overwrites four p-wide dst rows with the product of the 4 x k block of A
+// at a, element (r, s) at a[r*rowStride + s*stepStride], and the row-major
+// k x p matrix b, each element summed exactly as the scalar loops sum it.
+// With skipZero an exact-zero A value contributes nothing, as the scalar
+// loops' skip does. Needs k >= 1, p >= 1; only when useSIMD is true.
+//
+//go:noescape
+func groupKernelAVX(dst, a *float64, rowStride, stepStride int, b *float64, k, p int, skipZero bool)
 
 // useSIMD gates the assembly micro-kernels. Detected once at start-up;
 // overridable in tests to exercise the scalar path on SIMD machines.

@@ -290,19 +290,26 @@ func TestPropertyBlockedOrientationsAtTrainingShapes(t *testing.T) {
 
 // TestPropertyNoTileReachesPortableKernelOnSIMD holds the dispatch to "SIMD ⇒
 // full and partial tiles both run a vector kernel, the portable microKernel
-// is only the fallback without it", for every tile extent.
+// is only the fallback without it", for every tile extent and every extent of
+// the tile after it: a full tile runs paired exactly when a full tile follows
+// it in the panel, and on the single fused kernel otherwise.
 func TestPropertyNoTileReachesPortableKernelOnSIMD(t *testing.T) {
 	for vr := 1; vr <= mr; vr++ {
 		for vc := 1; vc <= nr; vc++ {
-			want := tileEdgeAVX
-			if vr == mr && vc == nr {
-				want = tileFullAVX
-			}
-			if got := tileKernel(true, vr, vc); got != want {
-				t.Fatalf("SIMD %dx%d tile runs kernel %d, want %d", vr, vc, got, want)
-			}
-			if got := tileKernel(false, vr, vc); got != tilePortable {
-				t.Fatalf("non-SIMD %dx%d tile runs kernel %d, want the portable one", vr, vc, got)
+			for next := -nr; next <= 2*nr; next++ {
+				want := tileEdgeAVX
+				switch {
+				case vr == mr && vc == nr && next >= nr:
+					want = tilePairAVX
+				case vr == mr && vc == nr:
+					want = tileFullAVX
+				}
+				if got := tileKernel(true, vr, vc, next); got != want {
+					t.Fatalf("SIMD %dx%d tile (next %d) runs kernel %d, want %d", vr, vc, next, got, want)
+				}
+				if got := tileKernel(false, vr, vc, next); got != tilePortable {
+					t.Fatalf("non-SIMD %dx%d tile (next %d) runs kernel %d, want the portable one", vr, vc, next, got)
+				}
 			}
 		}
 	}

@@ -4,9 +4,10 @@ import "repro/internal/telemetry"
 
 // Kernel-dispatch telemetry: which engine each dense product took and how
 // many register tiles the blocked engine ran, split into full 4x4 tiles (the
-// fused multiply-add kernel) and partial edge tiles (multiply-then-add). Both
-// are computed once per call from the product's shape — never counted tile by
-// tile — and are observation only: no dispatch consults a counter.
+// fused multiply-add kernels, single or paired) and partial edge tiles
+// (multiply-then-add). Both are computed once per call from the product's
+// shape — never counted tile by tile — and are observation only: no dispatch
+// consults a counter.
 var (
 	telGEMM = telemetry.Default().CounterVec("adafgl_matrix_gemm_total",
 		"Dense products by the engine that ran them.", "path")
@@ -14,7 +15,7 @@ var (
 	telGEMMBlocked = telGEMM.With("blocked")
 
 	telTiles = telemetry.Default().CounterVec("adafgl_matrix_gemm_tiles_total",
-		"Blocked-GEMM micro-kernel tile invocations by tile kind.", "kind")
+		"Blocked-GEMM 4x4 register tiles run, by tile kind (a paired call runs two full tiles).", "kind")
 	telTilesFull = telTiles.With("full")
 	telTilesEdge = telTiles.With("edge")
 )
