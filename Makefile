@@ -35,7 +35,7 @@ test:
 # second step. The AVX edge-tile kernel multiplies and adds separately because
 # that is what the portable microKernel computes, and the naive kernels' AVX
 # group kernel does what their scalar loops do; those scalar kernels pin every
-# product with an explicit float64(a*b) rounding (as core.evolveSigns does),
+# product with an explicit float64(a*b) rounding (as matrix.SignSplit does),
 # so a toolchain may not fuse them, and this run fails if a kernel loses that
 # rounding (or a golden-pinned loop gets fused). internal/bench rides along:
 # its paper_tiny.golden pins every table and figure line; so do internal/serve
@@ -75,8 +75,9 @@ cover:
 
 # Bounded fuzz pass over the CSR construction, SpMM equivalence, checkpoint
 # round-trip, chaos scenario-spec, shard-plan round-trip, edge-list
-# canonicalisation and small dense product (vector ≡ scalar) targets, matching
-# the CI "fuzz" job (seed corpora in the packages' testdata/fuzz directories).
+# canonicalisation, small dense product and Step-2 sign split (vector ≡
+# scalar) targets, matching the CI "fuzz" job (seed corpora in the packages'
+# testdata/fuzz directories).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCSRFromEdges$$' -fuzztime=15s ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzSpMMEquivalence$$' -fuzztime=15s ./internal/sparse
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzShardRoundTrip$$' -fuzztime=15s ./internal/shard
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalize$$' -fuzztime=15s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzSmallGEMMEquivalence$$' -fuzztime=15s ./internal/matrix
+	$(GO) test -run='^$$' -fuzz='^FuzzSignSplitEquivalence$$' -fuzztime=15s ./internal/matrix
 
 # Smoke bench: every benchmark once, output preserved as the BENCH artifact
 # in both raw (bench-smoke.txt) and machine-readable (BENCH_smoke.json, via

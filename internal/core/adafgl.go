@@ -196,13 +196,14 @@ type personal struct {
 	yho, yhe, yhat                 *matrix.Dense
 	dY, dS, dZ, dHT, dKP           *matrix.Dense
 
-	// n_i×n_i scratch of the learnable message-passing branch (Eq. 11), owned
-	// for the whole of train so an epoch allocates no n_i×n_i matrix: the
-	// PoSign/NeSign halves of the evolved P̃^(1), both overwritten by every
-	// forward. pNeg first holds the row-normalised Gram matrix H'H'ᵀ, which
-	// evolveSigns consumes element by element as it writes the halves, so the
-	// Gram matrix needs no buffer of its own. Nil under DisableLM.
-	pPos, pNeg *matrix.Dense
+	// Scratch of the learnable message-passing branch (Eq. 11), owned for the
+	// whole of train; nil under DisableLM. gram is the n_i×n_i Gram matrix
+	// H'H'ᵀ of the last forward and gramScale (n_i×1) its rows' L1
+	// normalising factors. The evolved P̃^(1) and its PoSign/NeSign halves are
+	// never held: signedProducts builds them four rows at a time from ptilde,
+	// gram and gramScale, and multiplies each stripe while it is in cache —
+	// so P̃ and the Gram matrix are the only n_i×n_i matrices a client holds.
+	gram, gramScale *matrix.Dense
 }
 
 // newPersonal builds a client's Step-2 state for training: the shared
@@ -281,7 +282,7 @@ func prepare(g *graph.Graph, extractor models.Model, cfg models.Config, opt Opti
 	}
 	p.message = nn.NewMLP("ada.message", []int{g.Classes, hidden, g.Classes}, 0, rng).OwnBuffers()
 	if !opt.DisableLM {
-		p.pPos, p.pNeg = matrix.New(g.N, g.N), matrix.New(g.N, g.N)
+		p.gram, p.gramScale = matrix.New(g.N, g.N), matrix.New(g.N, 1)
 	}
 	return p
 }
@@ -383,13 +384,11 @@ func (p *personal) forward() *matrix.Dense {
 		// and its signed parts are recomputed from the current (detached)
 		// message embeddings each forward pass.
 		p.hmPrime = p.message.Forward(p.hTilde)
-		matrix.MulTInto(p.pNeg, p.hmPrime, p.hmPrime)
-		matrix.NormalizeRowsL1(p.pNeg)
-		evolveSigns(p.pPos, p.pNeg, p.opt.Beta, p.ptilde, p.pNeg)
+		matrix.MulTInto(p.gram, p.hmPrime, p.hmPrime)
+		matrix.RowL1Scales(p.gramScale.Data, p.gram)
 		// H_m^(1) = H' + (P⁺H' − P⁻H').
 		posH, negH := p.buf(&p.posH), p.buf(&p.negH)
-		matrix.MulInto(posH, p.pPos, p.hmPrime)
-		matrix.MulInto(negH, p.pNeg, p.hmPrime)
+		p.signedProducts(posH, negH, p.hmPrime, false)
 		matrix.SubInto(posH, posH, negH)
 		matrix.AddInto(p.buf(&p.hm1), p.hmPrime, posH)
 		matrix.SoftmaxRowsInto(p.buf(&p.sHM), p.hm1)
@@ -418,24 +417,20 @@ func (p *personal) forward() *matrix.Dense {
 	return p.yhat
 }
 
-// evolveSigns overwrites pos and neg with ReLU(P) and ReLU(−P), the PoSign /
-// NeSign halves of the evolved propagation matrix P = β·P̃ + (1−β)·G of
-// Eq. (11), in one pass over the n_i² elements. A zero element lands in neg
-// (as −0). The float64 conversions round both products before the sum, so no
-// compiler may fuse them into a multiply-add: every platform computes
-// round(round(β·p̃) + round((1−β)·g)). The halves are selected by mask, not by
-// a branch on the sign: pos = v where v > 0 else +0, neg = −v where not else +0.
-// gram may be neg itself: element i is read before neg's element i is written.
-func evolveSigns(pos, neg *matrix.Dense, beta float64, ptilde, gram *matrix.Dense) {
-	rest := 1 - beta
-	parallel.ForWork(len(ptilde.Data), len(ptilde.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := float64(beta*ptilde.Data[i]) + float64(rest*gram.Data[i])
-			bits := math.Float64bits(v)
-			m := nn.PositiveMask(bits)
-			pos.Data[i] = math.Float64frombits(bits & m)
-			neg.Data[i] = math.Float64frombits((bits ^ 1<<63) &^ m)
-		}
+// signedProducts computes pos = P⁺·b and neg = P⁻·b — with transposed,
+// P⁺ᵀ·b and P⁻ᵀ·b — for the PoSign/NeSign halves of the evolved propagation
+// matrix P = β·P̃ + (1−β)·G of Eq. (11), G the row-L1-normalised Gram matrix
+// of the last forward. Neither half is held: each 4-row stripe of both is
+// built by matrix.SignSplit in the engine's row-panel layout and multiplied
+// on the spot (matrix.MulRowPanels), bit for bit what NormalizeRowsL1, the
+// sign split and MulInto (TMulInto) on whole matrices compute. Rows of Pᵀ are
+// read as rows: P̃ and the Gram matrix are bitwise symmetric (an undirected
+// graph, a symmetric normalisation, products that commute), so
+// Pᵀ[t][s] = β·P̃[t][s] + (1−β)·gram[t][s]·scale[s] — the same kernel with a
+// per-column scale.
+func (p *personal) signedProducts(pos, neg, b *matrix.Dense, transposed bool) {
+	matrix.MulRowPanels([]*matrix.Dense{pos, neg}, b, func(i0 int, panels [][]float64) {
+		matrix.SignSplit(panels[0], panels[1], p.opt.Beta, p.ptilde, p.gram, p.gramScale.Data, transposed, i0)
 	})
 }
 
@@ -481,8 +476,7 @@ func (p *personal) backward(dY *matrix.Dense) {
 		softmaxBackwardInto(dZ, p.sHM, dS)
 		// H_m^(1) = (I + P⁺ − P⁻)·H' ⇒ dH' = dH_m + (P⁺ᵀ·dH_m − P⁻ᵀ·dH_m).
 		posH, negH := p.buf(&p.posH), p.buf(&p.negH)
-		matrix.TMulInto(posH, p.pPos, dZ)
-		matrix.TMulInto(negH, p.pNeg, dZ)
+		p.signedProducts(posH, negH, dZ, true)
 		matrix.SubInto(posH, posH, negH)
 		matrix.AddInto(posH, dZ, posH)
 		matrix.AddInPlace(dHT, p.message.Backward(posH))

@@ -190,16 +190,22 @@ func TestProbCrossEntropyGrad(t *testing.T) {
 	}
 }
 
-// TestSplitSigns pins the sign rule of the fused Eq. (11) pass — positive
-// elements to PoSign, the rest negated to NeSign, so an exact zero lands in
-// NeSign as −0 — on reused buffers, and holds the pass bit for bit to the
-// three-pass composition it replaced (Scale, AddScaled, then the split).
+// TestSplitSigns pins the sign rule of the split signedProducts runs —
+// positive elements to PoSign, the rest negated to NeSign, so an exact zero
+// lands in NeSign as −0 — on its stripes written out whole, holds it bit for
+// bit to the three-pass composition it replaced (Scale, AddScaled, then the
+// split), and holds its column-scaled stripes of symmetric operands — what
+// backward multiplies by — to the transposed halves.
 func TestSplitSigns(t *testing.T) {
+	ones := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = 1
+		}
+		return s
+	}
 	p, _ := matrix.FromRows([][]float64{{1, -2}, {0, 3}})
-	pos, neg := matrix.New(2, 2), matrix.New(2, 2)
-	pos.Fill(99)
-	neg.Fill(99)
-	evolveSigns(pos, neg, 1, p, matrix.New(2, 2))
+	pos, neg := splitHalves(1, p, matrix.New(2, 2), ones(2), false)
 	wantPos, wantNeg := []float64{1, 0, 0, 3}, []float64{0, 2, math.Copysign(0, -1), 0}
 	for i := range wantPos {
 		if math.Float64bits(pos.Data[i]) != math.Float64bits(wantPos[i]) ||
@@ -210,11 +216,13 @@ func TestSplitSigns(t *testing.T) {
 
 	// The halves are selected by bit mask; hold the select to the branch it
 	// replaced on the values a sign test can get wrong.
-	special := matrix.FromSlice(1, 6, []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
-		math.Copysign(0, -1), math.SmallestNonzeroFloat64})
-	pos, neg = matrix.New(1, 6), matrix.New(1, 6)
-	evolveSigns(pos, neg, 1, special, matrix.New(1, 6))
-	for i, v := range special.Data {
+	special := []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64}
+	sp := matrix.New(6, 6)
+	for i := range sp.Data {
+		sp.Data[i] = special[i%6]
+	}
+	pos, neg = splitHalves(1, sp, matrix.New(6, 6), ones(6), false)
+	for i, v := range sp.Data {
 		v += 0 // the (1−β)·g term: −0 evolves to +0
 		wp, wn := 0.0, -v
 		if v > 0 {
@@ -231,9 +239,8 @@ func TestSplitSigns(t *testing.T) {
 	matrix.RandomNormal(ptilde, 0, 1, rng)
 	matrix.RandomNormal(gram, 0, 1, rng)
 	ptilde.Data[5], gram.Data[5] = 0, 0
-	pos, neg = matrix.New(37, 37), matrix.New(37, 37)
 	beta := 0.7 // a variable: the constant expression 1-0.7 would be folded exactly
-	evolveSigns(pos, neg, beta, ptilde, gram)
+	pos, neg = splitHalves(beta, ptilde, gram, ones(37), false)
 	ref := matrix.Scale(beta, ptilde)
 	matrix.AddScaled(ref, 1-beta, gram)
 	for i, v := range ref.Data {
@@ -246,13 +253,20 @@ func TestSplitSigns(t *testing.T) {
 		}
 	}
 
-	// forward keeps G in the NeSign buffer: the pass must give the same
-	// halves when gram and neg are one matrix.
-	pos2 := matrix.New(37, 37)
-	evolveSigns(pos2, gram, beta, ptilde, gram)
+	// backward reads rows where Pᵀ needs columns: on symmetric P̃ and Gram
+	// matrix the column-scaled stripes are the halves transposed.
+	ptilde = matrix.Add(ptilde, matrix.Transpose(ptilde))
+	h := matrix.New(37, 7)
+	matrix.RandomNormal(h, 0, 1, rng)
+	gram = matrix.MulT(h, h)
+	scale := make([]float64, 37)
+	matrix.RowL1Scales(scale, gram)
+	pos, neg = splitHalves(beta, ptilde, gram, scale, false)
+	posT, negT := splitHalves(beta, ptilde, gram, scale, true)
+	pos, neg = matrix.Transpose(pos), matrix.Transpose(neg)
 	for i := range pos.Data {
-		if math.Float64bits(pos2.Data[i]) != math.Float64bits(pos.Data[i]) || math.Float64bits(gram.Data[i]) != math.Float64bits(neg.Data[i]) {
-			t.Fatalf("element %d: pos %v neg %v with gram aliasing neg, %v %v without", i, pos2.Data[i], gram.Data[i], pos.Data[i], neg.Data[i])
+		if math.Float64bits(posT.Data[i]) != math.Float64bits(pos.Data[i]) || math.Float64bits(negT.Data[i]) != math.Float64bits(neg.Data[i]) {
+			t.Fatalf("element %d: column-scaled pos %v neg %v, transposed halves %v %v", i, posT.Data[i], negT.Data[i], pos.Data[i], neg.Data[i])
 		}
 	}
 }

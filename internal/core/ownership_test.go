@@ -127,6 +127,45 @@ func TestStep2OwnershipScribble(t *testing.T) {
 	}
 }
 
+// TestStep2HoldsTwoSquareMatrices: a training client holds exactly two
+// n_i×n_i matrices, P̃ and the Gram matrix of the message branch — the
+// signed halves of P̃^(1) exist only as 4-row stripes inside an epoch — and
+// under DisableLM P̃ alone. Every matrix personal holds and every buffer its
+// modules own is counted, found by reflection as ownedScratch finds them.
+func TestStep2HoldsTwoSquareMatrices(t *testing.T) {
+	for _, disableLM := range []bool{false, true} {
+		opt := DefaultOptions()
+		opt.DisableLM = disableLM
+		p := step2ClientWith(t, 0.2, 16, opt)
+		p.train(1)
+		square := p.g.N * p.g.N
+		var held []string
+		v := reflect.ValueOf(p).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			switch x := reflect.NewAt(f.Type, unsafe.Pointer(v.Field(i).UnsafeAddr())).Elem().Interface().(type) {
+			case *matrix.Dense:
+				if x != nil && len(x.Data) == square {
+					held = append(held, f.Name)
+				}
+			case *nn.MLP:
+				for _, b := range x.Scratch() {
+					if len(b) >= square {
+						held = append(held, f.Name+" scratch")
+					}
+				}
+			}
+		}
+		want := []string{"ptilde", "gram"}
+		if disableLM {
+			want = want[:1]
+		}
+		if !reflect.DeepEqual(held, want) {
+			t.Fatalf("DisableLM=%v: a training client holds n_i×n_i buffers %v, want %v", disableLM, held, want)
+		}
+	}
+}
+
 // fixedExtractor is a Step-1 extractor whose logits are given.
 type fixedExtractor struct{ z *matrix.Dense }
 

@@ -58,8 +58,9 @@ func referenceLoss(p *personal, pPos, pNeg *matrix.Dense) float64 {
 // plus the KP term against the Eq. (14) loss, for all three modules, under
 // the default options and each ablation switch (ROADMAP 4c). It is what
 // guards the leaf first layers of Θ_knowledge and Θ_feature and the
-// transposed products P⁺ᵀ·dH, P⁻ᵀ·dH in backward: P⁺ is not symmetric, so a
-// dropped transpose fails here.
+// transposed products P⁺ᵀ·dH, P⁻ᵀ·dH in backward: P⁺ is not symmetric (its
+// rows are L1-normalised, its columns not), so a dropped transpose fails
+// here. The reference takes the halves written out whole (denseHalves).
 func TestStep2GradientCheck(t *testing.T) {
 	cases := map[string]func(*Options){
 		"default":    func(*Options) {},
@@ -84,7 +85,7 @@ func TestStep2GradientCheck(t *testing.T) {
 			got := p.lossGrad()
 			var pPos, pNeg *matrix.Dense
 			if !opt.DisableLM {
-				pPos, pNeg = p.pPos.Clone(), p.pNeg.Clone()
+				pPos, pNeg = denseHalves(p)
 			}
 			if want := referenceLoss(p, pPos, pNeg); math.Abs(got-want) > 1e-12 {
 				t.Fatalf("lossGrad returned %v, Eq. (14) reference %v", got, want)
@@ -113,6 +114,12 @@ func TestStep2GradientCheck(t *testing.T) {
 // extractor at its initialisation.
 func step2Client(tb testing.TB, factor float64, hidden int) *personal {
 	tb.Helper()
+	return step2ClientWith(tb, factor, hidden, DefaultOptions())
+}
+
+// step2ClientWith is step2Client under the Step-2 options opt.
+func step2ClientWith(tb testing.TB, factor float64, hidden int, opt Options) *personal {
+	tb.Helper()
 	spec, err := datasets.ByName("Cora")
 	if err != nil {
 		tb.Fatal(err)
@@ -122,7 +129,7 @@ func step2Client(tb testing.TB, factor float64, hidden int) *personal {
 	cfg.Hidden = hidden
 	cfg.Dropout = 0
 	rng := rand.New(rand.NewSource(2))
-	return newPersonal(g, models.NewGCN(g, cfg, rng), cfg, DefaultOptions(), rng)
+	return newPersonal(g, models.NewGCN(g, cfg, rng), cfg, opt, rng)
 }
 
 // allocSite identifies one bucket of the runtime's memory profile: the
@@ -180,8 +187,9 @@ var squareSink []float64
 // TestStep2EpochAllocatesNoSquareMatrix is the allocation guard of the Step-2
 // hot loop: after the first epoch (optimiser state, lazily sized masks) no
 // single allocation inside an epoch may be as large as one n_i×n_i float64
-// matrix — the Gram matrix and the signed halves of P̃^(1) live in scratch
-// owned by personal, and nothing else in the loop is n_i² wide. It reads the
+// matrix — the Gram matrix lives in scratch owned by personal, the signed
+// halves of P̃^(1) only ever as 4-row stripes of pooled scratch, and nothing
+// else in the loop is n_i² wide. It reads the
 // object sizes from the runtime's memory profile instead of bounding the
 // bytes an epoch allocates: the byte total also counts the GEMM pack buffers,
 // which sync.Pool re-allocates whenever it drops a Put (by design under the

@@ -5,9 +5,11 @@
 // accumulates tile partial sums. Work is distributed over output rows with
 // parallel.ForGrain, so every dst row is written by exactly one worker block
 // and the per-element accumulation order (KC tiles ascending, then the
-// shared dimension ascending within a tile) is a pure function of shapes and
-// tile sizes — results are bit-identical for every worker count, exactly the
-// contract the naive kernels already satisfy.
+// shared dimension ascending within a tile) is a pure function of the shape
+// and KC — results are bit-identical for every worker count and every MC and
+// NC, exactly the contract the naive kernels already satisfy. KC does move
+// bits: it decides where each sum is cut into partial sums, and the pinned
+// digests assume the default.
 //
 // Products below the cutover keep the naive kernels: for small operands the
 // packing traffic costs more than the cache misses it avoids. On amd64 with
@@ -15,6 +17,13 @@
 // (groupKernelAVX) that performs each dst element's scalar operations — a
 // rounded product, then an add, from +0 in ascending order — in vector
 // lanes, so a naive product has the same bits on every machine.
+//
+// A left operand that is never materialised — AdaFGL's signed operator,
+// built four rows at a time — is multiplied stripe by stripe: MulRowPanels
+// takes each 4-row stripe in the layout packA writes for one micro-panel
+// and runs the row panel's tiles (rowPanelTiles, blockedGEMM's own inner
+// loop) or, below the cutover, the naive kernel's rows, so the result is
+// MulInto's bit for bit.
 //
 // A left operand that is constant across many products — a leaf layer's
 // input, multiplied by a new weight every epoch — can be handed to the engine
@@ -90,7 +99,11 @@ var currentTiling atomic.Pointer[Tiling]
 // SetTiling sets the process-wide blocked-GEMM tile sizes and returns the
 // previous value so callers can restore it. Fields <= 0 fall back to the
 // default; MC and NC are rounded up to multiples of the micro-kernel tile.
-// Tile sizes affect only performance, never results.
+// MC and NC affect only performance. KC is where the shared dimension is cut
+// into slices whose partial sums are added in order, so it moves bits: a
+// product's result is a pure function of its shape and KC (a 64x300·300x16
+// Mul of random operands differs in most of its 1024 elements between
+// KC = 256 and KC = 64), and pinned digests assume the default KC.
 func SetTiling(t Tiling) Tiling {
 	prev := CurrentTiling()
 	d := DefaultTiling()
@@ -340,21 +353,25 @@ func naiveMulInto(dst, a, b *Dense) {
 	parallel.ForWork(n, gemmFlops(n, k, p), func(lo, hi int) {
 		lo = vectorRows(dst.Data, p, lo, hi, a.Data, k, 1, b.Data, k, true)
 		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*p : (i+1)*p]
-			clear(drow)
-			for kk := 0; kk < k; kk++ {
-				av := arow[kk]
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[kk*p : (kk+1)*p]
-				for j, bv := range brow {
-					drow[j] += float64(av * bv)
-				}
-			}
+			naiveRow(dst.Data[i*p:(i+1)*p], a.Data[i*k:(i+1)*k], 1, b)
 		}
 	})
+}
+
+// naiveRow overwrites drow with the product of one row of A — its element
+// kk at a[kk*step] — and b: the scalar loop of naiveMulInto, ascending kk,
+// every term a rounded product added from +0, exact-zero A terms skipped.
+func naiveRow(drow, a []float64, step int, b *Dense) {
+	clear(drow)
+	for kk := 0; kk < b.Rows; kk++ {
+		av := a[kk*step]
+		if av == 0 {
+			continue
+		}
+		for j, bv := range b.Data[kk*b.Cols : (kk+1)*b.Cols] {
+			drow[j] += float64(av * bv)
+		}
+	}
 }
 
 // naiveMulTInto computes dst = a * bᵀ by row dot products, four rows of b at
@@ -434,6 +451,93 @@ func naiveTMulInto(dst, a, b *Dense) {
 				orow := dst.Data[t*p : (t+1)*p]
 				for j, bv := range brow {
 					orow[j] += float64(av * bv)
+				}
+			}
+		}
+	})
+}
+
+// ---- Row-panel products ----
+
+// MulRowPanels computes dst[q] = S_q·b for every q without ever holding an
+// n x k operand S_q: fill writes rows [i0, i0+4) of every S_q into panels[q]
+// in the blocked engine's row-panel layout — element (s, r), S_q[i0+r][s],
+// at s·4 + r, with +0 in the rows past n — and those rows of every product
+// are computed at once, while the stripe is in cache. i0 runs over the
+// multiples of 4 below n, each exactly once; fill must write every element
+// of its panels (4·k values each), which are per-worker scratch valid for
+// that call only.
+//
+// The arithmetic is the one MulInto picks for the full n x k · k x p shape,
+// so dst[q] holds MulInto(S_q, b) bit for bit (and, for a stripe of Sᵀ,
+// TMulInto(S, b)): above BlockedCutover every KC slice of the CurrentTiling
+// runs the tile kernels blockedGEMM runs, on b packed once for every product
+// and stripe; below it each row is the naive kernel's ascending,
+// zero-skipping sum, a whole stripe on the vector group kernel. Each dst
+// must be n x b.Cols, n the first one's Rows, and must overlap neither b nor
+// another dst (it panics if it does). Every product counts once in the GEMM
+// counters, on the engine it emulates.
+func MulRowPanels(dst []*Dense, b *Dense, fill func(i0 int, panels [][]float64)) {
+	if len(dst) == 0 {
+		return
+	}
+	n, k, p := dst[0].Rows, b.Rows, b.Cols
+	for q, d := range dst {
+		dstCheck("MulRowPanels", d, n, p)
+		noAlias("MulRowPanels", d, b, nil)
+		for _, e := range dst[:q] {
+			noAlias("MulRowPanels", d, e, nil)
+		}
+	}
+	blocked := gemmFlops(n, k, p) >= BlockedCutover
+	kc := CurrentTiling().KC
+	for range dst {
+		if blocked {
+			countBlocked(n, k, p, kc)
+		} else {
+			telGEMMNaive.Inc()
+		}
+	}
+	if k == 0 {
+		for _, d := range dst {
+			d.Zero()
+		}
+		return
+	}
+	pR := roundUp(p, nr)
+	var bp []float64
+	if blocked {
+		buf := getPackBuffer(k * pR)
+		defer packBuffers.Put(buf)
+		bp = *buf
+		for k0 := 0; k0 < k; k0 += kc {
+			packB(bp[k0*pR:], b, false, k0, min(kc, k-k0), 0, p, pR)
+		}
+	}
+	parallel.ForWorkGrain(n, len(dst)*gemmFlops(n, k, p), mr, func(lo, hi int) {
+		buf := getPackBuffer(len(dst) * mr * k)
+		defer packBuffers.Put(buf)
+		panels := make([][]float64, len(dst))
+		for q := range panels {
+			panels[q] = (*buf)[q*mr*k : (q+1)*mr*k]
+		}
+		for i0 := lo; i0 < hi; i0 += mr {
+			vr := min(mr, n-i0)
+			fill(i0, panels)
+			for q, d := range dst {
+				rows, sp := d.Data[i0*p:(i0+vr)*p], panels[q]
+				switch {
+				case blocked:
+					clear(rows)
+					for k0 := 0; k0 < k; k0 += kc {
+						rowPanelTiles(rows, p, vr, p, min(kc, k-k0), sp[k0*mr:], bp[k0*pR:])
+					}
+				case useSIMD && vr == mr && p > 0:
+					groupKernelAVX(&rows[0], &sp[0], 1, mr, &b.Data[0], k, p, true)
+				default:
+					for r := 0; r < vr; r++ {
+						naiveRow(rows[r*p:(r+1)*p], sp[r:], mr, b)
+					}
 				}
 			}
 		}
@@ -541,32 +645,41 @@ func blockedGEMM(dst *Dense, a lhs, b *Dense, bT bool) {
 						packA(ap, a.a, a.t, i0, iw, iwR, kc, kw)
 					}
 					for ir := 0; ir < iwR; ir += mr {
-						vr := min(mr, iw-ir)
 						var apn []float64
 						if a.panels != nil {
 							apn = a.panels[((i0+ir)/mr)*k*mr+kc*mr:]
 						} else {
 							apn = ap[(ir/mr)*kw*mr:]
 						}
-						for jr := 0; jr < jwR; jr += nr {
-							vc := min(nr, jw-jr)
-							bpn := bp[(jr/nr)*kw*nr:]
-							d := dst.Data[(i0+ir)*p+jc+jr:]
-							switch tileKernel(useSIMD, vr, vc, jw-jr-nr) {
-							case tilePortable:
-								microKernel(d, p, vr, vc, kw, apn, bpn)
-							case tilePairAVX:
-								microKernel2AVX(&d[0], p, kw, &apn[0], &bpn[0])
-								jr += nr
-							case tileFullAVX:
-								microKernelAVX(&d[0], p, kw, &apn[0], &bpn[0])
-							case tileEdgeAVX:
-								edgeTileAVX(d, p, vr, vc, kw, apn, bpn)
-							}
-						}
+						rowPanelTiles(dst.Data[(i0+ir)*p+jc:], p, min(mr, iw-ir), jw, kw, apn, bp)
 					}
 				}
 			})
+		}
+	}
+}
+
+// rowPanelTiles accumulates one KC slice of a row panel into dst: the vr
+// valid rows (of mr) of the packed A micro-panel ap times the jw columns of
+// the packed B slice bp (micro-panel g at g·kw·nr), each tile on the kernel
+// tileKernel picks, added into the cells dst[r*stride+c]. It is the
+// per-row-panel loop of blockedGEMM and of MulRowPanels' blocked path.
+func rowPanelTiles(dst []float64, stride, vr, jw, kw int, ap, bp []float64) {
+	jwR := roundUp(jw, nr)
+	for jr := 0; jr < jwR; jr += nr {
+		vc := min(nr, jw-jr)
+		bpn := bp[(jr/nr)*kw*nr:]
+		d := dst[jr:]
+		switch tileKernel(useSIMD, vr, vc, jw-jr-nr) {
+		case tilePortable:
+			microKernel(d, stride, vr, vc, kw, ap, bpn)
+		case tilePairAVX:
+			microKernel2AVX(&d[0], stride, kw, &ap[0], &bpn[0])
+			jr += nr
+		case tileFullAVX:
+			microKernelAVX(&d[0], stride, kw, &ap[0], &bpn[0])
+		case tileEdgeAVX:
+			edgeTileAVX(d, stride, vr, vc, kw, ap, bpn)
 		}
 	}
 }

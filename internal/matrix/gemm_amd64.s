@@ -18,6 +18,11 @@
 // groupKernelAVX is the naive kernels' body below the blocked cutover: four
 // dst rows, one 4-column group at a time, read from A in place through two
 // strides, with the scalar loops' rounded multiply and add.
+//
+// signSplitAVX is SignSplit's body: a 4-row stripe of AdaFGL's evolved
+// propagation matrix, computed one 4x4 block at a time with the scalar
+// twin's rounded products, split by sign under a mask and transposed in
+// registers into the row-panel layout the tile kernels read.
 
 #include "textflag.h"
 
@@ -389,5 +394,96 @@ tailstore:
 	VMASKMOVPD Y3, Y13, (DI)
 
 groupdone:
+	VZEROUPPER
+	RET
+
+// One row of the split kernel's 4x4 block: v = round(β·p̃) +
+// round((1−β)·round(g·scale)) for the four columns of the row whose P̃, G
+// and scale segments are at pa, ga and sa, left in v.
+#define SPLITROW(pa, ga, sa, v) \
+	VMOVUPD pa, Y4; \
+	VMOVUPD ga, Y5; \
+	VMULPD  sa, Y5, Y5; \
+	VMULPD  Y13, Y5, Y5; \
+	VMULPD  Y12, Y4, Y4; \
+	VADDPD  Y5, Y4, v
+
+// One column of the transposed block (the four rows of column c) into the
+// row panels: pos = c where c > 0 (GT_OQ: NaN is not), else +0; neg = −c
+// where not, else +0.
+#define SPLITCOL(c, off) \
+	VCMPPD  $0x1e, Y15, c, Y4; \
+	VANDPD  Y4, c, Y5; \
+	VXORPD  Y14, c, Y6; \
+	VANDNPD Y6, Y4, Y6; \
+	VMOVUPD Y5, off(DI); \
+	VMOVUPD Y6, off(SI)
+
+// func signSplitAVX(pos, neg, pt, gm *float64, stride, groups int, beta, rest float64, scale *float64, scaleRow, scaleStep int)
+//
+// Writes groups 4-column groups of a 4-row stripe of the PoSign and NeSign
+// halves of P = β·P̃ + (1−β)·(G∘scale) into pos and neg in row-panel layout:
+// element (s, r) at s·4 + r. Row r of P̃ and G starts r·stride values past pt
+// and gm; row r's four scale factors of a group are read at scale + r·scaleRow
+// bytes, and the scale table steps scaleStep bytes per group (a per-row
+// broadcast table, or a per-column vector). Every element is the scalar
+// twin's: three rounded products and one add, never fused. The 4x4 block of
+// v is transposed in registers (VUNPCKLPD/VUNPCKHPD, VPERM2F128), so each
+// column's four rows are one 32-byte store per half.
+TEXT ·signSplitAVX(SB), NOSPLIT, $0-88
+	MOVQ         pos+0(FP), DI
+	MOVQ         neg+8(FP), SI
+	MOVQ         pt+16(FP), AX
+	MOVQ         gm+24(FP), BX
+	MOVQ         stride+32(FP), R10
+	SHLQ         $3, R10
+	LEAQ         (R10)(R10*2), R11
+	MOVQ         groups+40(FP), CX
+	VBROADCASTSD beta+48(FP), Y12
+	VBROADCASTSD rest+56(FP), Y13
+	MOVQ         scale+64(FP), DX
+	MOVQ         scaleRow+72(FP), R8
+	LEAQ         (R8)(R8*2), R9
+	MOVQ         scaleStep+80(FP), R12
+	VXORPD       Y15, Y15, Y15
+	MOVQ         $0x8000000000000000, R13
+	MOVQ         R13, X14
+	VBROADCASTSD X14, Y14
+
+	TESTQ CX, CX
+	JZ    splitdone
+
+splitloop:
+	// Row r's P̃ and G segments sit r·stride bytes on, its scale segment
+	// r·scaleRow bytes on.
+	SPLITROW((AX), (BX), (DX), Y0)
+	SPLITROW((AX)(R10*1), (BX)(R10*1), (DX)(R8*1), Y1)
+	SPLITROW((AX)(R10*2), (BX)(R10*2), (DX)(R8*2), Y2)
+	SPLITROW((AX)(R11*1), (BX)(R11*1), (DX)(R9*1), Y3)
+
+	// Transpose: Y8..Y11 are columns 0..3, each holding rows 0..3.
+	VUNPCKLPD  Y1, Y0, Y4
+	VUNPCKHPD  Y1, Y0, Y5
+	VUNPCKLPD  Y3, Y2, Y6
+	VUNPCKHPD  Y3, Y2, Y7
+	VPERM2F128 $0x20, Y6, Y4, Y8
+	VPERM2F128 $0x20, Y7, Y5, Y9
+	VPERM2F128 $0x31, Y6, Y4, Y10
+	VPERM2F128 $0x31, Y7, Y5, Y11
+
+	SPLITCOL(Y8, 0)
+	SPLITCOL(Y9, 32)
+	SPLITCOL(Y10, 64)
+	SPLITCOL(Y11, 96)
+
+	ADDQ $32, AX
+	ADDQ $32, BX
+	ADDQ R12, DX
+	ADDQ $128, DI
+	ADDQ $128, SI
+	DECQ CX
+	JNZ  splitloop
+
+splitdone:
 	VZEROUPPER
 	RET

@@ -41,6 +41,16 @@ func microKernelEdgeAVX(tile *[mr * nr]float64, kw int, ap, bp *float64)
 //go:noescape
 func groupKernelAVX(dst, a *float64, rowStride, stepStride int, b *float64, k, p int, skipZero bool)
 
+// signSplitAVX is SignSplit's vector body (gemm_amd64.s): groups 4-column
+// groups of a full 4-row stripe, element for element the scalar twin's
+// arithmetic and sign rule, written transposed into the row panels pos and
+// neg. pt and gm address the stripe's first row, stride values apart; row r's
+// scale factors of a group are at scale + r·scaleRow bytes and the table
+// steps scaleStep bytes per group. Only when useSIMD is true.
+//
+//go:noescape
+func signSplitAVX(pos, neg, pt, gm *float64, stride, groups int, beta, rest float64, scale *float64, scaleRow, scaleStep int)
+
 // useSIMD gates the assembly micro-kernels. Detected once at start-up;
 // overridable in tests to exercise the scalar path on SIMD machines.
 var useSIMD = hasAVX2FMA()

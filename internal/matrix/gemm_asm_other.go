@@ -25,3 +25,8 @@ func microKernelEdgeAVX(tile *[mr * nr]float64, kw int, ap, bp *float64) {
 func groupKernelAVX(dst, a *float64, rowStride, stepStride int, b *float64, k, p int, skipZero bool) {
 	panic("matrix: SIMD group kernel unavailable on this architecture")
 }
+
+// signSplitAVX is never called when useSIMD is false.
+func signSplitAVX(pos, neg, pt, gm *float64, stride, groups int, beta, rest float64, scale *float64, scaleRow, scaleStep int) {
+	panic("matrix: SIMD split kernel unavailable on this architecture")
+}

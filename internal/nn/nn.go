@@ -231,21 +231,6 @@ type ReLU struct {
 	out, dx *matrix.Dense
 }
 
-// PositiveMask returns all ones when bits is the pattern of a float64 v > 0
-// and zero otherwise (−x, ±0, every NaN): v > 0 exactly when bits lies in
-// [1, bits(+Inf)], i.e. bits−1 is below bits(+Inf) unsigned — +0 wraps to
-// the top, everything else non-positive already sits above. ReLU-shaped
-// loops select with the mask (x & m) instead of branching on the sign, which
-// is a coin flip per element and mispredicts about every other one; the
-// conditional below compiles to a conditional move.
-func PositiveMask(bits uint64) uint64 {
-	var m uint64
-	if bits-1 < 0x7FF0000000000000 {
-		m = ^uint64(0)
-	}
-	return m
-}
-
 // Forward returns max(x, 0) elementwise: x where x > 0, +0 elsewhere (NaN
 // included).
 func (r *ReLU) Forward(x *matrix.Dense) *matrix.Dense {
@@ -254,7 +239,7 @@ func (r *ReLU) Forward(x *matrix.Dense) *matrix.Dense {
 	mask, dst := r.mask, out.Data[:len(x.Data)]
 	for i, v := range x.Data {
 		bits := math.Float64bits(v)
-		m := PositiveMask(bits)
+		m := matrix.PositiveMask(bits)
 		dst[i] = math.Float64frombits(bits & m)
 		mask[i] = m != 0
 	}

@@ -240,8 +240,8 @@ func TestReLUBitsMatchBranchDefinition(t *testing.T) {
 			t.Fatalf("Backward(%v) under input %v = %#x, want %#x", grad[i], v,
 				math.Float64bits(gx.Data[i]), math.Float64bits(wantG))
 		}
-		if want := ^uint64(0); (PositiveMask(math.Float64bits(v)) == want) != (v > 0) {
-			t.Fatalf("PositiveMask(%#x) = %#x for v = %v", math.Float64bits(v), PositiveMask(math.Float64bits(v)), v)
+		if want := ^uint64(0); (matrix.PositiveMask(math.Float64bits(v)) == want) != (v > 0) {
+			t.Fatalf("PositiveMask(%#x) = %#x for v = %v", math.Float64bits(v), matrix.PositiveMask(math.Float64bits(v)), v)
 		}
 	}
 }
