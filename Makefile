@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint docs-lint test test-fused race cover fuzz bench serve-demo zoo-demo chaos-demo torture-demo shard-demo ci
+.PHONY: all build lint docs-lint test test-times test-fused race cover fuzz bench serve-demo zoo-demo chaos-demo torture-demo shard-demo ci
 
 all: build
 
@@ -29,6 +29,16 @@ docs-lint:
 
 test:
 	$(GO) test ./...
+
+# The tier-1 budget made visible, matching the CI "test-times" job: the whole
+# suite once, uncached and verbose, then its ten slowest top-level tests as
+# "seconds status test package". Left out of ci, which already runs the suite.
+test-times:
+	@$(GO) test -count=1 -v ./... > test-times.txt 2>&1; status=$$?; \
+	awk '/^--- (PASS|FAIL)/ { gsub(/[()s]/, "", $$4); sub(/:/, "", $$2); t[n++] = $$4 " " $$2 " " $$3 } \
+		/^(ok|FAIL)[ \t]+repro/ { for (i = 0; i < n; i++) print t[i], $$2; n = 0 }' test-times.txt | \
+		sort -rn | head -10; \
+	exit $$status
 
 # The pinned-bits suites again on a GOAMD64=v3 build, where the compiler may
 # contract x*y + z into a fused multiply-add, matching the CI "test" job's
@@ -89,14 +99,11 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSignSplitEquivalence$$' -fuzztime=15s ./internal/matrix
 
 # Smoke bench: every benchmark once, output preserved as the BENCH artifact
-# in both raw (bench-smoke.txt) and machine-readable (BENCH_smoke.json, via
-# cmd/benchjson) form. File-then-cat instead of tee so a failing benchmark
+# (bench-smoke.txt). File-then-cat instead of tee so a failing benchmark
 # fails the target.
 bench:
 	@$(GO) test -bench=. -benchtime=1x -run='^$$' ./... > bench-smoke.txt 2>&1; \
-	status=$$?; cat bench-smoke.txt; \
-	$(GO) run ./cmd/benchjson -in bench-smoke.txt -out BENCH_smoke.json || status=1; \
-	exit $$status
+	status=$$?; cat bench-smoke.txt; exit $$status
 
 # Field check of the serving subsystem: train at quickstart scale,
 # checkpoint, rebuild the server from the file and fire 1000 concurrent HTTP
@@ -120,9 +127,10 @@ chaos-demo:
 # Field check of the serving resilience layer: the four torture scenarios
 # (overload, slowmodel, panic, corrupt) against a live loopback HTTP server,
 # each enforcing the no-drop / exactly-once / Retry-After / bit-identity /
-# post-storm-recovery invariants.
+# post-storm-recovery invariants (internal/registry's TestTorture, one
+# subtest and one outcome line per scenario).
 torture-demo:
-	$(GO) run ./cmd/adafgl-bench -exp torture
+	$(GO) test -count=1 -run '^TestTorture$$' -v ./internal/registry
 
 # Field check of the sharding layer at full scale: stream a million-node
 # graph into 1..8 shards, proving per-shard memory and fleet propagation

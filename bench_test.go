@@ -166,17 +166,79 @@ func BenchmarkParallelGEMM(b *testing.B) {
 	}
 }
 
+// gemmShape is one dense product BenchmarkGEMM times: the logical
+// (N x K)·(K x P) product, with AT/BT saying which operand the caller holds
+// transposed (so the product runs through matrix.TMul or matrix.MulT).
+type gemmShape struct {
+	Name    string
+	N, K, P int
+	AT, BT  bool
+}
+
+// trainingGEMMShapes are the dense products the training loops actually run,
+// none of them a multiple of the 4x4 register tile in every dimension: Step 2
+// at the adafgl-noniid client size (n_i = 280, C = 7 classes, hidden 32), the
+// weight gradients of its first layers and of a fed-step1 client (1760 nodes,
+// 96 features), and the small products below the blocked cutover: the three
+// every C-wide output layer runs and Θ_message's C-wide input layer. The
+// square sweep beside them only ever touches full tiles and untransposed
+// packing.
+func trainingGEMMShapes() []gemmShape {
+	return []gemmShape{
+		{Name: "step2-PH", N: 280, K: 280, P: 7},             // P·H, Eqs. 9-13 forward
+		{Name: "step2-PTdH", N: 280, K: 280, P: 7, AT: true}, // Pᵀ·dH, their backward
+		{Name: "wgrad-XTg", N: 256, K: 280, P: 32, AT: true}, // Xᵀ·g, first-layer weight gradient
+		{Name: "wgrad-fed", N: 96, K: 1760, P: 32, AT: true}, // the same on a fed-step1 client
+		{Name: "gram-HHT", N: 280, K: 7, P: 280, BT: true},   // H·Hᵀ, Eq. 11's Gram matrix
+		{Name: "out-fwd", N: 280, K: 32, P: 7},               // h·W₂, below the cutover
+		{Name: "out-bwd-gWT", N: 280, K: 7, P: 32, BT: true}, // g·W₂ᵀ, below the cutover
+		{Name: "wgrad-out", N: 32, K: 280, P: 7, AT: true},   // hᵀ·g, W₂'s gradient, below the cutover
+		{Name: "msg-fwd", N: 280, K: 7, P: 32},               // H̃·W₁ of Θ_message (Eq. 11), below the cutover
+	}
+}
+
+// operands returns seeded standard-normal operands for the shape twice over:
+// a and b in the layout the caller holds them (a is K x N under AT, b is
+// P x K under BT) and la, lb as the plain N x K and K x P matrices of the same
+// logical product, which is what matrix.MulNaive — the reference — takes.
+func (s gemmShape) operands(seed int64) (a, b, la, lb *matrix.Dense) {
+	rng := rand.New(rand.NewSource(seed))
+	la, lb = matrix.New(s.N, s.K), matrix.New(s.K, s.P)
+	matrix.RandomNormal(la, 0, 1, rng)
+	matrix.RandomNormal(lb, 0, 1, rng)
+	a, b = la, lb
+	if s.AT {
+		a = matrix.Transpose(la)
+	}
+	if s.BT {
+		b = matrix.Transpose(lb)
+	}
+	return a, b, la, lb
+}
+
+// product runs the shape through the public entry point training code calls
+// (Mul, TMul or MulT), whichever engine that dispatches to.
+func (s gemmShape) product(a, b *matrix.Dense) *matrix.Dense {
+	switch {
+	case s.AT:
+		return matrix.TMul(a, b)
+	case s.BT:
+		return matrix.MulT(a, b)
+	}
+	return matrix.Mul(a, b)
+}
+
 // BenchmarkGEMM sweeps the dense GEMM engine across matrix sizes, tile
 // configurations and worker counts, with the naive kernel as baseline, so
 // the CI smoke-bench artifact tracks the blocked path's speedup. Outputs are
 // bit-identical across worker counts and within 1e-12 of naive across tile
 // sizes (enforced by the property suite in internal/matrix). The shape=
-// rows are the products training runs (bench.TrainingGEMMShapes: edge tiles,
+// rows are the products training runs (trainingGEMMShapes: edge tiles,
 // transposed packing, sub-cutover kernels), path=dispatch being the public
 // entry point and path=naive MulNaive on the same logical product.
 func BenchmarkGEMM(b *testing.B) {
-	for i, sh := range bench.TrainingGEMMShapes() {
-		x, y, lx, ly := sh.Operands(int64(i))
+	for i, sh := range trainingGEMMShapes() {
+		x, y, lx, ly := sh.operands(int64(i))
 		for _, w := range workerCounts() {
 			b.Run(fmt.Sprintf("shape=%s/path=naive/workers=%d", sh.Name, w), func(b *testing.B) {
 				defer parallel.SetWorkers(parallel.SetWorkers(w))
@@ -189,7 +251,7 @@ func BenchmarkGEMM(b *testing.B) {
 				defer parallel.SetWorkers(parallel.SetWorkers(w))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_ = sh.Product(x, y)
+					_ = sh.product(x, y)
 				}
 			})
 		}
@@ -341,10 +403,10 @@ func BenchmarkFedAsyncRound(b *testing.B) {
 // carry the fleet story into the smoke-bench artifact: max-shard-bytes is the
 // per-process memory a shard-per-process fleet provisions — it should fall
 // ~linearly with the shard count — and halo-cols counts the replicated
-// boundary columns that bound the exchange traffic. path=shard2/shard4 group
-// against the path=whole single-shard baseline, so BENCH_smoke.json tracks
-// the serial overhead sharding adds on one machine (the fleet speedup is
-// measured by `adafgl-bench -exp shard`, where shards run concurrently).
+// boundary columns that bound the exchange traffic. path=shard2/shard4 read
+// against the path=whole single-shard baseline as the serial overhead
+// sharding adds on one machine (the fleet speedup is measured by
+// `adafgl-bench -exp shard`, where shards run concurrently).
 func BenchmarkShardScale(b *testing.B) {
 	const n, hops = 30000, 2
 	spec := datasets.DefaultStream(n, 1)
@@ -361,10 +423,8 @@ func BenchmarkShardScale(b *testing.B) {
 		for _, one := range sh.Shards {
 			halo += one.Halo()
 		}
-		// The shard count rides inside the path token so benchjson groups
-		// every row under one (n, hops) key and computes speedups against
-		// the path=whole baseline. No trailing -N: benchjson strips that as
-		// a GOMAXPROCS suffix.
+		// The shard count rides inside the path token, so every row sits
+		// under one (n, hops) key beside the path=whole baseline.
 		path := fmt.Sprintf("shard%d", shards)
 		if shards == 1 {
 			path = "whole"
@@ -384,14 +444,14 @@ func BenchmarkShardScale(b *testing.B) {
 
 // BenchmarkObsOverhead tracks the hot-path cost of the telemetry layer in the
 // smoke-bench artifact: one op is a full DefaultMaxBatch-node window Predict
-// against a live SGC server — a window is 64 row GEMVs, nothing graph-sized
-// to hide instrument cost behind — run with the instruments disabled
-// (path=notelemetry, the baseline benchjson groups against) and fully enabled
-// (path=telemetry).
-// The enabled row's speedup in BENCH_smoke.json is its fraction of baseline
-// throughput; drifting below ~0.97 means the instruments grew past the 3%
-// budget `adafgl-bench -exp obs` enforces. The engine runs single-worker so
-// pool-scheduling noise cannot drown the nanosecond-scale instrument costs.
+// against a live SGC server — a window is a 64-row gather from the logits
+// table, nothing graph-sized to hide instrument cost behind — run with the
+// instruments disabled (path=notelemetry, the baseline) and fully enabled
+// (path=telemetry). The baseline's ns/op over the enabled row's is the
+// enabled fraction of baseline throughput; drifting below ~0.97 means the
+// instruments grew past the 3% budget `adafgl-bench -exp obs` enforces. The
+// engine runs single-worker so pool-scheduling noise cannot drown the
+// nanosecond-scale instrument costs.
 func BenchmarkObsOverhead(b *testing.B) {
 	spec, err := datasets.ByName("Cora")
 	if err != nil {

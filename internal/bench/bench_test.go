@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // tinyScale keeps harness tests fast.
@@ -92,7 +95,7 @@ func TestTable1Lines(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "table3", "table3i", "table4", "table5", "table6", "table7", "table8",
-		"fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "gemm", "spmm", "async", "chaos", "serve", "zoo", "torture", "shard", "obs"}
+		"fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "chaos", "shard", "obs"}
 	for _, id := range want {
 		if _, ok := Experiments[id]; !ok {
 			t.Errorf("experiment %q missing from registry", id)
@@ -100,96 +103,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(Experiments) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(Experiments), len(want))
-	}
-}
-
-func TestGEMMExperiment(t *testing.T) {
-	lines, err := GEMM(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Header (3 lines) + one row per square size + one per training shape.
-	if want := 3 + 3 + len(TrainingGEMMShapes()); len(lines) != want {
-		t.Fatalf("GEMM lines = %d, want %d", len(lines), want)
-	}
-	if !strings.Contains(lines[3], "128x128") || !strings.Contains(lines[3], "x") {
-		t.Fatalf("first size row = %q", lines[3])
-	}
-	if !strings.Contains(lines[7], "step2-PTdH") || !strings.Contains(lines[7], "(280x280)ᵀ·280x7") {
-		t.Fatalf("transposed Step-2 row = %q", lines[7])
-	}
-}
-
-func TestSpMMExperiment(t *testing.T) {
-	lines, err := SpMM(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Header (3 lines) + one row per case: the engine's 50k-node /
-	// avg-degree-20 / 64-column acceptance configuration, then the same
-	// density at 100k nodes.
-	if len(lines) != 8 {
-		t.Fatalf("SpMM lines = %d, want 8", len(lines))
-	}
-	if !strings.Contains(lines[6], "50000n/d20 x 64") || !strings.Contains(lines[7], "100000n/d20 x 64") {
-		t.Fatalf("acceptance rows = %q, %q", lines[6], lines[7])
-	}
-}
-
-func TestAsyncExperiment(t *testing.T) {
-	s := tinyScale()
-	s.Rounds = 8
-	lines, err := Async(s)
-	if err != nil { // includes the K=N full-barrier cross-check
-		t.Fatal(err)
-	}
-	// Header (3 lines) + sync K=N + rows for K in {N-1, ceil(N/2), 1}
-	// (deduplicated at tiny client counts).
-	if len(lines) < 6 {
-		t.Fatalf("Async lines = %d: %v", len(lines), lines)
-	}
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"sync", "async K=", "staleness"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("missing %q in:\n%s", want, joined)
-		}
-	}
-}
-
-func TestServeExperiment(t *testing.T) {
-	s := tinyScale()
-	lines, err := Serve(s) // includes the batched-vs-unbatched bit-identity cross-check
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Header + (single, batched) per arch in {GCN, SGC}.
-	if len(lines) != 5 {
-		t.Fatalf("Serve lines = %d: %v", len(lines), lines)
-	}
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"single", "batched", "speedup", "bit-identical ok", "GCN", "SGC"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("serve output missing %q:\n%s", want, joined)
-		}
-	}
-}
-
-func TestZooExperiment(t *testing.T) {
-	s := tinyScale()
-	lines, err := Zoo(s) // includes routed-vs-direct bit-identity and the overhead bound
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Header + roster + routing line + A/B header + 2 arms + delta.
-	if len(lines) != 7 {
-		t.Fatalf("Zoo lines = %d: %v", len(lines), lines)
-	}
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"3 artifacts", "fedgcn@1:GCN", "fedsgc@1:SGC", "adafgl@1:GCN",
-		"routing", "overhead", "bit-identical ok", "A/B", "control", "candidate", "delta"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("zoo output missing %q:\n%s", want, joined)
-		}
 	}
 }
 
@@ -285,5 +198,20 @@ func TestChaosExperiment(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[len(lines)-1], "headline:") {
 		t.Fatalf("missing degradation headline, last line %q", lines[len(lines)-1])
+	}
+}
+
+// TestObsFamiliesLinked holds the obs experiment's exposition check to the
+// packages this one links: every core family registers at package
+// initialisation, so one scrape of a fresh process must already carry them.
+func TestObsFamiliesLinked(t *testing.T) {
+	var buf bytes.Buffer
+	if err := telemetry.Default().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range obsCoreFamilies {
+		if !telemetry.HasFamily(buf.Bytes(), fam) {
+			t.Errorf("exposition lacks %s: the layer that registers it is not linked", fam)
+		}
 	}
 }

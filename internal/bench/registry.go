@@ -12,7 +12,9 @@ type Experiment struct {
 	Run   func(Scale) ([]string, error)
 }
 
-// Experiments registers every table and figure of the evaluation section.
+// Experiments registers every table and figure of the evaluation section,
+// the chaos sweep, and the shard and obs checks of the scale and telemetry
+// layers.
 var Experiments = map[string]Experiment{
 	"table1":  {"table1", "Table I: dataset statistics", Table1},
 	"table2":  {"table2", "Table II: transductive performance, both splits", Table2},
@@ -31,13 +33,7 @@ var Experiments = map[string]Experiment{
 	"fig9":    {"fig9", "Fig. 9: convergence (small datasets)", Fig9},
 	"fig10":   {"fig10", "Fig. 10: sparsity robustness", Fig10},
 	"fig11":   {"fig11", "Fig. 11: sparse client participation", Fig11},
-	"gemm":    {"gemm", "Micro: naive vs blocked dense GEMM speedup", GEMM},
-	"spmm":    {"spmm", "Micro: row-streamed vs blocked SpMM speedup (plan reuse included)", SpMM},
-	"async":   {"async", "Micro: sync vs async aggregation under client-speed skew", Async},
 	"chaos":   {"chaos", "Chaos: failure scenarios x robust aggregators, AdaFGL vs FGL baseline", Chaos},
-	"serve":   {"serve", "Micro: single-request vs batched inference serving", Serve},
-	"zoo":     {"zoo", "Micro: multi-model registry serving, routing overhead + live A/B", Zoo},
-	"torture": {"torture", "Torture: HTTP serving resilience under overload/deadline/panic/corrupt scenarios", Torture},
 	"shard":   {"shard", "Scale: streamed million-node graph sharding, memory/propagation linearity + sharded-fill bit-identity", ShardExp},
 	"obs":     {"obs", "Micro: telemetry bit-identity (serve + federated) and hot-path overhead budget", Obs},
 }

@@ -171,17 +171,21 @@ func shardOverlapCheck(s Scale, maxShards int) error {
 	if err != nil {
 		return err
 	}
-	for i := range a {
-		if a[i].Node != b[i].Node || a[i].Class != b[i].Class {
-			return fmt.Errorf("bench: shard overlap check: query %d answered (%d,%d) sharded vs (%d,%d) unsharded",
-				i, b[i].Node, b[i].Class, a[i].Node, a[i].Class)
-		}
-		for j := range a[i].Logits {
-			if a[i].Logits[j] != b[i].Logits[j] {
-				return fmt.Errorf("bench: shard overlap check: node %d logit %d differs between %d-shard and unsharded",
-					a[i].Node, j, maxShards)
-			}
-		}
+	if err := comparePredSlices(a, b); err != nil {
+		return fmt.Errorf("bench: shard overlap check: %d-shard vs unsharded fill: %w", maxShards, err)
 	}
 	return nil
+}
+
+// best returns the fastest of reps timed runs of fn.
+func best(reps int, fn func()) time.Duration {
+	var min time.Duration
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		fn()
+		if d := time.Since(start); r == 0 || d < min {
+			min = d
+		}
+	}
+	return min
 }

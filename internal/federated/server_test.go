@@ -119,6 +119,10 @@ func checkKofNIsFedAvg(t *testing.T, nClients int, seed int64, participation flo
 			if got.MeanStaleness != 0 {
 				t.Fatalf("K=N commits can never be stale, got mean staleness %v", got.MeanStaleness)
 			}
+			if got.StragglerUpdates != 0 || got.CommittedUpdates != got.DispatchedUpdates {
+				t.Fatalf("K=N must be a full barrier: %d stragglers, %d of %d updates committed",
+					got.StragglerUpdates, got.CommittedUpdates, got.DispatchedUpdates)
+			}
 			if len(got.RoundTime) != o.Rounds {
 				t.Fatalf("every commit must be timed, got %d RoundTime entries", len(got.RoundTime))
 			}

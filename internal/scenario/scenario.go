@@ -144,8 +144,9 @@ func Parse(specStr string) (*Scenario, error) {
 }
 
 // ParseSpec is the one parser of the "name" / "name:key=val,key=val" spec
-// grammar, shared by every named-scenario registry (the federation scenarios
-// here, the serving torture scenarios in internal/bench). defaults resolves
+// grammar of a named-scenario registry (the federation scenarios here; the
+// serving torture scenarios in internal/registry's TestTorture are a table of
+// parameters and parse no spec). defaults resolves
 // a scenario name to its parameter defaults, or to the registry's own
 // unknown-name error; ParseSpec returns the name and a fresh map of the
 // defaults overridden by the spec. A pair without "=" or with an empty key,

@@ -11,12 +11,12 @@ import (
 
 // BenchmarkServeBatching prices request coalescing: 64 concurrent
 // single-node queries answered by a single-request server (path=single, the
-// baseline benchjson divides by) versus a batching server (path=batch64),
-// across worker counts and both engine paths (coupled GCN gathers from the
-// logits table its first window filled — the one forward lands in the first
-// wave, outside the steady state b.N averages over — decoupled SGC rides the
-// embedding table). ns/op covers one full 64-query wave, so the ns/op ratio
-// is the throughput ratio.
+// baseline) versus a batching server (path=batch64), across worker counts and
+// both architectures (coupled GCN, decoupled SGC; either way a window is a
+// row gather from the logits table the artifact carries). ns/op covers one
+// full 64-query wave, so the ns/op ratio is the throughput ratio.
+// TestServeDeterminism holds the batched answers to the single-request ones
+// bit for bit.
 func BenchmarkServeBatching(b *testing.B) {
 	const conc = 64
 	for _, arch := range []string{"GCN", "SGC"} {

@@ -4,10 +4,10 @@ import "time"
 
 // ChaosOptions is the batcher's deterministic fault-injection surface — the
 // serving-side analogue of the federation layer's fault schedules. It exists
-// so the torture harness (adafgl-bench -exp torture) and the resilience
-// tests can drive the real recovery machinery (panic isolation, deadline
-// expiry, circuit breaking) through the production code path instead of
-// mocks: faults fire on a deterministic window counter owned by the single
+// so the torture harness (internal/registry's TestTorture, which make
+// torture-demo runs) and the resilience tests can drive the real recovery
+// machinery (panic isolation, deadline expiry, circuit breaking) through the
+// production code path instead of mocks: faults fire on a deterministic window counter owned by the single
 // dispatcher goroutine, so a seeded scenario injects the same faults at the
 // same windows on every run. The zero value injects nothing and costs
 // nothing.
