@@ -10,10 +10,13 @@ all: build
 build:
 	$(GO) build ./...
 
+# The arm64 pass builds and vets the portable fallbacks the amd64 assembly
+# kernels shadow.
 lint:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 
 # Documentation gate, matching the CI "docs-lint" job: every internal
 # package needs a package comment, the substrate packages (federated,
@@ -84,7 +87,7 @@ cover:
 		{ echo "coverage $$total% below the 90% floor" >&2; exit 1; }
 
 # Bounded fuzz pass over the CSR construction, SpMM equivalence, checkpoint
-# round-trip, chaos scenario-spec, shard-plan round-trip, edge-list
+# round-trip, chaos scenario-spec, shard build round-trip, edge-list
 # canonicalisation, small dense product and Step-2 sign split (vector ≡
 # scalar) targets, matching the CI "fuzz" job (seed corpora in the packages'
 # testdata/fuzz directories).

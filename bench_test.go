@@ -351,7 +351,11 @@ func BenchmarkSpMMPlanReuse(b *testing.B) {
 		b.Run(fmt.Sprintf("steps=%d/path=plan", steps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				plan := sparse.NewPlan(adj)
-				plan.PropagateInto(x.Clone(), scratch, steps)
+				cur, next := x.Clone(), scratch
+				for k := 0; k < steps; k++ {
+					plan.MulDenseInto(next, cur)
+					cur, next = next, cur
+				}
 			}
 		})
 	}

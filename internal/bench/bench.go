@@ -7,6 +7,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/federated"
 	"repro/internal/fgl"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/partition"
 )
@@ -248,7 +248,24 @@ func RunCell(dataset string, kind SplitKind, methodName string, s Scale) (Cell, 
 	return runCell(s, runSpec{dataset: dataset, kind: kind, method: methodName})
 }
 
-func meanStd(v []float64) (float64, float64) { return metrics.MeanStd(v) }
+// meanStd returns the sample mean and (n-1) standard deviation of a cell's
+// per-seed accuracies.
+func meanStd(v []float64) (mean, std float64) {
+	if len(v) == 0 {
+		return 0, 0
+	}
+	for _, x := range v {
+		mean += x
+	}
+	mean /= float64(len(v))
+	if len(v) < 2 {
+		return mean, 0
+	}
+	for _, x := range v {
+		std += (x - mean) * (x - mean)
+	}
+	return mean, math.Sqrt(std / float64(len(v)-1))
+}
 
 // fmtCell renders "82.9±0.5" in the paper's percent convention.
 func fmtCell(c Cell) string { return fmt.Sprintf("%5.1f±%.1f", c.Mean*100, c.Std*100) }

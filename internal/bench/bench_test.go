@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -77,6 +78,9 @@ func TestMeanStd(t *testing.T) {
 	}
 	if _, sd = meanStd([]float64{5}); sd != 0 {
 		t.Fatal("single-value std must be 0")
+	}
+	if m, sd = meanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9}); m != 5 || math.Abs(sd-math.Sqrt(32.0/7.0)) > 1e-12 {
+		t.Fatalf("mean/std of eight samples = %v/%v", m, sd)
 	}
 }
 

@@ -19,8 +19,11 @@ import (
 
 // obsReps is how many passes over the request stream the overhead
 // measurement makes; every chunk of every pass times both modes back to back
-// (interleavedRatio).
-const obsReps = 7
+// (interleavedRatio). 140 passes time each mode for about 2 s at the default
+// scale: on the 2-core reference VM ten consecutive runs read −1.2…+1.5%,
+// where 7 passes (≈ 100 ms per mode) spread −9…+6% and could miss the budget
+// on unchanged code.
+const obsReps = 140
 
 // obsQueries is the sequential full-window request count per repetition:
 // each request queries DefaultMaxBatch nodes, so every request is exactly

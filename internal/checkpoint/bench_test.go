@@ -12,8 +12,7 @@ import (
 
 // BenchmarkDecode times Decode on a checkpoint of the shape the repo
 // benchmark's serving workloads load at every cold start and swap: a GCN
-// bound to Cora ×4 (5.6k nodes) with the normalised adjacency and the
-// 5.6k×7 logits table embedded. The parameters are untrained — Decode's cost
+// bound to Cora ×4 (5.6k nodes) with the 5.6k×7 logits table embedded. The parameters are untrained — Decode's cost
 // depends on the byte layout only.
 func BenchmarkDecode(b *testing.B) {
 	spec, err := datasets.ByName("Cora")

@@ -3,13 +3,11 @@
 // header, little-endian fixed-width fields, CRC-guarded sections) for a
 // model's architecture, hyperparameters, normalisation kind and flattened
 // parameters together with the graph it serves — topology, features, labels,
-// masks, and optionally the precomputed normalised adjacency in CSR form so
-// loading skips the normalisation pass — and the model's answer on that
-// graph, the N×C logits table, filled once at export so that serving it runs
-// no model code. Save→Load round-trips are bit-identical (enforced by unit
-// tests and FuzzCheckpointRoundTrip), models self-describe through the
-// models.Registry architecture names, and federated training results become
-// servable artifacts via FromResult.
+// masks — and the model's answer on that graph, the N×C logits table, filled
+// once at export so that serving it runs no model code. Save→Load round-trips
+// are bit-identical (enforced by unit tests and FuzzCheckpointRoundTrip),
+// models self-describe through the models.Registry architecture names, and
+// federated training results become servable artifacts via FromResult.
 package checkpoint
 
 import (
@@ -58,9 +56,7 @@ func corrupt(err error) error {
 // models.Registry builder (the self-description hook shared by core and fgl
 // training paths), Params is the nn.Flatten layout of that architecture,
 // Graph is the graph the model is bound to and Logits the model's full-graph
-// answer on it. Adj, when non-nil, is the cached
-// WithSelfLoops().Normalized(Norm) adjacency of Graph, letting Model() seed
-// the propagation-plan cache instead of renormalising at load.
+// answer on it.
 type Checkpoint struct {
 	// Arch is the models.Registry architecture name (e.g. "GCN", "SGC").
 	Arch string
@@ -73,8 +69,6 @@ type Checkpoint struct {
 	Params []float64
 	// Graph is the serving graph (topology, features, labels, masks).
 	Graph *graph.Graph
-	// Adj optionally caches Graph's normalised adjacency (CSR) for Norm.
-	Adj *sparse.CSR
 	// Logits is the served answer: the Graph.N × Graph.Classes logits table
 	// FromResult filled and Decode reads back. Table returns it.
 	Logits *matrix.Dense
@@ -84,9 +78,9 @@ type Checkpoint struct {
 // the aggregated global parameters of res, self-described by the registry
 // architecture they were trained as, bound to g (typically the full graph
 // when clients trained on subgraphs of it — the transductive serving
-// surface). The graph's symmetric-normalised adjacency is embedded in CSR
-// form so loading skips normalisation, and the model's logits table is filled
-// here, once (fillTable), so that serving the artifact never runs the model.
+// surface). The model's logits table is filled here, once (fillTable), so
+// that serving the artifact never runs the model; the fill's propagation plan
+// stays cached on g.
 // Both core.AdaFGL (whose Result carries the Step-1 knowledge extractor) and
 // the fgl wrappers produce a compatible Result.
 func FromResult(res *federated.Result, arch string, cfg models.Config, g *graph.Graph) (*Checkpoint, error) {
@@ -102,7 +96,7 @@ func FromResult(res *federated.Result, arch string, cfg models.Config, g *graph.
 	params := append([]float64(nil), res.GlobalParams...)
 	c := &Checkpoint{
 		Arch: arch, Config: cfg, Norm: sparse.NormSym,
-		Params: params, Graph: g, Adj: g.NormAdj(sparse.NormSym),
+		Params: params, Graph: g,
 	}
 	table, err := c.fillTable()
 	if err != nil {
@@ -142,7 +136,7 @@ func (c *Checkpoint) fillTable() (table *matrix.Dense, err error) {
 }
 
 // Model rebuilds the trained model: the registry builder for Arch is bound
-// to Graph (seeding its propagation-plan cache from Adj when present) and
+// to Graph, which normalises its adjacency lazily (Graph.NormAdjPlan), and
 // loaded with Params. seed drives the builder's RNG; it only affects
 // training-time dropout, never inference outputs. Serving does not call it:
 // the answer is the stored table (Table).
@@ -153,13 +147,6 @@ func (c *Checkpoint) Model(seed int64) (models.Model, error) {
 	}
 	if c.Graph == nil {
 		return nil, fmt.Errorf("checkpoint: Model: checkpoint has no graph")
-	}
-	if c.Adj != nil {
-		if c.Adj.NRows != c.Graph.N || c.Adj.NCols != c.Graph.N {
-			return nil, fmt.Errorf("checkpoint: Model: cached adjacency is %dx%d for a %d-node graph",
-				c.Adj.NRows, c.Adj.NCols, c.Graph.N)
-		}
-		c.Graph.SeedNormAdj(c.Norm, c.Adj)
 	}
 	m := build(c.Graph, c.Config, rand.New(rand.NewSource(seed)))
 	if err := nn.Unflatten(m, c.Params); err != nil {
@@ -206,11 +193,7 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	var w writer
 	w.buf = append(w.buf, Magic...)
 	w.u32(Version)
-	sections := uint32(3)
-	if c.Adj != nil {
-		sections++
-	}
-	w.u32(sections)
+	w.u32(3) // model, graph, table
 
 	w.section(secModel, func(p *writer) {
 		p.str(c.Arch)
@@ -250,15 +233,6 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 		p.bools(g.ValMask)
 		p.bools(g.TestMask)
 	})
-	if c.Adj != nil {
-		w.section(secAdj, func(p *writer) {
-			p.u64(uint64(c.Adj.NRows))
-			p.u64(uint64(c.Adj.NCols))
-			p.ints(c.Adj.RowPtr)
-			p.ints(c.Adj.ColIdx)
-			p.f64s(c.Adj.Val)
-		})
-	}
 	w.section(secTable, func(p *writer) {
 		p.u64(uint64(c.Logits.Rows))
 		p.u64(uint64(c.Logits.Cols))
@@ -316,8 +290,6 @@ func decode(data []byte) (*Checkpoint, error) {
 		case secGraph:
 			decodeGraph(p, c)
 			seenGraph = true
-		case secAdj:
-			decodeAdj(p, c)
 		case secTable:
 			decodeTable(p, c)
 		default:
@@ -338,10 +310,6 @@ func decode(data []byte) (*Checkpoint, error) {
 	}
 	if !seenGraph {
 		return nil, fmt.Errorf("checkpoint: Decode: missing graph section")
-	}
-	if c.Adj != nil && (c.Adj.NRows != c.Graph.N || c.Adj.NCols != c.Graph.N) {
-		return nil, fmt.Errorf("checkpoint: Decode: adjacency section is %dx%d for a %d-node graph",
-			c.Adj.NRows, c.Adj.NCols, c.Graph.N)
 	}
 	if err := c.checkTable(); err != nil {
 		return nil, fmt.Errorf("checkpoint: Decode: %w", err)
@@ -468,41 +436,6 @@ func decodeGraph(p *reader, c *Checkpoint) {
 	copy(g.ValMask, val)
 	copy(g.TestMask, test)
 	c.Graph = g
-}
-
-// decodeAdj parses the optional cached-adjacency section into c, validating
-// the CSR invariants (monotone row pointers, in-range sorted-unique columns)
-// the rest of the system assumes.
-func decodeAdj(p *reader, c *Checkpoint) {
-	nRows, nCols := p.dim("adj rows"), p.dim("adj cols")
-	rowPtr := p.ints("adj rowptr")
-	colIdx := p.ints("adj colidx")
-	vals := p.f64s("adj val")
-	if p.err != nil {
-		return
-	}
-	if len(rowPtr) != nRows+1 || rowPtr[0] != 0 || rowPtr[nRows] != len(colIdx) || len(vals) != len(colIdx) {
-		p.fail("adjacency framing: %d rowptr / %d colidx / %d vals for %d rows",
-			len(rowPtr), len(colIdx), len(vals), nRows)
-		return
-	}
-	for i := 0; i < nRows; i++ {
-		if rowPtr[i+1] < rowPtr[i] {
-			p.fail("adjacency rowptr decreases at row %d", i)
-			return
-		}
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if colIdx[k] < 0 || colIdx[k] >= nCols {
-				p.fail("adjacency column %d outside %d cols", colIdx[k], nCols)
-				return
-			}
-			if k > rowPtr[i] && colIdx[k] <= colIdx[k-1] {
-				p.fail("adjacency columns not sorted-unique in row %d", i)
-				return
-			}
-		}
-	}
-	c.Adj = &sparse.CSR{NRows: nRows, NCols: nCols, RowPtr: rowPtr, ColIdx: colIdx, Val: vals}
 }
 
 // decodeTable parses the logits-table section into c. The value count is

@@ -104,8 +104,8 @@ func TestRoundTripBitIdentical(t *testing.T) {
 				t.Fatalf("%s: masks drifted at %d", arch, i)
 			}
 		}
-		if dec.Adj == nil || dec.Adj.NNZ() != ck.Adj.NNZ() {
-			t.Fatalf("%s: adjacency section lost", arch)
+		if secs := splitSections(t, enc); len(secs) != 3 || secs[0].kind != secModel || secs[1].kind != secGraph || secs[2].kind != secTable {
+			t.Fatalf("%s: sections %+v, want model, graph, table", arch, secs)
 		}
 		table, err := dec.Table()
 		if err != nil {
@@ -241,7 +241,7 @@ func TestDecodeHostileHyperparams(t *testing.T) {
 		"hidden": func(c *Checkpoint) { c.Config.Hidden = maxHidden + 1 },
 		"hops":   func(c *Checkpoint) { c.Config.Hops = maxHops + 1 },
 	} {
-		ck := miniCheckpoint(1, false)
+		ck := miniCheckpoint(1)
 		mutate(ck)
 		enc, err := ck.Encode()
 		if err != nil {
@@ -256,7 +256,7 @@ func TestDecodeHostileHyperparams(t *testing.T) {
 
 	// A class count past the cap, forged into the graph section (whose
 	// second field it is): Encode would refuse the table that goes with it.
-	enc, err := miniCheckpoint(1, false).Encode()
+	enc, err := miniCheckpoint(1).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestDecodeHostileGraphPayload(t *testing.T) {
 		"label-at-c":     func(c *Checkpoint) { c.Graph.Labels[5] = c.Graph.Classes },
 		"label-negative": func(c *Checkpoint) { c.Graph.Labels[0] = -1 },
 	} {
-		ck := miniCheckpoint(1, false)
+		ck := miniCheckpoint(1)
 		mutate(ck)
 		enc, err := ck.Encode()
 		if err != nil {
@@ -296,7 +296,7 @@ func TestDecodeHostileGraphPayload(t *testing.T) {
 
 	// A mask byte that is neither 0 nor 1, re-framed under a valid CRC: the
 	// graph section's final payload byte is the last test-mask entry.
-	enc, err := miniCheckpoint(1, false).Encode()
+	enc, err := miniCheckpoint(1).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,40 +365,25 @@ func TestModelValidation(t *testing.T) {
 		t.Fatal("unknown arch must fail")
 	}
 	bad = *ck
-	bad.Adj = &sparse.CSR{NRows: 1, NCols: 1, RowPtr: []int{0, 0}}
+	bad.Graph = nil
 	if _, err := bad.Model(1); err == nil {
-		t.Fatal("mismatched adjacency must fail")
+		t.Fatal("missing graph must fail")
 	}
 }
 
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
 
-// TestDecodeHostileSections: CRC-valid graph and adjacency sections that
-// break a structural invariant — shapes that disagree with the node count, a
-// labelled graph without classes, a CSR that is not one — and model fields
-// past their caps fail Decode and Peek with ErrCorrupt, never a panic.
+// TestDecodeHostileSections: CRC-valid graph sections that break a
+// structural invariant — shapes that disagree with the node count, a labelled
+// graph without classes — and model fields past their caps fail Decode and
+// Peek with ErrCorrupt, never a panic.
 func TestDecodeHostileSections(t *testing.T) {
-	csr := func(c *Checkpoint, rowPtr, colIdx []int) {
-		c.Adj = &sparse.CSR{NRows: c.Graph.N, NCols: c.Graph.N, RowPtr: rowPtr, ColIdx: colIdx, Val: make([]float64, len(colIdx))}
-	}
-	rowPtr := func(n int, last int) []int {
-		p := make([]int, n+1)
-		p[n] = last
-		return p
-	}
 	decodeOnly := map[string]func(*Checkpoint){
 		"labels-short": func(c *Checkpoint) { c.Graph.Labels = c.Graph.Labels[:5] },
 		"mask-short":   func(c *Checkpoint) { c.Graph.ValMask = c.Graph.ValMask[1:] },
 		"labels-no-classes": func(c *Checkpoint) {
 			c.Graph.Classes = 0
 			c.Logits = matrix.New(c.Graph.N, 0)
-		},
-		"adj-framing":    func(c *Checkpoint) { csr(c, []int{0, 1}, []int{0}) },
-		"adj-decreasing": func(c *Checkpoint) { p := rowPtr(c.Graph.N, 1); p[1] = 2; csr(c, p, []int{0, 1}) },
-		"adj-column":     func(c *Checkpoint) { csr(c, rowPtr(c.Graph.N, 1), []int{c.Graph.N}) },
-		"adj-unsorted":   func(c *Checkpoint) { csr(c, rowPtr(c.Graph.N, 2), []int{1, 0}) },
-		"adj-shape": func(c *Checkpoint) {
-			c.Adj = &sparse.CSR{NRows: 1, NCols: 1, RowPtr: []int{0, 0}}
 		},
 	}
 	peekToo := map[string]func(*Checkpoint){
@@ -413,7 +398,7 @@ func TestDecodeHostileSections(t *testing.T) {
 		peek  bool
 	}{{decodeOnly, false}, {peekToo, true}} {
 		for name, mutate := range set.cases {
-			ck := miniCheckpoint(1, true)
+			ck := miniCheckpoint(1)
 			ck.Graph = ck.Graph.Clone()
 			mutate(ck)
 			enc, err := ck.Encode()
@@ -440,7 +425,7 @@ func TestDecodeHostileSections(t *testing.T) {
 
 	// The feature matrix's row count, forged past the node count: Encode
 	// refuses to write it, so the bytes are patched under a fresh CRC.
-	ck := miniCheckpoint(1, false)
+	ck := miniCheckpoint(1)
 	enc, err := ck.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +457,7 @@ func TestCorruptUnwraps(t *testing.T) {
 // checkpoint it cannot encode.
 func TestSaveLoadErrors(t *testing.T) {
 	dir := t.TempDir()
-	ck := miniCheckpoint(2, false)
+	ck := miniCheckpoint(2)
 	if err := Save(filepath.Join(dir, "missing", "a.ckpt"), ck); err == nil {
 		t.Fatal("Save into a missing directory must fail")
 	}

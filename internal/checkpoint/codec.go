@@ -10,7 +10,7 @@ import (
 // The container layout is fixed and fully little-endian:
 //
 //	magic   [8]byte  "ADFGLCK1"
-//	version uint32   (currently 2)
+//	version uint32   (currently 3)
 //	count   uint32   number of sections
 //	count × section:
 //	    kind    uint32   (strictly increasing across sections)
@@ -27,15 +27,16 @@ import (
 const Magic = "ADFGLCK1"
 
 // Version is the current container format version. Version 2 added the
-// logits-table section; a version-1 artifact carries no answer and is
-// refused.
-const Version = 2
+// logits-table section; version 3 dropped the cached normalised adjacency
+// (section kind 3), which nothing read once serving answered from the table.
+// An artifact of any other version is refused.
+const Version = 3
 
-// Section kinds, written in strictly increasing order.
+// Section kinds, written in strictly increasing order. Kind 3, the cached
+// normalised adjacency of versions 1 and 2, is retired.
 const (
 	secModel = 1 // arch, hyperparams, NormKind, flattened parameters
 	secGraph = 2 // topology, features, labels, masks
-	secAdj   = 3 // optional cached normalised adjacency (CSR)
 	secTable = 4 // the N×C logits table the model answers with
 )
 

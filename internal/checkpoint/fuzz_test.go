@@ -16,7 +16,7 @@ import (
 // stay ~1 KB — large trained graphs would slow every mutation to a crawl.
 // Nothing here runs a model: the parameters and the table are arbitrary
 // values, which is all the codec reads.
-func miniCheckpoint(seed int64, withAdj bool) *Checkpoint {
+func miniCheckpoint(seed int64) *Checkpoint {
 	rng := rand.New(rand.NewSource(seed))
 	const n = 12
 	edges := make([][2]int, 0, n)
@@ -47,11 +47,7 @@ func miniCheckpoint(seed int64, withAdj bool) *Checkpoint {
 	for i := range logits.Data {
 		logits.Data[i] = rng.NormFloat64()
 	}
-	ck := &Checkpoint{Arch: "GCN", Config: cfg, Norm: sparse.NormSym, Params: params, Graph: g, Logits: logits}
-	if withAdj {
-		ck.Adj = g.NormAdj(sparse.NormSym)
-	}
-	return ck
+	return &Checkpoint{Arch: "GCN", Config: cfg, Norm: sparse.NormSym, Params: params, Graph: g, Logits: logits}
 }
 
 // FuzzCheckpointRoundTrip is the format's safety and determinism net:
@@ -62,7 +58,7 @@ func miniCheckpoint(seed int64, withAdj bool) *Checkpoint {
 // explores the format's interior, not just the header.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	for _, seed := range []int64{2, 4} {
-		enc, err := miniCheckpoint(seed, seed == 2).Encode()
+		enc, err := miniCheckpoint(seed).Encode()
 		if err != nil {
 			f.Fatal(err)
 		}

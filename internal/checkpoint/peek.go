@@ -14,7 +14,7 @@ import (
 // Header is the cheap metadata view of a checkpoint file: everything a model
 // registry needs to list and route artifacts — architecture, hyperparameters,
 // parameter/graph dimensions — without materializing the parameter vector,
-// features, adjacency or logits table. Peek produces it by reading only
+// features or logits table. Peek produces it by reading only
 // section prefixes and seeking past the bulk payloads.
 type Header struct {
 	// Arch is the models.Registry architecture name.
@@ -30,9 +30,6 @@ type Header struct {
 	Nodes, Classes int
 	// Edges is the stored undirected edge count.
 	Edges int
-	// HasAdj reports whether the artifact embeds the precomputed normalised
-	// adjacency (so loading skips the normalisation pass).
-	HasAdj bool
 	// Bytes is the file size on disk.
 	Bytes int64
 }
@@ -110,7 +107,7 @@ func (p *peeker) seekTo(off, size int64) {
 // Peek reads only the metadata of the checkpoint at path: magic, version and
 // per-section headers, the model section's architecture/hyperparameters and
 // parameter count, and the graph section's dimensions. Bulk payloads
-// (parameters, features, adjacency, logits) are seeked over, not read, so
+// (parameters, features, logits) are seeked over, not read, so
 // peeking a multi-megabyte artifact costs a few kilobytes of IO — this is
 // what lets a registry list a model-zoo directory without loading every
 // model. Peek validates framing, field ranges and the table section's shape
@@ -182,8 +179,6 @@ func peek(f *os.File, size int64) (*Header, error) {
 			h.Classes = p.dim("class count")
 			h.Edges = p.dim("edge count")
 			seenGraph = true
-		case secAdj:
-			h.HasAdj = true
 		case secTable:
 			peekTable(p, h, length)
 			seenTable = true

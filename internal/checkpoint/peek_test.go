@@ -7,46 +7,30 @@ import (
 )
 
 // TestPeekMatchesLoad checks the cheap header view agrees with a full load
-// on every metadata field, for both a coupled artifact (with cached
-// adjacency) and one stripped of it.
+// on every metadata field.
 func TestPeekMatchesLoad(t *testing.T) {
 	ck, g := trained(t, "GCN", 5)
-	dir := t.TempDir()
-
-	noAdj := *ck
-	noAdj.Adj = nil
-	for _, c := range []struct {
-		name string
-		ck   *Checkpoint
-	}{
-		{"with-adj", ck},
-		{"no-adj", &noAdj},
-	} {
-		path := filepath.Join(dir, c.name+".ckpt")
-		if err := Save(path, c.ck); err != nil {
-			t.Fatal(err)
-		}
-		h, err := Peek(path)
-		if err != nil {
-			t.Fatalf("%s: Peek: %v", c.name, err)
-		}
-		if h.Arch != c.ck.Arch || h.Norm != c.ck.Norm || h.Config != c.ck.Config {
-			t.Fatalf("%s: header model fields drifted: %+v", c.name, h)
-		}
-		if h.Params != len(c.ck.Params) {
-			t.Fatalf("%s: param count %d, want %d", c.name, h.Params, len(c.ck.Params))
-		}
-		if h.Nodes != g.N || h.Classes != g.Classes || h.Edges != len(g.Edges) {
-			t.Fatalf("%s: graph dims %d/%d/%d, want %d/%d/%d",
-				c.name, h.Nodes, h.Classes, h.Edges, g.N, g.Classes, len(g.Edges))
-		}
-		if h.HasAdj != (c.ck.Adj != nil) {
-			t.Fatalf("%s: HasAdj = %v", c.name, h.HasAdj)
-		}
-		fi, _ := os.Stat(path)
-		if h.Bytes != fi.Size() {
-			t.Fatalf("%s: Bytes = %d, want %d", c.name, h.Bytes, fi.Size())
-		}
+	path := filepath.Join(t.TempDir(), "m.ckpt")
+	if err := Save(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	h, err := Peek(path)
+	if err != nil {
+		t.Fatalf("Peek: %v", err)
+	}
+	if h.Arch != ck.Arch || h.Norm != ck.Norm || h.Config != ck.Config {
+		t.Fatalf("header model fields drifted: %+v", h)
+	}
+	if h.Params != len(ck.Params) {
+		t.Fatalf("param count %d, want %d", h.Params, len(ck.Params))
+	}
+	if h.Nodes != g.N || h.Classes != g.Classes || h.Edges != len(g.Edges) {
+		t.Fatalf("graph dims %d/%d/%d, want %d/%d/%d",
+			h.Nodes, h.Classes, h.Edges, g.N, g.Classes, len(g.Edges))
+	}
+	fi, _ := os.Stat(path)
+	if h.Bytes != fi.Size() {
+		t.Fatalf("Bytes = %d, want %d", h.Bytes, fi.Size())
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/parallel"
+	"repro/internal/sparse"
 )
 
 // countingModel is a coupled engine that counts its full-graph passes and
@@ -215,7 +216,7 @@ func TestPropertyExportDeterministic(t *testing.T) {
 // without a table or with a table of the wrong shape, and FromResult refuses
 // parameters its architecture cannot hold (the fill's rebuild fails).
 func TestTableValidation(t *testing.T) {
-	ck := miniCheckpoint(3, true)
+	ck := miniCheckpoint(3)
 	for name, bad := range map[string]*Checkpoint{
 		"no-graph": {Arch: "GCN", Logits: ck.Logits},
 		"no-table": {Arch: "GCN", Graph: ck.Graph},
@@ -249,31 +250,55 @@ func tablePayload(rows, cols, count uint64, vals int) []byte {
 	return p
 }
 
+// adjPayload forges the section-kind-3 payload versions 1 and 2 carried: the
+// CSR of g's self-looped, symmetric-normalised adjacency.
+func adjPayload(g *graph.Graph) []byte {
+	a := g.NormAdj(sparse.NormSym)
+	var p []byte
+	p = binary.LittleEndian.AppendUint64(p, uint64(a.NRows))
+	p = binary.LittleEndian.AppendUint64(p, uint64(a.NCols))
+	for _, ints := range [][]int{a.RowPtr, a.ColIdx} {
+		p = binary.LittleEndian.AppendUint64(p, uint64(len(ints)))
+		for _, v := range ints {
+			p = binary.LittleEndian.AppendUint64(p, uint64(v))
+		}
+	}
+	p = binary.LittleEndian.AppendUint64(p, uint64(len(a.Val)))
+	for _, v := range a.Val {
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+	}
+	return p
+}
+
 // TestHostileTableRefused: an artifact whose table section is missing,
-// misplaced, mis-shaped or mis-counted, or which predates the table
-// (version 1), is
-// refused by both Decode and Peek with an ErrCorrupt-family error — every
-// section under a valid CRC, so only the structural checks can catch it —
-// without a panic and without allocating for a count the bytes cannot hold.
+// misplaced, mis-shaped or mis-counted, which predates the table (version 1)
+// or which carries the retired adjacency section (version 2, or kind 3 under
+// a version-3 header), is refused by both Decode and Peek with an
+// ErrCorrupt-family error — every section under a valid CRC, so only the
+// structural checks can catch it — without a panic and without allocating
+// for a count the bytes cannot hold.
 func TestHostileTableRefused(t *testing.T) {
-	ck := miniCheckpoint(5, true)
+	ck := miniCheckpoint(5)
 	enc, err := ck.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs := splitSections(t, enc) // model, graph, adjacency, table
-	if len(secs) != 4 || secs[3].kind != secTable {
-		t.Fatalf("want 4 sections ending in the table, got %d", len(secs))
+	secs := splitSections(t, enc) // model, graph, table
+	if len(secs) != 3 || secs[2].kind != secTable {
+		t.Fatalf("want 3 sections ending in the table, got %d", len(secs))
 	}
 	n, c := uint64(ck.Graph.N), uint64(ck.Graph.Classes)
 	withTable := func(payload []byte) []byte {
-		forged := append([]section(nil), secs[:3]...)
+		forged := append([]section(nil), secs[:2]...)
 		return assemble(Version, append(forged, section{secTable, payload}))
 	}
+	withAdj := append(append([]section(nil), secs[:2]...), section{3, adjPayload(ck.Graph)}, secs[2])
 	cases := map[string][]byte{
-		"version-1":       assemble(1, secs[:3]),
-		"v1-header-on-v2": assemble(1, secs),
-		"missing-table":   assemble(Version, secs[:3]),
+		"version-1":       assemble(1, secs[:2]),
+		"v1-header-on-v3": assemble(1, secs),
+		"version-2":       assemble(2, withAdj),
+		"adj-on-v3":       assemble(Version, withAdj),
+		"missing-table":   assemble(Version, secs[:2]),
 		"rows-not-n":      withTable(tablePayload(n+1, c, (n+1)*c, int((n+1)*c))),
 		"cols-not-c":      withTable(tablePayload(n, c-1, n*(c-1), int(n*(c-1)))),
 		"rows-past-cap":   withTable(tablePayload(1<<40, c, 0, 0)),
@@ -283,9 +308,9 @@ func TestHostileTableRefused(t *testing.T) {
 		"count-short":     withTable(tablePayload(n, c, n*c-1, int(n*c-1))),
 		"count-long":      withTable(tablePayload(n, c, n*c+1, int(n*c+1))),
 		"section-tail":    withTable(append(tablePayload(n, c, n*c, int(n*c)), 0xEE)),
-		"dims-truncated":  withTable(secs[3].payload[:12]),
-		"table-first":     assemble(Version, []section{secs[3], secs[0], secs[1], secs[2]}),
-		"table-twice":     assemble(Version, append(append([]section(nil), secs...), secs[3])),
+		"dims-truncated":  withTable(secs[2].payload[:12]),
+		"table-first":     assemble(Version, []section{secs[2], secs[0], secs[1]}),
+		"table-twice":     assemble(Version, append(append([]section(nil), secs...), secs[2])),
 		"file-tail":       append(clone(enc), 0xEE),
 	}
 	dir := t.TempDir()

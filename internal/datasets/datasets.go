@@ -11,7 +11,6 @@ package datasets
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/matrix"
@@ -81,9 +80,6 @@ func Names() []string {
 	}
 	return out
 }
-
-// Homophilous reports whether the spec's target edge homophily is >= 0.5.
-func (s Spec) Homophilous() bool { return s.EdgeHomophily >= 0.5 }
 
 // Generate synthesises the dataset deterministically from the seed.
 //
@@ -193,22 +189,4 @@ func GenerateScaled(s Spec, factor float64, seed int64) *graph.Graph {
 		s.Nodes = 50
 	}
 	return Generate(s, seed)
-}
-
-// StatsTable renders Table I style statistics for the given graphs in
-// registry order; keys of gs are dataset names.
-func StatsTable(gs map[string]*graph.Graph) []string {
-	names := make([]string, 0, len(gs))
-	for n := range gs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]string, 0, len(names)+1)
-	out = append(out, fmt.Sprintf("%-12s %8s %8s %8s %8s %8s", "Dataset", "#Nodes", "#Edges", "#Feat", "#Class", "E.Homo"))
-	for _, n := range names {
-		g := gs[n]
-		st := g.Summary()
-		out = append(out, fmt.Sprintf("%-12s %8d %8d %8d %8d %8.3f", n, st.Nodes, st.Edges, st.Features, st.Classes, st.EdgeHomophily))
-	}
-	return out
 }

@@ -2,11 +2,8 @@ package datasets
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/graph"
 )
 
 func TestRegistryHasTwelveDatasets(t *testing.T) {
@@ -163,26 +160,14 @@ func TestGenerateFeaturesInformative(t *testing.T) {
 
 func TestHomophilousClassification(t *testing.T) {
 	for _, name := range []string{"Cora", "PubMed", "Physics", "Reddit"} {
-		if s := mustSpec(t, name); !s.Homophilous() {
+		if s := mustSpec(t, name); s.EdgeHomophily < 0.5 {
 			t.Errorf("%s should be homophilous", name)
 		}
 	}
 	for _, name := range []string{"Chameleon", "Squirrel", "Actor", "Penn94", "arxiv-year", "Flickr"} {
-		if s := mustSpec(t, name); s.Homophilous() {
+		if s := mustSpec(t, name); s.EdgeHomophily >= 0.5 {
 			t.Errorf("%s should be heterophilous", name)
 		}
-	}
-}
-
-func TestStatsTable(t *testing.T) {
-	s := mustSpec(t, "Cora")
-	g := GenerateScaled(s, 0.2, 1)
-	rows := StatsTable(map[string]*graph.Graph{"Cora": g})
-	if len(rows) != 2 {
-		t.Fatalf("StatsTable rows = %d, want header + 1", len(rows))
-	}
-	if !strings.Contains(rows[1], "Cora") {
-		t.Fatalf("row missing dataset name: %q", rows[1])
 	}
 }
 

@@ -205,20 +205,6 @@ func (g *Graph) NormAdjPlan(kind sparse.NormKind) *sparse.Plan {
 	return pl
 }
 
-// SeedNormAdj installs a precomputed normalised adjacency (e.g. loaded from
-// a checkpoint) as the cached Ã for kind, so the first NormAdjPlan call skips
-// the self-loop and normalisation passes. m must be the
-// WithSelfLoops().Normalized(kind) of this graph's adjacency — callers own
-// that guarantee — and is dropped like any cache entry on InvalidateAdj.
-func (g *Graph) SeedNormAdj(kind sparse.NormKind, m *sparse.CSR) {
-	g.adjMu.Lock()
-	defer g.adjMu.Unlock()
-	if g.norm == nil {
-		g.norm = make(map[sparse.NormKind]*sparse.Plan, 1)
-	}
-	g.norm[kind] = sparse.NewPlan(m)
-}
-
 // PropagatedX returns Ã·X, the first hop of every message-passing forward
 // pass, for the given normalisation. X never changes between the epochs of a
 // training run or the batch windows of a server, so the product — the widest
@@ -278,17 +264,6 @@ func (g *Graph) Degrees() []int {
 		d[e[1]]++
 	}
 	return d
-}
-
-// OneHotLabels returns the N x Classes one-hot label matrix Y.
-func (g *Graph) OneHotLabels() *matrix.Dense {
-	y := matrix.New(g.N, g.Classes)
-	for i, c := range g.Labels {
-		if c >= 0 && c < g.Classes {
-			y.Set(i, c, 1)
-		}
-	}
-	return y
 }
 
 // MaskIdx returns the indices where mask is true.
@@ -487,36 +462,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 		return g.Edges[i][1] >= v
 	})
 	return i < len(g.Edges) && g.Edges[i][0] == u && g.Edges[i][1] == v
-}
-
-// ConnectedComponents labels each node with a component id and returns the
-// ids plus the component count.
-func (g *Graph) ConnectedComponents() ([]int, int) {
-	comp := make([]int, g.N)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	queue := make([]int, 0, g.N)
-	for s := 0; s < g.N; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = next
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, u := range g.Neighbors(v) {
-				if comp[u] < 0 {
-					comp[u] = next
-					queue = append(queue, u)
-				}
-			}
-		}
-		next++
-	}
-	return comp, next
 }
 
 // LabelDistribution returns the per-class node counts (Fig. 2(a) data).

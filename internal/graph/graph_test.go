@@ -234,23 +234,6 @@ func TestNeighborsAndDegrees(t *testing.T) {
 	}
 }
 
-func TestOneHotLabels(t *testing.T) {
-	g := twoBlocks()
-	y := g.OneHotLabels()
-	if y.At(0, 0) != 1 || y.At(0, 1) != 0 || y.At(5, 1) != 1 {
-		t.Fatal("one-hot encoding wrong")
-	}
-	for i := 0; i < g.N; i++ {
-		var s float64
-		for _, v := range y.Row(i) {
-			s += v
-		}
-		if s != 1 {
-			t.Fatalf("row %d sums to %v", i, s)
-		}
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	g := twoBlocks()
 	g.TrainMask[3] = true
@@ -323,17 +306,6 @@ func TestHasEdge(t *testing.T) {
 	}
 	if g.HasEdge(0, 5) {
 		t.Fatal("phantom edge")
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := New(5, [][2]int{{0, 1}, {2, 3}}, nil, []int{0, 0, 0, 0, 0}, 1)
-	comp, n := g.ConnectedComponents()
-	if n != 3 {
-		t.Fatalf("components = %d, want 3", n)
-	}
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] || comp[4] == comp[0] {
-		t.Fatalf("component labels wrong: %v", comp)
 	}
 }
 

@@ -153,7 +153,9 @@ func TestRemoveEdgesDropsEveryNormCache(t *testing.T) {
 
 // TestPropagatedXFollowsFeatureAndPlanReplacement covers the two ways the
 // first-hop cache goes stale without a topology mutation: g.X is assigned a
-// new matrix, or SeedNormAdj installs another normalised adjacency.
+// new matrix, or the cached plan it was computed from is replaced (an
+// InvalidateAdj and rebuild racing the product; here the entry is swapped
+// directly).
 func TestPropagatedXFollowsFeatureAndPlanReplacement(t *testing.T) {
 	g := mutationFixture(30, 4)
 	old := g.PropagatedX(sparse.NormSym)
@@ -170,10 +172,13 @@ func TestPropagatedXFollowsFeatureAndPlanReplacement(t *testing.T) {
 		t.Fatal("PropagatedX not cached again after replacing X")
 	}
 
-	g.SeedNormAdj(sparse.NormSym, g.NormAdj(sparse.NormRW))
-	seeded := g.PropagatedX(sparse.NormSym)
-	if seeded == ax || !matrix.Equal(seeded, g.NormAdjPlan(sparse.NormRW).MulDense(g.X), 0) {
-		t.Fatal("PropagatedX ignored the plan installed by SeedNormAdj")
+	rw := g.NormAdjPlan(sparse.NormRW)
+	g.adjMu.Lock()
+	g.norm[sparse.NormSym] = rw
+	g.adjMu.Unlock()
+	replaced := g.PropagatedX(sparse.NormSym)
+	if replaced == ax || !matrix.Equal(replaced, rw.MulDense(g.X), 0) {
+		t.Fatal("PropagatedX ignored the replaced plan")
 	}
 }
 

@@ -177,18 +177,6 @@ func SubInto(dst, a, b *Dense) {
 	})
 }
 
-// Hadamard returns the elementwise product a⊙b.
-func Hadamard(a, b *Dense) *Dense {
-	shapeCheck(SameShape(a, b), "Hadamard", a, b)
-	out := New(a.Rows, a.Cols)
-	parallel.ForWork(len(a.Data), len(a.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] * b.Data[i]
-		}
-	})
-	return out
-}
-
 // Scale returns s*m as a new matrix.
 func Scale(s float64, m *Dense) *Dense {
 	out := New(m.Rows, m.Cols)
@@ -367,18 +355,6 @@ func ConcatCols(ms ...*Dense) *Dense {
 	return out
 }
 
-// SliceCols returns a copy of columns [lo, hi) of m.
-func SliceCols(m *Dense, lo, hi int) *Dense {
-	if lo < 0 || hi > m.Cols || lo > hi {
-		panic(fmt.Sprintf("matrix: SliceCols [%d,%d) of %d cols", lo, hi, m.Cols))
-	}
-	out := New(m.Rows, hi-lo)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Row(i), m.Row(i)[lo:hi])
-	}
-	return out
-}
-
 // SelectRows returns a copy of the rows of m indexed by idx, in order.
 func SelectRows(m *Dense, idx []int) *Dense {
 	out := New(len(idx), m.Cols)
@@ -412,15 +388,6 @@ func MaxAbs(m *Dense) float64 {
 // [-sqrt(6/(fanIn+fanOut)), +sqrt(6/(fanIn+fanOut))].
 func XavierUniform(m *Dense, rng *rand.Rand) {
 	bound := math.Sqrt(6.0 / float64(m.Rows+m.Cols))
-	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * bound
-	}
-}
-
-// KaimingUniform fills m with He-uniform values scaled by fan-in, suited to
-// ReLU networks.
-func KaimingUniform(m *Dense, rng *rand.Rand) {
-	bound := math.Sqrt(6.0 / float64(m.Rows))
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * bound
 	}

@@ -104,7 +104,7 @@ func TestMulTMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
-func TestAddSubHadamardScale(t *testing.T) {
+func TestAddSubScale(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, -2}, {3, 0}})
 	b, _ := FromRows([][]float64{{4, 5}, {-1, 2}})
 	if got := Add(a, b).At(0, 1); got != 3 {
@@ -112,9 +112,6 @@ func TestAddSubHadamardScale(t *testing.T) {
 	}
 	if got := Sub(a, b).At(1, 0); got != 4 {
 		t.Fatalf("Sub = %v, want 4", got)
-	}
-	if got := Hadamard(a, b).At(0, 0); got != 4 {
-		t.Fatalf("Hadamard = %v, want 4", got)
 	}
 	if got := Scale(2, a).At(1, 0); got != 6 {
 		t.Fatalf("Scale = %v, want 6", got)
@@ -172,16 +169,12 @@ func TestArgmaxRows(t *testing.T) {
 	}
 }
 
-func TestConcatAndSliceCols(t *testing.T) {
+func TestConcatCols(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := FromRows([][]float64{{5}, {6}})
 	c := ConcatCols(a, b)
 	if c.Cols != 3 || c.At(1, 2) != 6 {
 		t.Fatalf("ConcatCols wrong: %v", c)
-	}
-	s := SliceCols(c, 1, 3)
-	if s.At(0, 0) != 2 || s.At(0, 1) != 5 {
-		t.Fatalf("SliceCols wrong: %v", s)
 	}
 }
 
@@ -235,7 +228,7 @@ func TestNormalizeRowsL1(t *testing.T) {
 	}
 }
 
-func TestXavierKaimingBounds(t *testing.T) {
+func TestXavierBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := New(30, 20)
 	XavierUniform(m, rng)
@@ -243,13 +236,6 @@ func TestXavierKaimingBounds(t *testing.T) {
 	for _, v := range m.Data {
 		if math.Abs(v) > bound {
 			t.Fatalf("Xavier value %v outside ±%v", v, bound)
-		}
-	}
-	KaimingUniform(m, rng)
-	kb := math.Sqrt(6.0 / 30.0)
-	for _, v := range m.Data {
-		if math.Abs(v) > kb {
-			t.Fatalf("Kaiming value %v outside ±%v", v, kb)
 		}
 	}
 }

@@ -45,7 +45,6 @@ func TestDenseKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	tMul := TMul(a, c)
 	add := Add(a, c)
 	sub := Sub(a, c)
-	had := Hadamard(a, c)
 	scale := Scale(1.7, big)
 	soft := SoftmaxRows(big)
 
@@ -56,7 +55,6 @@ func TestDenseKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		exactEqual(t, "TMul", TMul(a, c), tMul)
 		exactEqual(t, "Add", Add(a, c), add)
 		exactEqual(t, "Sub", Sub(a, c), sub)
-		exactEqual(t, "Hadamard", Hadamard(a, c), had)
 		exactEqual(t, "Scale", Scale(1.7, big), scale)
 		exactEqual(t, "SoftmaxRows", SoftmaxRows(big), soft)
 	}

@@ -430,25 +430,6 @@ func (o *Adam) Step(m Module) {
 	}
 }
 
-// ClipGradNorm rescales all gradients of m so their global L2 norm does not
-// exceed maxNorm; returns the pre-clip norm.
-func ClipGradNorm(m Module, maxNorm float64) float64 {
-	var sq float64
-	for _, p := range m.Params() {
-		for _, g := range p.Grad.Data {
-			sq += g * g
-		}
-	}
-	norm := math.Sqrt(sq)
-	if norm > maxNorm && norm > 0 {
-		scale := maxNorm / norm
-		for _, p := range m.Params() {
-			matrix.ScaleInPlace(p.Grad, scale)
-		}
-	}
-	return norm
-}
-
 // ParamList is a parameter list collected once; it implements Module by
 // returning itself, so a training loop that zeroes and steps the same
 // parameters every epoch need not rebuild the list each time.

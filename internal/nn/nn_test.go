@@ -334,27 +334,6 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClipGradNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	l := NewLinear("l", 2, 2, rng)
-	for i := range l.W.Grad.Data {
-		l.W.Grad.Data[i] = 10
-	}
-	pre := ClipGradNorm(l, 1)
-	if pre < 10 {
-		t.Fatalf("pre-clip norm = %v", pre)
-	}
-	var sq float64
-	for _, p := range l.Params() {
-		for _, g := range p.Grad.Data {
-			sq += g * g
-		}
-	}
-	if math.Abs(math.Sqrt(sq)-1) > 1e-9 {
-		t.Fatalf("post-clip norm = %v, want 1", math.Sqrt(sq))
-	}
-}
-
 func TestParamGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := NewLinear("a", 2, 2, rng)

@@ -212,6 +212,17 @@ func TestLenientScanQuarantine(t *testing.T) {
 		t.Fatalf("strict scan: want checkpoint.ErrCorrupt, got %v", err)
 	}
 
+	// An artifact of the retired format version 2 is corrupt too: it must
+	// be re-exported, not served.
+	v2, err := makeCkpt(t, "SGC", 3, 100).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2[len(checkpoint.Magic)] = 2
+	if err := os.WriteFile(filepath.Join(dir, "old@1.ckpt"), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	// Two more refusal classes: a bad version stem ("invalid") and a
 	// dangling symlink ("unreadable").
 	if err := os.WriteFile(filepath.Join(dir, "weird@x.ckpt"), []byte("junk"), 0o644); err != nil {
@@ -237,7 +248,7 @@ func TestLenientScanQuarantine(t *testing.T) {
 		}
 		reasons[filepath.Base(q.Path)] = q.Reason
 	}
-	want := map[string]string{"bad@1.ckpt": "corrupt", "weird@x.ckpt": "invalid", "link@1.ckpt": "unreadable"}
+	want := map[string]string{"bad@1.ckpt": "corrupt", "old@1.ckpt": "corrupt", "weird@x.ckpt": "invalid", "link@1.ckpt": "unreadable"}
 	for base, reason := range want {
 		if reasons[base] != reason {
 			t.Errorf("quarantine reason for %s = %q, want %q (all: %v)", base, reasons[base], reason, reasons)

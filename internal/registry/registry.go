@@ -178,8 +178,6 @@ type ModelInfo struct {
 	Classes int `json:"classes"`
 	// Params is the length of the flattened parameter vector.
 	Params int `json:"params"`
-	// HasAdj reports whether the artifact embeds the normalised adjacency.
-	HasAdj bool `json:"cached_adj"`
 	// Bytes is the artifact's file size.
 	Bytes int64 `json:"bytes"`
 	// Path is the artifact's location on disk.
@@ -342,7 +340,7 @@ func (r *Registry) infoLocked(m *model, e *entry) ModelInfo {
 		Name: e.name, Version: e.version,
 		Active: m.active == e.version, Loaded: e.srv != nil,
 		Arch: e.hdr.Arch, Nodes: e.hdr.Nodes, Classes: e.hdr.Classes,
-		Params: e.hdr.Params, HasAdj: e.hdr.HasAdj, Bytes: e.hdr.Bytes,
+		Params: e.hdr.Params, Bytes: e.hdr.Bytes,
 		Path: e.path, Health: e.health.String(),
 	}
 	if e.lastErr != nil {

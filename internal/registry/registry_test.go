@@ -110,7 +110,7 @@ func TestAddListRemove(t *testing.T) {
 	if infos[0].Name != "m" || infos[0].Version != 1 || !infos[0].Active || infos[0].Loaded {
 		t.Fatalf("info[0] = %+v", infos[0])
 	}
-	if infos[0].Arch != "SGC" || infos[0].Nodes == 0 || infos[0].Params != len(ck1.Params) || !infos[0].HasAdj {
+	if infos[0].Arch != "SGC" || infos[0].Nodes == 0 || infos[0].Params != len(ck1.Params) {
 		t.Fatalf("metadata not peeked: %+v", infos[0])
 	}
 	if infos[1].Version != 2 || infos[1].Active {

@@ -124,78 +124,50 @@ func Names() []string {
 
 // Parse compiles a scenario spec of the form "name" or
 // "name:key=val,key=val" against the registry, applying parameter overrides
-// to the scenario's defaults. Unknown names, unknown keys and malformed or
-// non-finite values fail with "scenario:"-prefixed errors.
+// to a fresh copy of the scenario's defaults. Unknown names, a pair without
+// "=" or with an empty key, a key absent from the defaults, and a value that
+// is not a finite number all fail with "scenario:"-prefixed errors.
 func Parse(specStr string) (*Scenario, error) {
-	var entry *spec
-	name, params, err := ParseSpec(specStr, func(name string) (map[string]float64, error) {
-		for i := range registry {
-			if registry[i].name == name {
-				entry = &registry[i]
-				return entry.defaults, nil
-			}
-		}
+	name, args, _ := strings.Cut(specStr, ":")
+	i := slices.IndexFunc(registry, func(sp spec) bool { return sp.name == name })
+	if i < 0 {
 		return nil, fmt.Errorf("scenario: unknown scenario %q (known: %s)", name, strings.Join(Names(), ", "))
-	})
-	if err != nil {
-		return nil, err
+	}
+	entry := &registry[i]
+	params := maps.Clone(entry.defaults)
+	if args != "" {
+		for _, kv := range strings.Split(args, ",") {
+			key, val, ok := strings.Cut(kv, "=")
+			if !ok || key == "" {
+				return nil, fmt.Errorf("scenario: %s: malformed parameter %q (want key=value)", name, kv)
+			}
+			if _, known := entry.defaults[key]; !known {
+				return nil, fmt.Errorf("scenario: %s: unknown parameter %q (known: %s)", name, key, strings.Join(slices.Sorted(maps.Keys(entry.defaults)), ", "))
+			}
+			f, err := strconv.ParseFloat(val, 64)
+			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("scenario: %s: parameter %s=%q is not a finite number", name, key, val)
+			}
+			params[key] = f
+		}
 	}
 	return &Scenario{Name: name, Title: entry.title, Params: params, apply: entry.apply}, nil
 }
 
-// ParseSpec is the one parser of the "name" / "name:key=val,key=val" spec
-// grammar of a named-scenario registry (the federation scenarios here; the
-// serving torture scenarios in internal/registry's TestTorture are a table of
-// parameters and parse no spec). defaults resolves
-// a scenario name to its parameter defaults, or to the registry's own
-// unknown-name error; ParseSpec returns the name and a fresh map of the
-// defaults overridden by the spec. A pair without "=" or with an empty key,
-// a key absent from the defaults, and a value that is not a finite number
-// all fail with "scenario:"-prefixed errors.
-func ParseSpec(specStr string, defaults func(name string) (map[string]float64, error)) (string, map[string]float64, error) {
-	name, args, _ := strings.Cut(specStr, ":")
-	def, err := defaults(name)
-	if err != nil {
-		return "", nil, err
+// Spec renders the scenario back to its canonical "name:key=val,..." form
+// (parameters sorted by key), which Parse reads back to an equal scenario;
+// an empty parameter set renders as the bare name.
+func (s *Scenario) Spec() string {
+	if len(s.Params) == 0 {
+		return s.Name
 	}
-	params := maps.Clone(def)
-	if args == "" {
-		return name, params, nil
-	}
-	for _, kv := range strings.Split(args, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok || key == "" {
-			return "", nil, fmt.Errorf("scenario: %s: malformed parameter %q (want key=value)", name, kv)
-		}
-		if _, known := def[key]; !known {
-			return "", nil, fmt.Errorf("scenario: %s: unknown parameter %q (known: %s)", name, key, strings.Join(slices.Sorted(maps.Keys(def)), ", "))
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-			return "", nil, fmt.Errorf("scenario: %s: parameter %s=%q is not a finite number", name, key, val)
-		}
-		params[key] = f
-	}
-	return name, params, nil
-}
-
-// RenderSpec renders a name and its resolved parameters to the canonical
-// "name:key=val,..." form (parameters sorted by key) that ParseSpec reads
-// back; an empty parameter set renders as the bare name.
-func RenderSpec(name string, params map[string]float64) string {
-	if len(params) == 0 {
-		return name
-	}
-	keys := slices.Sorted(maps.Keys(params))
+	keys := slices.Sorted(maps.Keys(s.Params))
 	parts := make([]string, len(keys))
 	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%v", k, params[k])
+		parts[i] = fmt.Sprintf("%s=%v", k, s.Params[k])
 	}
-	return name + ":" + strings.Join(parts, ",")
+	return s.Name + ":" + strings.Join(parts, ",")
 }
-
-// Spec renders the scenario back to its canonical spec (see RenderSpec).
-func (s *Scenario) Spec() string { return RenderSpec(s.Name, s.Params) }
 
 // Apply configures opt (and, for data-poisoning scenarios, the subgraphs in
 // place) to run this scenario over the given fleet. Scenarios that inject

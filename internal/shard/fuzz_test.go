@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/datasets"
@@ -15,8 +14,10 @@ import (
 //	go test -run='^$' -fuzz='^FuzzShardRoundTrip$' -fuzztime=30s ./internal/shard
 //
 // Inputs are raw bytes decoded into a small streamed spec plus a shard
-// count, so the fuzzer explores plan/build/serve structure rather than huge
-// payloads.
+// count, so the fuzzer explores plan/build/propagation structure rather than
+// huge payloads. Two corpus files (seed-valid-plan, seed-bad-magic-tail) are
+// the bytes of a plan wire format the package no longer has; they stay as
+// inputs like any other.
 
 // decodeShardInput derives a bounded stream spec and shard count from fuzz
 // bytes: byte 0 sizes the graph, byte 1 the shard count, byte 2 the seed and
@@ -41,44 +42,22 @@ func decodeShardInput(data []byte) (datasets.StreamSpec, int) {
 }
 
 // FuzzShardRoundTrip drives the full shard pipeline on adversarial input:
-// DecodePlan must never panic on raw bytes; a planned spec must survive the
-// encode→decode roundtrip exactly; the streaming builder must stay bit-equal
-// to slicing the materialised graph; and the reassembled sharded embedding
-// must match the single-shard one bit for bit.
+// the streaming builder must stay bit-equal to slicing the materialised
+// graph, and the reassembled sharded embedding must match the single-shard
+// one bit for bit.
 func FuzzShardRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{13, 1, 7, 0xfe, 0x01})
 	f.Add([]byte{39, 3, 200, 9, 9, 9, 9})
 	f.Add([]byte("ADFGSHP1 almost a plan"))
-	p0, err := NewPlan([]int32{0, 1, 0, 1, 2}, 3)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(p0.Encode())
+	f.Add([]byte{5, 2, 10}) // 13 nodes, 3 shards, every edge homophilous
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Raw bytes through the decoder: errors allowed, panics are not; a
-		// successful decode must re-encode to the identical artifact.
-		if p, err := DecodePlan(data); err == nil {
-			if !bytes.Equal(p.Encode(), data) {
-				t.Fatalf("decode/encode not idempotent")
-			}
-		}
-
 		spec, shards := decodeShardInput(data)
 		p, err := PlanFromStream(spec, shards, spec.Seed)
 		if err != nil {
 			t.Fatalf("plan: %v", err)
-		}
-		rt, err := DecodePlan(p.Encode())
-		if err != nil {
-			t.Fatalf("roundtrip: %v", err)
-		}
-		for v := 0; v < p.N(); v++ {
-			if rt.Owner(v) != p.Owner(v) || rt.LocalID(v) != p.LocalID(v) {
-				t.Fatalf("roundtrip node %d mapping differs", v)
-			}
 		}
 
 		st, err := BuildFromStream(spec, p, sparse.NormSym)

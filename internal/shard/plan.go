@@ -14,9 +14,7 @@
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 
 	"repro/internal/datasets"
@@ -27,8 +25,7 @@ import (
 // Plan assigns every node to exactly one shard and fixes the global↔local
 // id mapping: shard s owns the nodes {v : Owner(v) = s}, in ascending
 // global order, and LocalID(v) is v's rank within its owner. Plans are
-// immutable once built and serialisable (Encode/DecodePlan), so the shards
-// of a fleet can agree on the mapping across process boundaries.
+// immutable once built.
 type Plan struct {
 	shards int
 	owner  []int32 // owner[v] = shard of global node v
@@ -155,54 +152,4 @@ func PlanFromStream(spec datasets.StreamSpec, shards int, seed int64) (*Plan, er
 		}
 	}
 	return NewPlan(owner, shards)
-}
-
-// planMagic brands an encoded plan ("ADFGL shard plan v1").
-var planMagic = [8]byte{'A', 'D', 'F', 'G', 'S', 'H', 'P', '1'}
-
-// Encode serialises the plan: magic, shard count, node count, the ownership
-// vector, and a CRC32 trailer over everything before it.
-func (p *Plan) Encode() []byte {
-	buf := make([]byte, 8+4+8+4*len(p.owner)+4)
-	copy(buf, planMagic[:])
-	binary.LittleEndian.PutUint32(buf[8:], uint32(p.shards))
-	binary.LittleEndian.PutUint64(buf[12:], uint64(len(p.owner)))
-	off := 20
-	for _, s := range p.owner {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(s))
-		off += 4
-	}
-	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
-	return buf
-}
-
-// DecodePlan parses an Encode artifact, validating structure, bounds and
-// checksum; corrupt or truncated input errors, never panics or over-
-// allocates (the node count is checked against the buffer length before any
-// allocation).
-func DecodePlan(data []byte) (*Plan, error) {
-	if len(data) < 24 {
-		return nil, fmt.Errorf("shard: DecodePlan: %d bytes too short", len(data))
-	}
-	if [8]byte(data[:8]) != planMagic {
-		return nil, fmt.Errorf("shard: DecodePlan: bad magic %q", data[:8])
-	}
-	shards := int(binary.LittleEndian.Uint32(data[8:]))
-	n := binary.LittleEndian.Uint64(data[12:])
-	if want := uint64(24) + 4*n; uint64(len(data)) != want {
-		return nil, fmt.Errorf("shard: DecodePlan: %d bytes for %d nodes (want %d)", len(data), n, want)
-	}
-	body := len(data) - 4
-	if got, want := crc32.ChecksumIEEE(data[:body]), binary.LittleEndian.Uint32(data[body:]); got != want {
-		return nil, fmt.Errorf("shard: DecodePlan: checksum mismatch %08x != %08x", got, want)
-	}
-	owner := make([]int32, n)
-	for v := range owner {
-		owner[v] = int32(binary.LittleEndian.Uint32(data[20+4*v:]))
-	}
-	p, err := NewPlan(owner, shards)
-	if err != nil {
-		return nil, fmt.Errorf("shard: DecodePlan: %w", err)
-	}
-	return p, nil
 }

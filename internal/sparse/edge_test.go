@@ -20,15 +20,6 @@ func TestWithSelfLoopsNonSquarePanics(t *testing.T) {
 	FromCoords(2, 3, nil).WithSelfLoops()
 }
 
-func TestSubmatrixNonSquarePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on non-square Submatrix")
-		}
-	}()
-	FromCoords(2, 3, nil).Submatrix([]int{0})
-}
-
 func TestEmptyMatrix(t *testing.T) {
 	m := FromCoords(3, 3, nil)
 	if m.NNZ() != 0 {

@@ -56,16 +56,3 @@ func (pl *Plan) MulDenseInto(dst, x *matrix.Dense) {
 	checkNoAlias("Plan.MulDenseInto", dst, x)
 	pl.b.mulInto(dst, x)
 }
-
-// PropagateInto runs the k-step smoothing X ← plan·X in place, ping-ponging
-// between x and the scratch matrix, and returns the matrix holding the final
-// step (one of x or scratch). Both must be NRows x cols and distinct; this
-// is the allocation-free core of repeated propagation.
-func (pl *Plan) PropagateInto(x, scratch *matrix.Dense, k int) *matrix.Dense {
-	cur, next := x, scratch
-	for i := 0; i < k; i++ {
-		pl.MulDenseInto(next, cur)
-		cur, next = next, cur
-	}
-	return cur
-}

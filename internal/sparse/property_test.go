@@ -155,8 +155,9 @@ func TestMulDenseIntoAliasPanics(t *testing.T) {
 	}
 }
 
-// TestPlanPropagateInto checks the allocation-free k-step helper against
-// repeated MulDense calls.
+// TestPlanPropagateInto checks k-step propagation that ping-pongs between
+// two buffers through Plan.MulDenseInto, the allocation-free loop of the
+// propagation callers, against repeated MulDense calls.
 func TestPlanPropagateInto(t *testing.T) {
 	m := sprinkledCSR(120, 120, 0.05, 17)
 	pl := NewPlan(m)
@@ -169,8 +170,12 @@ func TestPlanPropagateInto(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		want = pl.MulDense(want)
 	}
-	got := pl.PropagateInto(x.Clone(), matrix.New(120, 9), 5)
-	assertBitIdentical(t, "PropagateInto", got, want)
+	cur, next := x.Clone(), matrix.New(120, 9)
+	for i := 0; i < 5; i++ {
+		pl.MulDenseInto(next, cur)
+		cur, next = next, cur
+	}
+	assertBitIdentical(t, "MulDenseInto ping-pong", cur, want)
 }
 
 // TestBlockingConfig covers the process-wide panel knob.

@@ -35,7 +35,7 @@ type Coord struct {
 
 // FromCoords builds an nRows x nCols CSR matrix from coordinate entries.
 // Duplicate (row, col) pairs are summed in input order. Entries summing to
-// exactly zero are kept (callers that want pruning can use Prune).
+// exactly zero are kept.
 func FromCoords(nRows, nCols int, entries []Coord) *CSR {
 	// Bucket by row with a counting pass, which keeps input order within a
 	// row; then order each row by column, stably, and fold duplicates.
@@ -159,9 +159,6 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	return m.ColIdx[lo:hi], m.Val[lo:hi]
 }
-
-// RowDegree returns the number of stored entries in row i.
-func (m *CSR) RowDegree(i int) int { return m.RowPtr[i+1] - m.RowPtr[i] }
 
 // Degrees returns the per-row sums of values — for an unweighted adjacency
 // matrix this is the node degree (self-loop counted once).
@@ -393,44 +390,4 @@ func (m *CSR) Dense() *matrix.Dense {
 		}
 	}
 	return out
-}
-
-// Prune returns a copy of m with entries |v| <= tol removed.
-func (m *CSR) Prune(tol float64) *CSR {
-	coords := make([]Coord, 0, m.NNZ())
-	for i := 0; i < m.NRows; i++ {
-		cols, vals := m.Row(i)
-		for k, c := range cols {
-			if vals[k] > tol || vals[k] < -tol {
-				coords = append(coords, Coord{i, c, vals[k]})
-			}
-		}
-	}
-	return FromCoords(m.NRows, m.NCols, coords)
-}
-
-// Submatrix returns the square submatrix induced by keeping the given rows
-// and the same columns (for node-induced subgraphs). idx values must be
-// unique and in range; the i-th row/col of the result corresponds to idx[i].
-func (m *CSR) Submatrix(idx []int) *CSR {
-	if m.NRows != m.NCols {
-		panic(fmt.Sprintf("sparse: Submatrix requires a square matrix, got %dx%d", m.NRows, m.NCols))
-	}
-	remap := make([]int32, m.NCols) // old id -> new id, -1 when dropped
-	for i := range remap {
-		remap[i] = -1
-	}
-	for newID, old := range idx {
-		remap[old] = int32(newID)
-	}
-	coords := make([]Coord, 0)
-	for newRow, old := range idx {
-		cols, vals := m.Row(old)
-		for k, c := range cols {
-			if nc := remap[c]; nc >= 0 {
-				coords = append(coords, Coord{newRow, int(nc), vals[k]})
-			}
-		}
-	}
-	return FromCoords(len(idx), len(idx), coords)
 }

@@ -3,8 +3,6 @@ package telemetry
 import (
 	"runtime"
 	rtm "runtime/metrics"
-	"sort"
-	"strings"
 )
 
 // RegisterRuntimeGauges registers Go runtime health gauges on r, read fresh
@@ -58,17 +56,4 @@ func RuntimeSnapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// RuntimeSnapshotKeys returns the sorted metric names of a snapshot,
-// optionally filtered to a prefix — a stable iteration aid for renderers.
-func RuntimeSnapshotKeys(snap map[string]float64, prefix string) []string {
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }

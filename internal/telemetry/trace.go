@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -64,7 +63,7 @@ func EnsureTrace(ctx context.Context) (context.Context, TraceID) {
 
 // SpanEvent is one recorded span: a named stage of a trace with its wall
 // start time, duration, and small attribute set. Events are exported as the
-// sampled structured event log (Tracer.Events, or slog via SetLogger).
+// sampled structured event log (Tracer.Events).
 type SpanEvent struct {
 	// Trace is the request's trace ID.
 	Trace TraceID `json:"trace"`
@@ -87,11 +86,10 @@ type Tracer struct {
 	seen atomic.Uint64 // spans offered
 	kept atomic.Uint64 // spans recorded
 
-	mu     sync.Mutex
-	ring   []SpanEvent
-	next   int
-	full   bool
-	logger *slog.Logger
+	mu   sync.Mutex
+	ring []SpanEvent
+	next int
+	full bool
 }
 
 // NewTracer creates a tracer with a ring of capacity events that records
@@ -113,14 +111,6 @@ var defaultTracer = NewTracer(4096, 1)
 // DefaultTracer returns the process-wide tracer the runtime layers record
 // onto.
 func DefaultTracer() *Tracer { return defaultTracer }
-
-// SetLogger streams every recorded span to l (as a structured "span" record)
-// in addition to the ring; nil disables streaming.
-func (t *Tracer) SetLogger(l *slog.Logger) {
-	t.mu.Lock()
-	t.logger = l
-	t.mu.Unlock()
-}
 
 // sampled reports whether the deterministic sampler keeps this trace.
 func (t *Tracer) sampled(id TraceID) bool { return uint64(id)%t.sample == 0 }
@@ -196,16 +186,7 @@ func (s *Span) End() {
 		t.next = 0
 		t.full = true
 	}
-	logger := t.logger
 	t.mu.Unlock()
-	if logger != nil {
-		logger.LogAttrs(context.Background(), slog.LevelDebug, "span",
-			slog.String("trace", ev.Trace.String()),
-			slog.String("span", ev.Name),
-			slog.Duration("dur", ev.Duration),
-			slog.Any("attrs", ev.Attrs),
-		)
-	}
 }
 
 // Events returns the recorded span events, oldest first.

@@ -1,12 +1,9 @@
 package telemetry
 
 import (
-	"bytes"
 	"context"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -95,19 +92,6 @@ func TestTracerSampling(t *testing.T) {
 	seen, kept := tr.Stats()
 	if seen != 8 || kept != 2 { // ids 4 and 8
 		t.Fatalf("stats = %d,%d want 8,2", seen, kept)
-	}
-}
-
-// TestTracerLogger checks recorded spans stream to the attached slog
-// logger.
-func TestTracerLogger(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(4, 1)
-	tr.SetLogger(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
-	tr.Span(TraceID(7), "serve.window").Attr("bytes", 128).End()
-	out := buf.String()
-	if !strings.Contains(out, `"span":"serve.window"`) || !strings.Contains(out, "0000000000000007") {
-		t.Fatalf("span log missing fields: %s", out)
 	}
 }
 
